@@ -40,8 +40,8 @@ struct ScheduledSlice {
 };
 
 /// The compiled execution IR: one `PipelinePlan` lowered once, consumed by
-/// every backend (DES simulator, threaded executor, queueing, memory and
-/// energy accounting, chrome tracing, the online serving path).  Analogous
+/// every backend (DES simulator, queueing, memory and energy accounting,
+/// chrome tracing, the online serving path).  Analogous
 /// to a HETERO-style compiled model: device-affine subgraphs in a single
 /// flat executable form.
 struct CompiledPlan {

@@ -1,15 +1,12 @@
 #include "obs/drift.h"
 
 #include <algorithm>
-#include <array>
 #include <cmath>
 #include <limits>
 #include <stdexcept>
 
 namespace h2p::obs {
 namespace {
-
-std::atomic<std::uint64_t> g_next_buffer_id{1};
 
 std::string cell_suffix(std::size_t proc, SliceKind kind, std::size_t bucket) {
   std::string s = "p";
@@ -40,101 +37,6 @@ SliceKind parse_slice_kind(std::string_view text) {
   if (text == "solo") return SliceKind::kSolo;
   throw std::invalid_argument("parse_slice_kind: unknown kind \"" +
                               std::string(text) + "\"");
-}
-
-// ---- SliceBuffer -----------------------------------------------------------
-
-struct SliceBuffer::Chunk {
-  static constexpr std::size_t kCapacity = 256;
-  std::array<SliceRecord, kCapacity> items;
-  /// Published record count; the owner release-stores after writing the
-  /// record so an acquiring drainer sees complete items.
-  std::atomic<std::size_t> used{0};
-  Chunk* prev = nullptr;
-};
-
-struct SliceBuffer::ThreadChain {
-  std::atomic<Chunk*> head{nullptr};
-};
-
-SliceBuffer::SliceBuffer()
-    : id_(g_next_buffer_id.fetch_add(1, std::memory_order_relaxed)) {}
-
-SliceBuffer::~SliceBuffer() {
-  for (const std::unique_ptr<ThreadChain>& chain : chains_) {
-    Chunk* c = chain->head.load(std::memory_order_relaxed);
-    while (c != nullptr) {
-      Chunk* prev = c->prev;
-      delete c;
-      c = prev;
-    }
-  }
-}
-
-SliceBuffer::ThreadChain& SliceBuffer::chain_for_current_thread() {
-  // Cache keyed by buffer id, not address: ids are never reused, so a stale
-  // entry for a destroyed buffer can never alias a new one.
-  thread_local std::vector<std::pair<std::uint64_t, ThreadChain*>> cache;
-  for (const auto& [id, chain] : cache) {
-    if (id == id_) return *chain;
-  }
-  std::lock_guard<std::mutex> lock(mu_);
-  chains_.push_back(std::make_unique<ThreadChain>());
-  ThreadChain* chain = chains_.back().get();
-  cache.emplace_back(id_, chain);
-  return *chain;
-}
-
-void SliceBuffer::push(const SliceRecord& rec) {
-  ThreadChain& chain = chain_for_current_thread();
-  Chunk* head = chain.head.load(std::memory_order_relaxed);
-  std::size_t used =
-      head != nullptr ? head->used.load(std::memory_order_relaxed)
-                      : Chunk::kCapacity;
-  if (used == Chunk::kCapacity) {
-    Chunk* fresh = new Chunk();
-    fresh->prev = head;
-    chain.head.store(fresh, std::memory_order_release);
-    head = fresh;
-    used = 0;
-  }
-  head->items[used] = rec;
-  head->used.store(used + 1, std::memory_order_release);
-}
-
-std::vector<SliceRecord> SliceBuffer::drain() {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::vector<SliceRecord> out;
-  std::vector<Chunk*> chunks;
-  for (const std::unique_ptr<ThreadChain>& chain : chains_) {
-    chunks.clear();
-    for (Chunk* c = chain->head.load(std::memory_order_acquire); c != nullptr;
-         c = c->prev) {
-      chunks.push_back(c);
-    }
-    // The prev-chain is newest-first; replay oldest-first to preserve the
-    // owning thread's push order.
-    for (auto it = chunks.rbegin(); it != chunks.rend(); ++it) {
-      const std::size_t used = (*it)->used.load(std::memory_order_acquire);
-      for (std::size_t i = 0; i < used; ++i) out.push_back((*it)->items[i]);
-    }
-    for (Chunk* c : chunks) delete c;
-    // ThreadChain objects stay alive: pushers cache pointers to them.
-    chain->head.store(nullptr, std::memory_order_relaxed);
-  }
-  return out;
-}
-
-std::size_t SliceBuffer::size() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::size_t total = 0;
-  for (const std::unique_ptr<ThreadChain>& chain : chains_) {
-    for (Chunk* c = chain->head.load(std::memory_order_acquire); c != nullptr;
-         c = c->prev) {
-      total += c->used.load(std::memory_order_acquire);
-    }
-  }
-  return total;
 }
 
 // ---- calibration report ----------------------------------------------------
@@ -183,17 +85,12 @@ DriftTracker::DriftTracker(DriftOptions options, Registry* registry, Log* log,
                            Tracer* tracer)
     : options_(options), registry_(registry), log_(log), tracer_(tracer) {}
 
-DriftTracker& DriftTracker::global() {
-  static DriftTracker tracker;
-  return tracker;
-}
-
 std::vector<double> DriftTracker::rel_err_buckets() {
   return {-0.5, -0.25, -0.1, -0.05, -0.02, 0.0,
           0.02, 0.05,  0.1,  0.25,  0.5,   1.0, 2.0, 4.0};
 }
 
-void DriftTracker::observe_always(const SliceRecord& rec) {
+void DriftTracker::observe(const SliceRecord& rec) {
   std::lock_guard<std::mutex> lock(mu_);
   const double p = rec.predicted_ms();
   if (!(p > 0.0)) {
@@ -264,16 +161,6 @@ void DriftTracker::observe_always(const SliceRecord& rec) {
   }
 }
 
-void DriftTracker::drain(SliceBuffer& buffer) {
-  std::vector<SliceRecord> records = buffer.drain();
-  std::sort(records.begin(), records.end(),
-            [](const SliceRecord& a, const SliceRecord& b) {
-              return std::tie(a.window, a.model_idx, a.seq_in_model) <
-                     std::tie(b.window, b.model_idx, b.seq_in_model);
-            });
-  for (const SliceRecord& rec : records) observe_always(rec);
-}
-
 std::vector<DriftCell> DriftTracker::cells() const {
   std::lock_guard<std::mutex> lock(mu_);
   std::vector<DriftCell> out;
@@ -319,15 +206,6 @@ void DriftTracker::reset() {
   ewma_ = 0.0;
   ewma_seeded_ = false;
   alerting_ = false;
-}
-
-std::vector<PredictedSlice> predicted_from_timeline(const Timeline& timeline) {
-  std::vector<PredictedSlice> out;
-  out.reserve(timeline.tasks.size());
-  for (const TaskRecord& rec : timeline.tasks) {
-    out.push_back({rec.start_ms, rec.end_ms});
-  }
-  return out;
 }
 
 // ---- fleet snapshot merging ------------------------------------------------

@@ -1,10 +1,8 @@
 #pragma once
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <map>
-#include <memory>
 #include <mutex>
 #include <span>
 #include <string>
@@ -15,7 +13,6 @@
 #include "obs/log.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "sim/trace.h"
 #include "util/json.h"
 
 namespace h2p::obs {
@@ -48,10 +45,9 @@ enum class SliceKind : std::uint8_t {
 /// One slice's predicted-vs-executed evidence.  "Predicted" is what the
 /// arbitrating DES promised when the plan was chosen (window-isolated, no
 /// faults); "executed" is what actually happened — the final streaming
-/// timeline in `run_online`, or wall-clock times rescaled to modeled
-/// milliseconds in `runtime/executor`.  Everything else is context the
-/// calibration loop conditions on: where it ran, how hot the SoC was, how
-/// degraded the bus was, and whether a correlated weather event covered it.
+/// timeline in `run_online`.  Everything else is context the calibration
+/// loop conditions on: where it ran, how hot the SoC was, how degraded the
+/// bus was, and whether a correlated weather event covered it.
 struct SliceRecord {
   std::size_t window = 0;
   std::size_t model_idx = 0;
@@ -80,43 +76,6 @@ struct SliceRecord {
     const double p = predicted_ms();
     return p > 0.0 ? (executed_ms() - p) / p : 0.0;
   }
-};
-
-/// Lock-free per-thread buffer of SliceRecords.  Each pushing thread owns a
-/// private chain of fixed-size chunks: `push` writes the record then
-/// release-publishes the new count, so the drainer (acquire) always sees
-/// fully written records and never blocks a worker.  The only lock is on
-/// the cold paths — first push of a new thread registers its chain, and
-/// `drain` walks all chains.  `drain` additionally resets the chains, so it
-/// must not run concurrently with pushes (the executor drains after its
-/// workers have joined).
-class SliceBuffer {
- public:
-  SliceBuffer();
-  ~SliceBuffer();
-  SliceBuffer(const SliceBuffer&) = delete;
-  SliceBuffer& operator=(const SliceBuffer&) = delete;
-
-  /// Wait-free for the owning thread except on chunk rollover (allocation).
-  void push(const SliceRecord& rec);
-
-  /// Collect every published record (per-thread push order preserved,
-  /// threads in registration order) and reset the buffer.  Requires pushers
-  /// quiesced.
-  [[nodiscard]] std::vector<SliceRecord> drain();
-
-  /// Published records without draining (same quiescence caveat as drain).
-  [[nodiscard]] std::size_t size() const;
-
- private:
-  struct Chunk;
-  struct ThreadChain;
-
-  ThreadChain& chain_for_current_thread();
-
-  const std::uint64_t id_;  // distinguishes reincarnations at one address
-  mutable std::mutex mu_;   // guards chains_ registration and drain
-  std::vector<std::unique_ptr<ThreadChain>> chains_;
 };
 
 /// Windowed drift-detector configuration.  The detector keeps an EWMA of
@@ -191,14 +150,12 @@ struct CalibrationReport {
 /// (proc × kind × bucket) cell, feeds the per-cell residual histogram
 /// (`drift.rel_err.p<P>.<kind>.b<B>`) and signed-error gauge
 /// (`drift.mean_rel_err.p<P>.<kind>.b<B>`) in the target Registry, and
-/// advances the EWMA alert detector.  Disabled (the default for the global
-/// instance), `observe` is one relaxed load and a branch — same contract as
-/// the Registry's metrics, so capture hooks stay compiled into hot paths.
-/// All updates are strictly observational: nothing planned, simulated, or
-/// executed reads the tracker back.
+/// advances the EWMA alert detector.  All updates are strictly
+/// observational: nothing planned, simulated, or executed reads the tracker
+/// back.
 ///
-/// Thread-safe; `run_online` uses a private always-enabled instance per run
-/// so its alert sequence is deterministic and independent of other runs.
+/// Thread-safe; `run_online` uses a private instance per run so its alert
+/// sequence is deterministic and independent of other runs.
 class DriftTracker {
  public:
   explicit DriftTracker(DriftOptions options = {},
@@ -209,26 +166,7 @@ class DriftTracker {
   DriftTracker(const DriftTracker&) = delete;
   DriftTracker& operator=(const DriftTracker&) = delete;
 
-  /// Process-wide instance for long-lived executor-style capture.
-  static DriftTracker& global();
-
-  void set_enabled(bool on) { enabled_.store(on, std::memory_order_relaxed); }
-  [[nodiscard]] bool enabled() const {
-    return enabled_.load(std::memory_order_relaxed);
-  }
-
-  void observe(const SliceRecord& rec) {
-    if (!enabled()) return;
-    observe_always(rec);
-  }
-
-  /// Observe regardless of the enabled gate (run_online's private tracker).
-  void observe_always(const SliceRecord& rec);
-
-  /// Drain a capture buffer into the tracker.  Records are sorted by
-  /// (window, model, seq) first so the alert sequence is deterministic even
-  /// when worker threads raced on push order.
-  void drain(SliceBuffer& buffer);
+  void observe(const SliceRecord& rec);
 
   [[nodiscard]] std::vector<DriftCell> cells() const;
   [[nodiscard]] CalibrationReport report() const;
@@ -256,7 +194,6 @@ class DriftTracker {
   Registry* registry_;
   Log* log_;
   Tracer* tracer_;
-  std::atomic<bool> enabled_{false};
 
   mutable std::mutex mu_;
   std::map<CellKey, CellState> cells_;
@@ -266,31 +203,6 @@ class DriftTracker {
   double ewma_ = 0.0;
   bool ewma_seeded_ = false;
   bool alerting_ = false;
-};
-
-/// Per-job DES prediction handed to the executor's capture hook.
-struct PredictedSlice {
-  double start_ms = 0.0;
-  double finish_ms = 0.0;
-};
-
-/// Predicted start/finish per task index, lifted from a DES timeline (the
-/// arbitrating simulation of the same compiled plan the executor runs).
-[[nodiscard]] std::vector<PredictedSlice> predicted_from_timeline(
-    const Timeline& timeline);
-
-/// Everything the executor needs to emit SliceRecords without computing
-/// anything on the worker threads beyond one push: the buffer, the per-job
-/// predictions, and the run context stamped onto every record.
-struct DriftCapture {
-  SliceBuffer* buffer = nullptr;
-  std::vector<PredictedSlice> predicted;  // indexed by job
-  std::size_t window = 0;
-  std::size_t thermal_bucket = 0;
-  double bus_factor = 1.0;
-  /// Multiplier converting executed wall milliseconds to modeled
-  /// milliseconds (pair with the executor by setting 1000 / us_per_sim_ms).
-  double wall_ms_to_model = 1.0;
 };
 
 /// Merge N registry/drift JSON snapshots into one fleet report:

@@ -40,7 +40,7 @@ struct TraceEvent {
 };
 
 /// Wall-clock span collector for the host side (planner, plan cache, online
-/// loop, thread pool, runtime executor).  Each host thread gets its own
+/// loop, thread pool).  Each host thread gets its own
 /// track, lazily on first record; tracks map to Perfetto tids when the
 /// buffer is merged with the DES timeline into one chrome-trace file
 /// (sim/chrome_trace.h).
@@ -69,8 +69,8 @@ class Tracer {
   /// Drop all events and track registrations (the epoch is kept).
   void clear();
 
-  /// Label the calling thread's trace row ("online-loop",
-  /// "executor-worker-2", ...).  No-op while disabled.
+  /// Label the calling thread's trace row ("online-loop", "planner", ...).
+  /// No-op while disabled.
   void name_current_thread(const std::string& name);
 
   /// Wall microseconds since the tracer's epoch.

@@ -849,7 +849,7 @@ OnlineResult run_online(const Soc& soc, const std::vector<OnlineRequest>& stream
           }
         }
       }
-      tracker.observe_always(rec);
+      tracker.observe(rec);
       WindowStats& ws = result.windows[rec.window];
       ++ws.drift_slices;
       ws.drift_abs_rel_err += std::fabs(rec.rel_err());

@@ -161,6 +161,11 @@ namespace {
 
 class Parser {
  public:
+  /// Deepest array/object nesting accepted.  Far above anything the repo
+  /// writes (a handful of levels), and low enough that the recursive
+  /// descent cannot exhaust the stack on hostile input.
+  static constexpr std::size_t kMaxDepth = 256;
+
   explicit Parser(const std::string& text) : text_(text) {}
 
   Json parse() {
@@ -204,8 +209,14 @@ class Parser {
   Json value() {
     skip_ws();
     const char c = peek();
-    if (c == '{') return object();
-    if (c == '[') return array();
+    if (c == '{' || c == '[') {
+      if (++depth_ > kMaxDepth) {
+        fail("nesting deeper than " + std::to_string(kMaxDepth) + " levels");
+      }
+      Json nested = c == '{' ? object() : array();
+      --depth_;
+      return nested;
+    }
     if (c == '"') return Json::string(string());
     if (consume_literal("true")) return Json::boolean(true);
     if (consume_literal("false")) return Json::boolean(false);
@@ -302,6 +313,7 @@ class Parser {
 
   const std::string& text_;
   std::size_t pos_ = 0;
+  std::size_t depth_ = 0;
 };
 
 }  // namespace

@@ -1,0 +1,56 @@
+# Bad CLI input must be rejected cleanly: run h2p_cli on one malformed
+# input and require exit status 1 (not a crash, not a silent default) and
+# a stderr message matching EXPECT.
+#
+#   cmake -DCLI=<h2p_cli> -DCASE=<case> -DWORK_DIR=<scratch dir>
+#         -P tests/cli_rejects.cmake
+#
+# Cases:
+#   window_zero        online --window 0
+#   window_not_number  online --window abc
+#   faults_bad_kind    online --faults <script with an unknown event kind>
+#   deep_json          fleet-merge <array nested 200000 levels deep>
+
+foreach(var CLI CASE WORK_DIR)
+  if(NOT DEFINED ${var})
+    message(FATAL_ERROR "cli_rejects: -D${var}=... is required")
+  endif()
+endforeach()
+file(MAKE_DIRECTORY "${WORK_DIR}")
+
+set(online online --models resnet50,squeezenet)
+if(CASE STREQUAL "window_zero")
+  set(args ${online} --window 0)
+  set(expect "--window: expected a positive integer, got \"0\"")
+elseif(CASE STREQUAL "window_not_number")
+  set(args ${online} --window abc)
+  set(expect "--window: expected a positive integer, got \"abc\"")
+elseif(CASE STREQUAL "faults_bad_kind")
+  set(script "${WORK_DIR}/bad_kind_faults.json")
+  file(WRITE "${script}"
+       "{\"events\": [{\"kind\": \"meteor\", \"proc\": 0, "
+       "\"begin_ms\": 10, \"end_ms\": null}]}\n")
+  set(args ${online} --faults "${script}")
+  set(expect "unknown kind 'meteor'")
+elseif(CASE STREQUAL "deep_json")
+  set(snapshot "${WORK_DIR}/deep.json")
+  string(REPEAT "[" 200000 deep)
+  file(WRITE "${snapshot}" "${deep}")
+  set(args fleet-merge "${snapshot}")
+  set(expect "nesting deeper than")
+else()
+  message(FATAL_ERROR "cli_rejects: unknown case ${CASE}")
+endif()
+
+execute_process(COMMAND "${CLI}" ${args}
+                RESULT_VARIABLE rc
+                OUTPUT_VARIABLE out
+                ERROR_VARIABLE err)
+if(NOT rc STREQUAL "1")
+  message(FATAL_ERROR "h2p_cli ${args}: expected exit status 1, got ${rc}\n"
+                      "stderr: ${err}")
+endif()
+string(FIND "${err}" "${expect}" at)
+if(at EQUAL -1)
+  message(FATAL_ERROR "h2p_cli ${args}: stderr lacks \"${expect}\":\n${err}")
+endif()

@@ -6,7 +6,6 @@
 
 #include "core/graph_planner.h"
 #include "models/model_zoo.h"
-#include "runtime/executor.h"
 #include "sim/fault_injector.h"
 #include "sim/pipeline_sim.h"
 #include "soc/soc.h"
@@ -171,55 +170,6 @@ TEST(DagDes, ReadinessHoldsUnderTransientFaultOnDagPlan) {
       EXPECT_GE(tl.tasks[i].start_ms, tl.tasks[d].end_ms - 1e-12);
     }
   }
-}
-
-// ---- Executor: atomic join counters ---------------------------------------
-
-TEST(DagDesExecutor, HonorsExplicitForkJoinEdges) {
-  std::vector<RuntimeJob> jobs;
-  jobs.push_back(RuntimeJob{0, 0, 0, 2.0, true, {}});
-  jobs.push_back(RuntimeJob{0, 1, 1, 2.0, true, {0}});
-  jobs.push_back(RuntimeJob{0, 1, 2, 2.0, true, {0}});
-  jobs.push_back(RuntimeJob{0, 2, 0, 2.0, true, {1, 2}});
-  PipelineExecutor exec(4, {50.0, true});
-  const RuntimeResult r = exec.run(jobs);
-  ASSERT_EQ(r.records.size(), jobs.size());
-  // Wall-clock ordering: the join starts only after BOTH branches end and
-  // each branch starts only after the root (small epsilon for clock skew
-  // between worker threads).
-  const double eps = 0.05;
-  EXPECT_GE(r.records[1].start_ms, r.records[0].end_ms - eps);
-  EXPECT_GE(r.records[2].start_ms, r.records[0].end_ms - eps);
-  EXPECT_GE(r.records[3].start_ms, r.records[1].end_ms - eps);
-  EXPECT_GE(r.records[3].start_ms, r.records[2].end_ms - eps);
-}
-
-TEST(DagDesExecutor, DagCompiledPlanRunsAllSlices) {
-  const Soc soc = Soc::kirin990();
-  std::vector<GraphModel> graphs{zoo_graph(GraphId::kHybridAttnCell)};
-  std::vector<const GraphModel*> ptrs{&graphs[0]};
-  const GraphPlannerReport rep = GraphPlanner(soc, ptrs).plan();
-  ASSERT_TRUE(rep.dag_accepted);
-  auto jobs = PipelineExecutor::jobs_from_compiled(rep.compiled);
-  // Shrink to keep the test fast: relative precedence is what matters.
-  for (RuntimeJob& j : jobs) j.solo_ms = std::min(j.solo_ms, 1.0);
-  PipelineExecutor exec(soc.num_processors(), {20.0, true});
-  const RuntimeResult r = exec.run(jobs);
-  ASSERT_EQ(r.records.size(), jobs.size());
-  const double eps = 0.05;
-  for (std::size_t i = 0; i < jobs.size(); ++i) {
-    EXPECT_GT(r.records[i].end_ms, 0.0) << i;
-    for (const std::size_t d : jobs[i].deps) {
-      EXPECT_GE(r.records[i].start_ms, r.records[d].end_ms - eps);
-    }
-  }
-}
-
-TEST(DagDesExecutor, OutOfRangeDepsRejected) {
-  std::vector<RuntimeJob> jobs;
-  jobs.push_back(RuntimeJob{0, 0, 0, 1.0, true, {7}});
-  PipelineExecutor exec(2, {10.0, true});
-  EXPECT_THROW(exec.run(jobs), std::invalid_argument);
 }
 
 }  // namespace

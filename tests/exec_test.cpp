@@ -1,12 +1,11 @@
-// Tests for the exec::CompiledPlan lowering layer.  The equivalence tests
-// pin the refactor contract: tasks_from_plan / jobs_from_plan are thin
-// wrappers over exec::compile and must reproduce the pre-refactor
-// expansion *byte for byte* (exact float equality, not tolerance).
+// Tests for the exec::CompiledPlan lowering layer.  The equivalence test
+// pins the refactor contract: tasks_from_plan is a thin wrapper over
+// exec::compile and must reproduce the pre-refactor expansion *byte for
+// byte* (exact float equality, not tolerance).
 #include <gtest/gtest.h>
 
 #include "core/planner.h"
 #include "exec/compiled_plan.h"
-#include "runtime/executor.h"
 #include "sim/pipeline_sim.h"
 #include "test_helpers.h"
 
@@ -44,25 +43,6 @@ std::vector<SimTask> legacy_tasks_from_plan(const PipelinePlan& plan,
   return tasks;
 }
 
-std::vector<RuntimeJob> legacy_jobs_from_plan(const PipelinePlan& plan,
-                                              const StaticEvaluator& eval) {
-  std::vector<RuntimeJob> jobs;
-  for (std::size_t slot = 0; slot < plan.models.size(); ++slot) {
-    const ModelPlan& mp = plan.models[slot];
-    std::size_t seq = 0;
-    for (std::size_t k = 0; k < mp.slices.size(); ++k) {
-      if (mp.slices[k].empty()) continue;
-      RuntimeJob job;
-      job.model_idx = slot;
-      job.seq_in_model = seq++;
-      job.home_proc = k;
-      job.solo_ms = eval.stage_solo_ms(mp, k);
-      jobs.push_back(job);
-    }
-  }
-  return jobs;
-}
-
 TEST(ExecEquivalence, TasksByteIdenticalToLegacyOnAllSocs) {
   for (Soc soc : {Soc::kirin990(), Soc::snapdragon778g(), Soc::snapdragon870()}) {
     SCOPED_TRACE(soc.name());
@@ -85,28 +65,6 @@ TEST(ExecEquivalence, TasksByteIdenticalToLegacyOnAllSocs) {
       EXPECT_EQ(now[i].sensitivity, legacy[i].sensitivity);
       EXPECT_EQ(now[i].intensity, legacy[i].intensity);
       EXPECT_EQ(now[i].arrival_ms, legacy[i].arrival_ms);
-    }
-  }
-}
-
-TEST(ExecEquivalence, JobsByteIdenticalToLegacyOnAllSocs) {
-  for (Soc soc : {Soc::kirin990(), Soc::snapdragon778g(), Soc::snapdragon870()}) {
-    SCOPED_TRACE(soc.name());
-    Fixture fx(five_models(), soc);
-    const PlannerReport report = Hetero2PipePlanner(*fx.eval).plan();
-
-    const std::vector<RuntimeJob> legacy =
-        legacy_jobs_from_plan(report.plan, *fx.eval);
-    const std::vector<RuntimeJob> now =
-        PipelineExecutor::jobs_from_plan(report.plan, *fx.eval);
-
-    ASSERT_EQ(now.size(), legacy.size());
-    for (std::size_t i = 0; i < legacy.size(); ++i) {
-      SCOPED_TRACE(i);
-      EXPECT_EQ(now[i].model_idx, legacy[i].model_idx);
-      EXPECT_EQ(now[i].seq_in_model, legacy[i].seq_in_model);
-      EXPECT_EQ(now[i].home_proc, legacy[i].home_proc);
-      EXPECT_EQ(now[i].solo_ms, legacy[i].solo_ms);
     }
   }
 }

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <cstddef>
+#include <string>
+
 #include "util/json.h"
 
 namespace h2p {
@@ -76,6 +79,25 @@ TEST(Json, ParseErrors) {
   EXPECT_THROW(Json::parse("tru"), std::runtime_error);
   EXPECT_THROW(Json::parse("1 2"), std::runtime_error);
   EXPECT_THROW(Json::parse("\"unterminated"), std::runtime_error);
+}
+
+TEST(Json, NestingDepthLimit) {
+  // 256 levels of arrays or objects parse; one more is a clean error, and
+  // so is an adversarially deep document that would otherwise recurse
+  // until the stack overflows.
+  const auto arrays = [](std::size_t depth) {
+    return std::string(depth, '[') + std::string(depth, ']');
+  };
+  const auto objects = [](std::size_t depth) {
+    std::string text;
+    for (std::size_t i = 0; i < depth; ++i) text += "{\"k\":";
+    return text + "1" + std::string(depth, '}');
+  };
+  EXPECT_NO_THROW((void)Json::parse(arrays(256)));
+  EXPECT_NO_THROW((void)Json::parse(objects(256)));
+  EXPECT_THROW(Json::parse(arrays(257)), std::runtime_error);
+  EXPECT_THROW(Json::parse(objects(257)), std::runtime_error);
+  EXPECT_THROW(Json::parse(std::string(200000, '[')), std::runtime_error);
 }
 
 TEST(Json, TypeErrors) {

@@ -1,14 +1,12 @@
 // Prediction-drift observability (obs/drift.h): residual math on synthetic
-// timelines, the lock-free capture buffer, the EWMA alert detector, the
-// executor capture hook, run_online integration, and fleet snapshot merging.
+// timelines, the EWMA alert detector, run_online integration, and fleet
+// snapshot merging.
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cmath>
 #include <sstream>
 #include <stdexcept>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "core/serialize.h"
@@ -17,7 +15,6 @@
 #include "obs/log.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "runtime/executor.h"
 #include "sim/fault_injector.h"
 #include "sim/online.h"
 #include "util/json.h"
@@ -107,41 +104,6 @@ TEST(ObsDrift, CalibrationReportExactRatios) {
   EXPECT_DOUBLE_EQ(rep.mean_abs_rel_err(), 0.65 / 3.0);
 }
 
-TEST(ObsDrift, SliceBufferConcurrentPushDrain) {
-  obs::SliceBuffer buffer;
-  constexpr std::size_t kThreads = 4;
-  constexpr std::size_t kPerThread = 600;  // forces chunk rollover (cap 256)
-  std::vector<std::thread> threads;
-  for (std::size_t t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&buffer, t] {
-      for (std::size_t i = 0; i < kPerThread; ++i) {
-        SliceRecord rec;
-        rec.window = t;
-        rec.seq_in_model = i;
-        buffer.push(rec);
-      }
-    });
-  }
-  for (auto& th : threads) th.join();
-
-  EXPECT_EQ(buffer.size(), kThreads * kPerThread);
-  const std::vector<SliceRecord> drained = buffer.drain();
-  ASSERT_EQ(drained.size(), kThreads * kPerThread);
-  // Per-thread push order is preserved: each thread's records appear with
-  // strictly ascending seq.
-  std::vector<std::size_t> next(kThreads, 0);
-  for (const SliceRecord& rec : drained) {
-    ASSERT_LT(rec.window, kThreads);
-    EXPECT_EQ(rec.seq_in_model, next[rec.window]++);
-  }
-  for (std::size_t t = 0; t < kThreads; ++t) EXPECT_EQ(next[t], kPerThread);
-
-  // drain resets: the buffer is reusable afterwards.
-  EXPECT_EQ(buffer.size(), 0u);
-  buffer.push(SliceRecord{});
-  EXPECT_EQ(buffer.drain().size(), 1u);
-}
-
 TEST(ObsDrift, TrackerAlertFiresOnceAndRearmsWithHysteresis) {
   obs::Registry registry;
   registry.set_enabled(true);
@@ -158,15 +120,15 @@ TEST(ObsDrift, TrackerAlertFiresOnceAndRearmsWithHysteresis) {
   opts.min_samples = 2;
   obs::DriftTracker tracker(opts, &registry, &log, &tracer);
 
-  tracker.observe_always(make_record(10.0, 15.0));  // |0.5| but records < min
+  tracker.observe(make_record(10.0, 15.0));  // |0.5| but records < min
   EXPECT_EQ(tracker.alerts(), 0u);
-  tracker.observe_always(make_record(10.0, 15.0));  // fires
+  tracker.observe(make_record(10.0, 15.0));  // fires
   EXPECT_EQ(tracker.alerts(), 1u);
-  tracker.observe_always(make_record(10.0, 15.0));  // latched: no storm
+  tracker.observe(make_record(10.0, 15.0));  // latched: no storm
   EXPECT_EQ(tracker.alerts(), 1u);
-  tracker.observe_always(make_record(10.0, 11.0));  // |0.1| < 0.2: re-arms
+  tracker.observe(make_record(10.0, 11.0));  // |0.1| < 0.2: re-arms
   EXPECT_EQ(tracker.alerts(), 1u);
-  tracker.observe_always(make_record(10.0, 15.0));  // fires again
+  tracker.observe(make_record(10.0, 15.0));  // fires again
   EXPECT_EQ(tracker.alerts(), 2u);
 
   EXPECT_EQ(tracker.records(), 5u);
@@ -193,106 +155,6 @@ TEST(ObsDrift, TrackerAlertFiresOnceAndRearmsWithHysteresis) {
   EXPECT_EQ(tracker.records(), 0u);
   EXPECT_EQ(tracker.alerts(), 0u);
   EXPECT_TRUE(tracker.cells().empty());
-}
-
-TEST(ObsDrift, TrackerDisabledGateAndDrainOrder) {
-  obs::Registry registry;  // disabled: metric writes are no-ops, cells still
-  registry.set_enabled(false);
-  obs::Log log;
-  obs::Tracer tracer;
-  obs::DriftTracker tracker({}, &registry, &log, &tracer);
-
-  EXPECT_FALSE(tracker.enabled());
-  tracker.observe(make_record(10.0, 12.0));  // gated off
-  EXPECT_EQ(tracker.records(), 0u);
-  tracker.set_enabled(true);
-  tracker.observe(make_record(10.0, 12.0));
-  EXPECT_EQ(tracker.records(), 1u);
-
-  // drain sorts by (window, model, seq) for a deterministic alert sequence.
-  obs::SliceBuffer buffer;
-  SliceRecord a = make_record(10.0, 12.0);
-  a.window = 1;
-  SliceRecord b = make_record(10.0, 12.0);
-  b.window = 0;
-  buffer.push(a);
-  buffer.push(b);
-  tracker.drain(buffer);
-  EXPECT_EQ(tracker.records(), 3u);
-  EXPECT_EQ(buffer.size(), 0u);
-}
-
-TEST(ObsDrift, PredictedFromTimeline) {
-  Timeline tl;
-  TaskRecord t0;
-  t0.start_ms = 1.5;
-  t0.end_ms = 4.0;
-  TaskRecord t1;
-  t1.start_ms = 4.0;
-  t1.end_ms = 9.25;
-  tl.tasks = {t0, t1};
-  const std::vector<obs::PredictedSlice> pred =
-      obs::predicted_from_timeline(tl);
-  ASSERT_EQ(pred.size(), 2u);
-  EXPECT_DOUBLE_EQ(pred[0].start_ms, 1.5);
-  EXPECT_DOUBLE_EQ(pred[0].finish_ms, 4.0);
-  EXPECT_DOUBLE_EQ(pred[1].start_ms, 4.0);
-  EXPECT_DOUBLE_EQ(pred[1].finish_ms, 9.25);
-}
-
-TEST(ObsDrift, ExecutorCapturesSliceRecords) {
-  // Two 2-slice chains on two workers; every completed job must push one
-  // record with the planned context stamped on and wall times rescaled.
-  std::vector<RuntimeJob> jobs;
-  for (std::size_t m = 0; m < 2; ++m) {
-    for (std::size_t s = 0; s < 2; ++s) {
-      RuntimeJob job;
-      job.model_idx = m;
-      job.seq_in_model = s;
-      job.home_proc = m;
-      job.solo_ms = 2.0;
-      jobs.push_back(job);
-    }
-  }
-
-  obs::SliceBuffer buffer;
-  obs::DriftCapture capture;
-  capture.buffer = &buffer;
-  capture.predicted = {{0.0, 2.0}, {2.0, 4.0}, {0.0, 2.0}, {2.0, 4.0}};
-  capture.window = 7;
-  capture.thermal_bucket = 1;
-  capture.bus_factor = 0.5;
-
-  ExecutorOptions opts;
-  opts.us_per_sim_ms = 50.0;
-  capture.wall_ms_to_model = 1000.0 / opts.us_per_sim_ms;
-  opts.drift = &capture;
-  const PipelineExecutor ex(2, opts);
-  const RuntimeResult result = ex.run(jobs);
-  ASSERT_EQ(result.records.size(), jobs.size());
-
-  std::vector<SliceRecord> recs = buffer.drain();
-  ASSERT_EQ(recs.size(), jobs.size());
-  std::sort(recs.begin(), recs.end(),
-            [](const SliceRecord& x, const SliceRecord& y) {
-              return std::tie(x.model_idx, x.seq_in_model) <
-                     std::tie(y.model_idx, y.seq_in_model);
-            });
-  for (std::size_t i = 0; i < recs.size(); ++i) {
-    const SliceRecord& rec = recs[i];
-    EXPECT_EQ(rec.window, 7u);
-    EXPECT_EQ(rec.thermal_bucket, 1u);
-    EXPECT_DOUBLE_EQ(rec.bus_factor, 0.5);
-    EXPECT_EQ(rec.kind, rec.seq_in_model == 0 ? SliceKind::kLead
-                                              : SliceKind::kTail);
-    EXPECT_DOUBLE_EQ(rec.predicted_ms(), 2.0);
-    EXPECT_GT(rec.executed_ms(), 0.0);
-    EXPECT_GE(rec.executed_start_ms, 0.0);
-  }
-  // A tail never starts before its lead finished (modeled clock, both
-  // rescaled by the same factor).
-  EXPECT_GE(recs[1].executed_start_ms, recs[0].executed_finish_ms);
-  EXPECT_GE(recs[3].executed_start_ms, recs[2].executed_finish_ms);
 }
 
 TEST(ObsDrift, CalibrationJsonRoundTrip) {

@@ -7,7 +7,6 @@
 #include "core/planner.h"
 #include "core/work_stealing.h"
 #include "models/model_zoo.h"
-#include "obs/drift.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "sim/pipeline_sim.h"
@@ -99,11 +98,7 @@ TEST_P(PlannerDeterminism, InstrumentationDoesNotPerturbPlans) {
   obs::Registry::global().set_enabled(true);
   obs::Tracer::global().clear();
   obs::Tracer::global().set_enabled(true);
-  // Arming the global drift tracker (the executor-capture sink) must be just
-  // as inert for the planner as the other instrumentation.
-  obs::DriftTracker::global().set_enabled(true);
   const PlannerReport on = Hetero2PipePlanner(*fx.eval).plan();
-  obs::DriftTracker::global().set_enabled(false);
   obs::Tracer::global().set_enabled(false);
   obs::Registry::global().set_enabled(false);
 

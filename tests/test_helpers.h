@@ -1,11 +1,22 @@
 #pragma once
 
 #include <memory>
+#include <ostream>
 #include <vector>
 
 #include "core/bubbles.h"
 #include "models/model_zoo.h"
 #include "soc/soc.h"
+
+namespace h2p {
+
+// gtest prints a parameter type it has no printer for as its raw bytes,
+// pointers included, so the ctest names of suites parameterised on these
+// types would change with every build. Print them by name instead.
+inline void PrintTo(const Soc& soc, std::ostream* os) { *os << soc.name(); }
+inline void PrintTo(const Layer& layer, std::ostream* os) { *os << layer.name; }
+
+}  // namespace h2p
 
 namespace h2p::testing_util {
 

@@ -71,7 +71,13 @@
 //        percentiles recomputed, calibration cells join on (proc, kind,
 //        bucket).  Associative: partial merges compose.  --out omitted
 //        prints to stdout.
+//
+// Integer flag values must be whole decimal numbers: positive, except the
+// seeds (--fault-seed, --weather-seed), which may be 0.  A malformed value
+// or input file exits 1 with a message naming it.
 #include <algorithm>
+#include <charconv>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -79,6 +85,7 @@
 #include <memory>
 #include <optional>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 
 #include "baselines/band.h"
@@ -128,13 +135,41 @@ bool has_flag(int argc, char** argv, const char* flag) {
   return false;
 }
 
+/// Integer flag, parsed strictly: absent → `fallback`; present → the whole
+/// value must be a decimal integer of type T, and > 0 when `positive`.
+/// Anything else throws std::invalid_argument naming the flag, which main
+/// reports with exit status 1.
+template <typename T>
+T int_arg(int argc, char** argv, const char* flag, T fallback, bool positive) {
+  const auto text = arg_value(argc, argv, flag);
+  if (!text) return fallback;
+  T value{};
+  const char* end = text->data() + text->size();
+  const auto [ptr, ec] = std::from_chars(text->data(), end, value);
+  if (text->empty() || ec != std::errc() || ptr != end ||
+      (positive && value <= 0)) {
+    throw std::invalid_argument(
+        std::string(flag) + ": expected a " +
+        (positive ? "positive" : "non-negative") + " integer, got \"" +
+        *text + "\"");
+  }
+  return value;
+}
+
+long positive_arg(int argc, char** argv, const char* flag, long fallback) {
+  return int_arg<long>(argc, argv, flag, fallback, true);
+}
+
+std::uint64_t seed_arg(int argc, char** argv, const char* flag,
+                       std::uint64_t fallback) {
+  return int_arg<std::uint64_t>(argc, argv, flag, fallback, false);
+}
+
 /// Pool for `--threads N` (falling back to H2P_THREADS); null = sequential.
 std::unique_ptr<ThreadPool> make_pool(int argc, char** argv) {
-  std::size_t n = 0;
-  if (const auto v = arg_value(argc, argv, "--threads")) {
-    const long parsed = std::strtol(v->c_str(), nullptr, 10);
-    n = parsed > 0 ? static_cast<std::size_t>(parsed) : 1;
-  } else if (std::getenv("H2P_THREADS") != nullptr) {
+  std::size_t n =
+      static_cast<std::size_t>(positive_arg(argc, argv, "--threads", 0));
+  if (n == 0 && std::getenv("H2P_THREADS") != nullptr) {
     n = ThreadPool::configured_threads();
   }
   if (n <= 1) return nullptr;
@@ -496,14 +531,6 @@ int cmd_compare(int argc, char** argv) {
   return 0;
 }
 
-long int_arg(int argc, char** argv, const char* flag, long fallback) {
-  if (const auto v = arg_value(argc, argv, flag)) {
-    const long parsed = std::strtol(v->c_str(), nullptr, 10);
-    if (parsed > 0) return parsed;
-  }
-  return fallback;
-}
-
 const char* window_source_name(WindowSource s) {
   switch (s) {
     case WindowSource::kCacheHit: return "cache_hit";
@@ -531,10 +558,10 @@ int cmd_online(int argc, char** argv) {
     obs::Tracer::global().name_current_thread("online-loop");
   }
 
-  const long repeat = int_arg(argc, argv, "--repeat", 1);
+  const long repeat = positive_arg(argc, argv, "--repeat", 1);
   const double period =
-      static_cast<double>(int_arg(argc, argv, "--period", 5));
-  const long deadline = int_arg(argc, argv, "--deadline", 0);
+      static_cast<double>(positive_arg(argc, argv, "--period", 5));
+  const long deadline = positive_arg(argc, argv, "--deadline", 0);
   std::vector<OnlineRequest> stream;
   for (long r = 0; r < repeat; ++r) {
     for (ModelId id : *ids) {
@@ -562,14 +589,12 @@ int cmd_online(int argc, char** argv) {
     buf << in.rdbuf();
     faults = fault_script_from_json(Json::parse(buf.str()));
     with_faults = true;
-  } else if (const auto seed = arg_value(argc, argv, "--fault-seed")) {
-    faults = FaultScript::sample(
-        *soc, static_cast<std::uint64_t>(std::strtoull(seed->c_str(), nullptr, 10)));
+  } else if (arg_value(argc, argv, "--fault-seed")) {
+    faults = FaultScript::sample(*soc, seed_arg(argc, argv, "--fault-seed", 0));
     with_faults = true;
   }
   if (has_flag(argc, argv, "--weather")) {
-    const std::uint64_t wseed = static_cast<std::uint64_t>(
-        int_arg(argc, argv, "--weather-seed", 1));
+    const std::uint64_t wseed = seed_arg(argc, argv, "--weather-seed", 1);
     // Sample over the stream's own span so the storms actually overlap the
     // serving run instead of landing after the last request.
     double horizon = 50.0;
@@ -600,19 +625,19 @@ int cmd_online(int argc, char** argv) {
   const std::unique_ptr<ThreadPool> pool = make_pool(argc, argv);
   OnlineOptions opts;
   opts.replan_window =
-      static_cast<std::size_t>(int_arg(argc, argv, "--window", 4));
+      static_cast<std::size_t>(positive_arg(argc, argv, "--window", 4));
   if (has_flag(argc, argv, "--no-ct")) opts.planner = PlannerOptions::no_ct();
   opts.use_plan_cache = !has_flag(argc, argv, "--no-cache");
   opts.pool = pool.get();
   opts.async_planning = has_flag(argc, argv, "--async");
   opts.prefetch_depth =
-      static_cast<std::size_t>(int_arg(argc, argv, "--prefetch", 2));
+      static_cast<std::size_t>(positive_arg(argc, argv, "--prefetch", 2));
   opts.warm_start = has_flag(argc, argv, "--warm-start");
   if (with_faults) opts.faults = &faults;
   if (has_flag(argc, argv, "--thermal-loop")) {
     opts.thermal_loop = true;
     opts.thermal.time_scale =
-        static_cast<double>(int_arg(argc, argv, "--thermal-scale", 5000));
+        static_cast<double>(positive_arg(argc, argv, "--thermal-scale", 5000));
   }
   if (const auto policy = arg_value(argc, argv, "--deadline-policy")) {
     if (*policy == "none") {
@@ -784,13 +809,7 @@ int cmd_fleet_merge(int argc, char** argv) {
     std::fprintf(stderr, "fleet-merge: no snapshot files given\n");
     return usage();
   }
-  Json merged;
-  try {
-    merged = obs::merge_snapshots(snapshots);
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "fleet-merge: %s\n", e.what());
-    return 1;
-  }
+  const Json merged = obs::merge_snapshots(snapshots);
   if (out_file) {
     std::ofstream f(*out_file);
     if (!f) {
@@ -809,12 +828,19 @@ int cmd_fleet_merge(int argc, char** argv) {
 int main(int argc, char** argv) {
   if (argc < 2) return usage();
   const std::string cmd = argv[1];
-  if (cmd == "socs") return cmd_socs(argc - 2, argv + 2);
-  if (cmd == "models") return cmd_models();
-  if (cmd == "plan") return cmd_plan(argc - 2, argv + 2);
-  if (cmd == "simulate") return cmd_simulate(argc - 2, argv + 2);
-  if (cmd == "compare") return cmd_compare(argc - 2, argv + 2);
-  if (cmd == "online") return cmd_online(argc - 2, argv + 2);
-  if (cmd == "fleet-merge") return cmd_fleet_merge(argc - 2, argv + 2);
+  // Bad input anywhere below (flag values, JSON files, fault scripts, plans)
+  // surfaces as an exception: report it and exit 1 rather than abort.
+  try {
+    if (cmd == "socs") return cmd_socs(argc - 2, argv + 2);
+    if (cmd == "models") return cmd_models();
+    if (cmd == "plan") return cmd_plan(argc - 2, argv + 2);
+    if (cmd == "simulate") return cmd_simulate(argc - 2, argv + 2);
+    if (cmd == "compare") return cmd_compare(argc - 2, argv + 2);
+    if (cmd == "online") return cmd_online(argc - 2, argv + 2);
+    if (cmd == "fleet-merge") return cmd_fleet_merge(argc - 2, argv + 2);
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "%s: %s\n", cmd.c_str(), e.what());
+    return 1;
+  }
   return usage();
 }
