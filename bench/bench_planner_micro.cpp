@@ -1,7 +1,7 @@
 // Planner micro-benchmarks (google-benchmark): verifies the complexity
 // claims of Sec. V — O(nK) horizontal DP, O(|M|^3) Kuhn-Munkres, and the
 // end-to-end planner cost O(|M|(nK + n + K) + |M|^3 |H|) — and tracks the
-// cold-path planner's wall-clock across worker-thread counts.
+// cold-path planner's wall-clock and plans/sec across benchmark threads.
 //
 // Usage:
 //   bench_planner_micro [google-benchmark flags] [--json [path]]
@@ -123,35 +123,20 @@ void BM_PlannerScaling(benchmark::State& state) {
 }
 BENCHMARK(BM_PlannerScaling)->RangeMultiplier(2)->Range(2, 16)->Complexity();
 
-/// The tentpole's acceptance metric: one cold 16-model window, planned
-/// end to end (cost-table build + planner) at 1/2/4/8 worker threads.
-/// threads:1 runs the inline sequential path (no pool) — its trajectory
-/// against older snapshots tracks the algorithmic (incremental-scoring)
-/// speedup; higher thread counts track the fan-out scaling.
+/// One cold 16-model window, planned end to end (cost-table build +
+/// planner) on one thread.
 void BM_PlannerEndToEnd(benchmark::State& state) {
-  const std::size_t threads = static_cast<std::size_t>(state.range(0));
-  const std::size_t m = 16;
   const Soc soc = Soc::kirin990();
-  const std::vector<const Model*> models = window_models(m);
-  std::unique_ptr<ThreadPool> owned =
-      threads > 1 ? std::make_unique<ThreadPool>(threads) : nullptr;
-  ThreadPool* pool = owned.get();
+  const std::vector<const Model*> models = window_models(16);
   for (auto _ : state) {
     // Cold path end to end: the evaluator's cost tables are part of every
     // plan-cache miss, so they are measured too.
-    const StaticEvaluator eval(soc, models, pool);
-    Hetero2PipePlanner planner(eval, {}, pool);
+    const StaticEvaluator eval(soc, models);
+    Hetero2PipePlanner planner(eval);
     benchmark::DoNotOptimize(planner.plan());
   }
-  state.SetComplexityN(static_cast<benchmark::IterationCount>(threads));
 }
-BENCHMARK(BM_PlannerEndToEnd)
-    ->ArgName("threads")
-    ->Arg(1)
-    ->Arg(2)
-    ->Arg(4)
-    ->Arg(8)
-    ->UseRealTime();
+BENCHMARK(BM_PlannerEndToEnd)->UseRealTime();
 
 /// Graph-native planning end to end: the branchy zoo cells through the
 /// GraphPlanner cold path — chain baseline plan, articulation-restricted
@@ -185,14 +170,13 @@ BENCHMARK(BM_DagPlannerEndToEnd)->ArgName("graphs")->Arg(1)->Arg(3)->Arg(6);
 // ---- planner throughput (plans/sec) -----------------------------------------
 
 /// The SoA campaign's headline metric: independent cold windows planned per
-/// second.  Unlike BM_PlannerEndToEnd (ONE planner fanning its candidate
-/// scoring out over a pool), each benchmark thread here runs a complete
-/// sequential planner on its own window — the serving-fleet shape, and the
+/// second.  Each benchmark thread runs a complete planner on its own
+/// window — the serving-fleet shape, and the
 /// direct exercise of the thread-local TaskTable/SimScratch reuse: after
 /// each thread's first window, candidate DES scoring allocates nothing.
 /// items_per_second (summed across threads by google-benchmark) IS plans/sec;
-/// compare threads:1 against pre-PR BM_PlannerEndToEnd/threads:1 (same
-/// m=16 cold window, evaluator build included) for the speedup ratio.
+/// compare threads:1 against BM_PlannerEndToEnd (same m=16 cold window,
+/// evaluator build included).
 void BM_PlannerThroughput_Chain(benchmark::State& state) {
   const std::size_t m = 16;
   const Soc soc = Soc::kirin990();
@@ -355,35 +339,27 @@ std::vector<OnlineRequest> cold_stream(std::size_t num_windows,
   return stream;
 }
 
-/// The tentpole's acceptance metric: the online loop over a cache-cold
-/// 8-window stream, serial vs async-prefetch, at 1/2/4/8 worker threads.
-/// Both variants produce bit-identical timelines (asserted in the tests);
-/// only host wall-clock differs.  threads:1 has no pool, and run_online
-/// rejects async planning without one, so it runs the serial path in both
-/// variants (the async curve's threads:1 point doubles as its baseline).
+/// The online loop over a cache-cold 8-window stream.  `serial` plans every
+/// window on the loop's thread; `async` prefetches cold plans on a pool of
+/// 1/2/4/8 workers.  Both produce bit-identical timelines (asserted in the
+/// tests); only host wall-clock differs.
 void BM_OnlineLoop(benchmark::State& state, bool async) {
-  const std::size_t threads = static_cast<std::size_t>(state.range(0));
   const Soc soc = Soc::kirin990();
   const std::vector<OnlineRequest> stream = cold_stream(8, 4);
-  std::unique_ptr<ThreadPool> owned =
-      threads > 1 ? std::make_unique<ThreadPool>(threads) : nullptr;
+  std::unique_ptr<ThreadPool> pool;
   OnlineOptions opts;
-  opts.pool = owned.get();
-  opts.async_planning = async && owned != nullptr;
-  opts.prefetch_depth = 3;
+  if (async) {
+    pool = std::make_unique<ThreadPool>(static_cast<std::size_t>(state.range(0)));
+    opts.pool = pool.get();
+    opts.async_planning = true;
+    opts.prefetch_depth = 3;
+  }
   for (auto _ : state) {
     // A fresh per-call cache each iteration keeps every window cold.
     benchmark::DoNotOptimize(run_online(soc, stream, opts));
   }
-  state.SetComplexityN(static_cast<benchmark::IterationCount>(threads));
 }
-BENCHMARK_CAPTURE(BM_OnlineLoop, serial, false)
-    ->ArgName("threads")
-    ->Arg(1)
-    ->Arg(2)
-    ->Arg(4)
-    ->Arg(8)
-    ->UseRealTime();
+BENCHMARK_CAPTURE(BM_OnlineLoop, serial, false)->UseRealTime();
 BENCHMARK_CAPTURE(BM_OnlineLoop, async, true)
     ->ArgName("threads")
     ->Arg(1)
@@ -513,8 +489,8 @@ void BM_CostTableBuild(benchmark::State& state) {
 BENCHMARK(BM_CostTableBuild);
 
 /// Rewrite the --benchmark_out JSON in place with an "h2p_context" header:
-/// the recording host (cpu count, H2P_THREADS — the snapshot's 1-core caveat
-/// becomes self-describing) and a per-benchmark-family real_time Summary
+/// the recording host (cpu count — the snapshot's 1-core caveat becomes
+/// self-describing) and a per-benchmark-family real_time Summary
 /// (util/stats summarize + summary_to_json, the same serializer the metrics
 /// snapshot uses).  Best-effort: a malformed file is left untouched.
 void annotate_bench_json(const std::string& path) {

@@ -3,43 +3,28 @@
 #include <algorithm>
 #include <cassert>
 
-#include <optional>
-
 #include "core/partition.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "soc/perf_counters.h"
 #include "util/simd.h"
-#include "util/thread_pool.h"
 
 namespace h2p {
 
-StaticEvaluator::StaticEvaluator(const Soc& soc, std::vector<const Model*> models,
-                                 ThreadPool* pool)
+StaticEvaluator::StaticEvaluator(const Soc& soc, std::vector<const Model*> models)
     : soc_(&soc), models_(std::move(models)), cost_(soc), contention_(soc) {
   static obs::Histogram& build_ms =
       obs::Registry::global().histogram("planner.cost_tables_ms");
   const obs::ScopedLatency latency(build_ms);
   obs::Span span("planner.cost_tables");
   span.arg("models", static_cast<double>(models_.size()));
-  const std::size_t n = models_.size();
   const int cpu_b = soc.find(ProcKind::kCpuBig);
   const std::size_t intensity_proc = cpu_b >= 0 ? static_cast<std::size_t>(cpu_b) : 0;
-  for ([[maybe_unused]] const Model* m : models_) assert(m != nullptr);
-
-  // Each model's cost table and intensity are independent of the others —
-  // the planner's first cold-path hot spot.  Build into index slots so the
-  // pooled result is identical to the sequential one.
-  std::vector<std::optional<CostTable>> built(n);
-  std::vector<double> intensity(n, 0.0);
-  parallel_for(pool, n, [&](std::size_t i) {
-    built[i].emplace(*models_[i], cost_);
-    intensity[i] = true_contention_intensity(*models_[i], intensity_proc, cost_);
-  });
-
-  tables_.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) tables_.push_back(std::move(*built[i]));
-  model_intensity_ = std::move(intensity);
+  for (const Model* m : models_) {
+    assert(m != nullptr);
+    tables_.emplace_back(*m, cost_);
+    model_intensity_.push_back(true_contention_intensity(*m, intensity_proc, cost_));
+  }
 
   padded_procs_ = simd::padded_size(soc.num_processors());
   coupling_rows_.assign(soc.num_processors() * padded_procs_, 0.0);
@@ -194,14 +179,14 @@ bool StaticEvaluator::satisfies_memory(const PipelinePlan& plan) const {
 }
 
 PipelinePlan horizontal_plan(const StaticEvaluator& eval, std::size_t num_stages,
-                             ThreadPool* pool) {
+                             std::nullptr_t) {
   PipelinePlan plan;
   plan.num_stages = num_stages;
   plan.models.resize(eval.num_models());
-  parallel_for(pool, eval.num_models(), [&](std::size_t i) {
+  for (std::size_t i = 0; i < eval.num_models(); ++i) {
     plan.models[i].model_index = i;
     plan.models[i].slices = partition_model(eval.table(i), num_stages).slices;
-  });
+  }
   return plan;
 }
 

@@ -12,8 +12,6 @@
 
 namespace h2p {
 
-class ThreadPool;
-
 /// Static (planning-time) evaluation of a pipeline plan.
 ///
 /// Owns the per-model cost tables and the contention model for one request
@@ -25,11 +23,7 @@ class ThreadPool;
 /// truth; this evaluator is what the planner itself optimizes against.
 class StaticEvaluator {
  public:
-  /// Cost tables are independent per model; with a `pool` their
-  /// construction fans out (results land in model order, so the evaluator
-  /// is identical to the sequentially built one).  Null pool = inline.
-  StaticEvaluator(const Soc& soc, std::vector<const Model*> models,
-                  ThreadPool* pool = nullptr);
+  StaticEvaluator(const Soc& soc, std::vector<const Model*> models);
 
   [[nodiscard]] const Soc& soc() const { return *soc_; }
   [[nodiscard]] std::size_t num_models() const { return models_.size(); }
@@ -93,10 +87,10 @@ class StaticEvaluator {
 
 /// Build the default horizontal plan: every model sliced by Algorithm 1 in
 /// the original order (no reordering, no stealing).  The entry point the
-/// planner, baselines and tests share.  The per-model DPs are independent;
-/// a non-null `pool` fans them out with deterministic, index-ordered
-/// collection (output identical to the sequential build).
+/// planner, baselines and tests share.  The trailing unnamed parameter
+/// exists only so the frozen perfbench sources, which still pass `nullptr`,
+/// compile; it goes with the next benchmark change.
 PipelinePlan horizontal_plan(const StaticEvaluator& eval, std::size_t num_stages,
-                             ThreadPool* pool = nullptr);
+                             std::nullptr_t = nullptr);
 
 }  // namespace h2p

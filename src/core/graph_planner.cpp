@@ -52,14 +52,13 @@ double range_cost(const CostTable& t, std::size_t q, std::size_t lo,
 }  // namespace
 
 GraphPlanner::GraphPlanner(const Soc& soc, std::vector<const GraphModel*> graphs,
-                           PlannerOptions opts, ThreadPool* pool)
+                           PlannerOptions opts)
     : graphs_(std::move(graphs)),
       linearized_(linearize_all(graphs_)),
       model_ptrs_(model_pointers(linearized_)),
       opts_(opts),
-      pool_(pool),
-      eval_(soc, model_ptrs_, pool),
-      chain_planner_(eval_, opts, pool) {}
+      eval_(soc, model_ptrs_),
+      chain_planner_(eval_, opts) {}
 
 GraphPlannerReport GraphPlanner::plan() const {
   static obs::Counter& c_plans =
@@ -77,7 +76,7 @@ GraphPlannerReport GraphPlanner::plan() const {
 
   const auto des_ms = [this](const exec::CompiledPlan& plan) {
     // Thread-local SoA lowering + scratch: arbitration runs allocation-free
-    // after the first evaluation on each pool thread.
+    // after the first evaluation on each thread.
     return simulate_compiled_makespan(plan, eval_.soc());
   };
 

@@ -10,8 +10,6 @@
 
 namespace h2p {
 
-class ThreadPool;
-
 /// Graph-native planner output: the fork/join compiled plan plus the chain
 /// artifacts it was arbitrated against.
 struct GraphPlannerReport {
@@ -59,7 +57,7 @@ struct GraphPlannerReport {
 class GraphPlanner {
  public:
   GraphPlanner(const Soc& soc, std::vector<const GraphModel*> graphs,
-               PlannerOptions opts = {}, ThreadPool* pool = nullptr);
+               PlannerOptions opts = {});
 
   [[nodiscard]] GraphPlannerReport plan() const;
 
@@ -75,7 +73,6 @@ class GraphPlanner {
   std::vector<Model> linearized_;        // owned chain views, topological order
   std::vector<const Model*> model_ptrs_; // into linearized_
   PlannerOptions opts_;
-  ThreadPool* pool_ = nullptr;
   StaticEvaluator eval_;
   Hetero2PipePlanner chain_planner_;
 };

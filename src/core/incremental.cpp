@@ -10,9 +10,9 @@
 namespace h2p {
 namespace {
 
-/// Candidate-row scratch shared by the const scoring entries.  score_with /
-/// des_lower_bound_with run concurrently from pooled planning threads, so
-/// the scratch is per-thread.  All per-stage buffers are carved from one
+/// Candidate-row scratch shared by the const scoring entries.  Async
+/// prefetch jobs plan concurrently with the serving thread, so the scratch
+/// is per-thread.  All per-stage buffers are carved from one
 /// monotonic arena sized on first use (re-carved only when a scorer with a
 /// different geometry shows up), so the steady-state candidate evaluation
 /// is allocation-free — including the tail sweep's rescore rows, which

@@ -72,10 +72,9 @@ class IncrementalStaticScorer {
  private:
   /// One model row's per-stage values, viewed as raw per-stage arrays of
   /// `Kp_` entries (stages K_..Kp_-1 are zero padding).  The storage lives
-  /// in a thread-local arena workspace in the .cpp, so concurrent
-  /// score_with calls from pooled planning threads never touch the heap —
-  /// the old std::vector-backed rows could still `resize` mid-scoring on a
-  /// thread's first call.
+  /// in a thread-local arena workspace in the .cpp: async prefetch jobs plan
+  /// concurrently with the serving thread, and each thread's score_with
+  /// calls reuse its own buffers without touching the heap.
   struct RowView {
     const double* solo = nullptr;
     const double* intensity = nullptr;

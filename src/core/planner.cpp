@@ -1,13 +1,13 @@
 #include "core/planner.h"
 
 #include <algorithm>
+#include <numeric>
 #include <vector>
 
 #include "contention/classifier.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "sim/pipeline_sim.h"
-#include "util/thread_pool.h"
 
 namespace h2p {
 
@@ -28,7 +28,7 @@ PlannerReport Hetero2PipePlanner::plan() const {
   // Step 1 — horizontal: independent Algorithm-1 slicings.
   PipelinePlan pipeline = [&] {
     obs::Span span("planner.horizontal");
-    return horizontal_plan(*eval_, K, pool_);
+    return horizontal_plan(*eval_, K);
   }();
 
   // Step 2a — contention mitigation (Algorithm 2).
@@ -88,35 +88,23 @@ PlannerReport Hetero2PipePlanner::plan() const {
     if (opts_.work_stealing) {
       WorkStealingOptions ws;
       ws.tail_optimization = opts_.tail_optimization;
-      *moves = vertical_align(candidate, *eval_, ws, des_scorer, pool_);
+      *moves = vertical_align(candidate, *eval_, ws, des_scorer);
     } else if (opts_.tail_optimization) {
-      optimize_tail(candidate, *eval_, des_scorer, pool_);
+      optimize_tail(candidate, *eval_, des_scorer);
     }
     return candidate;
   };
 
-  // The mitigated-order and original-order branches are independent
-  // alignments of private plan copies; fan them out when both are needed.
-  // The comparison below reads them in a fixed order, so the pooled run
-  // picks the same winner as the sequential one.
-  const bool try_identity =
-      opts_.contention_mitigation && mitigation.relocations > 0;
-  std::vector<std::size_t> identity(pipeline.models.size());
-  for (std::size_t i = 0; i < identity.size(); ++i) identity[i] = i;
-
-  PipelinePlan branch[2];
-  int branch_moves[2] = {0, 0};
-  parallel_for(pool_, try_identity ? 2 : 1, [&](std::size_t which) {
-    branch[which] = finalize(which == 0 ? mitigation.order : identity,
-                             &branch_moves[which]);
-  });
-
-  PipelinePlan best = std::move(branch[0]);
-  report.layers_stolen = branch_moves[0];
-  if (try_identity &&
-      des_scorer(branch[1]) + 1e-9 < des_scorer(best)) {
-    best = std::move(branch[1]);
-    report.layers_stolen = branch_moves[1];
+  PipelinePlan best = finalize(mitigation.order, &report.layers_stolen);
+  if (opts_.contention_mitigation && mitigation.relocations > 0) {
+    std::vector<std::size_t> identity(pipeline.models.size());
+    std::iota(identity.begin(), identity.end(), std::size_t{0});
+    int identity_moves = 0;
+    PipelinePlan original = finalize(identity, &identity_moves);
+    if (des_scorer(original) + 1e-9 < des_scorer(best)) {
+      best = std::move(original);
+      report.layers_stolen = identity_moves;
+    }
   }
   pipeline = std::move(best);
 

@@ -11,8 +11,6 @@
 
 namespace h2p {
 
-class ThreadPool;
-
 namespace exec {
 struct CompiledPlan;
 }  // namespace exec
@@ -57,16 +55,11 @@ struct PlannerReport {
 ///     sequence via linear assignment (Algorithm 2), then align stage
 ///     times across the pipeline by work stealing (Algorithm 3) and
 ///     squeeze the drain tail.
-/// A non-null `pool` fans out the independent parts of the cold path (the
-/// per-model Algorithm-1 DPs, the mitigated-vs-identity finalize branches,
-/// and the tail search's candidate scorings).  The pooled planner is
-/// guaranteed to emit a bit-identical PipelinePlan to the sequential one:
-/// every fan-out collects results by index and reduces in a fixed order.
+/// One plan runs on one thread: every step is a plain loop on the caller.
 class Hetero2PipePlanner {
  public:
-  Hetero2PipePlanner(const StaticEvaluator& eval, PlannerOptions opts = {},
-                     ThreadPool* pool = nullptr)
-      : eval_(&eval), opts_(opts), pool_(pool) {}
+  Hetero2PipePlanner(const StaticEvaluator& eval, PlannerOptions opts = {})
+      : eval_(&eval), opts_(opts) {}
 
   [[nodiscard]] PlannerReport plan() const;
 
@@ -113,7 +106,6 @@ class Hetero2PipePlanner {
  private:
   const StaticEvaluator* eval_;
   PlannerOptions opts_;
-  ThreadPool* pool_ = nullptr;
 };
 
 }  // namespace h2p

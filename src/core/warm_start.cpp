@@ -239,7 +239,7 @@ std::optional<PlannerReport> Hetero2PipePlanner::plan_warm(
       PipelinePlan aligned = plan;
       WorkStealingOptions ws;
       ws.tail_optimization = opts_.tail_optimization;
-      const int moves = vertical_align(aligned, *eval_, ws, /*scorer=*/{}, nullptr);
+      const int moves = vertical_align(aligned, *eval_, ws);
       if (des(aligned) + 1e-9 < des(plan)) {
         plan = std::move(aligned);
         layers_stolen = moves;
@@ -250,7 +250,7 @@ std::optional<PlannerReport> Hetero2PipePlanner::plan_warm(
     // the solo-work lower bound — against cold's two full DES-aligned
     // branches (alignment windows × tail sweeps, each DES-scored).
     if (opts_.tail_optimization) {
-      optimize_tail(plan, *eval_, des, nullptr);
+      optimize_tail(plan, *eval_, des);
     }
   }
 
@@ -412,14 +412,14 @@ std::optional<PlannerReport> Hetero2PipePlanner::plan_degraded(
       PipelinePlan aligned = plan;
       WorkStealingOptions ws;
       ws.tail_optimization = opts_.tail_optimization;
-      const int moves = vertical_align(aligned, *eval_, ws, /*scorer=*/{}, nullptr);
+      const int moves = vertical_align(aligned, *eval_, ws);
       if (des(aligned) + 1e-9 < des(plan)) {
         plan = std::move(aligned);
         layers_stolen = moves;
       }
     }
     if (opts_.tail_optimization) {
-      optimize_tail(plan, *eval_, des, nullptr);
+      optimize_tail(plan, *eval_, des);
     }
   }
 

@@ -3,11 +3,11 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <utility>
 #include <vector>
 
 #include "core/incremental.h"
 #include "obs/trace.h"
-#include "util/thread_pool.h"
 
 namespace h2p {
 
@@ -96,7 +96,7 @@ int align_to_profile(ModelPlan& mp, const StaticEvaluator& eval,
 
 int vertical_align(PipelinePlan& plan, const StaticEvaluator& eval,
                    const WorkStealingOptions& opts, const PlanScorer& scorer,
-                   ThreadPool* pool) {
+                   std::nullptr_t) {
   const std::size_t K = plan.num_stages;
   const std::size_t m = plan.models.size();
   if (K < 2 || m < 2) return 0;
@@ -135,12 +135,12 @@ int vertical_align(PipelinePlan& plan, const StaticEvaluator& eval,
     }
   }
 
-  if (opts.tail_optimization) optimize_tail(plan, eval, scorer, pool);
+  if (opts.tail_optimization) optimize_tail(plan, eval, scorer);
   return total_moves;
 }
 
 bool optimize_tail(PipelinePlan& plan, const StaticEvaluator& eval,
-                   const PlanScorer& scorer, ThreadPool* pool) {
+                   const PlanScorer& scorer) {
   const std::size_t K = plan.num_stages;
   const std::size_t m = plan.models.size();
   if (K < 2 || m == 0) return false;
@@ -192,38 +192,23 @@ bool optimize_tail(PipelinePlan& plan, const StaticEvaluator& eval,
       viable[s] = 1;
     }
 
-    if (use_static) {
-      // Incremental static scoring: only the ≤ K affected wavefront
-      // columns are recomputed per candidate; values are bit-identical to
-      // a fresh full evaluation.
-      for (std::size_t s = 0; s < K; ++s) {
-        if (!viable[s]) continue;
-        make_collapsed(s, n);
+    for (std::size_t s = 0; s < K; ++s) {
+      if (!viable[s]) continue;
+      make_collapsed(s, n);
+      if (use_static) {
+        // Incremental static scoring: only the ≤ K affected wavefront
+        // columns are recomputed; bit-identical to a full evaluation.
         cand_score[s] = inc.score_with(i, collapsed);
+      } else {
+        // Full DES scoring in place: the candidate slicing is swapped into
+        // the plan for the one call and swapped back out.
+        std::swap(plan.models[i].slices, collapsed);
+        cand_score[s] = scorer(plan);
+        std::swap(plan.models[i].slices, collapsed);
       }
-    } else {
-      // Full DES scoring for the surviving candidates, by value so pooled
-      // workers never touch the shared plan.
-      std::vector<std::size_t> todo;
-      for (std::size_t s = 0; s < K; ++s) {
-        if (viable[s]) todo.push_back(s);
-      }
-      parallel_for(pool, todo.size(), [&](std::size_t idx) {
-        const std::size_t s = todo[idx];
-        // Thread-local candidate: assignment reuses each worker's slice
-        // capacity across sweeps, so pooled workers never touch the shared
-        // plan AND stop re-allocating a full plan copy per candidate.
-        thread_local PipelinePlan candidate;
-        candidate = plan;
-        std::fill(candidate.models[i].slices.begin(),
-                  candidate.models[i].slices.end(), Slice{0, 0});
-        candidate.models[i].slices[s] = Slice{0, n};
-        cand_score[s] = scorer(candidate);
-      });
     }
 
-    // Reduce in ascending collapse order — the sequential loop's original
-    // tie-breaking, independent of scoring order.
+    // Accept in ascending collapse order: ties keep the lowest index.
     double best = best_before;
     int accepted = -1;
     for (std::size_t s = 0; s < K; ++s) {

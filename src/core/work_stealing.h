@@ -10,13 +10,10 @@
 
 namespace h2p {
 
-class ThreadPool;
-
 /// Plan objective used by the local-search passes: lower is better.
 /// Defaults to the static contention-aware makespan; the planner plugs in
 /// the discrete-event simulator for higher-fidelity scoring.  Scorers must
-/// be pure (thread-safe const calls): candidate plans are scored
-/// concurrently when a pool is supplied.
+/// be pure: the same plan always scores the same.
 using PlanScorer = std::function<double(const PipelinePlan&)>;
 
 struct WorkStealingOptions {
@@ -51,11 +48,12 @@ int align_to_profile(ModelPlan& mp, const StaticEvaluator& eval,
 /// Algorithm 3: slide a contention window of size K over the sequence; in
 /// each window find the critical-path model and align every other member's
 /// stages to it by work stealing.  Mutates the plan in place and returns
-/// the total number of layer moves.  `pool` parallelizes the tail pass's
-/// candidate scoring (deterministic; see optimize_tail).
+/// the total number of layer moves.  The trailing unnamed parameter exists
+/// only so the frozen perfbench sources, which still pass `nullptr`,
+/// compile; it goes with the next benchmark change.
 int vertical_align(PipelinePlan& plan, const StaticEvaluator& eval,
                    const WorkStealingOptions& opts = {},
-                   const PlanScorer& scorer = {}, ThreadPool* pool = nullptr);
+                   const PlanScorer& scorer = {}, std::nullptr_t = nullptr);
 
 /// Tail-bubble optimization (§V-C phase 2): local search re-allocating
 /// workloads, sweeping models tail-first and exhaustively trying the K
@@ -67,10 +65,9 @@ int vertical_align(PipelinePlan& plan, const StaticEvaluator& eval,
 /// re-evaluates only its affected wavefront columns; with a custom (DES)
 /// scorer, candidates are first pruned by a per-processor solo-work lower
 /// bound that can never exclude an acceptable candidate, and the survivors
-/// are scored by value — concurrently when `pool` is non-null.  Candidate
-/// acceptance always reduces in ascending collapse order with the original
-/// tie-breaking, so pooled and sequential runs emit bit-identical plans.
+/// are scored in place, one after another.  Acceptance scans the collapses
+/// in ascending order, so ties keep the lowest-index collapse.
 bool optimize_tail(PipelinePlan& plan, const StaticEvaluator& eval,
-                   const PlanScorer& scorer = {}, ThreadPool* pool = nullptr);
+                   const PlanScorer& scorer = {});
 
 }  // namespace h2p

@@ -1,7 +1,6 @@
 #include "obs/metrics.h"
 
 #include <algorithm>
-#include <cstdlib>
 #include <stdexcept>
 #include <thread>
 
@@ -154,13 +153,6 @@ Json host_info_json() {
   Json host = Json::object();
   host["cpus"] =
       Json::number(static_cast<double>(std::thread::hardware_concurrency()));
-  long threads = 0;
-  if (const char* env = std::getenv("H2P_THREADS")) {
-    char* end = nullptr;
-    const long v = std::strtol(env, &end, 10);
-    if (end != env && v > 0) threads = v;
-  }
-  host["h2p_threads"] = Json::number(static_cast<double>(threads));
   return host;
 }
 

@@ -162,7 +162,7 @@ class Registry {
   static std::vector<double> default_latency_buckets();
 
   /// Aggregated values of every registered metric plus a `host` block
-  /// (cpu count, H2P_THREADS) so snapshots are self-describing about the
+  /// (cpu count) so snapshots are self-describing about the
   /// machine that recorded them.
   [[nodiscard]] Json snapshot() const;
 
@@ -192,7 +192,7 @@ class ScopedLatency {
 };
 
 /// `host` block shared by Registry::snapshot and the bench JSON header:
-/// {"cpus": hardware_concurrency, "h2p_threads": env value or 0}.
+/// {"cpus": hardware_concurrency}.
 [[nodiscard]] Json host_info_json();
 
 /// Summary reconstructed from fixed-bucket state: percentiles interpolated

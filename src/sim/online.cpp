@@ -28,17 +28,15 @@ namespace {
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
 /// The full cold path for one window: cost tables, two-step planner,
-/// lowering.  Deterministic in (soc, models, planner) — prefetch jobs run
-/// it with a null pool and still produce the bit-identical plan (the PR-2
-/// pooled-planner contract), so *where* a window is planned never shows in
-/// the result.  `with_fallback` additionally lowers the per-slice fallback
+/// lowering.  Deterministic in (soc, models, planner), so whether a window
+/// is planned by a prefetch job or on the calling thread never shows in the
+/// result.  `with_fallback` additionally lowers the per-slice fallback
 /// cost table the fault-aware DES migrates with.
 exec::CompiledPlan plan_cold(const Soc& soc,
                              const std::vector<const Model*>& models,
-                             const PlannerOptions& planner, ThreadPool* pool,
-                             bool with_fallback) {
-  const StaticEvaluator eval(soc, models, pool);
-  const PlannerReport report = Hetero2PipePlanner(eval, planner, pool).plan();
+                             const PlannerOptions& planner, bool with_fallback) {
+  const StaticEvaluator eval(soc, models);
+  const PlannerReport report = Hetero2PipePlanner(eval, planner).plan();
   exec::CompiledPlan cp = exec::compile(report.plan, eval);
   if (with_fallback) exec::attach_fallback_costs(cp, eval);
   return cp;
@@ -253,7 +251,7 @@ OnlineResult run_online(const Soc& soc, const std::vector<OnlineRequest>& stream
                                      hook = options.prefetch_job_hook,
                                      with_fallback = faults != nullptr] {
             if (hook) hook();
-            return plan_cold(view_soc, models, planner, nullptr, with_fallback);
+            return plan_cold(view_soc, models, planner, with_fallback);
           }));
       ++submitted;
     }
@@ -491,7 +489,7 @@ OnlineResult run_online(const Soc& soc, const std::vector<OnlineRequest>& stream
         if (faults != nullptr &&
             hit->fallback_procs != view.soc.num_processors()) {
           storage = *hit;
-          const StaticEvaluator eval(view.soc, models, options.pool);
+          const StaticEvaluator eval(view.soc, models);
           exec::attach_fallback_costs(storage, eval);
           compiled = &storage;
         }
@@ -499,8 +497,8 @@ OnlineResult run_online(const Soc& soc, const std::vector<OnlineRequest>& stream
     }
     if (compiled == nullptr && warm) {
       if (const exec::CompiledPlan* seed = cache->find_near(key)) {
-        const StaticEvaluator eval(view.soc, models, options.pool);
-        const Hetero2PipePlanner planner(eval, options.planner, options.pool);
+        const StaticEvaluator eval(view.soc, models);
+        const Hetero2PipePlanner planner(eval, options.planner);
         if (std::optional<PlannerReport> report = planner.plan_warm(*seed)) {
           exec::CompiledPlan fresh = exec::compile(report->plan, eval);
           if (faults != nullptr) exec::attach_fallback_costs(fresh, eval);
@@ -524,8 +522,8 @@ OnlineResult run_online(const Soc& soc, const std::vector<OnlineRequest>& stream
           view_for(full_mask, bucket, 100).soc, models, options.planner,
           exec::PlanCache::PlanEnv{full_mask, bucket});
       if (const exec::CompiledPlan* seed = cache->peek(healthy_key)) {
-        const StaticEvaluator eval(view.soc, models, options.pool);
-        const Hetero2PipePlanner planner(eval, options.planner, options.pool);
+        const StaticEvaluator eval(view.soc, models);
+        const Hetero2PipePlanner planner(eval, options.planner);
         if (std::optional<PlannerReport> report =
                 planner.plan_degraded(*seed, view.kept)) {
           exec::CompiledPlan fresh = exec::compile(report->plan, eval);
@@ -561,8 +559,7 @@ OnlineResult run_online(const Soc& soc, const std::vector<OnlineRequest>& stream
         inflight.erase(it);
       }
       if (!resolved) {
-        fresh = plan_cold(view.soc, models, options.planner, options.pool,
-                          faults != nullptr);
+        fresh = plan_cold(view.soc, models, options.planner, faults != nullptr);
       }
       ws.source = WindowSource::kColdReplan;
       ++result.replans;

@@ -103,10 +103,9 @@ struct OnlineOptions {
   /// of `plan_cache_capacity` entries is used.
   exec::PlanCache* shared_cache = nullptr;
 
-  /// Optional worker pool for the cold path: cache-missing windows build
-  /// their cost tables and run the planner's fan-out points on it.  The
-  /// plans produced are bit-identical to the sequential ones, so this only
-  /// changes scheduler latency, never schedules.  Null = sequential.
+  /// Worker pool for async prefetch (`async_planning`); each prefetch job
+  /// plans one window on one worker.  Plans on the calling thread never
+  /// use it, so without `async_planning` it is ignored.
   ThreadPool* pool = nullptr;
 
   /// Pipeline the serving loop itself: while window w is being resolved on

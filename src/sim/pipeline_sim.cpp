@@ -15,9 +15,9 @@ namespace h2p {
 namespace {
 
 /// Thread-local lowering + scratch state: the compatibility wrappers and the
-/// makespan scoring entries route through one per-thread context, so pooled
-/// planning fan-out (tail sweeps, warm-start auditions, graph arbitration)
-/// runs allocation-free after each thread's first, largest evaluation.
+/// makespan scoring entries route through one per-thread context, so each
+/// planning thread (tail sweeps, warm-start auditions, graph arbitration)
+/// runs allocation-free after its first, largest evaluation.
 struct DesContext {
   sim::TaskTable table;
   sim::SimScratch scratch;

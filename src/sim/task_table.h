@@ -128,9 +128,8 @@ class TaskTable {
 
 /// Every mutable buffer one DES evaluation needs, carved from a reusable
 /// monotonic arena: scratch prepared for run N+1 reuses run N's block, so
-/// pooled planning contexts (tail sweeps, warm-start auditions, graph
-/// arbitration) keep one thread-local SimScratch and run allocation-free
-/// after warm-up.  Reuse is bit-deterministic: prepare() fully re-initializes
+/// planning threads (tail sweeps, warm-start auditions, graph arbitration)
+/// keep one thread-local SimScratch and run allocation-free after warm-up.  Reuse is bit-deterministic: prepare() fully re-initializes
 /// every span, so a reused scratch yields timelines identical to a fresh one
 /// (asserted in pipeline_sim_test).
 class SimScratch {

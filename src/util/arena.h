@@ -27,7 +27,7 @@ namespace h2p::util {
 /// cycle with `reserve()` must allow `kAlignment` slack per carve.
 ///
 /// Not thread-safe: one arena per thread (the DES scratch keeps
-/// thread-local instances in pooled contexts).
+/// thread-local instances).
 class MonotonicArena {
  public:
   /// Carve alignment guarantee.  static_assert-able by consumers that

@@ -13,8 +13,13 @@ int Rng::uniform_int(int lo, int hi) {
 }
 
 double Rng::gaussian(double mean, double stddev) {
-  std::normal_distribution<double> dist(mean, stddev);
-  return dist(engine_);
+  // std::normal_distribution requires stddev > 0, so draw a standard normal
+  // and scale it here.  The arithmetic is the distribution's own
+  // (z * stddev + mean), so every stddev > 0 draw is unchanged, and
+  // stddev 0 returns `mean` while advancing the engine like stddev 1.
+  std::normal_distribution<double> standard(0.0, 1.0);
+  const double z = standard(engine_);
+  return z * stddev + mean;
 }
 
 bool Rng::chance(double p) {

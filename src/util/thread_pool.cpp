@@ -1,34 +1,18 @@
 #include "util/thread_pool.h"
 
-#include <atomic>
-#include <chrono>
-#include <cstdlib>
-#include <exception>
-#include <string>
+#include <stdexcept>
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
 namespace h2p {
-namespace {
-
-/// Shared completion state of one run_indexed batch.
-struct Batch {
-  explicit Batch(std::size_t n) : remaining(n), errors(n) {}
-  std::atomic<std::size_t> remaining;
-  std::atomic<bool> done{false};
-  std::vector<std::exception_ptr> errors;  // slot i written only by task i
-  std::mutex mu;
-  std::condition_variable cv;
-};
-
-}  // namespace
 
 ThreadPool::ThreadPool(std::size_t num_threads) {
-  std::size_t n = num_threads == 0 ? configured_threads() : num_threads;
-  if (n == 0) n = 1;
-  workers_.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
+  if (num_threads == 0) {
+    throw std::invalid_argument("ThreadPool: num_threads must be >= 1");
+  }
+  workers_.reserve(num_threads);
+  for (std::size_t i = 0; i < num_threads; ++i) {
     workers_.emplace_back([this] { worker_loop(); });
   }
 }
@@ -40,16 +24,6 @@ ThreadPool::~ThreadPool() {
   }
   cv_.notify_all();
   for (std::thread& w : workers_) w.join();
-}
-
-std::size_t ThreadPool::configured_threads() {
-  if (const char* env = std::getenv("H2P_THREADS")) {
-    char* end = nullptr;
-    const long v = std::strtol(env, &end, 10);
-    if (end != env && v > 0) return static_cast<std::size_t>(v);
-  }
-  const unsigned hw = std::thread::hardware_concurrency();
-  return hw == 0 ? 1 : hw;
 }
 
 void ThreadPool::enqueue(std::function<void()> task) {
@@ -79,7 +53,7 @@ void ThreadPool::worker_loop() {
   }
 }
 
-bool ThreadPool::help_run_one() {
+bool ThreadPool::help_one() {
   std::function<void()> task;
   {
     std::lock_guard<std::mutex> lock(mu_);
@@ -93,47 +67,6 @@ bool ThreadPool::help_run_one() {
   const obs::Span span("pool.job");
   task();
   return true;
-}
-
-void ThreadPool::run_indexed(std::size_t n,
-                             const std::function<void(std::size_t)>& fn) {
-  if (n == 0) return;
-  auto batch = std::make_shared<Batch>(n);
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    for (std::size_t i = 0; i < n; ++i) {
-      // fn is captured by reference: run_indexed blocks until the whole
-      // batch completed, so the referent outlives every task.
-      queue_.emplace_back([batch, &fn, i] {
-        try {
-          fn(i);
-        } catch (...) {
-          batch->errors[i] = std::current_exception();
-        }
-        if (batch->remaining.fetch_sub(1) == 1) {
-          {
-            std::lock_guard<std::mutex> g(batch->mu);
-            batch->done.store(true);
-          }
-          batch->cv.notify_all();
-        }
-      });
-    }
-  }
-  cv_.notify_all();
-
-  // Help drain the queue while waiting: the batch's own tasks, or — under
-  // nested fan-out — whatever is in front of them.
-  while (!batch->done.load()) {
-    if (help_run_one()) continue;
-    std::unique_lock<std::mutex> g(batch->mu);
-    batch->cv.wait_for(g, std::chrono::milliseconds(1),
-                       [&] { return batch->done.load(); });
-  }
-
-  for (const std::exception_ptr& e : batch->errors) {
-    if (e) std::rethrow_exception(e);
-  }
 }
 
 }  // namespace h2p

@@ -15,37 +15,25 @@
 
 namespace h2p {
 
-/// Fixed-size worker pool for the planner's fan-out points.
+/// Fixed-size worker pool for the online loop's async prefetch: each job
+/// plans one upcoming window on one worker, and the serving thread collects
+/// it as a future.  Plans themselves are single-threaded; the pool only
+/// overlaps independent windows with the serving loop.
 ///
-/// Design constraints (they shape the API):
-///  - Determinism: `run_indexed` gives every task its index; callers write
-///    results[i] and reduce in index order afterwards, so a pooled run is
-///    bit-identical to the inline sequential one.
-///  - Exception propagation: the first-index exception of a batch is
-///    rethrown in the submitting thread; the batch still runs to completion
-///    so no task is left half-submitted.
-///  - Nesting: a task may itself call `run_indexed` on the same pool.  The
-///    waiting thread helps drain the queue instead of blocking, so nested
-///    fan-out cannot deadlock even on a single-worker pool.
+///  - Exception propagation: a job's exception lands in its future.
+///  - No deadlock: a thread waiting on a future runs queued jobs itself
+///    (`wait_and_help`), so even a one-worker pool always makes progress.
 ///  - Shutdown: the destructor finishes everything already queued (futures
 ///    from `submit` never dangle), then joins the workers.
 class ThreadPool {
  public:
-  /// `num_threads == 0` uses `configured_threads()`.
-  explicit ThreadPool(std::size_t num_threads = 0);
+  /// `num_threads` >= 1 workers.
+  explicit ThreadPool(std::size_t num_threads);
   ~ThreadPool();
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
 
-  [[nodiscard]] std::size_t num_threads() const { return workers_.size(); }
-
-  /// Run fn(0), ..., fn(n-1) across the pool and block until all complete.
-  /// The calling thread participates.  If any task throws, the exception of
-  /// the lowest-index failing task is rethrown after the batch drains.
-  void run_indexed(std::size_t n, const std::function<void(std::size_t)>& fn);
-
-  /// Fire-and-collect: enqueue one task, get a future for its result (or
-  /// exception).  Used where work outlives the submitting scope.
+  /// Enqueue one job and get a future for its result (or exception).
   template <typename F>
   auto submit(F&& f) -> std::future<std::invoke_result_t<std::decay_t<F>>> {
     using R = std::invoke_result_t<std::decay_t<F>>;
@@ -55,15 +43,12 @@ class ThreadPool {
     return fut;
   }
 
-  /// Pop one queued task and run it on the calling thread; false when the
-  /// queue was empty.  Lets a thread blocked on a `submit` future help the
-  /// pool instead of sleeping — the async online loop waits this way so a
-  /// prefetched replan can never deadlock behind its own waiter, even on a
-  /// one-worker pool.
-  bool help_one() { return help_run_one(); }
+  /// Pop one queued job and run it on the calling thread; false when the
+  /// queue was empty.
+  bool help_one();
 
-  /// Block until `fut` is ready, draining queued tasks on the calling
-  /// thread while waiting, then return the future's value (rethrowing its
+  /// Block until `fut` is ready, running queued jobs on the calling thread
+  /// while waiting, then return the future's value (rethrowing its
   /// exception, if any).
   template <typename R>
   R wait_and_help(std::future<R>& fut) {
@@ -74,15 +59,9 @@ class ThreadPool {
     return fut.get();
   }
 
-  /// Worker count from the H2P_THREADS environment variable (positive
-  /// integer), falling back to std::thread::hardware_concurrency().
-  static std::size_t configured_threads();
-
  private:
   void enqueue(std::function<void()> task);
   void worker_loop();
-  /// Pop one queued task and run it; false if the queue was empty.
-  bool help_run_one();
 
   std::mutex mu_;
   std::condition_variable cv_;  // queue became non-empty, or stopping
@@ -90,18 +69,5 @@ class ThreadPool {
   std::vector<std::thread> workers_;
   bool stop_ = false;
 };
-
-/// Run fn(i) for i in [0, n): inline and sequential when `pool` is null,
-/// fanned out on the pool otherwise.  Both paths produce identical results
-/// for independent tasks because collection is by index on the caller's
-/// side — this is the single parallelism entry point the planner uses.
-template <typename Fn>
-void parallel_for(ThreadPool* pool, std::size_t n, Fn&& fn) {
-  if (pool == nullptr || pool->num_threads() <= 1 || n <= 1) {
-    for (std::size_t i = 0; i < n; ++i) fn(i);
-    return;
-  }
-  pool->run_indexed(n, std::function<void(std::size_t)>(std::forward<Fn>(fn)));
-}
 
 }  // namespace h2p

@@ -10,6 +10,11 @@
 #   window_not_number  online --window abc
 #   faults_bad_kind    online --faults <script with an unknown event kind>
 #   deep_json          fleet-merge <array nested 200000 levels deep>
+#   plan_threads       plan --threads 2 (plans are single-threaded)
+#   online_threads_without_async
+#                      online --threads 2 without --async
+#   online_unknown_flag
+#                      online --bogus
 
 foreach(var CLI CASE WORK_DIR)
   if(NOT DEFINED ${var})
@@ -38,6 +43,15 @@ elseif(CASE STREQUAL "deep_json")
   file(WRITE "${snapshot}" "${deep}")
   set(args fleet-merge "${snapshot}")
   set(expect "nesting deeper than")
+elseif(CASE STREQUAL "plan_threads")
+  set(args plan --models resnet50,squeezenet --threads 2)
+  set(expect "plan: unknown flag --threads")
+elseif(CASE STREQUAL "online_threads_without_async")
+  set(args ${online} --threads 2)
+  set(expect "online: --threads requires --async")
+elseif(CASE STREQUAL "online_unknown_flag")
+  set(args ${online} --bogus)
+  set(expect "online: unknown flag --bogus")
 else()
   message(FATAL_ERROR "cli_rejects: unknown case ${CASE}")
 endif()

@@ -10,7 +10,6 @@
 #include "models/model_zoo.h"
 #include "sim/pipeline_sim.h"
 #include "soc/soc.h"
-#include "util/thread_pool.h"
 
 namespace h2p {
 namespace {
@@ -134,26 +133,6 @@ TEST(GraphPlannerDag, JoinSliceDependsOnEveryBranch) {
 }
 
 // ---- Determinism ----------------------------------------------------------
-
-TEST(GraphPlannerDeterminism, PooledBitIdenticalToSequential) {
-  const Soc soc = Soc::kirin990();
-  std::vector<GraphModel> graphs;
-  graphs.push_back(zoo_graph(GraphId::kHybridAttnCell));
-  graphs.push_back(GraphModel::from_chain(zoo_model(ModelId::kSqueezeNet)));
-  graphs.push_back(zoo_graph(GraphId::kInceptionCell));
-
-  const GraphPlannerReport seq = GraphPlanner(soc, pointers(graphs)).plan();
-  ThreadPool pool(4);
-  const GraphPlannerReport par =
-      GraphPlanner(soc, pointers(graphs), PlannerOptions{}, &pool).plan();
-
-  expect_compiled_equal(seq.compiled, par.compiled);
-  EXPECT_EQ(seq.dag_accepted, par.dag_accepted);
-  EXPECT_EQ(seq.dag_slots, par.dag_slots);
-  EXPECT_EQ(seq.offloaded_branches, par.offloaded_branches);
-  EXPECT_EQ(seq.chain_des_ms, par.chain_des_ms);
-  EXPECT_EQ(seq.final_des_ms, par.final_des_ms);
-}
 
 TEST(GraphPlannerDeterminism, RepeatedPlansIdentical) {
   const Soc soc = Soc::kirin990();

@@ -101,20 +101,6 @@ TEST_P(OnlineAsyncSocs, AsyncMatchesSerialAcrossThreadCounts) {
   }
 }
 
-TEST_P(OnlineAsyncSocs, PooledSerialMatchesSequentialSerial) {
-  // The pool alone (no async prefetch) must also not change anything: the
-  // cold path's internal fan-out is bit-deterministic.
-  const Soc soc = OnlineAsyncSocs::soc();
-  const auto stream = mixed_stream();
-  OnlineOptions base;
-  base.replan_window = 3;
-  const OnlineResult serial = run_online(soc, stream, base);
-  ThreadPool pool(2);
-  OnlineOptions pooled = base;
-  pooled.pool = &pool;
-  expect_identical(serial, run_online(soc, stream, pooled));
-}
-
 INSTANTIATE_TEST_SUITE_P(AllSocs, OnlineAsyncSocs,
                          ::testing::Values("kirin990", "snapdragon778g",
                                            "snapdragon870"));

@@ -2,9 +2,7 @@
 
 #include <atomic>
 #include <chrono>
-#include <cstdlib>
 #include <future>
-#include <numeric>
 #include <stdexcept>
 #include <thread>
 #include <vector>
@@ -13,51 +11,6 @@
 
 namespace h2p {
 namespace {
-
-TEST(ThreadPool, ZeroTaskBatchIsNoop) {
-  ThreadPool pool(2);
-  int calls = 0;
-  pool.run_indexed(0, [&](std::size_t) { ++calls; });
-  EXPECT_EQ(calls, 0);
-}
-
-TEST(ThreadPool, CollectsResultsByIndex) {
-  ThreadPool pool(4);
-  constexpr std::size_t kN = 257;  // oversubscribed: far more tasks than workers
-  std::vector<std::size_t> results(kN, 0);
-  pool.run_indexed(kN, [&](std::size_t i) { results[i] = i * i; });
-  for (std::size_t i = 0; i < kN; ++i) EXPECT_EQ(results[i], i * i);
-}
-
-TEST(ThreadPool, ParallelForMatchesSequential) {
-  constexpr std::size_t kN = 100;
-  std::vector<double> seq(kN), par(kN);
-  parallel_for(nullptr, kN, [&](std::size_t i) { seq[i] = 0.1 * static_cast<double>(i); });
-  ThreadPool pool(3);
-  parallel_for(&pool, kN, [&](std::size_t i) { par[i] = 0.1 * static_cast<double>(i); });
-  EXPECT_EQ(seq, par);
-}
-
-TEST(ThreadPool, ExceptionPropagatesLowestIndexFirst) {
-  ThreadPool pool(4);
-  std::atomic<int> ran{0};
-  try {
-    pool.run_indexed(64, [&](std::size_t i) {
-      ++ran;
-      if (i == 7) throw std::runtime_error("seven");
-      if (i == 31) throw std::runtime_error("thirty-one");
-    });
-    FAIL() << "expected an exception";
-  } catch (const std::runtime_error& e) {
-    EXPECT_STREQ(e.what(), "seven");
-  }
-  // The batch drains fully before rethrowing — no task is abandoned.
-  EXPECT_EQ(ran.load(), 64);
-  // The pool stays usable after a throwing batch.
-  std::atomic<int> again{0};
-  pool.run_indexed(8, [&](std::size_t) { ++again; });
-  EXPECT_EQ(again.load(), 8);
-}
 
 TEST(ThreadPool, SubmitReturnsValueAndException) {
   ThreadPool pool(2);
@@ -88,33 +41,25 @@ TEST(ThreadPool, ShutdownDrainsPendingWork) {
 }
 
 TEST(ThreadPool, NestedFanOutDoesNotDeadlock) {
-  // One worker + nested run_indexed: only help-running while waiting can
-  // make progress here — a blocking wait would deadlock.
+  // One worker, jobs that submit jobs and wait on them: only running queued
+  // jobs while waiting (wait_and_help) can make progress here — a blocking
+  // wait would deadlock.
   ThreadPool pool(1);
   std::atomic<int> leaves{0};
-  pool.run_indexed(4, [&](std::size_t) {
-    pool.run_indexed(4, [&](std::size_t) { ++leaves; });
-  });
+  std::vector<std::future<void>> outer;
+  for (int i = 0; i < 4; ++i) {
+    outer.push_back(pool.submit([&] {
+      std::vector<std::future<void>> inner;
+      for (int j = 0; j < 4; ++j) inner.push_back(pool.submit([&] { ++leaves; }));
+      for (std::future<void>& f : inner) pool.wait_and_help(f);
+    }));
+  }
+  for (std::future<void>& f : outer) pool.wait_and_help(f);
   EXPECT_EQ(leaves.load(), 16);
 }
 
-TEST(ThreadPool, ConfiguredThreadsReadsEnv) {
-  const char* old = std::getenv("H2P_THREADS");
-  const std::string saved = old ? old : "";
-  ::setenv("H2P_THREADS", "3", 1);
-  EXPECT_EQ(ThreadPool::configured_threads(), 3u);
-  ::setenv("H2P_THREADS", "not-a-number", 1);
-  EXPECT_GE(ThreadPool::configured_threads(), 1u);  // falls back to hardware
-  if (old) {
-    ::setenv("H2P_THREADS", saved.c_str(), 1);
-  } else {
-    ::unsetenv("H2P_THREADS");
-  }
-}
-
-TEST(ThreadPool, DefaultSizeUsesConfiguredThreads) {
-  ThreadPool pool;  // num_threads = 0 -> configured_threads()
-  EXPECT_GE(pool.num_threads(), 1u);
+TEST(ThreadPool, RejectsZeroWorkers) {
+  EXPECT_THROW(ThreadPool pool(0), std::invalid_argument);
 }
 
 }  // namespace

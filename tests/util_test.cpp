@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <random>
 
 #include "util/csv.h"
 #include "util/rng.h"
@@ -62,6 +64,34 @@ TEST(Rng, ShufflePreservesElements) {
   rng.shuffle(v);
   std::sort(v.begin(), v.end());
   EXPECT_EQ(v, sorted);
+}
+
+// The noisy RNG stream must not move: for stddev > 0 every draw is
+// bit-identical to a fresh std::normal_distribution(mean, stddev) per call.
+TEST(Rng, GaussianMatchesNormalDistributionDrawForDraw) {
+  for (const std::uint64_t seed : {1ull, 42ull, 7919ull}) {
+    for (const double mean : {0.0, -3.5, 120.25}) {
+      for (const double stddev : {1e-3, 0.05, 1.0, 17.0}) {
+        Rng rng(seed);
+        std::mt19937_64 engine(seed);
+        for (int i = 0; i < 64; ++i) {
+          std::normal_distribution<double> reference(mean, stddev);
+          EXPECT_EQ(rng.gaussian(mean, stddev), reference(engine))
+              << "seed " << seed << " mean " << mean << " stddev " << stddev
+              << " draw " << i;
+        }
+      }
+    }
+  }
+}
+
+TEST(Rng, GaussianZeroStddevReturnsMeanAndAdvancesLikeUnitStddev) {
+  Rng zero(11), unit(11);
+  for (int i = 0; i < 32; ++i) {
+    EXPECT_EQ(zero.gaussian(2.5, 0.0), 2.5);
+    (void)unit.gaussian(2.5, 1.0);
+    EXPECT_EQ(zero.uniform(), unit.uniform()) << "draw " << i;
+  }
 }
 
 TEST(Stats, MeanAndStddev) {

@@ -13,9 +13,6 @@
 //                 --soc <kirin990|snapdragon778g|snapdragon870>
 //                 --soc-json <file>   load a custom device description
 //                 --no-ct             disable contention mitigation + tail opt
-//                 --threads <n>       planner worker threads (default: the
-//                                     H2P_THREADS env var, else 1; output is
-//                                     identical at every thread count)
 //                 --out <file>        write the plan as JSON
 //                 --trace <file>      write a chrome://tracing timeline
 //   h2p_cli simulate --plan <file> --models a,b,c [--soc <name>]
@@ -24,11 +21,12 @@
 //        options: --window <n>        requests per replanning window (def. 4)
 //                 --period <ms>       inter-arrival gap of the stream (def. 5)
 //                 --repeat <r>        repeat the model list r times (def. 1)
-//                 --async             prefetch cold plans on the worker pool
+//                 --async             prefetch cold plans on a worker pool
 //                 --prefetch <n>      async lookahead depth (default 2)
+//                 --threads <n>       prefetch pool size (default 2; only
+//                                     with --async)
 //                 --warm-start        near-miss warm-start replanning
 //                 --no-cache          disable the plan cache
-//                 --threads <n>       worker pool size (also the async pool)
 //                 --faults <f.json>   scripted processor faults (see
 //                                     sim/fault_injector.h for the schema)
 //                 --fault-seed <n>    sample a deterministic random fault
@@ -72,21 +70,25 @@
 //        bucket).  Associative: partial merges compose.  --out omitted
 //        prints to stdout.
 //
+// Every plan runs on one thread; `online --async` adds the prefetch pool.
 // Integer flag values must be whole decimal numbers: positive, except the
-// seeds (--fault-seed, --weather-seed), which may be 0.  A malformed value
-// or input file exits 1 with a message naming it.
+// seeds (--fault-seed, --weather-seed), which may be 0.  A flag the
+// subcommand does not take, or a malformed value or input file, exits 1
+// with a message naming it.
 #include <algorithm>
 #include <charconv>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <map>
 #include <memory>
 #include <optional>
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <string_view>
+#include <vector>
 
 #include "baselines/band.h"
 #include "baselines/dart.h"
@@ -165,15 +167,42 @@ std::uint64_t seed_arg(int argc, char** argv, const char* flag,
   return int_arg<std::uint64_t>(argc, argv, flag, fallback, false);
 }
 
-/// Pool for `--threads N` (falling back to H2P_THREADS); null = sequential.
-std::unique_ptr<ThreadPool> make_pool(int argc, char** argv) {
-  std::size_t n =
-      static_cast<std::size_t>(positive_arg(argc, argv, "--threads", 0));
-  if (n == 0 && std::getenv("H2P_THREADS") != nullptr) {
-    n = ThreadPool::configured_threads();
+/// The flags each subcommand takes; a trailing '=' marks one that takes a
+/// value.
+const std::map<std::string_view, std::vector<std::string_view>> kCommandFlags = {
+    {"socs", {"--export="}},
+    {"models", {}},
+    {"plan",
+     {"--models=", "--graphs=", "--soc=", "--soc-json=", "--no-ct", "--out=",
+      "--trace=", "--metrics-out=", "--trace-out=", "--log-level=", "--log-out="}},
+    {"simulate", {"--plan=", "--models=", "--soc=", "--soc-json="}},
+    {"compare", {"--models=", "--soc=", "--soc-json="}},
+    {"online",
+     {"--models=", "--soc=", "--soc-json=", "--no-ct", "--window=", "--period=",
+      "--repeat=", "--async", "--prefetch=", "--threads=", "--warm-start",
+      "--no-cache", "--faults=", "--fault-seed=", "--weather", "--weather-seed=",
+      "--faults-out=", "--thermal-loop", "--thermal-scale=", "--deadline=",
+      "--deadline-policy=", "--drift-out=", "--metrics-out=", "--trace-out=",
+      "--log-level=", "--log-out="}},
+    {"fleet-merge", {"--out="}},
+};
+
+/// The first `--flag` in argv that `accepted` does not list, if any.
+std::optional<std::string> unknown_flag(const std::vector<std::string_view>& accepted,
+                                        int argc, char** argv) {
+  const auto listed = [&](const std::string& f) {
+    return std::find(accepted.begin(), accepted.end(), f) != accepted.end();
+  };
+  for (int i = 0; i < argc; ++i) {
+    const std::string arg = argv[i];
+    if (!arg.starts_with("--")) continue;
+    if (listed(arg + "=")) {
+      ++i;  // skip the value
+    } else if (!listed(arg)) {
+      return arg;
+    }
   }
-  if (n <= 1) return nullptr;
-  return std::make_unique<ThreadPool>(n);
+  return std::nullopt;
 }
 
 /// Telemetry flags shared by `plan` and `online`.  Returns false (after
@@ -364,7 +393,6 @@ int cmd_plan(int argc, char** argv) {
   obs::Registry::global().set_enabled(true);
   if (obs_flags.trace_out) obs::Tracer::global().name_current_thread("planner");
 
-  const std::unique_ptr<ThreadPool> pool = make_pool(argc, argv);
   const PlannerOptions opts =
       has_flag(argc, argv, "--no-ct") ? PlannerOptions::no_ct() : PlannerOptions{};
 
@@ -380,7 +408,7 @@ int cmd_plan(int argc, char** argv) {
     std::vector<const GraphModel*> gptrs;
     for (const GraphModel& g : owned) gptrs.push_back(&g);
 
-    const GraphPlanner planner(*soc, gptrs, opts, pool.get());
+    const GraphPlanner planner(*soc, gptrs, opts);
     const GraphPlannerReport rep = planner.plan();
     const Timeline timeline = simulate(planner.evaluator().soc(),
                                        tasks_from_compiled(rep.compiled), {});
@@ -427,8 +455,8 @@ int cmd_plan(int argc, char** argv) {
 
   std::vector<const Model*> models;
   for (ModelId id : *ids) models.push_back(&zoo_model(id));
-  const StaticEvaluator eval(*soc, models, pool.get());
-  const PlannerReport report = Hetero2PipePlanner(eval, opts, pool.get()).plan();
+  const StaticEvaluator eval(*soc, models);
+  const PlannerReport report = Hetero2PipePlanner(eval, opts).plan();
   const exec::CompiledPlan compiled = exec::compile(report.plan, eval);
   const Timeline timeline =
       simulate(eval.soc(), tasks_from_compiled(compiled), {});
@@ -509,8 +537,7 @@ int cmd_compare(int argc, char** argv) {
 
   std::vector<const Model*> models;
   for (ModelId id : *ids) models.push_back(&zoo_model(id));
-  const std::unique_ptr<ThreadPool> pool = make_pool(argc, argv);
-  const StaticEvaluator eval(*soc, models, pool.get());
+  const StaticEvaluator eval(*soc, models);
 
   Table table({"Scheme", "Latency (ms)", "Throughput (inf/s)"});
   auto add = [&](const char* name, const Timeline& t) {
@@ -523,9 +550,9 @@ int cmd_compare(int argc, char** argv) {
   add("DART", run_dart(eval));
   add("Band", run_band(eval));
   const PlannerReport no_ct =
-      Hetero2PipePlanner(eval, PlannerOptions::no_ct(), pool.get()).plan();
+      Hetero2PipePlanner(eval, PlannerOptions::no_ct()).plan();
   add("Hetero2Pipe (No C/T)", simulate_plan(no_ct.plan, eval));
-  const PlannerReport full = Hetero2PipePlanner(eval, {}, pool.get()).plan();
+  const PlannerReport full = Hetero2PipePlanner(eval).plan();
   add("Hetero2Pipe", simulate_plan(full.plan, eval));
   table.print();
   return 0;
@@ -622,14 +649,24 @@ int cmd_online(int argc, char** argv) {
     f << fault_script_to_json(faults).dump();
   }
 
-  const std::unique_ptr<ThreadPool> pool = make_pool(argc, argv);
+  // The prefetch pool exists only for --async, with exactly --threads
+  // workers; every plan on the serving thread runs without one.
+  const bool async = has_flag(argc, argv, "--async");
+  if (!async && arg_value(argc, argv, "--threads")) {
+    std::fprintf(stderr, "online: --threads requires --async\n");
+    return 1;
+  }
+  const std::unique_ptr<ThreadPool> pool =
+      async ? std::make_unique<ThreadPool>(static_cast<std::size_t>(
+                  positive_arg(argc, argv, "--threads", 2)))
+            : nullptr;
   OnlineOptions opts;
   opts.replan_window =
       static_cast<std::size_t>(positive_arg(argc, argv, "--window", 4));
   if (has_flag(argc, argv, "--no-ct")) opts.planner = PlannerOptions::no_ct();
   opts.use_plan_cache = !has_flag(argc, argv, "--no-cache");
   opts.pool = pool.get();
-  opts.async_planning = has_flag(argc, argv, "--async");
+  opts.async_planning = async;
   opts.prefetch_depth =
       static_cast<std::size_t>(positive_arg(argc, argv, "--prefetch", 2));
   opts.warm_start = has_flag(argc, argv, "--warm-start");
@@ -828,6 +865,12 @@ int cmd_fleet_merge(int argc, char** argv) {
 int main(int argc, char** argv) {
   if (argc < 2) return usage();
   const std::string cmd = argv[1];
+  const auto accepted = kCommandFlags.find(cmd);
+  if (accepted == kCommandFlags.end()) return usage();
+  if (const auto flag = unknown_flag(accepted->second, argc - 2, argv + 2)) {
+    std::fprintf(stderr, "%s: unknown flag %s\n", cmd.c_str(), flag->c_str());
+    return 1;
+  }
   // Bad input anywhere below (flag values, JSON files, fault scripts, plans)
   // surfaces as an exception: report it and exit 1 rather than abort.
   try {
