@@ -16,13 +16,33 @@ namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
-/// Window-membership epsilon.  The DES lands its clock on window edges by
-/// accumulating dt steps, so a query a hair before an edge must resolve to
-/// the state *after* it; every membership test shares this tolerance.
-constexpr double kEdgeEps = 1e-9;
+/// Processor indices are bits of a 64-bit availability mask.
+constexpr std::size_t kMaxProcs = 64;
 
-bool covers(const FaultEvent& e, double t_ms) {
-  return t_ms >= e.begin_ms - kEdgeEps && t_ms < e.end_ms - kEdgeEps;
+bool has_bit(std::uint64_t mask, std::size_t proc) {
+  return proc < kMaxProcs && ((mask >> proc) & 1u) != 0;
+}
+
+void sort_unique(std::vector<double>& v) {
+  std::sort(v.begin(), v.end());
+  v.erase(std::unique(v.begin(), v.end()), v.end());
+}
+
+/// A JSON number that must be a whole number in [0, limit), so no
+/// out-of-range double is ever cast to an index.  The error names the
+/// field and the entry it belongs to (`owner` `item`, e.g. "event 3").
+std::size_t json_index(const Json& value, double limit, const char* owner,
+                       std::size_t item, const char* field) {
+  const double x = value.as_number();
+  if (!(x >= 0.0 && x < limit && x == std::floor(x))) {
+    char buf[160];
+    std::snprintf(buf, sizeof(buf),
+                  "fault script: %s %zu: \"%s\" must be an integer in "
+                  "[0, %.0f), got %g",
+                  owner, item, field, limit, x);
+    throw std::runtime_error(buf);
+  }
+  return static_cast<std::size_t>(x);
 }
 
 }  // namespace
@@ -188,7 +208,12 @@ void FaultScript::normalize() {
         !(e.factor > 0.0 && e.factor <= 1.0)) {
       throw std::invalid_argument("FaultScript: factor outside (0, 1]");
     }
-    if (e.kind == FaultKind::kBusDegrade) has_bus_degrade_ = true;
+    if (e.kind == FaultKind::kBusDegrade) {
+      has_bus_degrade_ = true;
+    } else if (e.proc_idx >= kMaxProcs) {
+      throw std::invalid_argument(
+          "FaultScript: processor index must be below 64");
+    }
   }
   for (const WeatherEvent& w : weather_) {
     if (w.begin_ms < 0.0 || std::isnan(w.begin_ms)) {
@@ -208,6 +233,63 @@ void FaultScript::normalize() {
               if (a.proc_idx != b.proc_idx) return a.proc_idx < b.proc_idx;
               return static_cast<int>(a.kind) < static_cast<int>(b.kind);
             });
+
+  // Compile the segment timeline.  An event covers t exactly when
+  // begin - eps <= t < end - eps, so those doubles are the cut points and
+  // the fault state is constant between consecutive cuts.
+  edges_.clear();
+  cuts_.clear();
+  slow_procs_ = 0;
+  for (const FaultEvent& e : events_) {
+    edges_.push_back(e.begin_ms);
+    if (std::isfinite(e.end_ms)) edges_.push_back(e.end_ms);
+    cuts_.push_back(e.begin_ms - kEdgeEps);
+    cuts_.push_back(e.end_ms - kEdgeEps);
+    if (e.kind == FaultKind::kSlowdown) {
+      slow_procs_ = std::max(slow_procs_, e.proc_idx + 1);
+    }
+  }
+  sort_unique(edges_);
+  sort_unique(cuts_);
+  segments_.assign(cuts_.size() + 1, Segment{});
+  slow_.assign(segments_.size() * slow_procs_, 1.0);
+  const auto cut_index = [this](double cut) {
+    return static_cast<std::size_t>(
+        std::lower_bound(cuts_.begin(), cuts_.end(), cut) - cuts_.begin());
+  };
+  // With cuts_[i] = begin - eps and cuts_[j] = end - eps, the event covers
+  // segments i+1 .. j.  Visiting events in order multiplies every product
+  // in the order a scan over events_ would.
+  for (const FaultEvent& e : events_) {
+    const std::size_t first = cut_index(e.begin_ms - kEdgeEps) + 1;
+    const std::size_t last = cut_index(e.end_ms - kEdgeEps);
+    for (std::size_t k = first; k <= last; ++k) {
+      switch (e.kind) {
+        case FaultKind::kSlowdown:
+          slow_[k * slow_procs_ + e.proc_idx] *= e.factor;
+          break;
+        case FaultKind::kDropout:
+          segments_[k].down |= 1ull << e.proc_idx;
+          if (std::isinf(e.end_ms)) {
+            segments_[k].permanent |= 1ull << e.proc_idx;
+          }
+          break;
+        case FaultKind::kBusDegrade:
+          segments_[k].bus *= e.factor;
+          break;
+      }
+    }
+  }
+  for (Segment& seg : segments_) seg.bus = std::max(seg.bus, 0.05);
+  for (double& f : slow_) f = std::max(f, 0.05);
+}
+
+std::size_t FaultScript::segment_index(double t_ms) const {
+  // No window covers a NaN time, and none covers the last segment (past
+  // every cut) either.
+  if (std::isnan(t_ms)) return cuts_.size();
+  return static_cast<std::size_t>(
+      std::upper_bound(cuts_.begin(), cuts_.end(), t_ms) - cuts_.begin());
 }
 
 FaultScript FaultScript::sample(const Soc& soc, std::uint64_t seed,
@@ -278,81 +360,36 @@ FaultScript FaultScript::sample(const Soc& soc, std::uint64_t seed,
 }
 
 bool FaultScript::available(std::size_t proc, double t_ms) const {
-  for (const FaultEvent& e : events_) {
-    if (e.kind == FaultKind::kDropout && e.proc_idx == proc && covers(e, t_ms)) {
-      return false;
-    }
-  }
-  return true;
+  return !has_bit(segments_[segment_index(t_ms)].down, proc);
 }
 
 bool FaultScript::permanently_down(std::size_t proc, double t_ms) const {
-  for (const FaultEvent& e : events_) {
-    if (e.kind == FaultKind::kDropout && e.proc_idx == proc &&
-        std::isinf(e.end_ms) && covers(e, t_ms)) {
-      return true;
-    }
-  }
-  return false;
+  return has_bit(segments_[segment_index(t_ms)].permanent, proc);
 }
 
 double FaultScript::slowdown(std::size_t proc, double t_ms) const {
-  double factor = 1.0;
-  for (const FaultEvent& e : events_) {
-    if (e.kind == FaultKind::kSlowdown && e.proc_idx == proc && covers(e, t_ms)) {
-      factor *= e.factor;
-    }
-  }
-  return std::max(factor, 0.05);
+  if (proc >= slow_procs_) return 1.0;
+  return slow_[segment_index(t_ms) * slow_procs_ + proc];
 }
 
 double FaultScript::bus_factor(double t_ms) const {
-  if (!has_bus_degrade_) return 1.0;
-  double factor = 1.0;
-  for (const FaultEvent& e : events_) {
-    if (e.kind == FaultKind::kBusDegrade && covers(e, t_ms)) {
-      factor *= e.factor;
-    }
-  }
-  return std::max(factor, 0.05);
+  return segments_[segment_index(t_ms)].bus;
 }
 
 std::uint64_t FaultScript::availability_mask(double t_ms,
                                              std::size_t num_procs) const {
-  if (num_procs > 64) {
+  if (num_procs > kMaxProcs) {
     throw std::invalid_argument("availability_mask: more than 64 processors");
   }
-  std::uint64_t mask = num_procs == 64 ? ~0ull : (1ull << num_procs) - 1;
-  for (const FaultEvent& e : events_) {
-    if (e.kind == FaultKind::kDropout && e.proc_idx < num_procs &&
-        covers(e, t_ms)) {
-      mask &= ~(1ull << e.proc_idx);
-    }
-  }
-  return mask;
+  const std::uint64_t all =
+      num_procs == kMaxProcs ? ~0ull : (1ull << num_procs) - 1;
+  return all & ~segments_[segment_index(t_ms)].down;
 }
 
 double FaultScript::next_change_after(double t_ms) const {
-  double next = kInf;
-  for (const FaultEvent& e : events_) {
-    if (e.begin_ms > t_ms + kEdgeEps) next = std::min(next, e.begin_ms);
-    if (std::isfinite(e.end_ms) && e.end_ms > t_ms + kEdgeEps) {
-      next = std::min(next, e.end_ms);
-    }
-  }
-  return next;
-}
-
-std::vector<double> FaultScript::edges() const {
-  std::vector<double> out;
-  out.reserve(events_.size() * 2);
-  for (const FaultEvent& e : events_) {
-    out.push_back(e.begin_ms);
-    if (std::isfinite(e.end_ms)) out.push_back(e.end_ms);
-  }
-  std::sort(out.begin(), out.end());
-  out.erase(std::unique(out.begin(), out.end()), out.end());
-  return out;
+  const auto it =
+      std::upper_bound(edges_.begin(), edges_.end(), t_ms + kEdgeEps);
+  return it == edges_.end() ? kInf : *it;
 }
 
 Json fault_script_to_json(const FaultScript& script) {
@@ -398,36 +435,7 @@ Json fault_script_to_json(const FaultScript& script) {
 }
 
 FaultScript fault_script_from_json(const Json& json) {
-  std::vector<FaultEvent> events;
-  const Json& list = json.at("events");
-  for (std::size_t i = 0; i < list.size(); ++i) {
-    const Json& j = list.at(i);
-    FaultEvent e;
-    const std::string& kind = j.at("kind").as_string();
-    if (kind == "slowdown") {
-      e.kind = FaultKind::kSlowdown;
-    } else if (kind == "dropout") {
-      e.kind = FaultKind::kDropout;
-    } else if (kind == "bus_degrade") {
-      e.kind = FaultKind::kBusDegrade;
-    } else {
-      throw std::runtime_error("fault script: unknown kind '" + kind + "'");
-    }
-    e.proc_idx = j.contains("proc")
-                     ? static_cast<std::size_t>(j.at("proc").as_number())
-                     : 0;
-    e.begin_ms = j.at("begin_ms").as_number();
-    e.end_ms = kInf;
-    if (j.contains("end_ms") && !j.at("end_ms").is_null()) {
-      const double end = j.at("end_ms").as_number();
-      if (std::isfinite(end)) e.end_ms = end;
-    }
-    if (j.contains("factor")) e.factor = j.at("factor").as_number();
-    if (j.contains("weather")) {
-      e.weather_idx = static_cast<int>(j.at("weather").as_number());
-    }
-    events.push_back(e);
-  }
+  // Weather first: events' "weather" fields must index it.
   std::vector<WeatherEvent> weather;
   if (json.contains("weather")) {
     const Json& list_w = json.at("weather");
@@ -451,12 +459,46 @@ FaultScript fault_script_from_json(const Json& json) {
       if (j.contains("procs")) {
         const Json& procs = j.at("procs");
         for (std::size_t p = 0; p < procs.size(); ++p) {
-          w.procs.push_back(
-              static_cast<std::size_t>(procs.at(p).as_number()));
+          w.procs.push_back(json_index(procs.at(p),
+                                       static_cast<double>(kMaxProcs),
+                                       "weather", i, "procs"));
         }
       }
       weather.push_back(std::move(w));
     }
+  }
+  std::vector<FaultEvent> events;
+  const Json& list = json.at("events");
+  for (std::size_t i = 0; i < list.size(); ++i) {
+    const Json& j = list.at(i);
+    FaultEvent e;
+    const std::string& kind = j.at("kind").as_string();
+    if (kind == "slowdown") {
+      e.kind = FaultKind::kSlowdown;
+    } else if (kind == "dropout") {
+      e.kind = FaultKind::kDropout;
+    } else if (kind == "bus_degrade") {
+      e.kind = FaultKind::kBusDegrade;
+    } else {
+      throw std::runtime_error("fault script: unknown kind '" + kind + "'");
+    }
+    if (j.contains("proc")) {
+      e.proc_idx = json_index(j.at("proc"), static_cast<double>(kMaxProcs),
+                              "event", i, "proc");
+    }
+    e.begin_ms = j.at("begin_ms").as_number();
+    e.end_ms = kInf;
+    if (j.contains("end_ms") && !j.at("end_ms").is_null()) {
+      const double end = j.at("end_ms").as_number();
+      if (std::isfinite(end)) e.end_ms = end;
+    }
+    if (j.contains("factor")) e.factor = j.at("factor").as_number();
+    if (j.contains("weather")) {
+      e.weather_idx = static_cast<int>(
+          json_index(j.at("weather"), static_cast<double>(weather.size()),
+                     "event", i, "weather"));
+    }
+    events.push_back(e);
   }
   // Events are trusted as-is (NOT re-expanded from weather): replay from
   // JSON is exact without the Soc in hand.

@@ -149,9 +149,26 @@ struct FaultSamplerOptions {
 /// time — it reacts to the present, never peeks at the future.  Replaying
 /// the same script (or the same sample seed) reproduces every timeline,
 /// plan and statistic bit-identically, serial or async.
+///
+/// Construction compiles the script into a segment timeline.  The cut
+/// points are the distinct `begin_ms - eps` and `end_ms - eps` of every
+/// event — exactly the doubles a window-membership test compares against —
+/// so the fault state is constant inside each segment, and every query below
+/// is one binary search plus an array read, bit-identical to scanning all
+/// events (slowdown and bus products are multiplied in event order, then
+/// clamped).  Building costs O(E log E + the sum over events of the segments
+/// each one spans) time and O(segments * slowed processors) memory for E
+/// events.  Slowdown and drop-out events must name a processor below 64 (the
+/// availability_mask width).  The script is immutable once built.
 class FaultScript {
  public:
-  FaultScript() = default;
+  /// Window-membership tolerance: an event covers t exactly when
+  /// begin_ms - kEdgeEps <= t < end_ms - kEdgeEps.  The DES lands its clock
+  /// on window edges by accumulating dt steps, so a query a hair before an
+  /// edge must resolve to the state *after* it.
+  static constexpr double kEdgeEps = 1e-9;
+
+  FaultScript() : FaultScript(std::vector<FaultEvent>{}) {}
   explicit FaultScript(std::vector<FaultEvent> events);
   /// Events plus their (already expanded) weather provenance — the form the
   /// JSON round-trip rebuilds.  The events are trusted as-is; weather is
@@ -209,15 +226,35 @@ class FaultScript {
   /// fault state.
   [[nodiscard]] double next_change_after(double t_ms) const;
 
-  /// All finite window edges (begins and ends), sorted ascending.
-  [[nodiscard]] std::vector<double> edges() const;
+  /// All finite window edges (begins and ends), sorted ascending and
+  /// distinct.
+  [[nodiscard]] const std::vector<double>& edges() const { return edges_; }
 
  private:
+  /// Fault state over one segment of the timeline.
+  struct Segment {
+    std::uint64_t down = 0;       // bit p: a drop-out covers processor p
+    std::uint64_t permanent = 0;  // bit p: a permanent drop-out covers p
+    double bus = 1.0;             // clamped kBusDegrade product
+  };
+
+  /// Validates and sorts the events, then compiles the timeline.
   void normalize();
+  /// Index of the segment holding `t_ms`.
+  [[nodiscard]] std::size_t segment_index(double t_ms) const;
 
   std::vector<FaultEvent> events_;  // sorted by (begin, proc, kind)
   std::vector<WeatherEvent> weather_;
   bool has_bus_degrade_ = false;
+  std::vector<double> edges_;
+  /// Sorted distinct cut points; segment k covers
+  /// [cuts_[k-1], cuts_[k]), so there is one more segment than cut.
+  std::vector<double> cuts_;
+  std::vector<Segment> segments_;
+  /// Clamped slowdown products, row-major [segment][processor], with
+  /// `slow_procs_` columns: one past the highest slowed processor.
+  std::size_t slow_procs_ = 0;
+  std::vector<double> slow_;
 };
 
 /// JSON round-trip for scripted faults (`h2p_cli online --faults f.json`).
@@ -230,7 +267,9 @@ class FaultScript {
 /// A null / absent / non-finite end_ms means permanent; the optional
 /// "weather" fields carry the correlated-root-cause provenance and round
 /// trip verbatim (events are NOT re-expanded, so replay is exact without a
-/// Soc in hand).
+/// Soc in hand).  "proc" and every "procs" entry must be a whole number
+/// below 64, and "weather" must index the script's own "weather" list;
+/// anything else throws std::runtime_error naming the entry and field.
 [[nodiscard]] Json fault_script_to_json(const FaultScript& script);
 [[nodiscard]] FaultScript fault_script_from_json(const Json& json);
 

@@ -60,7 +60,7 @@ void simulate(const Soc& soc, const sim::TaskTable& table,
 
   // Fault-window edges: the clock never integrates across one, so the fault
   // state (availability, slowdown factor) is constant over every dt step.
-  std::vector<double> fault_edges;
+  std::span<const double> fault_edges;
   std::size_t fault_cursor = 0;
   if (faults != nullptr) fault_edges = faults->edges();
 

@@ -57,7 +57,7 @@ Timeline simulate_reference(const Soc& soc, std::vector<SimTask> tasks,
   const FaultScript* faults = options.faults;
   if (faults != nullptr && faults->empty()) faults = nullptr;
 
-  std::vector<double> fault_edges;
+  std::span<const double> fault_edges;
   std::size_t fault_cursor = 0;
   if (faults != nullptr) fault_edges = faults->edges();
 

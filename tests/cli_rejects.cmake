@@ -9,6 +9,12 @@
 #   window_zero        online --window 0
 #   window_not_number  online --window abc
 #   faults_bad_kind    online --faults <script with an unknown event kind>
+#   faults_negative_proc
+#                      online --faults <script with "proc": -1>
+#   faults_fractional_proc
+#                      online --faults <script with "proc": 2.5>
+#   faults_unknown_proc
+#                      online --faults <script naming processor 7 of 4>
 #   deep_json          fleet-merge <array nested 200000 levels deep>
 #   plan_threads       plan --threads 2 (plans are single-threaded)
 #   online_threads_without_async
@@ -37,6 +43,26 @@ elseif(CASE STREQUAL "faults_bad_kind")
        "\"begin_ms\": 10, \"end_ms\": null}]}\n")
   set(args ${online} --faults "${script}")
   set(expect "unknown kind 'meteor'")
+elseif(CASE MATCHES "^faults_(negative|fractional|unknown)_proc$")
+  if(CASE STREQUAL "faults_negative_proc")
+    set(proc -1)
+    set(expect "event 1: \"proc\" must be an integer in [0, 64), got -1")
+  elseif(CASE STREQUAL "faults_fractional_proc")
+    set(proc 2.5)
+    set(expect "event 1: \"proc\" must be an integer in [0, 64), got 2.5")
+  else()
+    set(proc 7)
+    set(expect "--faults: event 1 names processor 7, but Kirin990 has 4")
+  endif()
+  # The bad event is second in the file but sorts first (it begins
+  # earlier): errors must name its position in the file.
+  set(script "${WORK_DIR}/${CASE}.json")
+  file(WRITE "${script}"
+       "{\"events\": [{\"kind\": \"slowdown\", \"proc\": 0, "
+       "\"begin_ms\": 10, \"end_ms\": 20, \"factor\": 0.5}, "
+       "{\"kind\": \"dropout\", \"proc\": ${proc}, "
+       "\"begin_ms\": 0, \"end_ms\": null}]}\n")
+  set(args ${online} --faults "${script}")
 elseif(CASE STREQUAL "deep_json")
   set(snapshot "${WORK_DIR}/deep.json")
   string(REPEAT "[" 200000 deep)

@@ -142,6 +142,63 @@ TEST(FaultScript, JsonRoundTrip) {
             dumped);
 }
 
+/// The runtime_error message fault_script_from_json throws for `text`, or
+/// "" when it parses.
+std::string json_error(const std::string& text) {
+  try {
+    (void)fault_script_from_json(Json::parse(text));
+  } catch (const std::runtime_error& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(FaultScript, JsonRejectsNonIntegerIndices) {
+  const std::string head =
+      R"({"events": [{"kind": "slowdown", "begin_ms": 0, "end_ms": 5, )"
+      R"("factor": 0.5}, {"kind": "dropout", "begin_ms": 1, "end_ms": 4, )";
+  for (const char* proc : {"-1", "2.5", "64", "1e300", "-0.5"}) {
+    const std::string err = json_error(head + "\"proc\": " + proc + "}]}");
+    EXPECT_NE(err.find("event 1: \"proc\" must be an integer in [0, 64)"),
+              std::string::npos)
+        << proc << ": " << err;
+  }
+  EXPECT_EQ(json_error(head + "\"proc\": 63}]}"), "");
+  EXPECT_EQ(json_error(head + "\"proc\": -0}]}"), "");
+}
+
+TEST(FaultScript, JsonWeatherIndexMustNameOwnWeather) {
+  const std::string storm = R"("weather": [{"kind": "thermal_storm", )"
+                            R"("begin_ms": 0, "duration_ms": 10}])";
+  const auto script = [&](const std::string& idx, bool with_weather) {
+    return R"({"events": [{"kind": "slowdown", "proc": 0, "begin_ms": 0, )"
+           R"("end_ms": 5, "factor": 0.5, "weather": )" +
+           idx + "}]" + (with_weather ? ", " + storm : std::string()) + "}";
+  };
+  EXPECT_EQ(json_error(script("0", true)), "");
+  for (const char* idx : {"1", "-1", "0.5"}) {
+    EXPECT_NE(json_error(script(idx, true))
+                  .find("event 0: \"weather\" must be an integer in [0, 1)"),
+              std::string::npos)
+        << idx;
+  }
+  EXPECT_NE(json_error(script("0", false)).find("event 0: \"weather\""),
+            std::string::npos);
+}
+
+TEST(FaultScript, JsonRejectsBadWeatherProcs) {
+  for (const char* procs : {"[0, -2]", "[0, 1.5]", "[0, 64]"}) {
+    const std::string text =
+        std::string(R"({"events": [], "weather": [{"kind": "driver_cascade", )"
+                    R"("begin_ms": 0, "duration_ms": 10, "procs": )") +
+        procs + "}]}";
+    EXPECT_NE(
+        json_error(text).find("weather 0: \"procs\" must be an integer"),
+        std::string::npos)
+        << procs;
+  }
+}
+
 TEST(FaultScript, TimelineCheckerFlagsViolations) {
   const FaultScript s = two_phase_script();
   Timeline ok;

@@ -160,6 +160,39 @@ INSTANTIATE_TEST_SUITE_P(AllSocs, OnlineFaultSocs,
                          ::testing::Values("kirin990", "snapdragon778g",
                                            "snapdragon870"));
 
+TEST(OnlineFault, WeatheredStreamMatchesPinnedTotals) {
+  // Pins the weathered serving output in tier-1: sampled per-processor
+  // faults plus correlated weather, the closed thermal loop and deadline
+  // deferral on Kirin990.  Any change to how the fault script is queried
+  // (or to anything downstream of it) that moves a modeled number fails
+  // here.  The constants were recorded from the linear-scan fault queries.
+  const Soc soc = Soc::kirin990();
+  FaultSamplerOptions sample;
+  sample.horizon_ms = 400.0;
+  sample.mean_weather_gap_ms = 50.0;
+  const FaultScript faults = FaultScript::sample(soc, 11, sample);
+  ASSERT_FALSE(faults.weather().empty());
+  auto stream = window_stream({ModelId::kMobileNetV2, ModelId::kGoogLeNet,
+                               ModelId::kResNet50, ModelId::kAlexNet},
+                              10, 6.0);
+  for (OnlineRequest& req : stream) req.deadline_ms = req.arrival_ms + 32.0;
+  OnlineOptions opts;
+  opts.replan_window = 4;
+  opts.use_plan_cache = true;
+  opts.warm_start = true;
+  opts.faults = &faults;
+  opts.thermal_loop = true;
+  opts.thermal.time_scale = 100.0;
+  opts.deadline_policy = DeadlinePolicy::kDefer;
+  const OnlineResult r = run_online(soc, stream, opts);
+  expect_safe(r, faults);
+  double total_ms = 0.0;
+  for (const double c : r.completion_ms) total_ms += c;
+  EXPECT_EQ(total_ms, 1505.3799032356151);
+  EXPECT_EQ(r.shed_requests, 8u);
+  EXPECT_EQ(r.deferred_requests, 3u);
+}
+
 TEST(OnlineFault, HealthyScriptMatchesNoFaultRun) {
   // A fault pointer with no events is the same run as no fault layer at
   // all — the layer is pay-for-what-you-use.

@@ -614,7 +614,24 @@ int cmd_online(int argc, char** argv) {
     }
     std::stringstream buf;
     buf << in.rdbuf();
-    faults = fault_script_from_json(Json::parse(buf.str()));
+    const Json json = Json::parse(buf.str());
+    faults = fault_script_from_json(json);
+    // The parser validated every entry; report a processor this SoC lacks
+    // by the event's position in the file, not in the sorted script.
+    const Json& events = json.at("events");
+    for (std::size_t i = 0; i < events.size(); ++i) {
+      const Json& e = events.at(i);
+      if (e.at("kind").as_string() == "bus_degrade" || !e.contains("proc")) {
+        continue;
+      }
+      const auto proc = static_cast<std::size_t>(e.at("proc").as_number());
+      if (proc >= soc->num_processors()) {
+        std::fprintf(
+            stderr, "--faults: event %zu names processor %zu, but %s has %zu\n",
+            i, proc, soc->name().c_str(), soc->num_processors());
+        return 1;
+      }
+    }
     with_faults = true;
   } else if (arg_value(argc, argv, "--fault-seed")) {
     faults = FaultScript::sample(*soc, seed_arg(argc, argv, "--fault-seed", 0));
