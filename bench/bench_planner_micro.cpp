@@ -31,6 +31,7 @@
 #include "core/partition.h"
 #include "core/planner.h"
 #include "exec/compiled_plan.h"
+#include "exec/plan_cache.h"
 #include "models/model_zoo.h"
 #include "obs/metrics.h"
 #include "sim/online.h"
@@ -130,7 +131,8 @@ void BM_PlannerEndToEnd(benchmark::State& state) {
   const std::vector<const Model*> models = window_models(16);
   for (auto _ : state) {
     // Cold path end to end: the evaluator's cost tables are part of every
-    // plan-cache miss, so they are measured too.
+    // plan-cache miss, so they are measured too (over a warm profile store
+    // after the first iteration, as in serving).
     const StaticEvaluator eval(soc, models);
     Hetero2PipePlanner planner(eval);
     benchmark::DoNotOptimize(planner.plan());
@@ -476,17 +478,40 @@ void BM_WarmStartReplan(benchmark::State& state, bool warm) {
 BENCHMARK_CAPTURE(BM_WarmStartReplan, cold, false);
 BENCHMARK_CAPTURE(BM_WarmStartReplan, warm, true);
 
-// ---- cost-table construction ------------------------------------------------
+// ---- evaluator build and plan-cache keys ------------------------------------
 
-void BM_CostTableBuild(benchmark::State& state) {
+/// A cold 16-model window's StaticEvaluator: its cost tables and per-model
+/// intensities.  `cold_store` empties the profile store before every build,
+/// so each table computes its per-processor prefix blocks; `warm_store`
+/// finds them all in the store, as a serving loop does for recurring models.
+void BM_EvaluatorBuild(benchmark::State& state, bool warm) {
   const Soc soc = Soc::kirin990();
-  const CostModel cost(soc);
-  const Model& m = zoo_model(ModelId::kBERT);  // largest layer count
+  const std::vector<const Model*> models = window_models(16);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(CostTable(m, cost));
+    if (!warm) {
+      state.PauseTiming();
+      profile_store::clear();
+      state.ResumeTiming();
+    }
+    const StaticEvaluator eval(soc, models);
+    benchmark::DoNotOptimize(eval.model_intensity(0));
   }
 }
-BENCHMARK(BM_CostTableBuild);
+BENCHMARK_CAPTURE(BM_EvaluatorBuild, cold_store, false);
+BENCHMARK_CAPTURE(BM_EvaluatorBuild, warm_store, true);
+
+/// The plan-cache key of a 4-model window, as the online loop builds it for
+/// every served and every prefetched window.
+void BM_PlanCacheMakeKey(benchmark::State& state) {
+  const Soc soc = Soc::kirin990();
+  const std::vector<const Model*> models = window_models(4);
+  const PlannerOptions options;
+  const exec::PlanCache::PlanEnv env;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(exec::PlanCache::make_key(soc, models, options, env));
+  }
+}
+BENCHMARK(BM_PlanCacheMakeKey);
 
 /// Rewrite the --benchmark_out JSON in place with an "h2p_context" header:
 /// the recording host (cpu count — the snapshot's 1-core caveat becomes

@@ -2,11 +2,14 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cstdint>
+#include <mutex>
+#include <string>
 
 #include "core/partition.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "soc/perf_counters.h"
+#include "util/lru_map.h"
 #include "util/simd.h"
 
 namespace h2p {
@@ -20,11 +23,16 @@ StaticEvaluator::StaticEvaluator(const Soc& soc, std::vector<const Model*> model
   span.arg("models", static_cast<double>(models_.size()));
   const int cpu_b = soc.find(ProcKind::kCpuBig);
   const std::size_t intensity_proc = cpu_b >= 0 ? static_cast<std::size_t>(cpu_b) : 0;
+  std::size_t misses = 0;
   for (const Model* m : models_) {
     assert(m != nullptr);
-    tables_.emplace_back(*m, cost_);
-    model_intensity_.push_back(true_contention_intensity(*m, intensity_proc, cost_));
+    const CostTable& table = tables_.emplace_back(*m, cost_);
+    misses += table.profile_misses();
+    // true_contention_intensity (soc/perf_counters.h), read off this table.
+    const std::size_t n = m->num_layers();
+    model_intensity_.push_back(n == 0 ? 0.0 : table.intensity(intensity_proc, 0, n - 1));
   }
+  span.arg("misses", static_cast<double>(misses));
 
   padded_procs_ = simd::padded_size(soc.num_processors());
   coupling_rows_.assign(soc.num_processors() * padded_procs_, 0.0);
@@ -178,6 +186,61 @@ bool StaticEvaluator::satisfies_memory(const PipelinePlan& plan) const {
   return true;
 }
 
+namespace slicing_memo {
+namespace {
+
+/// A model's key within one SoC view: its content hash and the stage count.
+struct ModelKey {
+  std::uint64_t hash = 0;
+  std::uint64_t stages = 0;
+
+  bool operator==(const ModelKey&) const = default;
+};
+
+struct ModelKeyHash {
+  std::size_t operator()(const ModelKey& k) const {
+    return static_cast<std::size_t>(hash_mix(k.hash, k.stages));
+  }
+};
+
+using SocSlicings = LruMap<ModelKey, std::vector<Slice>, ModelKeyHash>;
+
+std::mutex g_mutex;
+// Keyed by the exact SoC fingerprint first, so each view stores its (long)
+// fingerprint once however many models it slices.
+LruMap<std::string, SocSlicings> g_slicings(kSocCapacity);
+
+}  // namespace
+
+void clear() {
+  const std::lock_guard<std::mutex> lock(g_mutex);
+  g_slicings.clear();
+}
+
+}  // namespace slicing_memo
+
+std::vector<Slice> horizontal_slices(const StaticEvaluator& eval, std::size_t idx,
+                                     std::size_t num_stages) {
+  using namespace slicing_memo;
+  const std::string& fingerprint = eval.soc().fingerprint();
+  const ModelKey key{eval.model(idx).content_hash(), num_stages};
+  {
+    const std::lock_guard<std::mutex> lock(g_mutex);
+    if (SocSlicings* soc = g_slicings.find(fingerprint)) {
+      if (const std::vector<Slice>* hit = soc->find(key)) return *hit;
+    }
+  }
+  std::vector<Slice> slices = partition_model(eval.table(idx), num_stages).slices;
+  const std::lock_guard<std::mutex> lock(g_mutex);
+  SocSlicings* soc = g_slicings.find(fingerprint);
+  if (soc == nullptr) {
+    g_slicings.insert(fingerprint, SocSlicings(kModelsPerSoc));
+    soc = g_slicings.find(fingerprint);
+  }
+  soc->insert(key, slices);
+  return slices;
+}
+
 PipelinePlan horizontal_plan(const StaticEvaluator& eval, std::size_t num_stages,
                              std::nullptr_t) {
   PipelinePlan plan;
@@ -185,7 +248,7 @@ PipelinePlan horizontal_plan(const StaticEvaluator& eval, std::size_t num_stages
   plan.models.resize(eval.num_models());
   for (std::size_t i = 0; i < eval.num_models(); ++i) {
     plan.models[i].model_index = i;
-    plan.models[i].slices = partition_model(eval.table(i), num_stages).slices;
+    plan.models[i].slices = horizontal_slices(eval, i, num_stages);
   }
   return plan;
 }

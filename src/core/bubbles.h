@@ -14,12 +14,13 @@ namespace h2p {
 
 /// Static (planning-time) evaluation of a pipeline plan.
 ///
-/// Owns the per-model cost tables and the contention model for one request
-/// sequence on one Soc, and evaluates plans under the synchronous-wavefront
-/// abstraction the paper's Def. 3 uses: in column j, the slices
-/// { M_k^i : i + k = j } execute concurrently; the column takes as long as
-/// its slowest member and every faster member idles (a pipeline bubble,
-/// Eq. 3).  The discrete-event simulator (sim/) is the asynchronous ground
+/// Holds one CostTable per model (their per-processor blocks come from the
+/// process-wide profile store, soc/cost_model.h) and the contention model
+/// for one request sequence on one Soc, and evaluates plans under the
+/// synchronous-wavefront abstraction the paper's Def. 3 uses: in column j,
+/// the slices { M_k^i : i + k = j } execute concurrently; the column takes
+/// as long as its slowest member and every faster member idles (a pipeline
+/// bubble, Eq. 3).  The discrete-event simulator (sim/) is the asynchronous ground
 /// truth; this evaluator is what the planner itself optimizes against.
 class StaticEvaluator {
  public:
@@ -84,6 +85,23 @@ class StaticEvaluator {
   std::vector<double> coupling_rows_;  // P x padded_procs_, diagonal 0
   std::size_t padded_procs_ = 0;
 };
+
+/// Algorithm 1 on model `idx` of `eval` over `num_stages` stages: the
+/// slices of `partition_model(eval.table(idx), num_stages)`, memoized
+/// process-wide by (exact SoC fingerprint, model content hash, K).  The
+/// slicing is a pure function of those three, so a memo hit is the slicing
+/// a fresh run would compute.  Mutex-guarded; bounded at
+/// `slicing_memo::kSocCapacity` SoC views of `kModelsPerSoc` slicings each,
+/// both with LRU eviction.
+std::vector<Slice> horizontal_slices(const StaticEvaluator& eval, std::size_t idx,
+                                     std::size_t num_stages);
+
+namespace slicing_memo {
+inline constexpr std::size_t kSocCapacity = 128;
+inline constexpr std::size_t kModelsPerSoc = 64;
+/// Drops every memoized slicing.
+void clear();
+}  // namespace slicing_memo
 
 /// Build the default horizontal plan: every model sliced by Algorithm 1 in
 /// the original order (no reordering, no stealing).  The entry point the

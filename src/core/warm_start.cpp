@@ -21,7 +21,6 @@
 #include "contention/classifier.h"
 #include "core/incremental.h"
 #include "core/mitigation.h"
-#include "core/partition.h"
 #include "core/planner.h"
 #include "core/work_stealing.h"
 #include "exec/compiled_plan.h"
@@ -153,10 +152,9 @@ std::optional<PlannerReport> Hetero2PipePlanner::plan_warm(
   IncrementalStaticScorer inc(*eval_, plan);
   if (!added.empty()) {
     const std::size_t idx = added.front();
-    const PartitionResult part = partition_model(eval_->table(idx), K);
     ModelPlan fresh;
     fresh.model_index = idx;
-    fresh.slices = part.slices;
+    fresh.slices = horizontal_slices(*eval_, idx, K);
     fresh.high_contention = high[idx];
 
     // Placement: a substitution takes the removed model's slot, keeping the

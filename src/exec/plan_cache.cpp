@@ -1,7 +1,7 @@
 #include "exec/plan_cache.h"
 
 #include <algorithm>
-#include <cstdio>
+#include <charconv>
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -147,9 +147,15 @@ namespace {
 
 /// `name#<hex structural hash>` — the per-model key component.
 std::string model_key_component(const std::string& name, std::uint64_t hash) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "#%llx", static_cast<unsigned long long>(hash));
-  return name + buf;
+  char hex[16];
+  const auto digits = static_cast<std::size_t>(
+      std::to_chars(hex, hex + sizeof(hex), hash, 16).ptr - hex);
+  std::string out;
+  out.reserve(name.size() + 1 + digits);
+  out += name;
+  out += '#';
+  out.append(hex, digits);
+  return out;
 }
 
 std::string assemble_key(const Soc& soc, std::vector<std::string> names,
@@ -157,7 +163,11 @@ std::string assemble_key(const Soc& soc, std::vector<std::string> names,
                          const PlanCache::PlanEnv& env) {
   std::sort(names.begin(), names.end());
 
-  std::string key = soc.fingerprint();
+  std::string key;
+  std::size_t length = soc.fingerprint().size() + 128;
+  for (const std::string& n : names) length += n.size() + 1;
+  key.reserve(length);
+  key += soc.fingerprint();
   key += "||";
   for (const std::string& n : names) {
     key += n;
@@ -167,15 +177,20 @@ std::string assemble_key(const Soc& soc, std::vector<std::string> names,
   // and an explicit "everything healthy" mask produce identical keys.
   const std::size_t P = soc.num_processors();
   const std::uint64_t full = P >= 64 ? ~0ull : ((1ull << P) - 1);
-  char buf[128];
-  std::snprintf(buf, sizeof(buf),
-                "||ct=%d,ws=%d,tail=%d,pct=%g,K=%zu,av=%llx,tb=%zu",
-                options.contention_mitigation ? 1 : 0,
-                options.work_stealing ? 1 : 0, options.tail_optimization ? 1 : 0,
-                options.classifier_percentile, options.num_stages,
-                static_cast<unsigned long long>(env.avail_mask & full),
-                env.thermal_bucket);
-  key += buf;
+  // "||ct=%d,ws=%d,tail=%d,pct=%.17g,K=%zu,av=%llx,tb=%zu", without the
+  // cost of a printf on every served and prefetched window.
+  char buf[32];
+  const auto append = [&](const char* label, auto value, auto... format) {
+    key += label;
+    key.append(buf, std::to_chars(buf, buf + sizeof(buf), value, format...).ptr);
+  };
+  append("||ct=", options.contention_mitigation ? 1 : 0);
+  append(",ws=", options.work_stealing ? 1 : 0);
+  append(",tail=", options.tail_optimization ? 1 : 0);
+  append(",pct=", options.classifier_percentile, std::chars_format::general, 17);
+  append(",K=", options.num_stages);
+  append(",av=", env.avail_mask & full, 16);
+  append(",tb=", env.thermal_bucket);
   return key;
 }
 

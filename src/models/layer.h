@@ -59,6 +59,12 @@ struct Layer {
 
   /// FLOPs per byte of naive traffic.
   [[nodiscard]] double arithmetic_intensity() const;
+
+  /// Weight bytes streamed cold from DRAM per inference: an embedding only
+  /// touches its gathered rows, every other layer its whole parameter set.
+  [[nodiscard]] double weight_stream_bytes() const {
+    return kind == LayerKind::kEmbedding ? output_bytes * 2.0 : param_bytes;
+  }
 };
 
 /// True if the operator runs on typical mobile NPUs (HiAI / NNAPI op set).

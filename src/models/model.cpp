@@ -8,6 +8,7 @@ namespace h2p {
 Model::Model(std::string name, std::vector<Layer> layers)
     : name_(std::move(name)), layers_(std::move(layers)) {
   build_prefix_sums();
+  content_hash_ = compute_content_hash();
 }
 
 void Model::build_prefix_sums() {
@@ -15,10 +16,15 @@ void Model::build_prefix_sums() {
   prefix_flops_.assign(n + 1, 0.0);
   prefix_params_.assign(n + 1, 0.0);
   prefix_traffic_.assign(n + 1, 0.0);
+  prefix_acts_.assign(n + 1, 0.0);
+  prefix_weight_stream_.assign(n + 1, 0.0);
   for (std::size_t i = 0; i < n; ++i) {
-    prefix_flops_[i + 1] = prefix_flops_[i] + layers_[i].flops;
-    prefix_params_[i + 1] = prefix_params_[i] + layers_[i].param_bytes;
-    prefix_traffic_[i + 1] = prefix_traffic_[i] + layers_[i].naive_traffic_bytes();
+    const Layer& l = layers_[i];
+    prefix_flops_[i + 1] = prefix_flops_[i] + l.flops;
+    prefix_params_[i + 1] = prefix_params_[i] + l.param_bytes;
+    prefix_traffic_[i + 1] = prefix_traffic_[i] + l.naive_traffic_bytes();
+    prefix_acts_[i + 1] = prefix_acts_[i] + l.input_bytes + l.output_bytes;
+    prefix_weight_stream_[i + 1] = prefix_weight_stream_[i] + l.weight_stream_bytes();
   }
 }
 
@@ -38,6 +44,16 @@ double Model::range_param_bytes(std::size_t i, std::size_t j) const {
 double Model::range_traffic_bytes(std::size_t i, std::size_t j) const {
   if (j < i || j >= layers_.size()) return 0.0;
   return prefix_traffic_[j + 1] - prefix_traffic_[i];
+}
+
+double Model::range_activation_bytes(std::size_t i, std::size_t j) const {
+  if (j < i || j >= layers_.size()) return 0.0;
+  return prefix_acts_[j + 1] - prefix_acts_[i];
+}
+
+double Model::range_weight_stream_bytes(std::size_t i, std::size_t j) const {
+  if (j < i || j >= layers_.size()) return 0.0;
+  return prefix_weight_stream_[j + 1] - prefix_weight_stream_[i];
 }
 
 double Model::boundary_bytes(std::size_t i) const {
@@ -86,7 +102,7 @@ bool Model::fully_npu_supported() const {
   return first_npu_unsupported(0, layers_.size() - 1) == layers_.size();
 }
 
-std::uint64_t Model::content_hash() const {
+std::uint64_t Model::compute_content_hash() const {
   // One record per node, in order: the layer fields, then the input edge
   // list (a chain: node i consumes node i-1).  GraphModel::topology_hash
   // emits the identical record stream for a linear graph.

@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <span>
 #include <string>
 #include <vector>
@@ -15,7 +16,7 @@ namespace h2p {
 /// lets Algorithm 1 run in O(nK).
 class Model {
  public:
-  Model() = default;
+  Model() : Model({}, {}) {}
   Model(std::string name, std::vector<Layer> layers);
 
   [[nodiscard]] const std::string& name() const { return name_; }
@@ -31,6 +32,10 @@ class Model {
   [[nodiscard]] double range_flops(std::size_t i, std::size_t j) const;
   [[nodiscard]] double range_param_bytes(std::size_t i, std::size_t j) const;
   [[nodiscard]] double range_traffic_bytes(std::size_t i, std::size_t j) const;
+  /// Raw activation bytes (input + output) of [i, j].
+  [[nodiscard]] double range_activation_bytes(std::size_t i, std::size_t j) const;
+  /// Sum of `Layer::weight_stream_bytes` over [i, j].
+  [[nodiscard]] double range_weight_stream_bytes(std::size_t i, std::size_t j) const;
 
   /// Bytes crossing the boundary *into* layer i (the tensor a downstream
   /// pipeline stage must receive); layer 0 returns the network input size.
@@ -57,11 +62,13 @@ class Model {
   /// chain edge i-1 -> i.  Equal to `GraphModel::topology_hash()` of the
   /// same layers authored as a linear graph, so chain and graph entry
   /// points resolve to the same plan-cache entries.  The name is NOT part
-  /// of the hash (cache keys carry it separately).
-  [[nodiscard]] std::uint64_t content_hash() const;
+  /// of the hash (cache keys carry it separately).  Computed once at
+  /// construction: a Model is immutable afterwards.
+  [[nodiscard]] std::uint64_t content_hash() const { return content_hash_; }
 
  private:
   void build_prefix_sums();
+  [[nodiscard]] std::uint64_t compute_content_hash() const;
 
   std::string name_;
   std::vector<Layer> layers_;
@@ -69,6 +76,9 @@ class Model {
   std::vector<double> prefix_flops_;
   std::vector<double> prefix_params_;
   std::vector<double> prefix_traffic_;
+  std::vector<double> prefix_acts_;
+  std::vector<double> prefix_weight_stream_;
+  std::uint64_t content_hash_ = 0;
 };
 
 /// Appendix-D batching: a batched request behaves like the same network

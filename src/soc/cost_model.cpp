@@ -3,6 +3,12 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <mutex>
+
+#include "obs/metrics.h"
+#include "util/lru_map.h"
 
 namespace h2p {
 
@@ -22,13 +28,9 @@ double CostModel::layer_miss_fraction(const Layer& layer, const Processor& proc)
 }
 
 double CostModel::layer_dram_bytes(const Layer& layer, const Processor& proc) const {
-  // Weights stream cold from DRAM once per inference; embeddings only touch
-  // the gathered rows, not the whole table.
-  const double weight_bytes = (layer.kind == LayerKind::kEmbedding)
-                                  ? layer.output_bytes * 2.0
-                                  : layer.param_bytes;
+  // Weights stream cold from DRAM once per inference.
   const double miss = layer_miss_fraction(layer, proc);
-  return weight_bytes + (layer.input_bytes + layer.output_bytes) * miss;
+  return layer.weight_stream_bytes() + (layer.input_bytes + layer.output_bytes) * miss;
 }
 
 double CostModel::layer_compute_ms(const Layer& layer, const Processor& proc) const {
@@ -74,6 +76,100 @@ double CostModel::model_batch_ms(const Model& model, const Processor& proc,
   return total;
 }
 
+// ---- profile store ------------------------------------------------------------
+
+namespace profile_store {
+namespace {
+
+/// Everything a ProcProfile is a function of: the model (by content hash and
+/// layer count) and the processor fields the roofline reads, as raw bits so
+/// a 1-ulp change is a different key.
+struct Key {
+  std::uint64_t model_hash = 0;
+  std::uint64_t num_layers = 0;
+  std::uint64_t kind = 0;
+  std::uint64_t peak_gflops = 0;
+  std::uint64_t mem_bw_gbps = 0;
+  std::uint64_t l2_bytes = 0;
+  std::uint64_t launch_overhead_ms = 0;
+
+  bool operator==(const Key&) const = default;
+};
+
+std::uint64_t bits(double v) {
+  std::uint64_t b;
+  std::memcpy(&b, &v, sizeof(b));
+  return b;
+}
+
+struct KeyHash {
+  std::size_t operator()(const Key& k) const {
+    std::uint64_t h = hash_mix(kHashSeed, k.model_hash);
+    for (const std::uint64_t v : {k.num_layers, k.kind, k.peak_gflops, k.mem_bw_gbps,
+                                  k.l2_bytes, k.launch_overhead_ms}) {
+      h = hash_mix(h, v);
+    }
+    return static_cast<std::size_t>(h);
+  }
+};
+
+std::shared_ptr<const ProcProfile> build(const Model& model, const Processor& proc,
+                                         const CostModel& cost) {
+  const std::size_t n = model.num_layers();
+  auto pp = std::make_shared<ProcProfile>();
+  pp->prefix_time.assign(n + 1, 0.0);
+  pp->prefix_mem.assign(n + 1, 0.0);
+  pp->prefix_bytes.assign(n + 1, 0.0);
+  for (std::size_t i = 0; i < n; ++i) {
+    const Layer& layer = model.layer(i);
+    pp->prefix_time[i + 1] = pp->prefix_time[i] + cost.layer_time_ms(layer, proc);
+    pp->prefix_mem[i + 1] = pp->prefix_mem[i] + cost.layer_memory_ms(layer, proc);
+    pp->prefix_bytes[i + 1] = pp->prefix_bytes[i] + cost.layer_dram_bytes(layer, proc);
+  }
+  return pp;
+}
+
+std::mutex g_mutex;
+LruMap<Key, std::shared_ptr<const ProcProfile>, KeyHash> g_blocks(kCapacity);
+
+}  // namespace
+
+std::shared_ptr<const ProcProfile> fetch(const Model& model, const Processor& proc,
+                                         const CostModel& cost, bool& missed) {
+  static obs::Counter& hits = obs::Registry::global().counter("profile_store.hits");
+  static obs::Counter& misses =
+      obs::Registry::global().counter("profile_store.misses");
+  static obs::Counter& evictions =
+      obs::Registry::global().counter("profile_store.evictions");
+  const Key key{model.content_hash(),       model.num_layers(),
+                static_cast<std::uint64_t>(proc.kind), bits(proc.peak_gflops),
+                bits(proc.mem_bw_gbps),     bits(proc.l2_bytes),
+                bits(proc.launch_overhead_ms)};
+  const std::lock_guard<std::mutex> lock(g_mutex);
+  if (const auto* found = g_blocks.find(key)) {
+    missed = false;
+    hits.inc();
+    return *found;
+  }
+  missed = true;
+  misses.inc();
+  std::shared_ptr<const ProcProfile> block = build(model, proc, cost);
+  if (g_blocks.insert(key, block)) evictions.inc();
+  return block;
+}
+
+std::size_t size() {
+  const std::lock_guard<std::mutex> lock(g_mutex);
+  return g_blocks.size();
+}
+
+void clear() {
+  const std::lock_guard<std::mutex> lock(g_mutex);
+  g_blocks.clear();
+}
+
+}  // namespace profile_store
+
 // ---- CostTable --------------------------------------------------------------
 
 CostTable::CostTable(const Model& model, const CostModel& cost)
@@ -82,27 +178,11 @@ CostTable::CostTable(const Model& model, const CostModel& cost)
   const std::size_t n = model.num_layers();
   const std::size_t p = soc.num_processors();
 
-  per_proc_.resize(p);
+  per_proc_.reserve(p);
   for (std::size_t k = 0; k < p; ++k) {
-    const Processor& proc = soc.processor(k);
-    auto& pp = per_proc_[k];
-    pp.prefix_time.assign(n + 1, 0.0);
-    pp.prefix_mem.assign(n + 1, 0.0);
-    pp.prefix_bytes.assign(n + 1, 0.0);
-    pp.prefix_acts.assign(n + 1, 0.0);
-    pp.prefix_weights.assign(n + 1, 0.0);
-    for (std::size_t i = 0; i < n; ++i) {
-      const Layer& layer = model.layer(i);
-      pp.prefix_time[i + 1] = pp.prefix_time[i] + cost.layer_time_ms(layer, proc);
-      pp.prefix_mem[i + 1] = pp.prefix_mem[i] + cost.layer_memory_ms(layer, proc);
-      pp.prefix_bytes[i + 1] = pp.prefix_bytes[i] + cost.layer_dram_bytes(layer, proc);
-      pp.prefix_acts[i + 1] =
-          pp.prefix_acts[i] + layer.input_bytes + layer.output_bytes;
-      pp.prefix_weights[i + 1] =
-          pp.prefix_weights[i] + (layer.kind == LayerKind::kEmbedding
-                                      ? layer.output_bytes * 2.0
-                                      : layer.param_bytes);
-    }
+    bool missed = false;
+    per_proc_.push_back(profile_store::fetch(model, soc.processor(k), cost, missed));
+    if (missed) ++profile_misses_;
   }
 
   npu_idx_ = soc.find(ProcKind::kNpu);
@@ -135,7 +215,7 @@ SliceCost CostTable::slice_cost(std::size_t k, std::size_t i, std::size_t j) con
   const std::size_t u = is_npu ? next_unsupported_[i] : num_layers();
 
   if (!is_npu || u > j) {
-    const auto& pp = per_proc_[k];
+    const ProcProfile& pp = *per_proc_[k];
     c.total_ms = range(pp.prefix_time, i, j);
     c.memory_ms = range(pp.prefix_mem, i, j);
     c.compute_ms = c.total_ms - c.memory_ms;  // approx (includes overhead)
@@ -147,8 +227,8 @@ SliceCost CostTable::slice_cost(std::size_t k, std::size_t i, std::size_t j) con
   // boundary tensor is copied out, and [u, j] is forwarded to CPU_Big/GPU.
   c.used_npu_fallback = true;
   c.fallback_from_layer = u;
-  const auto& npu = per_proc_[k];
-  const auto& fb = per_proc_[static_cast<std::size_t>(fallback_idx_)];
+  const ProcProfile& npu = *per_proc_[k];
+  const ProcProfile& fb = *per_proc_[static_cast<std::size_t>(fallback_idx_)];
   const double npu_ms = (u > i) ? range(npu.prefix_time, i, u - 1) : 0.0;
   const double fb_ms = range(fb.prefix_time, u, j);
   const double copy = cost_->copy_ms(model_->boundary_bytes(u),
@@ -181,11 +261,10 @@ double CostTable::avg_miss_fraction(std::size_t k, std::size_t i,
   // DRAM activation bytes / raw activation bytes = traffic-weighted miss.
   // For NPU fallback slices this conservatively uses the NPU+fallback mix
   // already folded into slice_cost's dram bytes.
-  const auto& pp = per_proc_[k];
-  const double acts = range(pp.prefix_acts, i, j);
+  const double acts = model_->range_activation_bytes(i, j);
   if (acts <= 0.0) return 0.0;
   const SliceCost c = slice_cost(k, i, j);
-  const double weights = range(pp.prefix_weights, i, j);
+  const double weights = model_->range_weight_stream_bytes(i, j);
   return std::clamp((c.dram_bytes - weights) / acts, 0.0, 1.0);
 }
 
@@ -210,10 +289,9 @@ CostTable::SliceSimCosts CostTable::slice_sim_costs(std::size_t k, std::size_t i
   // avg_miss_fraction(k, i, j), evaluated once against the same SliceCost
   // (slice_cost is deterministic, so reusing `c` is exact).
   double miss = 0.0;
-  const auto& pp = per_proc_[k];
-  const double acts = range(pp.prefix_acts, i, j);
+  const double acts = model_->range_activation_bytes(i, j);
   if (acts > 0.0) {
-    const double weights = range(pp.prefix_weights, i, j);
+    const double weights = model_->range_weight_stream_bytes(i, j);
     miss = std::clamp((c.dram_bytes - weights) / acts, 0.0, 1.0);
   }
   if (c.total_ms > 0.0) {

@@ -2,6 +2,7 @@
 
 #include <cstddef>
 #include <limits>
+#include <memory>
 #include <vector>
 
 #include "models/model.h"
@@ -67,6 +68,46 @@ class CostModel {
   const Soc* soc_;
 };
 
+/// One processor's prefix sums over one model's layers: the per-layer
+/// profile a CostTable answers range queries from (the processor-independent
+/// activation and weight sums live in the Model).  It depends only on the
+/// model and on the processor fields the roofline reads (kind, peak_gflops,
+/// mem_bw_gbps, l2_bytes, launch_overhead_ms) — never on the rest of the
+/// Soc — which is what lets the profile store share it across SoC views.
+struct ProcProfile {
+  std::vector<double> prefix_time;   // [n+1]
+  std::vector<double> prefix_mem;    // memory-roofline ms
+  std::vector<double> prefix_bytes;  // DRAM bytes
+};
+
+/// Process-wide, mutex-guarded memo of ProcProfile blocks: the stand-in for
+/// the paper's offline per-layer profiling, done once per (model, processor)
+/// and shared by every CostTable built afterwards, in every planner and on
+/// every thread.
+///
+/// Keyed by the model's content hash and layer count plus the exact bits of
+/// the five processor fields a block reads, so masked, bus-degraded and
+/// thermally derated views of one chip share every block whose processor
+/// they did not change.  Bounded at kCapacity blocks with LRU eviction;
+/// tables hold their blocks by shared_ptr, so eviction never invalidates a
+/// live table.  Every block is computed by the same arithmetic whether the
+/// store is cold or warm, so a table is bit-identical either way.
+namespace profile_store {
+
+inline constexpr std::size_t kCapacity = 1024;
+
+/// The block for (model, proc), computed with `cost` on a miss.  Sets
+/// `missed` to whether it had to be computed.
+std::shared_ptr<const ProcProfile> fetch(const Model& model, const Processor& proc,
+                                         const CostModel& cost, bool& missed);
+
+[[nodiscard]] std::size_t size();
+
+/// Drops every block the store holds; tables already built keep theirs.
+void clear();
+
+}  // namespace profile_store
+
 /// Precomputed O(1) range-cost oracle for one model on every processor of a
 /// Soc — the `T_k^e(i, j)` of Algorithm 1, built with prefix sums exactly as
 /// the paper's complexity analysis requires.
@@ -81,6 +122,11 @@ class CostTable {
   [[nodiscard]] const Model& model() const { return *model_; }
   [[nodiscard]] std::size_t num_procs() const { return per_proc_.size(); }
   [[nodiscard]] std::size_t num_layers() const { return model_->num_layers(); }
+
+  /// Processor k's prefix block, shared through the profile store.
+  [[nodiscard]] const ProcProfile& profile(std::size_t k) const { return *per_proc_[k]; }
+  /// How many of this table's blocks the profile store had to compute.
+  [[nodiscard]] std::size_t profile_misses() const { return profile_misses_; }
 
   /// Solo execution time of layers [i, j] on processor k (Eq. 2 terms 1+2
   /// minus the inbound boundary copy, which depends on the previous stage).
@@ -137,20 +183,13 @@ class CostTable {
   [[nodiscard]] double boundary_copy_ms(std::size_t k, std::size_t i) const;
 
  private:
-  struct PerProc {
-    std::vector<double> prefix_time;     // [n+1]
-    std::vector<double> prefix_mem;      // memory-roofline ms
-    std::vector<double> prefix_bytes;    // DRAM bytes
-    std::vector<double> prefix_acts;     // raw activation bytes (in + out)
-    std::vector<double> prefix_weights;  // weight stream bytes
-  };
-
   [[nodiscard]] double range(const std::vector<double>& prefix, std::size_t i,
                              std::size_t j) const;
 
   const Model* model_;
   const CostModel* cost_;
-  std::vector<PerProc> per_proc_;
+  std::vector<std::shared_ptr<const ProcProfile>> per_proc_;
+  std::size_t profile_misses_ = 0;
   std::vector<std::size_t> next_unsupported_;  // [n+1], next NPU-unsupported >= i
   int npu_idx_ = -1;
   int fallback_idx_ = -1;  // fastest of CPU_Big / GPU

@@ -5,6 +5,31 @@
 
 namespace h2p {
 
+namespace {
+
+std::string make_fingerprint(const std::string& name,
+                             const std::vector<Processor>& processors,
+                             double bus_bw_gbps, double mem_capacity_bytes,
+                             double available_bytes) {
+  std::string fp = name;
+  char buf[256];
+  std::snprintf(buf, sizeof(buf), "|bus=%.17g|cap=%.17g|avail=%.17g", bus_bw_gbps,
+                mem_capacity_bytes, available_bytes);
+  fp += buf;
+  for (const Processor& p : processors) {
+    fp += '|';
+    fp += p.name;
+    std::snprintf(buf, sizeof(buf), ":%d:%.17g:%.17g:%.17g:%.17g:%d:%.17g:%.17g",
+                  static_cast<int>(p.kind), p.peak_gflops, p.mem_bw_gbps,
+                  p.l2_bytes, p.launch_overhead_ms, p.batch_capacity,
+                  p.copy_in_latency_ms, p.tdp_watts);
+    fp += buf;
+  }
+  return fp;
+}
+
+}  // namespace
+
 Soc::Soc(std::string name, std::vector<Processor> processors, double bus_bw_gbps,
          double mem_capacity_bytes, double available_bytes,
          std::vector<MemFreqState> mem_states)
@@ -13,29 +38,15 @@ Soc::Soc(std::string name, std::vector<Processor> processors, double bus_bw_gbps
       bus_bw_gbps_(bus_bw_gbps),
       mem_capacity_bytes_(mem_capacity_bytes),
       available_bytes_(available_bytes),
-      mem_states_(std::move(mem_states)) {}
+      mem_states_(std::move(mem_states)),
+      fingerprint_(make_fingerprint(name_, processors_, bus_bw_gbps_,
+                                    mem_capacity_bytes_, available_bytes_)) {}
 
 int Soc::find(ProcKind kind) const {
   for (std::size_t k = 0; k < processors_.size(); ++k) {
     if (processors_[k].kind == kind) return static_cast<int>(k);
   }
   return -1;
-}
-
-std::string Soc::fingerprint() const {
-  std::string fp = name_;
-  char buf[160];
-  std::snprintf(buf, sizeof(buf), "|bus=%g|cap=%g|avail=%g", bus_bw_gbps_,
-                mem_capacity_bytes_, available_bytes_);
-  fp += buf;
-  for (const Processor& p : processors_) {
-    std::snprintf(buf, sizeof(buf), "|%s:%d:%g:%g:%g:%g:%d:%g:%g", p.name.c_str(),
-                  static_cast<int>(p.kind), p.peak_gflops, p.mem_bw_gbps,
-                  p.l2_bytes, p.launch_overhead_ms, p.batch_capacity,
-                  p.copy_in_latency_ms, p.tdp_watts);
-    fp += buf;
-  }
-  return fp;
 }
 
 double Soc::coupling(std::size_t p, std::size_t q) const {

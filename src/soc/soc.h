@@ -42,10 +42,12 @@ class Soc {
   [[nodiscard]] const std::vector<MemFreqState>& mem_states() const { return mem_states_; }
 
   /// Stable identity string over everything that affects planning: name,
-  /// per-processor roofline parameters, bus bandwidth and memory sizes.
-  /// Two Socs with equal fingerprints produce identical cost tables, so a
-  /// cached CompiledPlan keyed on it is safe to reuse.
-  [[nodiscard]] std::string fingerprint() const;
+  /// per-processor roofline parameters, bus bandwidth and memory sizes,
+  /// every double printed exactly (`%.17g` round-trips).  Two Socs with
+  /// equal fingerprints produce identical cost tables, so a cached
+  /// CompiledPlan keyed on it is safe to reuse.  Built once at
+  /// construction: a Soc is immutable afterwards.
+  [[nodiscard]] const std::string& fingerprint() const { return fingerprint_; }
 
   /// Contention coupling gamma(p, q): how many percent of slowdown a unit of
   /// aggressor contention-intensity on q inflicts on a fully memory-bound
@@ -68,6 +70,7 @@ class Soc {
   double mem_capacity_bytes_;
   double available_bytes_;
   std::vector<MemFreqState> mem_states_;
+  std::string fingerprint_;
 };
 
 }  // namespace h2p

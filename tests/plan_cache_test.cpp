@@ -3,6 +3,8 @@
 // repeated request windows.
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "core/planner.h"
 #include "exec/plan_cache.h"
 #include "test_helpers.h"
@@ -92,6 +94,37 @@ TEST(PlanCacheKey, DefaultEnvEqualsExplicitlyHealthy) {
   exec::PlanCache::PlanEnv defaulted;  // mask ~0ull
   EXPECT_EQ(exec::PlanCache::make_key(soc, models, {}),
             exec::PlanCache::make_key(soc, models, {}, defaulted));
+}
+
+TEST(PlanCacheKey, OneUlpChangeIsADifferentSocAndKey) {
+  // The fingerprint prints every double exactly: two SoCs that differ past
+  // the 6th significant digit must not share a cache entry (or a memoized
+  // slicing), and the longer keys must still parse for near-miss lookup.
+  const Soc soc = Soc::kirin990();
+  std::vector<Processor> procs = soc.processors();
+  procs[1].peak_gflops = std::nextafter(procs[1].peak_gflops, 1e9);
+  const Soc nudged(soc.name(), procs, soc.bus_bw_gbps(), soc.mem_capacity_bytes(),
+                   soc.available_bytes(), soc.mem_states());
+  EXPECT_NE(soc.fingerprint(), nudged.fingerprint());
+
+  const auto pair = window_of({ModelId::kResNet50, ModelId::kBERT});
+  const auto triple =
+      window_of({ModelId::kResNet50, ModelId::kBERT, ModelId::kSqueezeNet});
+  const std::string key = exec::PlanCache::make_key(soc, pair, {});
+  const std::string nudged_key = exec::PlanCache::make_key(nudged, pair, {});
+  EXPECT_NE(key, nudged_key);
+  EXPECT_TRUE(exec::PlanCache::near_miss(key, exec::PlanCache::make_key(soc, triple, {})));
+  EXPECT_TRUE(exec::PlanCache::near_miss(
+      nudged_key, exec::PlanCache::make_key(nudged, triple, {})));
+  EXPECT_FALSE(exec::PlanCache::near_miss(
+      key, exec::PlanCache::make_key(nudged, triple, {})));
+
+  // The classifier percentile is printed exactly too (as %.17g would).
+  EXPECT_EQ(key.substr(key.rfind("||")),
+            "||ct=1,ws=1,tail=1,pct=0.69999999999999996,K=0,av=f,tb=0");
+  PlannerOptions pct;
+  pct.classifier_percentile = std::nextafter(pct.classifier_percentile, 1.0);
+  EXPECT_NE(key, exec::PlanCache::make_key(soc, pair, pct));
 }
 
 TEST(PlanCache, MissThenHit) {

@@ -86,24 +86,45 @@ TEST_P(PlannerDeterminism, HorizontalPlanBitIdentical) {
 TEST_P(PlannerDeterminism, InstrumentationDoesNotPerturbPlans) {
   // Metrics + tracing are strictly observational: a cold plan with the
   // global registry and tracer enabled is bit-identical to one without.
-  Fixture fx(mixed_eight(), soc_by_name(GetParam()));
-  const PlannerReport off = Hetero2PipePlanner(*fx.eval).plan();
+  // Both start from empty profile and slicing memos, so the instrumented
+  // run also records the stores' misses.
+  const Soc soc = soc_by_name(GetParam());
+  std::vector<const Model*> models;
+  for (ModelId id : mixed_eight()) models.push_back(&zoo_model(id));
+  profile_store::clear();
+  slicing_memo::clear();
+  const StaticEvaluator eval_off(soc, models);
+  const PlannerReport off = Hetero2PipePlanner(eval_off).plan();
 
+  profile_store::clear();
+  slicing_memo::clear();
   obs::Registry::global().reset();
   obs::Registry::global().set_enabled(true);
   obs::Tracer::global().clear();
   obs::Tracer::global().set_enabled(true);
-  const PlannerReport on = Hetero2PipePlanner(*fx.eval).plan();
+  const StaticEvaluator eval_on(soc, models);
+  const PlannerReport on = Hetero2PipePlanner(eval_on).plan();
   obs::Tracer::global().set_enabled(false);
   obs::Registry::global().set_enabled(false);
 
   expect_identical(off, on);
   EXPECT_GE(obs::Registry::global().counter("planner.cold_plans").value(), 1u);
+  // Seven distinct models (SqueezeNet twice) on every processor.
+  const std::uint64_t blocks = 7 * soc.num_processors();
+  EXPECT_EQ(obs::Registry::global().counter("profile_store.misses").value(), blocks);
+  EXPECT_EQ(obs::Registry::global().counter("profile_store.hits").value(),
+            soc.num_processors());
   bool saw_cold_span = false;
+  double span_misses = -1.0;
   for (const obs::TraceEvent& e : obs::Tracer::global().events()) {
     if (e.name == "planner.plan_cold") saw_cold_span = true;
+    if (e.name != "planner.cost_tables") continue;
+    for (const obs::TraceArg& a : e.args) {
+      if (a.key == "misses") span_misses = a.number;
+    }
   }
   EXPECT_TRUE(saw_cold_span);
+  EXPECT_EQ(span_misses, static_cast<double>(blocks));
   obs::Tracer::global().clear();
 }
 
