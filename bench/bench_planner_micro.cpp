@@ -248,6 +248,47 @@ void BM_DesScoring(benchmark::State& state, bool soa) {
 BENCHMARK_CAPTURE(BM_DesScoring, legacy, false);
 BENCHMARK_CAPTURE(BM_DesScoring, soa, true);
 
+/// The scoring calls of one tail sweep, replayed with the planner's exact
+/// scorer (DES makespan, x1.5 when the memory check fails).  The candidate
+/// sequence is recorded once from the mitigated-order branch of an 8-model
+/// Kirin990 window; one iteration scores the whole sequence in order, so
+/// consecutive calls differ in one model's slices as they do in the sweep
+/// and the lowering memo sees the planner's reuse pattern.  items_per_second
+/// counts score calls.
+void BM_DesScoringTailSweep(benchmark::State& state) {
+  const Soc soc = Soc::kirin990();
+  const std::vector<const Model*> models = window_models(8);
+  const StaticEvaluator eval(soc, models);
+  const std::size_t K = soc.num_processors();
+  const PipelinePlan plan = horizontal_plan(eval, K);
+  std::vector<double> intensities;
+  for (std::size_t i = 0; i < eval.num_models(); ++i) {
+    intensities.push_back(eval.model_intensity(i));
+  }
+  const MitigationResult mitigation = mitigate_contention(intensities, K, 0.7);
+  PipelinePlan ordered;
+  ordered.num_stages = K;
+  for (const std::size_t idx : mitigation.order) ordered.models.push_back(plan.models[idx]);
+  std::vector<PipelinePlan> sequence;
+  const PlanScorer des_scorer = [&eval](const PipelinePlan& p) {
+    double score = simulate_plan_makespan(p, eval);
+    if (!eval.satisfies_memory(p)) score *= 1.5;
+    return score;
+  };
+  const PlanScorer record = [&](const PipelinePlan& p) {
+    sequence.push_back(p);
+    return des_scorer(p);
+  };
+  vertical_align(ordered, eval, {}, record);
+  for (auto _ : state) {
+    for (const PipelinePlan& p : sequence) benchmark::DoNotOptimize(des_scorer(p));
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<benchmark::IterationCount>(sequence.size()));
+  state.counters["calls"] = static_cast<double>(sequence.size());
+}
+BENCHMARK(BM_DesScoringTailSweep)->Name("BM_DesScoring/tail_sweep");
+
 // ---- SIMD kernel micro-benches ----------------------------------------------
 
 // The three util/simd.h kernels the planning core leans on, measured bare on

@@ -1,6 +1,7 @@
 #include "core/bubbles.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cassert>
 #include <cstdint>
 #include <mutex>
@@ -14,8 +15,19 @@
 
 namespace h2p {
 
+namespace {
+
+// Source of StaticEvaluator generation ids; 0 is never handed out.
+std::atomic<std::uint64_t> g_next_generation{1};
+
+}  // namespace
+
 StaticEvaluator::StaticEvaluator(const Soc& soc, std::vector<const Model*> models)
-    : soc_(&soc), models_(std::move(models)), cost_(soc), contention_(soc) {
+    : soc_(&soc),
+      models_(std::move(models)),
+      cost_(soc),
+      contention_(soc),
+      generation_(g_next_generation.fetch_add(1, std::memory_order_relaxed)) {
   static obs::Histogram& build_ms =
       obs::Registry::global().histogram("planner.cost_tables_ms");
   const obs::ScopedLatency latency(build_ms);
@@ -86,7 +98,7 @@ std::vector<std::vector<double>> StaticEvaluator::stage_times(
   assert(K <= soc_->num_processors());
   std::vector<std::pair<std::size_t, std::size_t>> members;  // (slot, stage)
   std::vector<double> col_intensity(padded_procs_, 0.0);
-  for (std::size_t j = 0; j + 1 <= m + K - 1; ++j) {
+  for (std::size_t j = 0; j < wavefront_columns(m, K); ++j) {
     members.clear();
     std::fill(col_intensity.begin(), col_intensity.end(), 0.0);
     for (std::size_t k = 0; k < K; ++k) {
@@ -116,7 +128,7 @@ double StaticEvaluator::makespan_ms(const PipelinePlan& plan,
   const std::size_t K = plan.num_stages;
   if (m == 0) return 0.0;
   double total = 0.0;
-  for (std::size_t j = 0; j + 1 <= m + K - 1; ++j) {
+  for (std::size_t j = 0; j < wavefront_columns(m, K); ++j) {
     double colmax = 0.0;
     for (std::size_t k = 0; k < K; ++k) {
       if (j < k) continue;
@@ -136,7 +148,7 @@ double StaticEvaluator::total_bubble_ms(const PipelinePlan& plan,
   const std::size_t K = plan.num_stages;
   if (m == 0) return 0.0;
   double bubbles = 0.0;
-  for (std::size_t j = 0; j + 1 <= m + K - 1; ++j) {
+  for (std::size_t j = 0; j < wavefront_columns(m, K); ++j) {
     double colmax = 0.0;
     std::vector<double> col;
     // A column occupies every stage k in [0, K): stages with no slice (ramp
@@ -173,13 +185,19 @@ bool StaticEvaluator::satisfies_memory(const PipelinePlan& plan) const {
   const std::size_t m = plan.models.size();
   const std::size_t K = plan.num_stages;
   // Constraint (6): every wavefront column's concurrent residents must fit.
-  for (std::size_t j = 0; j + 1 <= m + K - 1; ++j) {
+  // A slot's resident bytes do not depend on the column, so compute each
+  // once; the column sums still add them in k-ascending order, so every
+  // sum is the one a per-column recomputation would produce.
+  thread_local std::vector<double> slot_bytes;
+  slot_bytes.resize(m);
+  for (std::size_t i = 0; i < m; ++i) slot_bytes[i] = resident_bytes(plan.models[i]);
+  for (std::size_t j = 0; j < wavefront_columns(m, K); ++j) {
     double resident = 0.0;
     for (std::size_t k = 0; k < K; ++k) {
       if (j < k) continue;
       const std::size_t i = j - k;
       if (i >= m) continue;
-      resident += resident_bytes(plan.models[i]);
+      resident += slot_bytes[i];
     }
     if (resident > soc_->available_bytes()) return false;
   }

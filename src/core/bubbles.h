@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <memory>
 #include <vector>
 
@@ -11,6 +12,12 @@
 #include "soc/soc.h"
 
 namespace h2p {
+
+/// Wavefront column count of an m-model, K-stage plan: m + K - 1, or 0 for
+/// an empty plan (where m + K - 1 would wrap when K is 0 too).
+[[nodiscard]] constexpr std::size_t wavefront_columns(std::size_t m, std::size_t K) {
+  return m == 0 ? 0 : m + K - 1;
+}
 
 /// Static (planning-time) evaluation of a pipeline plan.
 ///
@@ -32,6 +39,11 @@ class StaticEvaluator {
   [[nodiscard]] const CostTable& table(std::size_t idx) const { return tables_[idx]; }
   [[nodiscard]] const CostModel& cost_model() const { return cost_; }
   [[nodiscard]] const ContentionModel& contention() const { return contention_; }
+
+  /// Process-unique id stamped at construction (never 0).  Caches of values
+  /// derived from this evaluator key on it rather than on its address:
+  /// evaluators built one after another can share a stack address.
+  [[nodiscard]] std::uint64_t generation() const { return generation_; }
 
   /// Dense coupling row for victim processor `p`, zero-padded to
   /// `padded_procs()` doubles (diagonal 0): the left operand of the
@@ -84,6 +96,7 @@ class StaticEvaluator {
   std::vector<double> model_intensity_;
   std::vector<double> coupling_rows_;  // P x padded_procs_, diagonal 0
   std::size_t padded_procs_ = 0;
+  std::uint64_t generation_ = 0;
 };
 
 /// Algorithm 1 on model `idx` of `eval` over `num_stages` stages: the

@@ -1,6 +1,9 @@
 #include "core/planner.h"
 
 #include <algorithm>
+#include <cmath>
+#include <cstdint>
+#include <limits>
 #include <numeric>
 #include <vector>
 
@@ -78,35 +81,53 @@ PlannerReport Hetero2PipePlanner::plan() const {
     return score;
   };
 
+  // Each branch carries out its tail sweep's final score, which is the
+  // score des_scorer would give the branch plan; a branch re-scores only
+  // when no sweep ran, and only if the comparison needs it.
+  struct Branch {
+    PipelinePlan plan;
+    double score = std::numeric_limits<double>::quiet_NaN();  // NaN: no sweep
+  };
+  std::uint64_t branch_calls = 0;
+  const auto branch_score = [&](Branch& b) {
+    if (std::isnan(b.score)) {
+      b.score = des_scorer(b.plan);
+      ++branch_calls;
+    }
+    return b.score;
+  };
   auto finalize = [&](const std::vector<std::size_t>& order, int* moves) {
-    PipelinePlan candidate;
-    candidate.num_stages = K;
-    candidate.models.reserve(pipeline.models.size());
+    Branch b;
+    b.plan.num_stages = K;
+    b.plan.models.reserve(pipeline.models.size());
     for (std::size_t slot = 0; slot < order.size(); ++slot) {
-      candidate.models.push_back(pipeline.models[order[slot]]);
+      b.plan.models.push_back(pipeline.models[order[slot]]);
     }
     if (opts_.work_stealing) {
       WorkStealingOptions ws;
       ws.tail_optimization = opts_.tail_optimization;
-      *moves = vertical_align(candidate, *eval_, ws, des_scorer);
+      *moves = vertical_align(b.plan, *eval_, ws, des_scorer, &b.score);
     } else if (opts_.tail_optimization) {
-      optimize_tail(candidate, *eval_, des_scorer);
+      optimize_tail(b.plan, *eval_, des_scorer, &b.score);
     }
-    return candidate;
+    return b;
   };
 
-  PipelinePlan best = finalize(mitigation.order, &report.layers_stolen);
+  Branch best = finalize(mitigation.order, &report.layers_stolen);
   if (opts_.contention_mitigation && mitigation.relocations > 0) {
     std::vector<std::size_t> identity(pipeline.models.size());
     std::iota(identity.begin(), identity.end(), std::size_t{0});
     int identity_moves = 0;
-    PipelinePlan original = finalize(identity, &identity_moves);
-    if (des_scorer(original) + 1e-9 < des_scorer(best)) {
+    Branch original = finalize(identity, &identity_moves);
+    if (branch_score(original) + 1e-9 < branch_score(best)) {
       best = std::move(original);
       report.layers_stolen = identity_moves;
     }
   }
-  pipeline = std::move(best);
+  static obs::Counter& c_branch_calls =
+      obs::Registry::global().counter("planner.score_calls.branch");
+  c_branch_calls.inc(branch_calls);
+  pipeline = std::move(best.plan);
 
   report.static_makespan_ms = eval_->makespan_ms(pipeline, /*with_contention=*/true);
   report.static_bubble_ms = eval_->total_bubble_ms(pipeline, /*with_contention=*/true);

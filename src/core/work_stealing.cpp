@@ -3,10 +3,12 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <cstdint>
 #include <utility>
 #include <vector>
 
 #include "core/incremental.h"
+#include "obs/metrics.h"
 #include "obs/trace.h"
 
 namespace h2p {
@@ -96,7 +98,7 @@ int align_to_profile(ModelPlan& mp, const StaticEvaluator& eval,
 
 int vertical_align(PipelinePlan& plan, const StaticEvaluator& eval,
                    const WorkStealingOptions& opts, const PlanScorer& scorer,
-                   std::nullptr_t) {
+                   double* score_out) {
   const std::size_t K = plan.num_stages;
   const std::size_t m = plan.models.size();
   if (K < 2 || m < 2) return 0;
@@ -135,12 +137,12 @@ int vertical_align(PipelinePlan& plan, const StaticEvaluator& eval,
     }
   }
 
-  if (opts.tail_optimization) optimize_tail(plan, eval, scorer);
+  if (opts.tail_optimization) optimize_tail(plan, eval, scorer, score_out);
   return total_moves;
 }
 
 bool optimize_tail(PipelinePlan& plan, const StaticEvaluator& eval,
-                   const PlanScorer& scorer) {
+                   const PlanScorer& scorer, double* score_out) {
   const std::size_t K = plan.num_stages;
   const std::size_t m = plan.models.size();
   if (K < 2 || m == 0) return false;
@@ -153,6 +155,9 @@ bool optimize_tail(PipelinePlan& plan, const StaticEvaluator& eval,
   // are deterministic and the plan only changes on an accepted candidate,
   // so this equals re-scoring the plan from scratch every iteration.
   double plan_score = use_static ? inc.base_score() : scorer(plan);
+  std::uint64_t candidates = 0;
+  std::uint64_t pruned = 0;
+  std::uint64_t score_calls = use_static ? 0 : 1;
 
   // §V-C phase 2: local search re-allocating workloads, tail-first (the
   // drain columns benefit most), then over the rest of the sequence — each
@@ -160,8 +165,6 @@ bool optimize_tail(PipelinePlan& plan, const StaticEvaluator& eval,
   // only when the score strictly improves.
   bool changed = false;
   std::vector<Slice> collapsed(K);
-  std::vector<double> cand_score(K, 0.0);
-  std::vector<char> viable(K, 0);
   const auto make_collapsed = [&](std::size_t s, std::size_t n) {
     std::fill(collapsed.begin(), collapsed.end(), Slice{0, 0});
     collapsed[s] = Slice{0, n};
@@ -169,52 +172,46 @@ bool optimize_tail(PipelinePlan& plan, const StaticEvaluator& eval,
   for (std::size_t t = 0; t < m; ++t) {
     const std::size_t i = m - 1 - t;
     const std::size_t n = eval.model(plan.models[i].model_index).num_layers();
-    const double best_before = plan_score;
 
-    // Pre-filter the K collapses (§V-C: "the search space is only K").
-    // Both skips are decision-preserving: a candidate identical to the
-    // current layout scores exactly plan_score (never a strict
-    // improvement), and a candidate whose busiest-processor solo work
-    // already exceeds the incumbent cannot be accepted by the DES either —
-    // contention and chaining only push the makespan further up.
+    // Score the K collapses in one ascending pass (§V-C: "the search space
+    // is only K"), accepting as it goes: ties keep the lowest index.  Both
+    // skips are decision-preserving.  A candidate identical to the current
+    // layout scores exactly plan_score (never a strict improvement).  A
+    // candidate whose busiest-processor solo work already reaches `bar` +
+    // 1e-6 — bar being the incumbent or a lower score an earlier collapse
+    // already has — cannot be accepted by the DES either: contention and
+    // chaining only push the makespan further up, and `best` is by then
+    // within 1e-9 of bar.
+    double bar = plan_score;
+    double best = plan_score;
+    int accepted = -1;
     for (std::size_t s = 0; s < K; ++s) {
       make_collapsed(s, n);
       const std::vector<Slice>& cur = plan.models[i].slices;
       if (std::equal(collapsed.begin(), collapsed.end(), cur.begin(), cur.end())) {
-        viable[s] = 0;
         continue;
       }
-      if (!use_static &&
-          inc.des_lower_bound_with(i, collapsed) >= best_before + 1e-6) {
-        viable[s] = 0;
-        continue;
-      }
-      viable[s] = 1;
-    }
-
-    for (std::size_t s = 0; s < K; ++s) {
-      if (!viable[s]) continue;
-      make_collapsed(s, n);
+      ++candidates;
+      double score = 0.0;
       if (use_static) {
         // Incremental static scoring: only the ≤ K affected wavefront
         // columns are recomputed; bit-identical to a full evaluation.
-        cand_score[s] = inc.score_with(i, collapsed);
+        score = inc.score_with(i, collapsed);
       } else {
+        if (inc.des_lower_bound_with(i, collapsed) >= bar + 1e-6) {
+          ++pruned;
+          continue;
+        }
         // Full DES scoring in place: the candidate slicing is swapped into
         // the plan for the one call and swapped back out.
         std::swap(plan.models[i].slices, collapsed);
-        cand_score[s] = scorer(plan);
+        score = scorer(plan);
         std::swap(plan.models[i].slices, collapsed);
+        ++score_calls;
+        bar = std::min(bar, score);
       }
-    }
-
-    // Accept in ascending collapse order: ties keep the lowest index.
-    double best = best_before;
-    int accepted = -1;
-    for (std::size_t s = 0; s < K; ++s) {
-      if (!viable[s]) continue;
-      if (cand_score[s] + 1e-9 < best) {
-        best = cand_score[s];
+      if (score + 1e-9 < best) {
+        best = score;
         accepted = static_cast<int>(s);
       }
     }
@@ -226,6 +223,17 @@ bool optimize_tail(PipelinePlan& plan, const StaticEvaluator& eval,
       changed = true;
     }
   }
+
+  static obs::Counter& c_candidates =
+      obs::Registry::global().counter("planner.tail_candidates");
+  static obs::Counter& c_pruned =
+      obs::Registry::global().counter("planner.tail_pruned");
+  static obs::Counter& c_calls =
+      obs::Registry::global().counter("planner.score_calls.tail");
+  c_candidates.inc(candidates);
+  c_pruned.inc(pruned);
+  c_calls.inc(score_calls);
+  if (score_out != nullptr) *score_out = plan_score;
   return changed;
 }
 

@@ -48,26 +48,35 @@ int align_to_profile(ModelPlan& mp, const StaticEvaluator& eval,
 /// Algorithm 3: slide a contention window of size K over the sequence; in
 /// each window find the critical-path model and align every other member's
 /// stages to it by work stealing.  Mutates the plan in place and returns
-/// the total number of layer moves.  The trailing unnamed parameter exists
-/// only so the frozen perfbench sources, which still pass `nullptr`,
-/// compile; it goes with the next benchmark change.
+/// the total number of layer moves.  With `opts.tail_optimization`, ends
+/// with `optimize_tail(plan, eval, scorer, score_out)`; `score_out` is
+/// left untouched when no tail sweep ran.
 int vertical_align(PipelinePlan& plan, const StaticEvaluator& eval,
                    const WorkStealingOptions& opts = {},
-                   const PlanScorer& scorer = {}, std::nullptr_t = nullptr);
+                   const PlanScorer& scorer = {}, double* score_out = nullptr);
 
 /// Tail-bubble optimization (§V-C phase 2): local search re-allocating
 /// workloads, sweeping models tail-first and exhaustively trying the K
 /// single-processor collapses for each (the search space is only K);
 /// a candidate is kept only when `scorer` strictly improves.  Returns true
-/// if the plan changed.
+/// if the plan changed.  When the sweep runs (K >= 2, m >= 1) and
+/// `score_out` is non-null, it receives the sweep's final plan score —
+/// bit-equal to scoring the returned plan again; otherwise it is left
+/// untouched.
 ///
 /// Scoring is incremental: with the default (static) scorer each candidate
 /// re-evaluates only its affected wavefront columns; with a custom (DES)
-/// scorer, candidates are first pruned by a per-processor solo-work lower
-/// bound that can never exclude an acceptable candidate, and the survivors
-/// are scored in place, one after another.  Acceptance scans the collapses
+/// scorer, a model's K collapses are scored in one ascending pass, each
+/// first checked against a per-processor solo-work lower bound: a collapse
+/// whose bound reaches min(incumbent, best collapse scored so far) + 1e-6
+/// cannot be accepted and is not scored.  Acceptance scans the collapses
 /// in ascending order, so ties keep the lowest-index collapse.
+///
+/// Counters (obs registry): `planner.tail_candidates` (collapses that
+/// differ from the current layout), `planner.tail_pruned` (of those, the
+/// ones the lower bound skipped) and `planner.score_calls.tail` (custom
+/// scorer calls), each added once per sweep.
 bool optimize_tail(PipelinePlan& plan, const StaticEvaluator& eval,
-                   const PlanScorer& scorer = {});
+                   const PlanScorer& scorer = {}, double* score_out = nullptr);
 
 }  // namespace h2p

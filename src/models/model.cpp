@@ -1,6 +1,7 @@
 #include "models/model.h"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 
 namespace h2p {
@@ -8,6 +9,7 @@ namespace h2p {
 Model::Model(std::string name, std::vector<Layer> layers)
     : name_(std::move(name)), layers_(std::move(layers)) {
   build_prefix_sums();
+  build_peak_table();
   content_hash_ = compute_content_hash();
 }
 
@@ -25,6 +27,27 @@ void Model::build_prefix_sums() {
     prefix_traffic_[i + 1] = prefix_traffic_[i] + l.naive_traffic_bytes();
     prefix_acts_[i + 1] = prefix_acts_[i] + l.input_bytes + l.output_bytes;
     prefix_weight_stream_[i + 1] = prefix_weight_stream_[i] + l.weight_stream_bytes();
+  }
+}
+
+void Model::build_peak_table() {
+  const std::size_t n = layers_.size();
+  if (n == 0) return;
+  const auto levels = static_cast<std::size_t>(std::bit_width(n));
+  peak_table_.assign(levels * n, 0.0);
+  // Level 0 is floored at +0.0 (which also drops NaN and -0.0), exactly as
+  // a scan starting from peak = 0.0 would: every entry is then a
+  // non-negative, non-NaN double, so any max order gives the same bits.
+  for (std::size_t k = 0; k < n; ++k) {
+    peak_table_[k] = std::max(0.0, layers_[k].input_bytes + layers_[k].output_bytes);
+  }
+  for (std::size_t l = 1; l < levels; ++l) {
+    const double* prev = peak_table_.data() + (l - 1) * n;
+    double* cur = peak_table_.data() + l * n;
+    const std::size_t half = std::size_t{1} << (l - 1);
+    for (std::size_t k = 0; k + 2 * half <= n; ++k) {
+      cur[k] = std::max(prev[k], prev[k + half]);
+    }
   }
 }
 
@@ -64,11 +87,12 @@ double Model::boundary_bytes(std::size_t i) const {
 }
 
 double Model::peak_activation_bytes(std::size_t i, std::size_t j) const {
-  double peak = 0.0;
-  for (std::size_t k = i; k <= j && k < layers_.size(); ++k) {
-    peak = std::max(peak, layers_[k].input_bytes + layers_[k].output_bytes);
-  }
-  return peak;
+  const std::size_t n = layers_.size();
+  if (i >= n || j < i) return 0.0;
+  j = std::min(j, n - 1);
+  const auto l = static_cast<std::size_t>(std::bit_width(j - i + 1)) - 1;
+  const double* level = peak_table_.data() + l * n;
+  return std::max(level[i], level[j + 1 - (std::size_t{1} << l)]);
 }
 
 double Model::range_locality(std::size_t i, std::size_t j) const {

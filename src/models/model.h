@@ -41,7 +41,9 @@ class Model {
   /// pipeline stage must receive); layer 0 returns the network input size.
   [[nodiscard]] double boundary_bytes(std::size_t i) const;
 
-  /// Largest single activation in [i, j] (peak-memory accounting).
+  /// Largest single activation in [i, j] (peak-memory accounting), floored
+  /// at 0.  O(1) through a sparse table built at construction: max is exact
+  /// and order-free, so it equals a linear scan bit for bit.
   [[nodiscard]] double peak_activation_bytes(std::size_t i, std::size_t j) const;
 
   /// Traffic-weighted mean locality of [i, j]; drives the cost model's
@@ -68,6 +70,7 @@ class Model {
 
  private:
   void build_prefix_sums();
+  void build_peak_table();
   [[nodiscard]] std::uint64_t compute_content_hash() const;
 
   std::string name_;
@@ -78,6 +81,9 @@ class Model {
   std::vector<double> prefix_traffic_;
   std::vector<double> prefix_acts_;
   std::vector<double> prefix_weight_stream_;
+  // Sparse table over max(0, input_bytes + output_bytes): level l (stride n)
+  // holds the max of [i, i + 2^l).
+  std::vector<double> peak_table_;
   std::uint64_t content_hash_ = 0;
 };
 

@@ -339,33 +339,43 @@ void TaskTable::build_from_compiled(const exec::CompiledPlan& compiled,
 void TaskTable::build_from_plan(const PipelinePlan& plan,
                                 const StaticEvaluator& eval) {
   const std::size_t P = eval.soc().num_processors();
+  const std::uint64_t generation = eval.generation();
+  const std::size_t m = plan.models.size();
+  if (slot_memo_.size() < m) slot_memo_.resize(m);
 
   // Count-and-validate pass first (same checks, same order, so the first
   // error thrown is identical to the old incremental build), then size every
-  // column once and fill through direct indexing — this runs once per scored
-  // candidate, and ~10 interleaved push_backs per task kept reloading each
-  // vector's end pointer.
+  // column once and fill through direct indexing.  A slot whose memo key
+  // matches was validated when it was memoized and cannot throw, so the
+  // first error still comes from the same slot.
   std::size_t n = 0;
   std::size_t num_edges = 0;
-  for (std::size_t slot = 0; slot < plan.models.size(); ++slot) {
+  for (std::size_t slot = 0; slot < m; ++slot) {
     const ModelPlan& mp = plan.models[slot];
-    if (mp.model_index >= eval.num_models()) {
-      throw std::invalid_argument(
-          "compile: plan references model index beyond the evaluator's model "
-          "list (plan and model list disagree?)");
-    }
-    const std::size_t num_layers = eval.model(mp.model_index).num_layers();
+    SlotMemo& memo = slot_memo_[slot];
     std::size_t model_tasks = 0;
-    for (std::size_t k = 0; k < mp.slices.size(); ++k) {
-      const Slice& sl = mp.slices[k];
-      if (sl.empty()) continue;
-      if (k >= P) {
-        throw std::invalid_argument("lower_range: processor index out of range");
+    if (memo.generation == generation && memo.model_index == mp.model_index &&
+        memo.slices == mp.slices) {
+      model_tasks = memo.rows.size();
+    } else {
+      memo.generation = 0;
+      if (mp.model_index >= eval.num_models()) {
+        throw std::invalid_argument(
+            "compile: plan references model index beyond the evaluator's model "
+            "list (plan and model list disagree?)");
       }
-      if (sl.end > num_layers) {
-        throw std::invalid_argument("lower_range: layer range exceeds model");
+      const std::size_t num_layers = eval.model(mp.model_index).num_layers();
+      for (std::size_t k = 0; k < mp.slices.size(); ++k) {
+        const Slice& sl = mp.slices[k];
+        if (sl.empty()) continue;
+        if (k >= P) {
+          throw std::invalid_argument("lower_range: processor index out of range");
+        }
+        if (sl.end > num_layers) {
+          throw std::invalid_argument("lower_range: layer range exceeds model");
+        }
+        ++model_tasks;
       }
-      ++model_tasks;
     }
     n += model_tasks;
     if (model_tasks > 0) num_edges += model_tasks - 1;
@@ -416,39 +426,49 @@ void TaskTable::build_from_plan(const PipelinePlan& plan,
 
   std::size_t w = 0;
   std::size_t e = 0;
-  for (std::size_t slot = 0; slot < plan.models.size(); ++slot) {
+  for (std::size_t slot = 0; slot < m; ++slot) {
     const ModelPlan& mp = plan.models[slot];
-    const CostTable& t = eval.table(mp.model_index);
-    std::uint32_t seq = 0;
-    for (std::size_t k = 0; k < mp.slices.size(); ++k) {
-      const Slice& sl = mp.slices[k];
-      if (sl.empty()) continue;
+    SlotMemo& memo = slot_memo_[slot];
+    if (memo.generation != generation) {
       // Same cost-table numbers, in the same order, as exec::lower_range —
       // solo is exec + inbound copy, so every double matches the two-step
       // compile + tasks_from_compiled lowering exactly.  The fused accessor
-      // collapses the four standalone reads (six slice_cost walks) into one;
-      // its fields are bit-identical to exec_ms / mem_sensitivity /
+      // collapses the four standalone reads (six slice_cost walks) into
+      // one; its fields are bit-identical to exec_ms / mem_sensitivity /
       // intensity / dram_bytes.
-      const CostTable::SliceSimCosts sc =
-          t.slice_sim_costs(k, sl.begin, sl.end - 1);
-      const double copy = sl.begin > 0 ? t.boundary_copy_ms(k, sl.begin) : 0.0;
-      const auto mi = static_cast<std::uint32_t>(slot);
-      const auto pi = static_cast<std::uint32_t>(k);
+      const CostTable& t = eval.table(mp.model_index);
+      memo.rows.clear();
+      for (std::size_t k = 0; k < mp.slices.size(); ++k) {
+        const Slice& sl = mp.slices[k];
+        if (sl.empty()) continue;
+        const CostTable::SliceSimCosts sc =
+            t.slice_sim_costs(k, sl.begin, sl.end - 1);
+        const double copy = sl.begin > 0 ? t.boundary_copy_ms(k, sl.begin) : 0.0;
+        memo.rows.push_back(LoweredRow{static_cast<std::uint32_t>(k),
+                                       sc.exec_ms + copy, sc.sensitivity,
+                                       sc.intensity, sc.dram_bytes});
+      }
+      memo.model_index = mp.model_index;
+      memo.slices = mp.slices;
+      memo.generation = generation;
+    }
+    const auto mi = static_cast<std::uint32_t>(slot);
+    for (std::size_t seq = 0; seq < memo.rows.size(); ++seq) {
+      const LoweredRow& row = memo.rows[seq];
       // The (model, proc) pair determines every other structural cell for a
       // plan lowering (seq counts within the slot, deps chain within the
       // model), so these two compares verify the whole row.
-      same = same && model_idx[w] == mi && proc_idx[w] == pi;
+      same = same && model_idx[w] == mi && proc_idx[w] == row.proc;
       model_idx[w] = mi;
-      seq_in_model[w] = seq;
-      proc_idx[w] = pi;
-      solo_ms[w] = sc.exec_ms + copy;
-      sensitivity[w] = sc.sensitivity;
-      intensity[w] = sc.intensity;
+      seq_in_model[w] = static_cast<std::uint32_t>(seq);
+      proc_idx[w] = row.proc;
+      solo_ms[w] = row.solo_ms;
+      sensitivity[w] = row.sensitivity;
+      intensity[w] = row.intensity;
       arrival_ms[w] = 0.0;  // stale slots may hold a prior table's arrivals
-      dram_bytes[w] = sc.dram_bytes;
+      dram_bytes[w] = row.dram_bytes;
       dep_offsets[w] = static_cast<std::uint32_t>(e);
       if (seq > 0) dep_edges[e++] = static_cast<std::uint32_t>(w - 1);
-      ++seq;
       ++w;
     }
   }

@@ -6,12 +6,12 @@
 #include <vector>
 
 #include "contention/contention_model.h"
+#include "core/plan.h"
 #include "util/arena.h"
 
 namespace h2p {
 
 struct SimTask;
-struct PipelinePlan;
 class StaticEvaluator;
 
 namespace exec {
@@ -111,12 +111,37 @@ class TaskTable {
   /// order as exec::lower_range, so every double matches the two-step
   /// lowering bit for bit; skips the CompiledPlan assembly (names,
   /// footprints) a score-only evaluation never reads.
+  ///
+  /// Delta lowering: each slot's lowered rows are memoized under (evaluator
+  /// generation, model index, slices), and only slots whose key changed
+  /// since the previous plan lowering read the cost tables again — a tail
+  /// candidate re-lowers one model.  The memo survives the other builders
+  /// (its rows are a pure function of the key), and `clear()` keeps it.
   void build_from_plan(const PipelinePlan& plan, const StaticEvaluator& eval);
 
   void clear();
 
  private:
   void finalize(std::size_t min_procs, std::size_t n_logical);
+
+  /// One non-empty slice of a slot, lowered.
+  struct LoweredRow {
+    std::uint32_t proc = 0;
+    double solo_ms = 0.0;
+    double sensitivity = 0.0;
+    double intensity = 0.0;
+    double dram_bytes = 0.0;
+  };
+  /// build_from_plan's per-slot memo.  `generation` 0 marks it invalid: a
+  /// slot is invalidated before it is validated and re-keyed only once its
+  /// rows are rebuilt, so a slot that throws never stays marked valid.
+  struct SlotMemo {
+    std::uint64_t generation = 0;
+    std::size_t model_index = 0;
+    std::vector<Slice> slices;
+    std::vector<LoweredRow> rows;
+  };
+  std::vector<SlotMemo> slot_memo_;
 
   std::size_t n_ = 0;  // logical task count (columns are padded beyond it)
   // True iff the current derived structures came from a build_from_plan

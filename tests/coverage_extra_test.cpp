@@ -103,6 +103,18 @@ TEST(CoverageExtra, EvaluatorMakespanZeroForEmptyPlan) {
   EXPECT_TRUE(fx.eval->satisfies_memory(empty));
 }
 
+TEST(CoverageExtra, EvaluatorHandlesDefaultConstructedPlan) {
+  // No models and no stages: m + K - 1 would wrap to SIZE_MAX, and the
+  // memory check used to loop over that many columns.
+  Fixture fx({ModelId::kAlexNet});
+  const PipelinePlan empty{};
+  EXPECT_EQ(wavefront_columns(0, 0), 0u);
+  EXPECT_TRUE(fx.eval->satisfies_memory(empty));
+  EXPECT_DOUBLE_EQ(fx.eval->makespan_ms(empty), 0.0);
+  EXPECT_DOUBLE_EQ(fx.eval->total_bubble_ms(empty), 0.0);
+  EXPECT_TRUE(fx.eval->stage_times(empty, true).empty());
+}
+
 TEST(CoverageExtra, ModelIntensityMatchesTableIntensity) {
   Fixture fx({ModelId::kSqueezeNet});
   const std::size_t cpu_b =

@@ -1,6 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <limits>
+
 #include "models/model.h"
+#include "models/model_zoo.h"
 
 namespace h2p {
 namespace {
@@ -54,6 +58,56 @@ TEST(Model, PeakActivation) {
     expected = std::max(expected, m.layer(i).input_bytes + m.layer(i).output_bytes);
   }
   EXPECT_DOUBLE_EQ(m.peak_activation_bytes(0, m.num_layers() - 1), expected);
+}
+
+/// The linear scan the sparse table replaced, kept as the oracle.
+double linear_peak(const Model& m, std::size_t i, std::size_t j) {
+  double peak = 0.0;
+  for (std::size_t k = i; k <= j && k < m.num_layers(); ++k) {
+    peak = std::max(peak, m.layer(k).input_bytes + m.layer(k).output_bytes);
+  }
+  return peak;
+}
+
+bool same_bits(double a, double b) { return std::memcmp(&a, &b, sizeof a) == 0; }
+
+/// Every [i, j] of `m`, plus inverted ranges and ends past the model.
+void expect_peak_matches_scan(const Model& m) {
+  const std::size_t n = m.num_layers();
+  for (std::size_t i = 0; i <= n + 1; ++i) {
+    for (std::size_t j = 0; j <= n + 2; ++j) {
+      ASSERT_TRUE(same_bits(m.peak_activation_bytes(i, j), linear_peak(m, i, j)))
+          << m.name() << " [" << i << ", " << j << "]";
+    }
+    ASSERT_TRUE(same_bits(m.peak_activation_bytes(i, std::numeric_limits<std::size_t>::max()),
+                          linear_peak(m, i, std::numeric_limits<std::size_t>::max())))
+        << m.name() << " [" << i << ", SIZE_MAX]";
+  }
+}
+
+TEST(Model, PeakActivationMatchesLinearScanOnEveryZooRange) {
+  for (const ModelId id : extended_model_ids()) {
+    expect_peak_matches_scan(zoo_model(id));
+    expect_peak_matches_scan(make_batched_model(zoo_model(id), 3));
+  }
+}
+
+TEST(Model, PeakActivationOfEmptyModelIsZero) {
+  const Model empty;
+  expect_peak_matches_scan(empty);
+  EXPECT_TRUE(same_bits(empty.peak_activation_bytes(0, 0), 0.0));
+}
+
+TEST(Model, PeakActivationFloorsLikeTheScan) {
+  // Zero, negative-zero and NaN activations: the scan starts from +0.0 and
+  // std::max keeps it, so the table must floor at +0.0 the same way.
+  std::vector<Layer> layers(6);
+  layers[1].input_bytes = -0.0;
+  layers[2].output_bytes = std::numeric_limits<double>::quiet_NaN();
+  layers[3].input_bytes = 64.0;
+  layers[4].output_bytes = -5.0;
+  layers[5].input_bytes = 64.0;
+  expect_peak_matches_scan(Model("odd", std::move(layers)));
 }
 
 TEST(Model, RangeLocalityIsTrafficWeighted) {

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include "core/incremental.h"
@@ -108,12 +109,23 @@ TEST_P(PlannerDeterminism, InstrumentationDoesNotPerturbPlans) {
   obs::Registry::global().set_enabled(false);
 
   expect_identical(off, on);
-  EXPECT_GE(obs::Registry::global().counter("planner.cold_plans").value(), 1u);
+  obs::Registry& reg = obs::Registry::global();
+  EXPECT_GE(reg.counter("planner.cold_plans").value(), 1u);
+  // Scoring counters: every branch ran a DES-scored tail sweep, whose score
+  // calls are its initial score plus one per unpruned candidate, and the
+  // branch comparison reused the sweeps' carried scores.
+  const std::uint64_t branches = on.mitigation.relocations > 0 ? 2 : 1;
+  const std::uint64_t candidates = reg.counter("planner.tail_candidates").value();
+  const std::uint64_t pruned = reg.counter("planner.tail_pruned").value();
+  EXPECT_GT(candidates, 0u);
+  EXPECT_LE(pruned, candidates);
+  EXPECT_EQ(reg.counter("planner.score_calls.tail").value(),
+            branches + candidates - pruned);
+  EXPECT_EQ(reg.counter("planner.score_calls.branch").value(), 0u);
   // Seven distinct models (SqueezeNet twice) on every processor.
   const std::uint64_t blocks = 7 * soc.num_processors();
-  EXPECT_EQ(obs::Registry::global().counter("profile_store.misses").value(), blocks);
-  EXPECT_EQ(obs::Registry::global().counter("profile_store.hits").value(),
-            soc.num_processors());
+  EXPECT_EQ(reg.counter("profile_store.misses").value(), blocks);
+  EXPECT_EQ(reg.counter("profile_store.hits").value(), soc.num_processors());
   bool saw_cold_span = false;
   double span_misses = -1.0;
   for (const obs::TraceEvent& e : obs::Tracer::global().events()) {
