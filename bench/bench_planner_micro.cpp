@@ -248,18 +248,10 @@ void BM_DesScoring(benchmark::State& state, bool soa) {
 BENCHMARK_CAPTURE(BM_DesScoring, legacy, false);
 BENCHMARK_CAPTURE(BM_DesScoring, soa, true);
 
-/// The scoring calls of one tail sweep, replayed with the planner's exact
-/// scorer (DES makespan, x1.5 when the memory check fails).  The candidate
-/// sequence is recorded once from the mitigated-order branch of an 8-model
-/// Kirin990 window; one iteration scores the whole sequence in order, so
-/// consecutive calls differ in one model's slices as they do in the sweep
-/// and the lowering memo sees the planner's reuse pattern.  items_per_second
-/// counts score calls.
-void BM_DesScoringTailSweep(benchmark::State& state) {
-  const Soc soc = Soc::kirin990();
-  const std::vector<const Model*> models = window_models(8);
-  const StaticEvaluator eval(soc, models);
-  const std::size_t K = soc.num_processors();
+/// The mitigated-order branch of an 8-model Kirin990 window before its
+/// alignment: the plan the tail-sweep benches start from.
+PipelinePlan tail_sweep_window(const StaticEvaluator& eval) {
+  const std::size_t K = eval.soc().num_processors();
   const PipelinePlan plan = horizontal_plan(eval, K);
   std::vector<double> intensities;
   for (std::size_t i = 0; i < eval.num_models(); ++i) {
@@ -269,12 +261,30 @@ void BM_DesScoringTailSweep(benchmark::State& state) {
   PipelinePlan ordered;
   ordered.num_stages = K;
   for (const std::size_t idx : mitigation.order) ordered.models.push_back(plan.models[idx]);
-  std::vector<PipelinePlan> sequence;
-  const PlanScorer des_scorer = [&eval](const PipelinePlan& p) {
+  return ordered;
+}
+
+/// The planner's DES scorer: DES makespan, x1.5 when the memory check fails.
+PlanScorer planner_des_scorer(const StaticEvaluator& eval) {
+  return [&eval](const PipelinePlan& p) {
     double score = simulate_plan_makespan(p, eval);
     if (!eval.satisfies_memory(p)) score *= 1.5;
     return score;
   };
+}
+
+/// The scoring calls of one tail sweep, replayed with the planner's exact
+/// scorer.  The candidate sequence is recorded once from the mitigated-order
+/// branch of an 8-model Kirin990 window; one iteration scores the whole
+/// sequence in order, so consecutive calls differ in one model's slices as
+/// they do in the sweep and the lowering memo sees the planner's reuse
+/// pattern.  items_per_second counts score calls.
+void BM_DesScoringTailSweep(benchmark::State& state) {
+  const Soc soc = Soc::kirin990();
+  const StaticEvaluator eval(soc, window_models(8));
+  PipelinePlan ordered = tail_sweep_window(eval);
+  std::vector<PipelinePlan> sequence;
+  const PlanScorer des_scorer = planner_des_scorer(eval);
   const PlanScorer record = [&](const PipelinePlan& p) {
     sequence.push_back(p);
     return des_scorer(p);
@@ -288,6 +298,27 @@ void BM_DesScoringTailSweep(benchmark::State& state) {
   state.counters["calls"] = static_cast<double>(sequence.size());
 }
 BENCHMARK(BM_DesScoringTailSweep)->Name("BM_DesScoring/tail_sweep");
+
+/// One whole DES-mode optimize_tail on the same window after its greedy
+/// alignment: the score calls plus the sweep's own bookkeeping (collapse
+/// bounds, candidate swaps, accepts).  The difference to
+/// BM_DesScoring/tail_sweep's time per sweep is that bookkeeping.
+void BM_TailSweepDes(benchmark::State& state) {
+  const Soc soc = Soc::kirin990();
+  const StaticEvaluator eval(soc, window_models(8));
+  PipelinePlan aligned = tail_sweep_window(eval);
+  WorkStealingOptions no_tail;
+  no_tail.tail_optimization = false;
+  vertical_align(aligned, eval, no_tail);
+  const PlanScorer des_scorer = planner_des_scorer(eval);
+  PipelinePlan plan;
+  for (auto _ : state) {
+    plan = aligned;
+    benchmark::DoNotOptimize(optimize_tail(plan, eval, des_scorer));
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_TailSweepDes)->Name("BM_TailSweep/des");
 
 // ---- SIMD kernel micro-benches ----------------------------------------------
 

@@ -121,12 +121,12 @@ std::vector<std::vector<double>> StaticEvaluator::stage_times(
   return times;
 }
 
-double StaticEvaluator::makespan_ms(const PipelinePlan& plan,
-                                    bool with_contention) const {
-  const auto times = stage_times(plan, with_contention);
-  const std::size_t m = plan.models.size();
-  const std::size_t K = plan.num_stages;
-  if (m == 0) return 0.0;
+namespace {
+
+using StageGrid = std::vector<std::vector<double>>;
+
+/// Sum over wavefront columns of the column maximum.
+double grid_makespan(const StageGrid& times, std::size_t m, std::size_t K) {
   double total = 0.0;
   for (std::size_t j = 0; j < wavefront_columns(m, K); ++j) {
     double colmax = 0.0;
@@ -141,27 +141,42 @@ double StaticEvaluator::makespan_ms(const PipelinePlan& plan,
   return total;
 }
 
-double StaticEvaluator::total_bubble_ms(const PipelinePlan& plan,
-                                        bool with_contention) const {
-  const auto times = stage_times(plan, with_contention);
-  const std::size_t m = plan.models.size();
-  const std::size_t K = plan.num_stages;
-  if (m == 0) return 0.0;
+/// Eq. 3 summed over all columns.  A column occupies every stage k in
+/// [0, K): stages with no slice (ramp up / drain / empty slices) idle for
+/// the whole column.
+double grid_bubbles(const StageGrid& times, std::size_t m, std::size_t K) {
+  const auto cell = [&](std::size_t j, std::size_t k) {
+    return (j >= k && j - k < m) ? times[j - k][k] : 0.0;
+  };
   double bubbles = 0.0;
   for (std::size_t j = 0; j < wavefront_columns(m, K); ++j) {
     double colmax = 0.0;
-    std::vector<double> col;
-    // A column occupies every stage k in [0, K): stages with no slice (ramp
-    // up / drain / empty slices) idle for the whole column (Eq. 3).
-    for (std::size_t k = 0; k < K; ++k) {
-      double t = 0.0;
-      if (j >= k && j - k < m) t = times[j - k][k];
-      col.push_back(t);
-      colmax = std::max(colmax, t);
-    }
-    for (double t : col) bubbles += colmax - t;
+    for (std::size_t k = 0; k < K; ++k) colmax = std::max(colmax, cell(j, k));
+    for (std::size_t k = 0; k < K; ++k) bubbles += colmax - cell(j, k);
   }
   return bubbles;
+}
+
+}  // namespace
+
+double StaticEvaluator::makespan_ms(const PipelinePlan& plan,
+                                    bool with_contention) const {
+  return grid_makespan(stage_times(plan, with_contention), plan.models.size(),
+                       plan.num_stages);
+}
+
+double StaticEvaluator::total_bubble_ms(const PipelinePlan& plan,
+                                        bool with_contention) const {
+  return grid_bubbles(stage_times(plan, with_contention), plan.models.size(),
+                      plan.num_stages);
+}
+
+StaticEvaluator::StaticSummary StaticEvaluator::summarize(
+    const PipelinePlan& plan, bool with_contention) const {
+  const StageGrid times = stage_times(plan, with_contention);
+  const std::size_t m = plan.models.size();
+  const std::size_t K = plan.num_stages;
+  return StaticSummary{grid_makespan(times, m, K), grid_bubbles(times, m, K)};
 }
 
 double StaticEvaluator::resident_bytes(const ModelPlan& mp) const {
@@ -185,19 +200,40 @@ bool StaticEvaluator::satisfies_memory(const PipelinePlan& plan) const {
   const std::size_t m = plan.models.size();
   const std::size_t K = plan.num_stages;
   // Constraint (6): every wavefront column's concurrent residents must fit.
-  // A slot's resident bytes do not depend on the column, so compute each
-  // once; the column sums still add them in k-ascending order, so every
-  // sum is the one a per-column recomputation would produce.
-  thread_local std::vector<double> slot_bytes;
-  slot_bytes.resize(m);
-  for (std::size_t i = 0; i < m; ++i) slot_bytes[i] = resident_bytes(plan.models[i]);
+  // A slot's resident bytes do not depend on the column, and a tail-sweep
+  // candidate changes one slot, so each slot's bytes are memoized under
+  // (generation, model index, slices) — the key is exact, so a hit is the
+  // value resident_bytes would return.  The column sums still add them in
+  // k-ascending order, so every sum is the one a per-column recomputation
+  // would produce.
+  struct SlotBytes {
+    std::uint64_t generation = 0;  // 0: invalid
+    std::size_t model_index = 0;
+    std::vector<Slice> slices;
+    double bytes = 0.0;
+  };
+  thread_local std::vector<SlotBytes> memo;
+  if (memo.size() < m) memo.resize(m);
+  for (std::size_t i = 0; i < m; ++i) {
+    const ModelPlan& mp = plan.models[i];
+    SlotBytes& slot = memo[i];
+    if (slot.generation == generation_ && slot.model_index == mp.model_index &&
+        slot.slices == mp.slices) {
+      continue;
+    }
+    slot.generation = 0;
+    slot.bytes = resident_bytes(mp);
+    slot.model_index = mp.model_index;
+    slot.slices = mp.slices;
+    slot.generation = generation_;
+  }
   for (std::size_t j = 0; j < wavefront_columns(m, K); ++j) {
     double resident = 0.0;
     for (std::size_t k = 0; k < K; ++k) {
       if (j < k) continue;
       const std::size_t i = j - k;
       if (i >= m) continue;
-      resident += slot_bytes[i];
+      resident += memo[i].bytes;
     }
     if (resident > soc_->available_bytes()) return false;
   }

@@ -80,11 +80,23 @@ class StaticEvaluator {
   [[nodiscard]] double total_bubble_ms(const PipelinePlan& plan,
                                        bool with_contention = true) const;
 
+  /// `makespan_ms` and `total_bubble_ms` of one plan from a single
+  /// `stage_times` grid, bit-identical to the two separate calls.
+  struct StaticSummary {
+    double makespan_ms = 0.0;
+    double bubble_ms = 0.0;
+  };
+  [[nodiscard]] StaticSummary summarize(const PipelinePlan& plan,
+                                        bool with_contention = true) const;
+
   /// Resident bytes of one model while it is in flight (weights of all
   /// non-empty slices + its largest activation) — constraint (6).
   [[nodiscard]] double resident_bytes(const ModelPlan& mp) const;
 
   /// True if no wavefront column exceeds the Soc's available memory.
+  /// Each slot's resident bytes are memoized per thread under (generation,
+  /// model index, slices), so a candidate that changes one model's slices
+  /// recomputes one slot.
   [[nodiscard]] bool satisfies_memory(const PipelinePlan& plan) const;
 
  private:

@@ -28,16 +28,15 @@ struct ScorerWorkspace {
   std::span<double> col_intensity;  // [padded_procs] dense aggressor buffer
   std::span<double> col_times;      // [Kp] contended column times
   std::span<double> col_sens;       // [Kp] member sensitivities by stage
-  std::span<double> lb_tmp;         // [Kp] lower-bound lane scratch
   std::size_t kp = 0;
   std::size_t pp = 0;
 
   void prepare(std::size_t Kp, std::size_t Pp) {
     if (kp == Kp && pp == Pp) return;
     arena.reset();
-    arena.reserve(Kp * (6 * sizeof(double) + sizeof(std::uint8_t)) +
+    arena.reserve(Kp * (5 * sizeof(double) + sizeof(std::uint8_t)) +
                   Pp * sizeof(double) +
-                  9 * util::MonotonicArena::kAlignment);
+                  8 * util::MonotonicArena::kAlignment);
     row_solo = arena.make_span<double>(Kp);
     row_intensity = arena.make_span<double>(Kp);
     row_sensitivity = arena.make_span<double>(Kp);
@@ -45,7 +44,6 @@ struct ScorerWorkspace {
     col_intensity = arena.make_span<double>(Pp);
     col_times = arena.make_span<double>(Kp);
     col_sens = arena.make_span<double>(Kp);
-    lb_tmp = arena.make_span<double>(Kp);
     kp = Kp;
     pp = Pp;
   }
@@ -76,13 +74,6 @@ IncrementalStaticScorer::IncrementalStaticScorer(const StaticEvaluator& eval,
     store_row(i, fill_row(model_index_[i], plan.models[i].slices));
   }
 
-  proc_solo_.assign(Kp_, 0.0);
-  for (std::size_t k = 0; k < K_; ++k) {
-    for (std::size_t i = 0; i < m_; ++i) {
-      proc_solo_[k] += cell_solo_[i * Kp_ + k];
-    }
-  }
-
   if (m_ == 0) return;
   const std::size_t num_cols = m_ + K_ - 1;
   colmax_.resize(num_cols);
@@ -100,8 +91,8 @@ IncrementalStaticScorer::RowView IncrementalStaticScorer::fill_row(
   assert(slices.size() == K_);
   // Route through the evaluator's own accessors so the cached values are
   // the exact doubles the non-incremental scorer would see.  The workspace
-  // is thread-local; the row spans are arena-backed and zero-padded to Kp_
-  // so row-wide lane kernels read exact zeros past K_.
+  // is thread-local; the row spans are arena-backed and zero-padded to Kp_,
+  // the cell grid's row stride.
   ScorerWorkspace& ws = tls_workspace();
   ws.prepare(Kp_, eval_->padded_procs());
   ModelPlan& probe = ws.probe;
@@ -234,7 +225,6 @@ double IncrementalStaticScorer::score_appended(
 void IncrementalStaticScorer::apply_appended(std::size_t model_index,
                                              std::span<const Slice> slices) {
   const RowView row = fill_row(model_index, slices);
-  for (std::size_t k = 0; k < K_; ++k) proc_solo_[k] += row.solo[k];
   model_index_.push_back(model_index);
   cell_solo_.resize((m_ + 1) * Kp_, 0.0);
   cell_intensity_.resize((m_ + 1) * Kp_, 0.0);
@@ -252,36 +242,11 @@ void IncrementalStaticScorer::apply_appended(std::size_t model_index,
   for (const double c : colmax_) base_score_ += c;
 }
 
-double IncrementalStaticScorer::des_lower_bound_with(
-    std::size_t slot, std::span<const Slice> slices) const {
-  if (m_ == 0) return 0.0;
-  assert(slot < m_);
-  const RowView row = fill_row(model_index_[slot], slices);
-  // Lanewise (proc_solo - cell_row + candidate_row), then a lane max with
-  // baseline 0.  All three arrays are zero past K_, so padding lanes
-  // contribute an exact 0.0 and never win; elementwise arithmetic keeps
-  // each lane's value bit-identical to the old scalar loop.
-  ScorerWorkspace& ws = tls_workspace();
-  double* tmp = ws.lb_tmp.data();
-  const double* ps = proc_solo_.data();
-  const double* cs = cell_solo_.data() + slot * Kp_;
-  for (std::size_t k = 0; k < Kp_; k += simd::kLanes) {
-    ((simd::Vec4d::load(ps + k) - simd::Vec4d::load(cs + k)) +
-     simd::Vec4d::load(row.solo + k))
-        .store(tmp + k);
-  }
-  return simd::fixed_max(tmp, Kp_, 0.0);
-}
-
 void IncrementalStaticScorer::apply(std::size_t slot,
                                     std::span<const Slice> slices) {
   if (m_ == 0) return;
   assert(slot < m_);
-  const RowView row = fill_row(model_index_[slot], slices);
-  for (std::size_t k = 0; k < K_; ++k) {
-    proc_solo_[k] += row.solo[k] - cell_solo_[slot * Kp_ + k];
-  }
-  store_row(slot, row);
+  store_row(slot, fill_row(model_index_[slot], slices));
 
   const std::size_t num_cols = m_ + K_ - 1;
   const std::size_t hi = std::min(slot + K_, num_cols);

@@ -30,8 +30,8 @@ namespace h2p {
 /// themselves computed that way, so every floating-point operation sequence
 /// matches.  The planner's figure benches therefore reproduce unchanged.
 ///
-/// `score_with` and `des_lower_bound_with` are const and touch no shared
-/// mutable state — safe to call concurrently for independent candidates.
+/// `score_with` is const and touches no shared mutable state — safe to
+/// call concurrently for independent candidates.
 class IncrementalStaticScorer {
  public:
   IncrementalStaticScorer(const StaticEvaluator& eval, const PipelinePlan& plan);
@@ -56,15 +56,6 @@ class IncrementalStaticScorer {
 
   /// Commit an appended row: the scorer now tracks m+1 slots.
   void apply_appended(std::size_t model_index, std::span<const Slice> slices);
-
-  /// Lower bound on the *discrete-event* makespan of the edited plan: the
-  /// busiest processor's total solo work.  Processors run one task at a
-  /// time and contention only dilates tasks, so no schedule finishes before
-  /// its busiest processor's solo sum.  Used to prune collapse candidates
-  /// before paying for a DES scoring; the bound is conservative so pruning
-  /// never changes which candidate the search accepts.
-  [[nodiscard]] double des_lower_bound_with(std::size_t slot,
-                                            std::span<const Slice> slices) const;
 
   /// Commit `slices` into the base plan and refresh the affected caches.
   void apply(std::size_t slot, std::span<const Slice> slices);
@@ -109,8 +100,7 @@ class IncrementalStaticScorer {
   std::vector<std::size_t> model_index_;  // slot -> model table index
 
   // Flat SoA cell grid, slot-major with stride Kp_: cell (slot i, stage k)
-  // lives at i * Kp_ + k; entries k >= K_ are zero padding so row-wide
-  // vector kernels (the DES lower bound) never read garbage.  Column j's
+  // lives at i * Kp_ + k; entries k >= K_ are zero padding.  Column j's
   // members sit at (j-k)*Kp_ + k for ascending k — a fixed stride, so the
   // whole column spans one K_×Kp_ block of each array instead of K_
   // separately-allocated AoS rows.
@@ -120,7 +110,6 @@ class IncrementalStaticScorer {
   std::vector<std::uint8_t> cell_active_;
 
   std::vector<double> colmax_;            // [m+K-1] contended column maxima
-  std::vector<double> proc_solo_;         // [Kp_] solo work per processor (0-padded)
   double base_score_ = 0.0;
 };
 

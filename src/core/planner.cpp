@@ -129,8 +129,10 @@ PlannerReport Hetero2PipePlanner::plan() const {
   c_branch_calls.inc(branch_calls);
   pipeline = std::move(best.plan);
 
-  report.static_makespan_ms = eval_->makespan_ms(pipeline, /*with_contention=*/true);
-  report.static_bubble_ms = eval_->total_bubble_ms(pipeline, /*with_contention=*/true);
+  const StaticEvaluator::StaticSummary summary =
+      eval_->summarize(pipeline, /*with_contention=*/true);
+  report.static_makespan_ms = summary.makespan_ms;
+  report.static_bubble_ms = summary.bubble_ms;
   report.memory_ok = eval_->satisfies_memory(pipeline);
   report.mitigation = std::move(mitigation);
   report.plan = std::move(pipeline);

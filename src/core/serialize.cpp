@@ -1,6 +1,7 @@
 #include "core/serialize.h"
 
 #include <stdexcept>
+#include <string>
 
 namespace h2p {
 namespace {
@@ -105,19 +106,22 @@ Json plan_to_json(const PipelinePlan& plan) {
 }
 
 PipelinePlan plan_from_json(const Json& j) {
+  // Indices land in 32-bit task-table columns downstream.
+  constexpr double kLimit = 4294967296.0;
   PipelinePlan plan;
-  plan.num_stages = static_cast<std::size_t>(j.at("num_stages").as_number());
+  plan.num_stages = json_index(j.at("num_stages"), kLimit, "plan_from_json",
+                               "num_stages");
   const Json& models = j.at("models");
   for (std::size_t i = 0; i < models.size(); ++i) {
     const Json& mj = models.at(i);
+    const std::string where = "plan_from_json: model " + std::to_string(i);
     ModelPlan mp;
-    mp.model_index = static_cast<std::size_t>(mj.at("model_index").as_number());
+    mp.model_index = json_index(mj.at("model_index"), kLimit, where, "model_index");
     mp.high_contention = mj.at("high_contention").as_bool();
     const Json& slices = mj.at("slices");
     for (std::size_t k = 0; k < slices.size(); ++k) {
-      mp.slices.push_back(
-          Slice{static_cast<std::size_t>(slices.at(k).at(0).as_number()),
-                static_cast<std::size_t>(slices.at(k).at(1).as_number())});
+      mp.slices.push_back(Slice{json_index(slices.at(k).at(0), kLimit, where, "slices"),
+                                json_index(slices.at(k).at(1), kLimit, where, "slices")});
     }
     if (mp.slices.size() != plan.num_stages) {
       throw std::runtime_error("plan_from_json: slice count != num_stages");

@@ -253,8 +253,10 @@ std::optional<PlannerReport> Hetero2PipePlanner::plan_warm(
   }
 
   PlannerReport report;
-  report.static_makespan_ms = eval_->makespan_ms(plan, /*with_contention=*/true);
-  report.static_bubble_ms = eval_->total_bubble_ms(plan, /*with_contention=*/true);
+  const StaticEvaluator::StaticSummary summary =
+      eval_->summarize(plan, /*with_contention=*/true);
+  report.static_makespan_ms = summary.makespan_ms;
+  report.static_bubble_ms = summary.bubble_ms;
   report.memory_ok = eval_->satisfies_memory(plan);
   report.layers_stolen = layers_stolen;
   report.mitigation.high = std::move(high);
@@ -422,8 +424,10 @@ std::optional<PlannerReport> Hetero2PipePlanner::plan_degraded(
   }
 
   PlannerReport report;
-  report.static_makespan_ms = eval_->makespan_ms(plan, /*with_contention=*/true);
-  report.static_bubble_ms = eval_->total_bubble_ms(plan, /*with_contention=*/true);
+  const StaticEvaluator::StaticSummary summary =
+      eval_->summarize(plan, /*with_contention=*/true);
+  report.static_makespan_ms = summary.makespan_ms;
+  report.static_bubble_ms = summary.bubble_ms;
   report.memory_ok = eval_->satisfies_memory(plan);
   report.layers_stolen = layers_stolen;
   report.mitigation.high = std::move(high);

@@ -4,6 +4,7 @@
 #include <cassert>
 #include <cmath>
 #include <cstdint>
+#include <optional>
 #include <utility>
 #include <vector>
 
@@ -141,6 +142,41 @@ int vertical_align(PipelinePlan& plan, const StaticEvaluator& eval,
   return total_moves;
 }
 
+CollapseBound::CollapseBound(const StaticEvaluator& eval, const PipelinePlan& plan)
+    : K_(plan.num_stages), row_(plan.models.size() * plan.num_stages),
+      proc_solo_(plan.num_stages, 0.0) {
+  const std::size_t m = plan.models.size();
+  for (std::size_t i = 0; i < m; ++i) {
+    for (std::size_t k = 0; k < K_; ++k) {
+      row_[i * K_ + k] = eval.stage_solo_ms(plan.models[i], k);
+    }
+  }
+  for (std::size_t k = 0; k < K_; ++k) {
+    for (std::size_t i = 0; i < m; ++i) proc_solo_[k] += row_[i * K_ + k];
+  }
+}
+
+double CollapseBound::bound(std::size_t slot, std::size_t s,
+                            double collapse_ms) const {
+  const double* row = row_.data() + slot * K_;
+  double lb = 0.0;
+  for (std::size_t k = 0; k < K_; ++k) {
+    double work = proc_solo_[k] - row[k];
+    if (k == s) work += collapse_ms;
+    if (work > lb) lb = work;
+  }
+  return lb;
+}
+
+void CollapseBound::apply(std::size_t slot, std::size_t s, double collapse_ms) {
+  double* row = row_.data() + slot * K_;
+  for (std::size_t k = 0; k < K_; ++k) {
+    const double next = k == s ? collapse_ms : 0.0;
+    proc_solo_[k] += next - row[k];
+    row[k] = next;
+  }
+}
+
 bool optimize_tail(PipelinePlan& plan, const StaticEvaluator& eval,
                    const PlanScorer& scorer, double* score_out) {
   const std::size_t K = plan.num_stages;
@@ -150,11 +186,19 @@ bool optimize_tail(PipelinePlan& plan, const StaticEvaluator& eval,
   span.arg("models", static_cast<double>(m));
   const bool use_static = !scorer;
 
-  IncrementalStaticScorer inc(eval, plan);
+  // The static mode rescores through the wavefront column cache; the DES
+  // mode needs only the solo work its collapse bound reads.
+  std::optional<IncrementalStaticScorer> inc;
+  std::optional<CollapseBound> lb;
+  if (use_static) {
+    inc.emplace(eval, plan);
+  } else {
+    lb.emplace(eval, plan);
+  }
   // Score of the *current* plan, carried across the sweep — both scorers
   // are deterministic and the plan only changes on an accepted candidate,
   // so this equals re-scoring the plan from scratch every iteration.
-  double plan_score = use_static ? inc.base_score() : scorer(plan);
+  double plan_score = use_static ? inc->base_score() : scorer(plan);
   std::uint64_t candidates = 0;
   std::uint64_t pruned = 0;
   std::uint64_t score_calls = use_static ? 0 : 1;
@@ -171,7 +215,13 @@ bool optimize_tail(PipelinePlan& plan, const StaticEvaluator& eval,
   };
   for (std::size_t t = 0; t < m; ++t) {
     const std::size_t i = m - 1 - t;
-    const std::size_t n = eval.model(plan.models[i].model_index).num_layers();
+    const CostTable& table = eval.table(plan.models[i].model_index);
+    const std::size_t n = table.num_layers();
+    // Solo time of the whole model on processor s: the collapsed stage's
+    // stage_solo_ms (it starts at layer 0, so it has no inbound copy).
+    const auto collapse_ms = [&](std::size_t s) {
+      return n == 0 ? 0.0 : table.exec_ms(s, 0, n - 1);
+    };
 
     // Score the K collapses in one ascending pass (§V-C: "the search space
     // is only K"), accepting as it goes: ties keep the lowest index.  Both
@@ -196,9 +246,9 @@ bool optimize_tail(PipelinePlan& plan, const StaticEvaluator& eval,
       if (use_static) {
         // Incremental static scoring: only the ≤ K affected wavefront
         // columns are recomputed; bit-identical to a full evaluation.
-        score = inc.score_with(i, collapsed);
+        score = inc->score_with(i, collapsed);
       } else {
-        if (inc.des_lower_bound_with(i, collapsed) >= bar + 1e-6) {
+        if (lb->bound(i, s, collapse_ms(s)) >= bar + 1e-6) {
           ++pruned;
           continue;
         }
@@ -216,9 +266,14 @@ bool optimize_tail(PipelinePlan& plan, const StaticEvaluator& eval,
       }
     }
     if (accepted >= 0) {
-      make_collapsed(static_cast<std::size_t>(accepted), n);
+      const auto s = static_cast<std::size_t>(accepted);
+      make_collapsed(s, n);
       plan.models[i].slices.assign(collapsed.begin(), collapsed.end());
-      inc.apply(i, plan.models[i].slices);
+      if (use_static) {
+        inc->apply(i, plan.models[i].slices);
+      } else {
+        lb->apply(i, s, collapse_ms(s));
+      }
       plan_score = best;
       changed = true;
     }

@@ -55,6 +55,31 @@ int vertical_align(PipelinePlan& plan, const StaticEvaluator& eval,
                    const WorkStealingOptions& opts = {},
                    const PlanScorer& scorer = {}, double* score_out = nullptr);
 
+/// The DES-scored tail sweep's pruning state: each slot's per-stage solo
+/// row and the per-processor solo sums.  Processors run one task at a time
+/// and contention only dilates tasks, so no schedule finishes before its
+/// busiest processor's solo work: `bound` is that work with one slot
+/// collapsed onto one processor, a lower bound on the DES makespan.
+class CollapseBound {
+ public:
+  CollapseBound(const StaticEvaluator& eval, const PipelinePlan& plan);
+
+  /// Busiest processor's solo work with `slot` collapsed onto processor
+  /// `s`, where `collapse_ms` is the whole model's solo time there:
+  /// max_k (proc_solo[k] - row[k]) + (k == s ? collapse_ms : 0), floored
+  /// at 0.  O(K).
+  [[nodiscard]] double bound(std::size_t slot, std::size_t s,
+                             double collapse_ms) const;
+
+  /// Commit `slot`'s collapse onto `s`: proc_solo[k] += new row[k] - row[k].
+  void apply(std::size_t slot, std::size_t s, double collapse_ms);
+
+ private:
+  std::size_t K_ = 0;
+  std::vector<double> row_;        // [m*K] slot-major per-stage solo times
+  std::vector<double> proc_solo_;  // [K] per-processor sums, i-ascending
+};
+
 /// Tail-bubble optimization (§V-C phase 2): local search re-allocating
 /// workloads, sweeping models tail-first and exhaustively trying the K
 /// single-processor collapses for each (the search space is only K);
@@ -65,9 +90,9 @@ int vertical_align(PipelinePlan& plan, const StaticEvaluator& eval,
 /// untouched.
 ///
 /// Scoring is incremental: with the default (static) scorer each candidate
-/// re-evaluates only its affected wavefront columns; with a custom (DES)
-/// scorer, a model's K collapses are scored in one ascending pass, each
-/// first checked against a per-processor solo-work lower bound: a collapse
+/// re-evaluates only its affected wavefront columns (IncrementalStaticScorer);
+/// with a custom (DES) scorer, a model's K collapses are scored in one
+/// ascending pass, each first checked against its CollapseBound: a collapse
 /// whose bound reaches min(incumbent, best collapse scored so far) + 1e-6
 /// cannot be accepted and is not scored.  Acceptance scans the collapses
 /// in ascending order, so ties keep the lowest-index collapse.

@@ -79,13 +79,6 @@ double Model::range_weight_stream_bytes(std::size_t i, std::size_t j) const {
   return prefix_weight_stream_[j + 1] - prefix_weight_stream_[i];
 }
 
-double Model::boundary_bytes(std::size_t i) const {
-  if (layers_.empty()) return 0.0;
-  if (i == 0) return layers_.front().input_bytes;
-  if (i >= layers_.size()) return layers_.back().output_bytes;
-  return layers_[i - 1].output_bytes;
-}
-
 double Model::peak_activation_bytes(std::size_t i, std::size_t j) const {
   const std::size_t n = layers_.size();
   if (i >= n || j < i) return 0.0;

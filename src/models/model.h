@@ -39,7 +39,12 @@ class Model {
 
   /// Bytes crossing the boundary *into* layer i (the tensor a downstream
   /// pipeline stage must receive); layer 0 returns the network input size.
-  [[nodiscard]] double boundary_bytes(std::size_t i) const;
+  [[nodiscard]] double boundary_bytes(std::size_t i) const {
+    if (layers_.empty()) return 0.0;
+    if (i == 0) return layers_.front().input_bytes;
+    if (i >= layers_.size()) return layers_.back().output_bytes;
+    return layers_[i - 1].output_bytes;
+  }
 
   /// Largest single activation in [i, j] (peak-memory accounting), floored
   /// at 0.  O(1) through a sparse table built at construction: max is exact

@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <limits>
 #include <stdexcept>
+#include <string>
 
 #include "contention/contention_model.h"
 #include "sim/pipeline_sim.h"
@@ -26,23 +27,6 @@ bool has_bit(std::uint64_t mask, std::size_t proc) {
 void sort_unique(std::vector<double>& v) {
   std::sort(v.begin(), v.end());
   v.erase(std::unique(v.begin(), v.end()), v.end());
-}
-
-/// A JSON number that must be a whole number in [0, limit), so no
-/// out-of-range double is ever cast to an index.  The error names the
-/// field and the entry it belongs to (`owner` `item`, e.g. "event 3").
-std::size_t json_index(const Json& value, double limit, const char* owner,
-                       std::size_t item, const char* field) {
-  const double x = value.as_number();
-  if (!(x >= 0.0 && x < limit && x == std::floor(x))) {
-    char buf[160];
-    std::snprintf(buf, sizeof(buf),
-                  "fault script: %s %zu: \"%s\" must be an integer in "
-                  "[0, %.0f), got %g",
-                  owner, item, field, limit, x);
-    throw std::runtime_error(buf);
-  }
-  return static_cast<std::size_t>(x);
 }
 
 }  // namespace
@@ -461,7 +445,8 @@ FaultScript fault_script_from_json(const Json& json) {
         for (std::size_t p = 0; p < procs.size(); ++p) {
           w.procs.push_back(json_index(procs.at(p),
                                        static_cast<double>(kMaxProcs),
-                                       "weather", i, "procs"));
+                                       "fault script: weather " + std::to_string(i),
+                                       "procs"));
         }
       }
       weather.push_back(std::move(w));
@@ -484,7 +469,7 @@ FaultScript fault_script_from_json(const Json& json) {
     }
     if (j.contains("proc")) {
       e.proc_idx = json_index(j.at("proc"), static_cast<double>(kMaxProcs),
-                              "event", i, "proc");
+                              "fault script: event " + std::to_string(i), "proc");
     }
     e.begin_ms = j.at("begin_ms").as_number();
     e.end_ms = kInf;
@@ -496,7 +481,7 @@ FaultScript fault_script_from_json(const Json& json) {
     if (j.contains("weather")) {
       e.weather_idx = static_cast<int>(
           json_index(j.at("weather"), static_cast<double>(weather.size()),
-                     "event", i, "weather"));
+                     "fault script: event " + std::to_string(i), "weather"));
     }
     events.push_back(e);
   }

@@ -174,8 +174,7 @@ OnlineResult run_online(const Soc& soc, const std::vector<OnlineRequest>& stream
   // DES lower bound on one request's chain: every layer must execute
   // somewhere among the surviving processors, contention and faults only
   // dilate, so completion >= sum of per-layer best solo times (the
-  // IncrementalStaticScorer::des_lower_bound_with solo-work argument,
-  // per-request).  +inf when some layer has no surviving processor at all.
+  // solo-work argument of the tail sweep's CollapseBound, per request).  +inf when some layer has no surviving processor at all.
   // Priced on the current bucket's *derated* SoC: a throttled chip slows
   // every layer, so admission must not promise deadlines the derated
   // hardware cannot keep.  (The shared-bus factor only dilates further, so

@@ -33,7 +33,7 @@ struct OnlineRequest {
 /// chain must run serially, contention and faults only dilate it, so its
 /// completion is at least max(arrival, plan start) plus the sum over its
 /// layers of each layer's best surviving-processor solo time — the same
-/// solo-work argument IncrementalStaticScorer::des_lower_bound_with uses).
+/// solo-work argument the tail sweep's CollapseBound uses).
 enum class DeadlinePolicy {
   /// Admit everything; misses are only counted after the fact.
   kNone,

@@ -12,10 +12,6 @@
 
 namespace h2p {
 
-namespace {
-constexpr double kMsPerByteAtGbps = 1.0 / 1.0e6;  // ms = bytes / (gbps * 1e6)
-}
-
 double CostModel::layer_miss_fraction(const Layer& layer, const Processor& proc) {
   // A well-tiled kernel (locality ~1) keeps misses low even when the raw
   // working set exceeds L2 — cache blocking streams tiles; a fragmented
@@ -45,13 +41,6 @@ double CostModel::layer_memory_ms(const Layer& layer, const Processor& proc) con
 double CostModel::layer_time_ms(const Layer& layer, const Processor& proc) const {
   return std::max(layer_compute_ms(layer, proc), layer_memory_ms(layer, proc)) +
          proc.launch_overhead_ms;
-}
-
-double CostModel::copy_ms(double bytes, const Processor& to) const {
-  // Unified memory: a hand-off is a cache flush + remap at roughly half the
-  // bus bandwidth, plus the target's fixed driver latency.
-  const double xfer_bw = std::max(soc_->bus_bw_gbps() * 0.5, 0.1);
-  return to.copy_in_latency_ms + bytes / xfer_bw * kMsPerByteAtGbps;
 }
 
 double CostModel::model_solo_ms(const Model& model, std::size_t proc_idx) const {
@@ -179,11 +168,14 @@ CostTable::CostTable(const Model& model, const CostModel& cost)
   const std::size_t p = soc.num_processors();
 
   per_proc_.reserve(p);
+  copy_in_latency_ms_.reserve(p);
   for (std::size_t k = 0; k < p; ++k) {
     bool missed = false;
     per_proc_.push_back(profile_store::fetch(model, soc.processor(k), cost, missed));
     if (missed) ++profile_misses_;
+    copy_in_latency_ms_.push_back(soc.processor(k).copy_in_latency_ms);
   }
+  transfer_bw_gbps_ = cost.transfer_bw_gbps();
 
   npu_idx_ = soc.find(ProcKind::kNpu);
   // Forward fallback target: fastest of CPU_Big / GPU by peak throughput.
@@ -240,14 +232,6 @@ SliceCost CostTable::slice_cost(std::size_t k, std::size_t i, std::size_t j) con
   c.dram_bytes = ((u > i) ? range(npu.prefix_bytes, i, u - 1) : 0.0) +
                  range(fb.prefix_bytes, u, j) + model_->boundary_bytes(u);
   return c;
-}
-
-double CostTable::exec_ms(std::size_t k, std::size_t i, std::size_t j) const {
-  return slice_cost(k, i, j).total_ms;
-}
-
-double CostTable::boundary_copy_ms(std::size_t k, std::size_t i) const {
-  return cost_->copy_ms(model_->boundary_bytes(i), cost_->soc().processor(k));
 }
 
 double CostTable::stage_ms(std::size_t k, std::size_t i, std::size_t j) const {

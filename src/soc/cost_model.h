@@ -1,5 +1,6 @@
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <limits>
 #include <memory>
@@ -52,8 +53,20 @@ class CostModel {
   /// row-buffer conflicts, §III).
   static constexpr double kBusContentionOnset = 0.35;
 
-  /// Boundary-tensor hand-off cost onto `to` (Eq. 2's memory-copy term).
-  [[nodiscard]] double copy_ms(double bytes, const Processor& to) const;
+  /// ms = bytes / (gbps * 1e6), written as bytes / gbps * this factor.
+  static constexpr double kMsPerByteAtGbps = 1.0 / 1.0e6;
+
+  /// Effective bandwidth of a boundary-tensor hand-off: unified memory
+  /// makes it a cache flush + remap at roughly half the bus bandwidth.
+  [[nodiscard]] double transfer_bw_gbps() const {
+    return std::max(soc_->bus_bw_gbps() * 0.5, 0.1);
+  }
+
+  /// Boundary-tensor hand-off cost onto `to` (Eq. 2's memory-copy term):
+  /// the target's fixed driver latency plus the transfer.
+  [[nodiscard]] double copy_ms(double bytes, const Processor& to) const {
+    return to.copy_in_latency_ms + bytes / transfer_bw_gbps() * kMsPerByteAtGbps;
+  }
 
   /// Whole-model solo latency on one processor (includes NPU fallback).
   [[nodiscard]] double model_solo_ms(const Model& model, std::size_t proc_idx) const;
@@ -130,6 +143,8 @@ class CostTable {
 
   /// Solo execution time of layers [i, j] on processor k (Eq. 2 terms 1+2
   /// minus the inbound boundary copy, which depends on the previous stage).
+  /// Equal to `slice_cost(k, i, j).total_ms`; inline below, because the
+  /// planner's alignment and tail sweep read it in their inner loops.
   [[nodiscard]] double exec_ms(std::size_t k, std::size_t i, std::size_t j) const;
 
   /// exec_ms plus the cost of receiving the boundary tensor at layer i.
@@ -179,7 +194,9 @@ class CostTable {
   [[nodiscard]] SliceSimCosts slice_sim_costs(std::size_t k, std::size_t i,
                                               std::size_t j) const;
 
-  /// Copy cost of handing the boundary tensor at layer i to processor k.
+  /// Copy cost of handing the boundary tensor at layer i to processor k:
+  /// `CostModel::copy_ms(model.boundary_bytes(i), processor k)`, from the
+  /// transfer bandwidth and copy latencies cached at construction.
   [[nodiscard]] double boundary_copy_ms(std::size_t k, std::size_t i) const;
 
  private:
@@ -191,8 +208,28 @@ class CostTable {
   std::vector<std::shared_ptr<const ProcProfile>> per_proc_;
   std::size_t profile_misses_ = 0;
   std::vector<std::size_t> next_unsupported_;  // [n+1], next NPU-unsupported >= i
+  std::vector<double> copy_in_latency_ms_;     // [P] Processor::copy_in_latency_ms
+  double transfer_bw_gbps_ = 0.0;              // CostModel::transfer_bw_gbps()
   int npu_idx_ = -1;
   int fallback_idx_ = -1;  // fastest of CPU_Big / GPU
 };
+
+inline double CostTable::exec_ms(std::size_t k, std::size_t i, std::size_t j) const {
+  if (j < i || j >= num_layers()) return 0.0;
+  // slice_cost's first branch: off the NPU, or on it with no unsupported
+  // operator in range, the time is one prefix difference.  Only NPU
+  // fallback ranges take the full breakdown.
+  if (static_cast<int>(k) != npu_idx_ || next_unsupported_[i] > j) {
+    const std::vector<double>& prefix = per_proc_[k]->prefix_time;
+    return prefix[j + 1] - prefix[i];
+  }
+  return slice_cost(k, i, j).total_ms;
+}
+
+inline double CostTable::boundary_copy_ms(std::size_t k, std::size_t i) const {
+  // CostModel::copy_ms's operations, in its order.
+  return copy_in_latency_ms_[k] +
+         model_->boundary_bytes(i) / transfer_bw_gbps_ * CostModel::kMsPerByteAtGbps;
+}
 
 }  // namespace h2p

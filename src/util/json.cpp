@@ -320,4 +320,16 @@ class Parser {
 
 Json Json::parse(const std::string& text) { return Parser(text).parse(); }
 
+std::size_t json_index(const Json& value, double limit, const std::string& where,
+                       const char* field) {
+  const double x = value.as_number();
+  if (!(x >= 0.0 && x < limit && x == std::floor(x))) {
+    char buf[96];
+    std::snprintf(buf, sizeof(buf), "\" must be an integer in [0, %.0f), got %g",
+                  limit, x);
+    throw std::runtime_error(where + ": \"" + field + buf);
+  }
+  return static_cast<std::size_t>(x);
+}
+
 }  // namespace h2p

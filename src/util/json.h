@@ -1,5 +1,6 @@
 #pragma once
 
+#include <cstddef>
 #include <map>
 #include <memory>
 #include <string>
@@ -55,5 +56,12 @@ class Json {
   std::vector<Json> array_;
   std::map<std::string, Json> object_;
 };
+
+/// `value` read as an index: a whole number in [0, limit), so no negative,
+/// fractional, NaN or out-of-range double is ever cast to one.  Otherwise
+/// throws std::runtime_error naming the entry and the field:
+/// `<where>: "<field>" must be an integer in [0, <limit>), got <value>`.
+std::size_t json_index(const Json& value, double limit, const std::string& where,
+                       const char* field);
 
 }  // namespace h2p

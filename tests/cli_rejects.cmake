@@ -21,6 +21,10 @@
 #                      online --threads 2 without --async
 #   online_unknown_flag
 #                      online --bogus
+#   simulate_fractional_model_index
+#                      simulate --plan <plan with "model_index": 2.5>
+#   simulate_negative_num_stages
+#                      simulate --plan <plan with "num_stages": -1>
 
 foreach(var CLI CASE WORK_DIR)
   if(NOT DEFINED ${var})
@@ -78,6 +82,28 @@ elseif(CASE STREQUAL "online_threads_without_async")
 elseif(CASE STREQUAL "online_unknown_flag")
   set(args ${online} --bogus)
   set(expect "online: unknown flag --bogus")
+elseif(CASE MATCHES "^simulate_")
+  # A valid two-model, four-stage plan with one field made invalid.
+  set(num_stages 4)
+  set(model_index 2.5)
+  if(CASE STREQUAL "simulate_fractional_model_index")
+    set(expect "plan_from_json: model 1: \"model_index\" must be an integer "
+               "in [0, 4294967296), got 2.5")
+  else()
+    set(num_stages -1)
+    set(model_index 1)
+    set(expect "plan_from_json: \"num_stages\" must be an integer "
+               "in [0, 4294967296), got -1")
+  endif()
+  string(CONCAT expect ${expect})
+  set(plan "${WORK_DIR}/${CASE}.json")
+  file(WRITE "${plan}"
+       "{\"num_stages\": ${num_stages}, \"models\": ["
+       "{\"model_index\": 0, \"high_contention\": false, "
+       "\"slices\": [[0, 10], [10, 20], [20, 30], [30, 40]]}, "
+       "{\"model_index\": ${model_index}, \"high_contention\": false, "
+       "\"slices\": [[0, 5], [5, 10], [10, 15], [15, 20]]}]}\n")
+  set(args simulate --plan "${plan}" --models resnet50,squeezenet)
 else()
   message(FATAL_ERROR "cli_rejects: unknown case ${CASE}")
 endif()

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 #include "models/model_zoo.h"
 #include "soc/cost_model.h"
 
@@ -168,6 +170,39 @@ TEST_F(CostModelTest, StageMsAddsBoundaryCopy) {
   const double exec = table.exec_ms(gpu, 5, 10);
   const double stage = table.stage_ms(gpu, 5, 10);
   EXPECT_NEAR(stage - exec, table.boundary_copy_ms(gpu, 5), 1e-12);
+}
+
+bool same_bits(double a, double b) { return std::memcmp(&a, &b, sizeof a) == 0; }
+
+// The inline exec_ms / boundary_copy_ms against the out-of-line paths they
+// shortcut, on every range of every zoo model on every processor of every
+// SoC — NPU fallback ranges, empty ranges (i > j) and ranges past the
+// model's end included.
+TEST(CostTable, InlineReadsMatchSliceCostOnEveryZooRange) {
+  std::size_t fallback_ranges = 0;
+  for (const Soc& soc : {Soc::kirin990(), Soc::snapdragon778g(), Soc::snapdragon870()}) {
+    const CostModel cost(soc);
+    for (ModelId id : extended_model_ids()) {
+      const Model& m = zoo_model(id);
+      const CostTable table(m, cost);
+      const std::size_t n = m.num_layers();
+      for (std::size_t k = 0; k < soc.num_processors(); ++k) {
+        for (std::size_t i = 0; i <= n + 1; ++i) {
+          ASSERT_TRUE(same_bits(table.boundary_copy_ms(k, i),
+                                cost.copy_ms(m.boundary_bytes(i), soc.processor(k))))
+              << soc.name() << " " << to_string(id) << " proc " << k << " at " << i;
+          for (std::size_t j = 0; j <= n + 1; ++j) {
+            const SliceCost c = table.slice_cost(k, i, j);
+            fallback_ranges += c.used_npu_fallback ? 1 : 0;
+            ASSERT_TRUE(same_bits(table.exec_ms(k, i, j), c.total_ms))
+                << soc.name() << " " << to_string(id) << " proc " << k << " ["
+                << i << ", " << j << "]";
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(fallback_ranges, 0u);
 }
 
 // Property 2 (monotonicity) on every zoo model / CPU & GPU processors:

@@ -158,6 +158,7 @@ TEST(IncrementalScorer, SingleModelEditBitIdenticalToFresh) {
   const std::size_t K = fx.soc.num_processors();
   PipelinePlan plan = horizontal_plan(*fx.eval, K);
   IncrementalStaticScorer inc(*fx.eval, plan);
+  CollapseBound lb(*fx.eval, plan);
 
   Rng rng(99);
   for (int trial = 0; trial < 40; ++trial) {
@@ -165,7 +166,8 @@ TEST(IncrementalScorer, SingleModelEditBitIdenticalToFresh) {
     const std::size_t n = fx.eval->model(plan.models[i].model_index).num_layers();
     // Random single-processor collapse — the tail search's candidate shape.
     std::vector<Slice> cand(K, Slice{0, 0});
-    cand[rng.index(K)] = Slice{0, n};
+    const std::size_t s = rng.index(K);
+    cand[s] = Slice{0, n};
 
     PipelinePlan edited = plan;
     edited.models[i].slices = cand;
@@ -173,13 +175,15 @@ TEST(IncrementalScorer, SingleModelEditBitIdenticalToFresh) {
     EXPECT_EQ(inc.score_with(i, cand), fresh) << "trial " << trial;
 
     // The DES lower bound must never exceed the actual DES makespan.
-    // (Checked against the static score's building blocks elsewhere; here
-    // just sanity: bound is finite and non-negative.)
-    EXPECT_GE(inc.des_lower_bound_with(i, cand), 0.0);
+    // (Checked against the simulator below; here just sanity: bound is
+    // finite and non-negative.)
+    const double collapse_ms = fx.eval->stage_solo_ms(edited.models[i], s);
+    EXPECT_GE(lb.bound(i, s, collapse_ms), 0.0);
 
     // Occasionally commit the edit and keep checking against fresh state.
     if (trial % 3 == 0) {
       inc.apply(i, cand);
+      lb.apply(i, s, collapse_ms);
       plan = edited;
       EXPECT_EQ(inc.base_score(), fx.eval->makespan_ms(plan, true));
     }
@@ -190,7 +194,7 @@ TEST(IncrementalScorer, DesLowerBoundHoldsAgainstSimulator) {
   Fixture fx(testing_util::mixed_four());
   const std::size_t K = fx.soc.num_processors();
   PipelinePlan plan = horizontal_plan(*fx.eval, K);
-  IncrementalStaticScorer inc(*fx.eval, plan);
+  const CollapseBound lb(*fx.eval, plan);
   for (std::size_t i = 0; i < plan.models.size(); ++i) {
     const std::size_t n = fx.eval->model(plan.models[i].model_index).num_layers();
     for (std::size_t s = 0; s < K; ++s) {
@@ -199,7 +203,8 @@ TEST(IncrementalScorer, DesLowerBoundHoldsAgainstSimulator) {
       PipelinePlan edited = plan;
       edited.models[i].slices = cand;
       const double des = simulate_plan(edited, *fx.eval).makespan_ms();
-      EXPECT_LE(inc.des_lower_bound_with(i, cand), des + 1e-9)
+      const double collapse_ms = fx.eval->stage_solo_ms(edited.models[i], s);
+      EXPECT_LE(lb.bound(i, s, collapse_ms), des + 1e-9)
           << "model " << i << " collapse " << s;
     }
   }

@@ -1,6 +1,8 @@
 // Candidate-scoring oracles: the O(m) memory check against the per-column
-// formula it replaced, and the memoized plan lowering behind
-// simulate_plan_makespan against the frozen reference simulator.
+// formula it replaced, the memoized plan lowering behind
+// simulate_plan_makespan against the frozen reference simulator, and the
+// tail sweep's O(K) collapse bound against the lane-wise computation it
+// replaced.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -19,6 +21,7 @@
 #include "sim/task_table.h"
 #include "test_helpers.h"
 #include "util/rng.h"
+#include "util/simd.h"
 
 namespace h2p {
 namespace {
@@ -121,6 +124,57 @@ TEST(MemoryCheck, ColumnSumExactlyAtAvailableBytesFits) {
     ASSERT_FALSE(memory_oracle(below, plan));
     ASSERT_TRUE(exact.satisfies_memory(plan)) << "trial " << trial;
     ASSERT_FALSE(below.satisfies_memory(plan)) << "trial " << trial;
+  }
+}
+
+TEST(MemoryCheck, InterleavedEvaluatorsReEmplacedAtOneAddress) {
+  // Same plan, same slot keys; evaluator `a` is rebuilt at one address
+  // with models whose resident bytes differ, between calls on `b`.  The
+  // per-slot memo must key on the generation: an address-keyed memo would
+  // hand `a` the previous models' bytes.
+  const Soc kirin = Soc::kirin990();
+  const Model big_resnet = make_batched_model(zoo_model(ModelId::kResNet50), 4);
+  const Model big_bert = make_batched_model(zoo_model(ModelId::kBERT), 4);
+  const Model big_squeeze = make_batched_model(zoo_model(ModelId::kSqueezeNet), 4);
+  const std::vector<const Model*> plain = {&zoo_model(ModelId::kResNet50),
+                                           &zoo_model(ModelId::kBERT),
+                                           &zoo_model(ModelId::kSqueezeNet)};
+  const std::vector<const Model*> batched = {&big_resnet, &big_bert, &big_squeeze};
+  const std::size_t K = kirin.num_processors();
+  const PipelinePlan plan = horizontal_plan(StaticEvaluator(kirin, plain), K);
+  double peak_plain = 0.0;
+  double peak_batched = 0.0;
+  memory_oracle(StaticEvaluator(kirin, plain), plan, &peak_plain);
+  memory_oracle(StaticEvaluator(kirin, batched), plan, &peak_batched);
+  ASSERT_LT(peak_plain, peak_batched);
+  // Free memory between the two peaks: the plain models fit, the batched
+  // ones do not.
+  const Soc mid = with_available_bytes(kirin, 0.5 * (peak_plain + peak_batched));
+
+  std::optional<StaticEvaluator> a;
+  a.emplace(mid, plain);
+  const StaticEvaluator* address = &*a;
+  const StaticEvaluator b(mid, batched);
+  Rng rng(7400);
+  PipelinePlan edited = plan;
+  for (int round = 0; round < 12; ++round) {
+    const bool a_plain = round % 2 == 0;
+    if (round > 0) {
+      a.emplace(mid, a_plain ? plain : batched);
+      ASSERT_EQ(&*a, address);
+    }
+    EXPECT_EQ(a->satisfies_memory(plan), a_plain) << "round " << round;
+    EXPECT_FALSE(b.satisfies_memory(plan)) << "round " << round;
+    // One-slot edit per round: the tail sweep's candidate shape.
+    const std::size_t slot = rng.index(edited.models.size());
+    const std::size_t n = a->model(edited.models[slot].model_index).num_layers();
+    edited.models[slot].slices.assign(K, Slice{0, 0});
+    edited.models[slot].slices[rng.index(K)] = Slice{0, n};
+    const StaticEvaluator* interleaved[] = {&*a, &b, &*a};
+    for (const StaticEvaluator* e : interleaved) {
+      EXPECT_EQ(e->satisfies_memory(edited), memory_oracle(*e, edited))
+          << "round " << round;
+    }
   }
 }
 
@@ -289,6 +343,133 @@ TEST(DeltaLowering, ThrowingPlansLeaveNoStaleRows) {
   EXPECT_THROW((void)simulate_plan_makespan(past_end, *fx.eval),
                std::invalid_argument);
   expect_memo_matches_reference(valid, *fx.eval);
+}
+
+// ---- tail-sweep collapse bound ------------------------------------------------
+
+/// The collapse bound as the DES-mode sweep computed it while it kept an
+/// IncrementalStaticScorer: zero-padded per-slot solo rows and
+/// per-processor sums, the lane-wise (proc_solo - cell) + row, and a
+/// fixed_max with baseline 0 over the padded lanes.
+class LaneWiseBoundOracle {
+ public:
+  LaneWiseBoundOracle(const StaticEvaluator& eval, const PipelinePlan& plan)
+      : eval_(&eval), K_(plan.num_stages), Kp_(simd::padded_size(plan.num_stages)),
+        cell_(plan.models.size() * Kp_, 0.0), proc_solo_(Kp_, 0.0) {
+    for (std::size_t i = 0; i < plan.models.size(); ++i) {
+      const std::vector<double> r = row(plan.models[i]);
+      std::copy(r.begin(), r.end(), cell_.begin() + static_cast<std::ptrdiff_t>(i * Kp_));
+    }
+    for (std::size_t k = 0; k < K_; ++k) {
+      for (std::size_t i = 0; i < plan.models.size(); ++i) {
+        proc_solo_[k] += cell_[i * Kp_ + k];
+      }
+    }
+  }
+
+  [[nodiscard]] double bound(std::size_t slot, const ModelPlan& candidate) const {
+    const std::vector<double> r = row(candidate);
+    std::vector<double> tmp(Kp_);
+    const double* cs = cell_.data() + slot * Kp_;
+    for (std::size_t k = 0; k < Kp_; k += simd::kLanes) {
+      ((simd::Vec4d::load(proc_solo_.data() + k) - simd::Vec4d::load(cs + k)) +
+       simd::Vec4d::load(r.data() + k))
+          .store(tmp.data() + k);
+    }
+    return simd::fixed_max(tmp.data(), Kp_, 0.0);
+  }
+
+  void apply(std::size_t slot, const ModelPlan& accepted) {
+    const std::vector<double> r = row(accepted);
+    for (std::size_t k = 0; k < K_; ++k) {
+      proc_solo_[k] += r[k] - cell_[slot * Kp_ + k];
+    }
+    std::copy(r.begin(), r.end(), cell_.begin() + static_cast<std::ptrdiff_t>(slot * Kp_));
+  }
+
+ private:
+  [[nodiscard]] std::vector<double> row(const ModelPlan& mp) const {
+    std::vector<double> r(Kp_, 0.0);
+    for (std::size_t k = 0; k < K_; ++k) r[k] = eval_->stage_solo_ms(mp, k);
+    return r;
+  }
+
+  const StaticEvaluator* eval_;
+  std::size_t K_;
+  std::size_t Kp_;
+  std::vector<double> cell_;
+  std::vector<double> proc_solo_;
+};
+
+TEST(CollapseBound, MatchesLaneWiseOracleOnReplayedSweep) {
+  // Replay a DES-scored tail sweep without pruning (pruning never changes
+  // a decision, so it accepts what optimize_tail accepts) and compare the
+  // two bounds bit for bit on every collapse of every model.
+  for (const Soc& soc : {Soc::kirin990(), Soc::snapdragon778g(), Soc::snapdragon870()}) {
+    SCOPED_TRACE(soc.name());
+    Fixture fx({ModelId::kYOLOv4, ModelId::kBERT, ModelId::kSqueezeNet,
+                ModelId::kResNet50, ModelId::kAlexNet, ModelId::kMobileNetV2,
+                ModelId::kVGG16, ModelId::kSqueezeNet},
+               soc);
+    const StaticEvaluator& eval = *fx.eval;
+    const std::size_t K = fx.soc.num_processors();
+    const PlanScorer des = [&eval](const PipelinePlan& p) {
+      double score = simulate_plan_makespan(p, eval);
+      if (!eval.satisfies_memory(p)) score *= 1.5;
+      return score;
+    };
+    PipelinePlan plan = horizontal_plan(eval, K);
+    WorkStealingOptions no_tail;
+    no_tail.tail_optimization = false;
+    vertical_align(plan, eval, no_tail);
+    PipelinePlan swept = plan;
+    optimize_tail(swept, eval, des);
+
+    CollapseBound lb(eval, plan);
+    LaneWiseBoundOracle oracle(eval, plan);
+    double plan_score = des(plan);
+    std::size_t checked = 0;
+    std::size_t accepts = 0;
+    for (std::size_t t = 0; t < plan.models.size(); ++t) {
+      const std::size_t i = plan.models.size() - 1 - t;
+      const std::size_t n = eval.model(plan.models[i].model_index).num_layers();
+      double best = plan_score;
+      std::optional<ModelPlan> accepted;
+      std::size_t accepted_s = 0;
+      for (std::size_t s = 0; s < K; ++s) {
+        ModelPlan cand = plan.models[i];
+        cand.slices.assign(K, Slice{0, 0});
+        cand.slices[s] = Slice{0, n};
+        const double collapse_ms = eval.stage_solo_ms(cand, s);
+        const double expected = oracle.bound(i, cand);
+        const double got = lb.bound(i, s, collapse_ms);
+        ASSERT_TRUE(same_bits(got, expected))
+            << "model " << i << " collapse " << s << ": " << got << " vs " << expected;
+        ++checked;
+        if (cand.slices == plan.models[i].slices) continue;
+        PipelinePlan edited = plan;
+        edited.models[i] = cand;
+        const double score = des(edited);
+        if (score + 1e-9 < best) {
+          best = score;
+          accepted = cand;
+          accepted_s = s;
+        }
+      }
+      if (accepted) {
+        lb.apply(i, accepted_s, eval.stage_solo_ms(*accepted, accepted_s));
+        oracle.apply(i, *accepted);
+        plan.models[i] = *accepted;
+        plan_score = best;
+        ++accepts;
+      }
+    }
+    EXPECT_EQ(checked, plan.models.size() * K);
+    EXPECT_GT(accepts, 0u);
+    for (std::size_t i = 0; i < plan.models.size(); ++i) {
+      EXPECT_EQ(plan.models[i].slices, swept.models[i].slices) << "slot " << i;
+    }
+  }
 }
 
 }  // namespace
