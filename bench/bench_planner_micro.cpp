@@ -25,7 +25,6 @@
 #include <thread>
 #include <vector>
 
-#include "contention/contention_model.h"
 #include "core/graph_planner.h"
 #include "core/lap.h"
 #include "core/partition.h"
@@ -39,7 +38,6 @@
 #include "sim/pipeline_sim_reference.h"
 #include "util/json.h"
 #include "util/rng.h"
-#include "util/simd.h"
 #include "util/stats.h"
 #include "util/thread_pool.h"
 
@@ -320,81 +318,6 @@ void BM_TailSweepDes(benchmark::State& state) {
 }
 BENCHMARK(BM_TailSweepDes)->Name("BM_TailSweep/des");
 
-// ---- SIMD kernel micro-benches ----------------------------------------------
-
-// The three util/simd.h kernels the planning core leans on, measured bare on
-// workload-shaped buffers so the ISA-level trajectory (avx2/sse2/neon/scalar
-// across build flavours; see h2p_context.simd in the JSON snapshot) is
-// visible independently of planner-level effects.  items_per_second counts
-// kernel invocations.
-
-/// Wavefront column rescoring shape: per victim a coupling-row fixed_dot +
-/// slowdown, then a lane-wide max over the contended column times (the
-/// IncrementalStaticScorer::column_max inner loop).
-void BM_SimdKernels_Rescore(benchmark::State& state) {
-  constexpr std::size_t kVictims = 16;   // padded column height
-  constexpr std::size_t kProcs = 8;      // padded coupling-row width
-  Rng rng(7);
-  std::vector<double> coupling(kVictims * kProcs);
-  std::vector<double> intensity(kProcs);
-  std::vector<double> times(kVictims);
-  std::vector<double> sens(kVictims);
-  for (double& v : coupling) v = rng.uniform(0.0, 1.2);
-  for (double& v : intensity) v = rng.uniform(0.0, 1.0);
-  for (double& v : times) v = rng.uniform(0.5, 20.0);
-  for (double& v : sens) v = rng.uniform(0.0, 1.0);
-  std::vector<double> scratch(kVictims);
-  for (auto _ : state) {
-    for (std::size_t k = 0; k < kVictims; ++k) {
-      const double extra =
-          simd::fixed_dot(coupling.data() + k * kProcs, intensity.data(), kProcs);
-      scratch[k] =
-          times[k] * ContentionModel::slowdown_from_extra(extra, sens[k]);
-    }
-    benchmark::DoNotOptimize(simd::fixed_max(scratch.data(), kVictims, 0.0));
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_SimdKernels_Rescore)->Name("BM_SimdKernels/rescore");
-
-/// DES min-dt shape: masked min of remaining/rate over the padded running
-/// set (zero rates = frozen tasks / dead lanes).
-void BM_SimdKernels_Rates(benchmark::State& state) {
-  constexpr std::size_t kSlots = 64;
-  Rng rng(8);
-  std::vector<double> remaining(kSlots);
-  std::vector<double> rates(kSlots);
-  for (std::size_t i = 0; i < kSlots; ++i) {
-    remaining[i] = rng.uniform(0.1, 30.0);
-    rates[i] = (i % 5 == 0) ? 0.0 : rng.uniform(0.2, 1.0);
-  }
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        simd::min_positive_ratio(remaining.data(), rates.data(), kSlots, 1e-9));
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_SimdKernels_Rates)->Name("BM_SimdKernels/rates");
-
-/// DES retirement advance shape: in-place x -= r * dt over the padded
-/// running set.
-void BM_SimdKernels_Advance(benchmark::State& state) {
-  constexpr std::size_t kSlots = 64;
-  Rng rng(9);
-  std::vector<double> remaining(kSlots);
-  std::vector<double> rates(kSlots);
-  for (std::size_t i = 0; i < kSlots; ++i) {
-    remaining[i] = rng.uniform(1.0, 1e6);
-    rates[i] = rng.uniform(0.0, 1.0);
-  }
-  for (auto _ : state) {
-    simd::mul_sub_inplace(remaining.data(), rates.data(), 1e-6, kSlots);
-    benchmark::DoNotOptimize(remaining.data());
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_SimdKernels_Advance)->Name("BM_SimdKernels/advance");
-
 // ---- online serving loop ----------------------------------------------------
 
 /// A cache-cold stream: `num_windows` windows of `per_window` requests, each
@@ -647,7 +570,6 @@ void annotate_bench_json(const std::string& path) {
 
   Json context = Json::object();
   context["host"] = obs::host_info_json();
-  context["simd"] = Json::string(simd::active_isa());
   context["family_real_time"] = std::move(families);
   context["thread_scaling"] = std::move(scaling);
   doc["h2p_context"] = std::move(context);

@@ -97,14 +97,13 @@ Timeline run_band(const StaticEvaluator& eval) {
     const std::size_t slot = slot_for(d.model_idx);
 
     if (!d.npu_fallback) {
-      builder.add_range(slot, 0, d.proc_idx, 0, n);
+      builder.add_range(slot, d.proc_idx, 0, n);
       continue;
     }
-    std::size_t seq = 0;
     if (d.fallback_layer > 0) {
-      builder.add_range(slot, seq++, d.proc_idx, 0, d.fallback_layer);
+      builder.add_range(slot, d.proc_idx, 0, d.fallback_layer);
     }
-    builder.add_range(slot, seq, d.fallback_proc, d.fallback_layer, n);
+    builder.add_range(slot, d.fallback_proc, d.fallback_layer, n);
   }
   return simulate(eval.soc(), tasks_from_compiled(builder.build()), {});
 }

@@ -16,7 +16,7 @@ Timeline run_mnn_serial(const StaticEvaluator& eval) {
     const std::size_t n = eval.model(i).num_layers();
     const std::size_t slot = builder.add_slot(i);
     if (n == 0) continue;
-    builder.add_range(slot, 0, static_cast<std::size_t>(cpu_b), 0, n);
+    builder.add_range(slot, static_cast<std::size_t>(cpu_b), 0, n);
   }
   // Single processor: no co-execution, contention model is a no-op.
   return simulate(eval.soc(), tasks_from_compiled(builder.build()), {});

@@ -80,9 +80,8 @@ Timeline run_pipeit(const StaticEvaluator& eval) {
     const std::size_t slot = builder.add_slot(i);
     if (n == 0) continue;
     const std::size_t b = pipeit_split(eval, i);
-    std::size_t seq = 0;
-    if (b > 0) builder.add_range(slot, seq++, procs.big, 0, b);
-    if (b < n) builder.add_range(slot, seq++, procs.small, b, n);
+    if (b > 0) builder.add_range(slot, procs.big, 0, b);
+    if (b < n) builder.add_range(slot, procs.small, b, n);
   }
   return simulate(eval.soc(), tasks_from_compiled(builder.build()), {});
 }

@@ -7,6 +7,7 @@ namespace h2p {
 bool ModelPlan::covers(std::size_t num_layers) const {
   std::size_t cursor = 0;
   for (const Slice& s : slices) {
+    if (s.end < s.begin) return false;
     if (s.empty()) continue;
     if (s.begin != cursor) return false;
     cursor = s.end;

@@ -31,7 +31,8 @@ struct ModelPlan {
 
   [[nodiscard]] std::size_t num_stages() const { return slices.size(); }
 
-  /// True if slices are contiguous, ordered and cover exactly [0, n).
+  /// True if no slice runs backwards (end < begin) and the non-empty slices
+  /// are contiguous, ordered and cover exactly [0, n).
   [[nodiscard]] bool covers(std::size_t num_layers) const;
 };
 

@@ -80,15 +80,15 @@ std::optional<PlannerReport> Hetero2PipePlanner::plan_warm(
   if (seed.num_stages != K) return std::nullopt;
   // A DAG plan can occupy one (slot, proc) cell per slice and still carry
   // fork/join edges the grid round-trip would silently drop — refuse those
-  // seeds up front, not just the cooperative duplicates to_pipeline_plan
-  // throws on.
+  // seeds up front, not just the duplicate (slot, proc) cells
+  // to_pipeline_plan throws on.
   if (!seed.chain_precedence()) return std::nullopt;
 
   PipelinePlan seed_plan;
   try {
     seed_plan = exec::to_pipeline_plan(seed);
   } catch (const std::exception&) {
-    return std::nullopt;  // cooperative (non-grid) schedule; cannot seed
+    return std::nullopt;  // non-grid schedule; cannot seed
   }
 
   // Match seed slots to this window's models by name, multiset-wise:
@@ -305,7 +305,7 @@ std::optional<PlannerReport> Hetero2PipePlanner::plan_degraded(
   try {
     seed_plan = exec::to_pipeline_plan(seed);
   } catch (const std::exception&) {
-    return std::nullopt;  // cooperative (non-grid) schedule; cannot seed
+    return std::nullopt;  // non-grid schedule; cannot seed
   }
 
   // The window is unchanged — only the hardware shrank — so the model

@@ -1,8 +1,8 @@
 #include "exec/compiled_plan.h"
 
 #include <algorithm>
-#include <map>
 #include <stdexcept>
+#include <string>
 
 #include "core/work_stealing.h"
 
@@ -137,15 +137,21 @@ std::size_t CompiledPlanBuilder::add_slot(std::size_t original_index) {
   plan_.model_names.push_back(eval_->model(original_index).name());
   plan_.resident_bytes.push_back(0.0);
   slot_proc_ranges_.emplace_back(eval_->soc().num_processors());
+  slot_last_.push_back(static_cast<std::size_t>(-1));
   return slot;
 }
 
-ScheduledSlice& CompiledPlanBuilder::add_range(std::size_t slot, std::size_t seq,
+ScheduledSlice& CompiledPlanBuilder::add_range(std::size_t slot,
                                                std::size_t proc_idx,
                                                std::size_t begin,
                                                std::size_t end) {
-  plan_.slices.push_back(lower_range(*eval_, plan_.original_index.at(slot), slot,
+  const std::size_t prev = slot_last_.at(slot);
+  const bool first = prev == static_cast<std::size_t>(-1);
+  const std::size_t seq = first ? 0 : plan_.slices[prev].seq_in_model + 1;
+  plan_.slices.push_back(lower_range(*eval_, plan_.original_index[slot], slot,
                                      seq, proc_idx, begin, end));
+  if (!first) plan_.slices.back().deps.push_back(prev);
+  slot_last_[slot] = plan_.slices.size() - 1;
   Slice& occupied = slot_proc_ranges_.at(slot).at(proc_idx);
   if (occupied.empty()) {
     occupied = Slice{begin, end};
@@ -162,30 +168,6 @@ CompiledPlan CompiledPlanBuilder::build() {
     mp.model_index = plan_.original_index[slot];
     mp.slices = slot_proc_ranges_[slot];
     plan_.resident_bytes[slot] = eval_->resident_bytes(mp);
-  }
-  // Resolve precedence with the chain semantics the simulator has always
-  // applied to baseline schedules: within a slot, a slice waits on the
-  // first-registered member of the previous distinct seq group; equal-seq
-  // slices co-run; the lowest seq group waits on nothing.  Registration
-  // order breaks ties, so a plan rebuilt range-by-range in compile() order
-  // carries bit-identical edges.
-  std::vector<std::vector<std::size_t>> by_slot(plan_.num_models);
-  for (std::size_t i = 0; i < plan_.slices.size(); ++i) {
-    by_slot[plan_.slices[i].model_idx].push_back(i);
-  }
-  for (const std::vector<std::size_t>& members : by_slot) {
-    std::map<std::size_t, std::size_t> first_of_seq;  // seq -> first global idx
-    for (std::size_t idx : members) {
-      first_of_seq.emplace(plan_.slices[idx].seq_in_model, idx);
-    }
-    for (std::size_t idx : members) {
-      auto it = first_of_seq.find(plan_.slices[idx].seq_in_model);
-      if (it == first_of_seq.begin()) {
-        plan_.slices[idx].deps.clear();
-      } else {
-        plan_.slices[idx].deps.assign(1, std::prev(it)->second);
-      }
-    }
   }
   return std::move(plan_);
 }
@@ -209,6 +191,13 @@ CompiledPlan compile(const PipelinePlan& plan, const StaticEvaluator& eval) {
       throw std::invalid_argument(
           "compile: plan references model index beyond the evaluator's model "
           "list (plan and model list disagree?)");
+    }
+    const std::size_t num_layers = eval.model(mp.model_index).num_layers();
+    if (!mp.covers(num_layers)) {
+      throw std::invalid_argument(
+          "compile: slot " + std::to_string(slot) +
+          "'s slices overlap, run backwards or leave a gap (they must tile "
+          "[0, " + std::to_string(num_layers) + ") in processor order)");
     }
     cp.original_index.push_back(mp.model_index);
     cp.model_names.push_back(eval.model(mp.model_index).name());

@@ -12,8 +12,7 @@ namespace h2p::exec {
 /// One lowered schedulable unit: a contiguous layer range of one request
 /// bound to a processor, with every per-slice quantity any consumer needs
 /// precomputed.  Slices of the same slot form a chain ordered by
-/// `seq_in_model`; equal sequence numbers mean the slices co-run with no
-/// chain dependency (cooperative schedules, e.g. the uLayer baseline).
+/// `seq_in_model`.
 struct ScheduledSlice {
   std::size_t model_idx = 0;      // slot in the executed sequence
   std::size_t seq_in_model = 0;   // position in the slot's chain
@@ -104,8 +103,8 @@ void attach_fallback_costs(CompiledPlan& plan, const StaticEvaluator& eval);
 /// Stages the slot skips come back as empty slices in the canonical form
 /// `boundaries_to_slices` emits.  Warm-start replanning uses this to seed
 /// Algorithm 1 from a cached plan's boundaries.  Throws
-/// std::invalid_argument if the plan is not a pipeline grid (a cooperative
-/// baseline schedule with duplicate (slot, proc) ranges).
+/// std::invalid_argument if the plan is not a pipeline grid (a baseline
+/// schedule with two ranges of one slot on one processor).
 [[nodiscard]] PipelinePlan to_pipeline_plan(const CompiledPlan& compiled);
 
 /// Lower one explicit layer range onto one processor — the escape hatch for
@@ -120,11 +119,10 @@ void attach_fallback_costs(CompiledPlan& plan, const StaticEvaluator& eval);
 
 /// Assembles a CompiledPlan for explicit (non-pipeline-grid) schedules.
 /// Baselines declare *what runs where*; all cost derivation still happens
-/// in lower_range.  Slots must be added in order; ranges may arrive in any
-/// order.  build() fills per-slot footprints from the registered ranges and
-/// resolves every slice's `deps` from the seq numbering (chain semantics;
-/// equal seq values co-run), overwriting any manually assigned edges —
-/// schedulers with genuine fork/join structure assemble CompiledPlan
+/// in lower_range.  Slots must be added in order; each slot's ranges form a
+/// chain in the order they are added (a range waits on the slot's previous
+/// one).  build() fills per-slot footprints from the registered ranges.
+/// Schedulers with genuine fork/join structure assemble CompiledPlan
 /// directly instead.
 class CompiledPlanBuilder {
  public:
@@ -133,11 +131,10 @@ class CompiledPlanBuilder {
   /// Register the next slot, backed by eval.model(original_index).
   std::size_t add_slot(std::size_t original_index);
 
-  /// Lower layers [begin, end) of the slot's model onto proc_idx as chain
-  /// element `seq` (equal seq values co-run without a dependency).
-  ScheduledSlice& add_range(std::size_t slot, std::size_t seq,
-                            std::size_t proc_idx, std::size_t begin,
-                            std::size_t end);
+  /// Lower layers [begin, end) of the slot's model onto proc_idx as the
+  /// slot's next chain element.
+  ScheduledSlice& add_range(std::size_t slot, std::size_t proc_idx,
+                            std::size_t begin, std::size_t end);
 
   [[nodiscard]] CompiledPlan build();
 
@@ -146,6 +143,9 @@ class CompiledPlanBuilder {
   CompiledPlan plan_;
   /// Per-slot occupied layer range per processor, for footprint accounting.
   std::vector<std::vector<Slice>> slot_proc_ranges_;
+  /// Per-slot index into plan_.slices of the slot's last range, or
+  /// SIZE_MAX while the slot has none.
+  std::vector<std::size_t> slot_last_;
 };
 
 }  // namespace h2p::exec

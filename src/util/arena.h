@@ -20,10 +20,9 @@ namespace h2p::util {
 /// between `reset()` and the first carve (see `reserve`).
 ///
 /// Every carve starts on a `kAlignment` (64-byte) boundary: one cache line,
-/// and enough for any vector ISA the `util/simd.h` kernels compile to — so
-/// `SimScratch` / scorer spans are always safe targets for aligned vector
-/// loads, and distinct spans never share a cache line (no false sharing
-/// between a span's tail and the next span's head).  Callers budgeting a
+/// so a `SimScratch` / scorer span's 4-double blocks (`util/simd.h`) never
+/// straddle a line, and distinct spans never share a cache line (no false
+/// sharing between a span's tail and the next span's head).  Callers budgeting a
 /// cycle with `reserve()` must allow `kAlignment` slack per carve.
 ///
 /// Not thread-safe: one arena per thread (the DES scratch keeps
@@ -31,7 +30,7 @@ namespace h2p::util {
 class MonotonicArena {
  public:
   /// Carve alignment guarantee.  static_assert-able by consumers that
-  /// require a minimum (the SIMD kernels need 32, a cache line is 64).
+  /// require a minimum (a cache line is 64).
   static constexpr std::size_t kAlignment = 64;
   static_assert((kAlignment & (kAlignment - 1)) == 0,
                 "alignment must be a power of two");

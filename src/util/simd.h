@@ -3,37 +3,29 @@
 #include <cstddef>
 #include <limits>
 
-// Portable fixed-lane SIMD layer for the planning core's hot kernels.
+// Fixed-order kernels for the planning core's hot reductions.
 //
-// Every kernel here operates on a **fixed logical width of 4 double lanes**
-// regardless of the instruction set actually used:
-//
-//   - AVX2:   one 256-bit register per logical vector;
-//   - SSE2:   two 128-bit registers (lanes 0-1 and 2-3);
-//   - NEON:   two 128-bit registers (aarch64 float64x2);
-//   - scalar: four plain doubles (the `H2P_ENABLE_SIMD=OFF` fallback).
-//
-// Fixing the logical width — rather than letting each ISA pick its native
-// one — is what makes results **bit-identical across every build flavour**:
-// a reduction's floating-point operation sequence depends only on the
-// documented lane layout below, never on which backend executed it.
+// Every kernel here works in blocks of **kLanes = 4 doubles** and keeps four
+// accumulators, one per position in the block.  The width is fixed because
+// it defines the arithmetic: a reduction's floating-point operation sequence
+// depends only on the documented order below, so the planner, the DES and
+// the frozen reference all agree to the last ulp.
 //
 // ## The fixed reduction-order contract
 //
 // Order-sensitive reductions (the Eq. 2 contention sum) follow ONE
 // documented pairwise-tree order, everywhere:
 //
-//   1. term t_q is accumulated into lane (q mod 4), ascending q within
-//      each lane:   lane_j = (..(t_j + t_{j+4}) + t_{j+8}) + ...
-//   2. the horizontal combine is the fixed tree (l0 + l1) + (l2 + l3).
+//   1. term t_q is accumulated into accumulator (q mod 4), ascending q
+//      within each accumulator:   l_j = (..(t_j + t_{j+4}) + t_{j+8}) + ...
+//   2. the four accumulators combine in the fixed tree (l0 + l1) + (l2 + l3).
 //
-// Multiplies and adds are kept **unfused** (no FMA), matching what the
-// scalar fallback computes, so `H2P_ENABLE_SIMD=ON` and `OFF` builds agree
-// to the last ulp.  `sim/pipeline_sim_reference.cpp` hand-codes the same
+// Multiplies and adds are kept **unfused** (no FMA; the build passes
+// -ffp-contract=off).  `sim/pipeline_sim_reference.cpp` hand-codes the same
 // order with four scalar accumulators (no dependency on this header), and
 // `core/bubbles.cpp` / `core/incremental.cpp` route through `fixed_dot`,
 // which is how the SoA-vs-reference bit-identity suite and the
-// incremental-vs-full scorer contract survive vectorization.
+// incremental-vs-full scorer contract hold.
 //
 // Zero-padding invariance: callers pad buffers to `padded_size(n)` with
 // zero tails.  A zero term contributes `+0.0` to a nonnegative partial sum
@@ -42,27 +34,10 @@
 // bit-identical results.  min/max reductions are order-independent for
 // finite doubles, so only the summation order needed freezing.
 
-#if defined(H2P_SIMD_ENABLED)
-#if defined(__AVX2__)
-#define H2P_SIMD_ISA_AVX2 1
-#include <immintrin.h>
-#elif defined(__SSE2__) || defined(_M_X64) || \
-    (defined(_M_IX86_FP) && _M_IX86_FP >= 2)
-#define H2P_SIMD_ISA_SSE2 1
-#include <emmintrin.h>
-#elif defined(__aarch64__)
-// aarch64 only: float64x2 arithmetic (including vdivq_f64) is not part of
-// 32-bit NEON, and the kernels below divide.
-#define H2P_SIMD_ISA_NEON 1
-#include <arm_neon.h>
-#endif
-#endif
-
 namespace h2p::simd {
 
-/// Logical lane count — fixed at 4 doubles on every backend (see the
-/// header comment for why this is a determinism requirement, not a tuning
-/// knob).
+/// Block width and accumulator count — fixed at 4 (see the header comment
+/// for why this is a determinism requirement, not a tuning knob).
 inline constexpr std::size_t kLanes = 4;
 
 /// Smallest multiple of kLanes that holds `n` elements.
@@ -70,270 +45,48 @@ inline constexpr std::size_t kLanes = 4;
   return (n + kLanes - 1) & ~(kLanes - 1);
 }
 
-/// The instruction set the kernels below compile to, for bench context
-/// annotations: "avx2", "sse2", "neon" or "scalar".
-[[nodiscard]] constexpr const char* active_isa() {
-#if defined(H2P_SIMD_ISA_AVX2)
-  return "avx2";
-#elif defined(H2P_SIMD_ISA_SSE2)
-  return "sse2";
-#elif defined(H2P_SIMD_ISA_NEON)
-  return "neon";
-#else
-  return "scalar";
-#endif
-}
-
-/// One logical 4-double vector.  Only the operations the planning kernels
-/// need; loads/stores are unaligned-safe (the arena hands out 64-byte
-/// aligned spans, but stack temporaries need not be).
-struct Vec4d {
-#if defined(H2P_SIMD_ISA_AVX2)
-  __m256d v;
-  static Vec4d load(const double* p) { return {_mm256_loadu_pd(p)}; }
-  static Vec4d zero() { return {_mm256_setzero_pd()}; }
-  static Vec4d broadcast(double x) { return {_mm256_set1_pd(x)}; }
-  void store(double* p) const { _mm256_storeu_pd(p, v); }
-  friend Vec4d operator+(Vec4d a, Vec4d b) { return {_mm256_add_pd(a.v, b.v)}; }
-  friend Vec4d operator-(Vec4d a, Vec4d b) { return {_mm256_sub_pd(a.v, b.v)}; }
-  friend Vec4d operator*(Vec4d a, Vec4d b) { return {_mm256_mul_pd(a.v, b.v)}; }
-  friend Vec4d operator/(Vec4d a, Vec4d b) { return {_mm256_div_pd(a.v, b.v)}; }
-  static Vec4d max(Vec4d a, Vec4d b) { return {_mm256_max_pd(a.v, b.v)}; }
-  static Vec4d min(Vec4d a, Vec4d b) { return {_mm256_min_pd(a.v, b.v)}; }
-  /// Lanewise a > b ? t : f.
-  static Vec4d select_gt(Vec4d a, Vec4d b, Vec4d t, Vec4d f) {
-    const __m256d m = _mm256_cmp_pd(a.v, b.v, _CMP_GT_OQ);
-    return {_mm256_blendv_pd(f.v, t.v, m)};
-  }
-  double lane(std::size_t i) const {
-    alignas(32) double tmp[4];
-    _mm256_store_pd(tmp, v);
-    return tmp[i];
-  }
-#elif defined(H2P_SIMD_ISA_SSE2)
-  __m128d lo, hi;  // lanes 0-1, lanes 2-3
-  static Vec4d load(const double* p) {
-    return {_mm_loadu_pd(p), _mm_loadu_pd(p + 2)};
-  }
-  static Vec4d zero() { return {_mm_setzero_pd(), _mm_setzero_pd()}; }
-  static Vec4d broadcast(double x) { return {_mm_set1_pd(x), _mm_set1_pd(x)}; }
-  void store(double* p) const {
-    _mm_storeu_pd(p, lo);
-    _mm_storeu_pd(p + 2, hi);
-  }
-  friend Vec4d operator+(Vec4d a, Vec4d b) {
-    return {_mm_add_pd(a.lo, b.lo), _mm_add_pd(a.hi, b.hi)};
-  }
-  friend Vec4d operator-(Vec4d a, Vec4d b) {
-    return {_mm_sub_pd(a.lo, b.lo), _mm_sub_pd(a.hi, b.hi)};
-  }
-  friend Vec4d operator*(Vec4d a, Vec4d b) {
-    return {_mm_mul_pd(a.lo, b.lo), _mm_mul_pd(a.hi, b.hi)};
-  }
-  friend Vec4d operator/(Vec4d a, Vec4d b) {
-    return {_mm_div_pd(a.lo, b.lo), _mm_div_pd(a.hi, b.hi)};
-  }
-  static Vec4d max(Vec4d a, Vec4d b) {
-    return {_mm_max_pd(a.lo, b.lo), _mm_max_pd(a.hi, b.hi)};
-  }
-  static Vec4d min(Vec4d a, Vec4d b) {
-    return {_mm_min_pd(a.lo, b.lo), _mm_min_pd(a.hi, b.hi)};
-  }
-  static Vec4d select_gt(Vec4d a, Vec4d b, Vec4d t, Vec4d f) {
-    const __m128d ml = _mm_cmpgt_pd(a.lo, b.lo);
-    const __m128d mh = _mm_cmpgt_pd(a.hi, b.hi);
-    return {_mm_or_pd(_mm_and_pd(ml, t.lo), _mm_andnot_pd(ml, f.lo)),
-            _mm_or_pd(_mm_and_pd(mh, t.hi), _mm_andnot_pd(mh, f.hi))};
-  }
-  double lane(std::size_t i) const {
-    alignas(16) double tmp[4];
-    _mm_store_pd(tmp, lo);
-    _mm_store_pd(tmp + 2, hi);
-    return tmp[i];
-  }
-#elif defined(H2P_SIMD_ISA_NEON)
-  float64x2_t lo, hi;  // lanes 0-1, lanes 2-3
-  static Vec4d load(const double* p) { return {vld1q_f64(p), vld1q_f64(p + 2)}; }
-  static Vec4d zero() { return {vdupq_n_f64(0.0), vdupq_n_f64(0.0)}; }
-  static Vec4d broadcast(double x) { return {vdupq_n_f64(x), vdupq_n_f64(x)}; }
-  void store(double* p) const {
-    vst1q_f64(p, lo);
-    vst1q_f64(p + 2, hi);
-  }
-  friend Vec4d operator+(Vec4d a, Vec4d b) {
-    return {vaddq_f64(a.lo, b.lo), vaddq_f64(a.hi, b.hi)};
-  }
-  friend Vec4d operator-(Vec4d a, Vec4d b) {
-    return {vsubq_f64(a.lo, b.lo), vsubq_f64(a.hi, b.hi)};
-  }
-  friend Vec4d operator*(Vec4d a, Vec4d b) {
-    return {vmulq_f64(a.lo, b.lo), vmulq_f64(a.hi, b.hi)};
-  }
-  friend Vec4d operator/(Vec4d a, Vec4d b) {
-    return {vdivq_f64(a.lo, b.lo), vdivq_f64(a.hi, b.hi)};
-  }
-  static Vec4d max(Vec4d a, Vec4d b) {
-    return {vmaxq_f64(a.lo, b.lo), vmaxq_f64(a.hi, b.hi)};
-  }
-  static Vec4d min(Vec4d a, Vec4d b) {
-    return {vminq_f64(a.lo, b.lo), vminq_f64(a.hi, b.hi)};
-  }
-  static Vec4d select_gt(Vec4d a, Vec4d b, Vec4d t, Vec4d f) {
-    const uint64x2_t ml = vcgtq_f64(a.lo, b.lo);
-    const uint64x2_t mh = vcgtq_f64(a.hi, b.hi);
-    return {vbslq_f64(ml, t.lo, f.lo), vbslq_f64(mh, t.hi, f.hi)};
-  }
-  double lane(std::size_t i) const {
-    double tmp[4];
-    store(tmp);
-    return tmp[i];
-  }
-#else
-  double l[4];
-  static Vec4d load(const double* p) { return {{p[0], p[1], p[2], p[3]}}; }
-  static Vec4d zero() { return {{0.0, 0.0, 0.0, 0.0}}; }
-  static Vec4d broadcast(double x) { return {{x, x, x, x}}; }
-  void store(double* p) const {
-    p[0] = l[0];
-    p[1] = l[1];
-    p[2] = l[2];
-    p[3] = l[3];
-  }
-  friend Vec4d operator+(Vec4d a, Vec4d b) {
-    return {{a.l[0] + b.l[0], a.l[1] + b.l[1], a.l[2] + b.l[2], a.l[3] + b.l[3]}};
-  }
-  friend Vec4d operator-(Vec4d a, Vec4d b) {
-    return {{a.l[0] - b.l[0], a.l[1] - b.l[1], a.l[2] - b.l[2], a.l[3] - b.l[3]}};
-  }
-  friend Vec4d operator*(Vec4d a, Vec4d b) {
-    return {{a.l[0] * b.l[0], a.l[1] * b.l[1], a.l[2] * b.l[2], a.l[3] * b.l[3]}};
-  }
-  friend Vec4d operator/(Vec4d a, Vec4d b) {
-    return {{a.l[0] / b.l[0], a.l[1] / b.l[1], a.l[2] / b.l[2], a.l[3] / b.l[3]}};
-  }
-  static Vec4d max(Vec4d a, Vec4d b) {
-    return {{a.l[0] > b.l[0] ? a.l[0] : b.l[0], a.l[1] > b.l[1] ? a.l[1] : b.l[1],
-             a.l[2] > b.l[2] ? a.l[2] : b.l[2], a.l[3] > b.l[3] ? a.l[3] : b.l[3]}};
-  }
-  static Vec4d min(Vec4d a, Vec4d b) {
-    return {{a.l[0] < b.l[0] ? a.l[0] : b.l[0], a.l[1] < b.l[1] ? a.l[1] : b.l[1],
-             a.l[2] < b.l[2] ? a.l[2] : b.l[2], a.l[3] < b.l[3] ? a.l[3] : b.l[3]}};
-  }
-  static Vec4d select_gt(Vec4d a, Vec4d b, Vec4d t, Vec4d f) {
-    return {{a.l[0] > b.l[0] ? t.l[0] : f.l[0], a.l[1] > b.l[1] ? t.l[1] : f.l[1],
-             a.l[2] > b.l[2] ? t.l[2] : f.l[2], a.l[3] > b.l[3] ? t.l[3] : f.l[3]}};
-  }
-  double lane(std::size_t i) const { return l[i]; }
-#endif
-};
-
-/// Horizontal sum in the fixed tree order (l0 + l1) + (l2 + l3), computed
-/// with in-register shuffles (no lane spills to the stack — these run once
-/// per fixed_dot call, squarely on the DES/rescoring hot path).
-[[nodiscard]] inline double hsum(Vec4d v) {
-#if defined(H2P_SIMD_ISA_AVX2)
-  const __m128d lo = _mm256_castpd256_pd128(v.v);
-  const __m128d hi = _mm256_extractf128_pd(v.v, 1);
-  const double a = _mm_cvtsd_f64(_mm_add_sd(lo, _mm_unpackhi_pd(lo, lo)));
-  const double b = _mm_cvtsd_f64(_mm_add_sd(hi, _mm_unpackhi_pd(hi, hi)));
-  return a + b;
-#elif defined(H2P_SIMD_ISA_SSE2)
-  const double a =
-      _mm_cvtsd_f64(_mm_add_sd(v.lo, _mm_unpackhi_pd(v.lo, v.lo)));
-  const double b =
-      _mm_cvtsd_f64(_mm_add_sd(v.hi, _mm_unpackhi_pd(v.hi, v.hi)));
-  return a + b;
-#elif defined(H2P_SIMD_ISA_NEON)
-  return vpaddd_f64(v.lo) + vpaddd_f64(v.hi);
-#else
-  return (v.l[0] + v.l[1]) + (v.l[2] + v.l[3]);
-#endif
-}
-
-/// Horizontal max (order-independent for the finite inputs we feed it; the
-/// tree shape matches hsum for symmetry).
-[[nodiscard]] inline double hmax(Vec4d v) {
-#if defined(H2P_SIMD_ISA_AVX2)
-  const __m128d lo = _mm256_castpd256_pd128(v.v);
-  const __m128d hi = _mm256_extractf128_pd(v.v, 1);
-  const __m128d m = _mm_max_pd(lo, hi);
-  return _mm_cvtsd_f64(_mm_max_sd(m, _mm_unpackhi_pd(m, m)));
-#elif defined(H2P_SIMD_ISA_SSE2)
-  const __m128d m = _mm_max_pd(v.lo, v.hi);
-  return _mm_cvtsd_f64(_mm_max_sd(m, _mm_unpackhi_pd(m, m)));
-#elif defined(H2P_SIMD_ISA_NEON)
-  const double a = vmaxvq_f64(v.lo);
-  const double b = vmaxvq_f64(v.hi);
-  return a > b ? a : b;
-#else
-  const double a = v.l[0] > v.l[1] ? v.l[0] : v.l[1];
-  const double b = v.l[2] > v.l[3] ? v.l[2] : v.l[3];
-  return a > b ? a : b;
-#endif
-}
-
-[[nodiscard]] inline double hmin(Vec4d v) {
-#if defined(H2P_SIMD_ISA_AVX2)
-  const __m128d lo = _mm256_castpd256_pd128(v.v);
-  const __m128d hi = _mm256_extractf128_pd(v.v, 1);
-  const __m128d m = _mm_min_pd(lo, hi);
-  return _mm_cvtsd_f64(_mm_min_sd(m, _mm_unpackhi_pd(m, m)));
-#elif defined(H2P_SIMD_ISA_SSE2)
-  const __m128d m = _mm_min_pd(v.lo, v.hi);
-  return _mm_cvtsd_f64(_mm_min_sd(m, _mm_unpackhi_pd(m, m)));
-#elif defined(H2P_SIMD_ISA_NEON)
-  const double a = vminvq_f64(v.lo);
-  const double b = vminvq_f64(v.hi);
-  return a < b ? a : b;
-#else
-  const double a = v.l[0] < v.l[1] ? v.l[0] : v.l[1];
-  const double b = v.l[2] < v.l[3] ? v.l[2] : v.l[3];
-  return a < b ? a : b;
-#endif
-}
+/// The kernels' instruction set, recorded in perfbench's host context.
+/// Always "scalar": there is one build, and it is plain loops.
+[[nodiscard]] constexpr const char* active_isa() { return "scalar"; }
 
 /// THE canonical Eq. 2 reduction: dot(a, b) over `n_padded` (a multiple of
-/// kLanes) elements in the documented fixed order — term q lands in lane
-/// (q mod 4), final combine (l0 + l1) + (l2 + l3), multiplies unfused.
-/// Every contended-slowdown sum in the codebase (DES rates, wavefront
-/// column rescoring, the frozen reference) computes this exact sequence.
+/// kLanes) elements in the documented fixed order — term q lands in
+/// accumulator (q mod 4), final combine (l0 + l1) + (l2 + l3), multiplies
+/// unfused.  Every contended-slowdown sum in the codebase (DES rates,
+/// wavefront column rescoring, the frozen reference) computes this exact
+/// sequence.
 [[nodiscard]] inline double fixed_dot(const double* a, const double* b,
                                       std::size_t n_padded) {
-  Vec4d acc = Vec4d::zero();
+  double acc[kLanes] = {0.0, 0.0, 0.0, 0.0};
   for (std::size_t q = 0; q < n_padded; q += kLanes) {
-    acc = acc + (Vec4d::load(a + q) * Vec4d::load(b + q));
+    for (std::size_t j = 0; j < kLanes; ++j) acc[j] += a[q + j] * b[q + j];
   }
-  return hsum(acc);
+  return (acc[0] + acc[1]) + (acc[2] + acc[3]);
 }
 
-/// Every victim's Eq. 2 sum in one vertical pass: out[v] = dot(row_v, x)
-/// for all `n_padded` victims at once, given the coupling matrix in
-/// **column-major** form (column q, one double per victim, starts at
-/// cols + q * n_padded).  Per victim this is the exact fixed_dot sequence —
-/// term q accumulates into partial (q mod 4) in ascending-q order and the
-/// partials combine as (p0 + p1) + (p2 + p3); the four partials simply live
-/// in four accumulator registers (victim per vertical lane) instead of four
-/// lanes of one register.  The DES rate kernel uses this to price all
+/// Every victim's Eq. 2 sum in one pass: out[v] = dot(row_v, x) for all
+/// `n_padded` victims, given the coupling matrix in **column-major** form
+/// (column q, one double per victim, starts at cols + q * n_padded).  Per
+/// victim this is the exact fixed_dot sequence — term q accumulates into
+/// partial (q mod 4) in ascending-q order and the partials combine as
+/// (p0 + p1) + (p2 + p3).  Victims go in blocks of four so each column is
+/// read contiguously.  The DES rate kernel uses this to price all
 /// processors per event in one sweep instead of one fixed_dot per running
 /// task.
 inline void fixed_matvec_cols(const double* cols, const double* x, double* out,
                               std::size_t n_padded) {
   for (std::size_t vb = 0; vb < n_padded; vb += kLanes) {
-    Vec4d a0 = Vec4d::zero();
-    Vec4d a1 = Vec4d::zero();
-    Vec4d a2 = Vec4d::zero();
-    Vec4d a3 = Vec4d::zero();
-    for (std::size_t q = 0; q + kLanes <= n_padded; q += kLanes) {
-      a0 = a0 + (Vec4d::load(cols + (q + 0) * n_padded + vb) *
-                 Vec4d::broadcast(x[q + 0]));
-      a1 = a1 + (Vec4d::load(cols + (q + 1) * n_padded + vb) *
-                 Vec4d::broadcast(x[q + 1]));
-      a2 = a2 + (Vec4d::load(cols + (q + 2) * n_padded + vb) *
-                 Vec4d::broadcast(x[q + 2]));
-      a3 = a3 + (Vec4d::load(cols + (q + 3) * n_padded + vb) *
-                 Vec4d::broadcast(x[q + 3]));
+    double acc[kLanes][kLanes] = {};  // acc[p][j]: partial p of victim vb + j
+    for (std::size_t q = 0; q < n_padded; q += kLanes) {
+      for (std::size_t p = 0; p < kLanes; ++p) {
+        for (std::size_t j = 0; j < kLanes; ++j) {
+          acc[p][j] += cols[(q + p) * n_padded + vb + j] * x[q + p];
+        }
+      }
     }
-    ((a0 + a1) + (a2 + a3)).store(out + vb);
+    for (std::size_t j = 0; j < kLanes; ++j) {
+      out[vb + j] = (acc[0][j] + acc[1][j]) + (acc[2][j] + acc[3][j]);
+    }
   }
 }
 
@@ -341,42 +94,47 @@ inline void fixed_matvec_cols(const double* cols, const double* x, double* out,
 /// zero-padded, nonnegative data, so padding never wins).
 [[nodiscard]] inline double fixed_max(const double* x, std::size_t n_padded,
                                       double init) {
-  Vec4d acc = Vec4d::broadcast(init);
+  double acc[kLanes] = {init, init, init, init};
   for (std::size_t q = 0; q < n_padded; q += kLanes) {
-    acc = Vec4d::max(acc, Vec4d::load(x + q));
+    for (std::size_t j = 0; j < kLanes; ++j) {
+      acc[j] = acc[j] > x[q + j] ? acc[j] : x[q + j];
+    }
   }
-  const double m = hmax(acc);
+  const double a = acc[0] > acc[1] ? acc[0] : acc[1];
+  const double b = acc[2] > acc[3] ? acc[2] : acc[3];
+  const double m = a > b ? a : b;
   return m > init ? m : init;
 }
 
 /// Masked min-ratio: min over { num[i] / max(den[i], den_floor) : den[i] > 0 },
-/// +inf when no lane qualifies.  This is the DES `min dt` search — lanes
-/// whose rate is zero (frozen/faulted tasks, padding) are blended to +inf
-/// before the min, exactly like the scalar `continue`.
+/// +inf when no element qualifies.  This is the DES `min dt` search —
+/// elements whose rate is zero (frozen/faulted tasks, padding) count as
+/// +inf.
 [[nodiscard]] inline double min_positive_ratio(const double* num,
                                                const double* den,
                                                std::size_t n_padded,
                                                double den_floor) {
-  const Vec4d inf = Vec4d::broadcast(std::numeric_limits<double>::infinity());
-  const Vec4d zero = Vec4d::zero();
-  const Vec4d floor = Vec4d::broadcast(den_floor);
-  Vec4d acc = inf;
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  double acc[kLanes] = {kInf, kInf, kInf, kInf};
   for (std::size_t q = 0; q < n_padded; q += kLanes) {
-    const Vec4d d = Vec4d::load(den + q);
-    const Vec4d ratio = Vec4d::load(num + q) / Vec4d::max(d, floor);
-    acc = Vec4d::min(acc, Vec4d::select_gt(d, zero, ratio, inf));
+    for (std::size_t j = 0; j < kLanes; ++j) {
+      // Divide unconditionally, then mask: the branch-free form vectorizes.
+      const double d = den[q + j];
+      const double ratio = num[q + j] / (d > den_floor ? d : den_floor);
+      const double r = d > 0.0 ? ratio : kInf;
+      acc[j] = acc[j] < r ? acc[j] : r;
+    }
   }
-  return hmin(acc);
+  const double a = acc[0] < acc[1] ? acc[0] : acc[1];
+  const double b = acc[2] < acc[3] ? acc[2] : acc[3];
+  return a < b ? a : b;
 }
 
-/// In-place x[i] -= r[i] * dt — the DES retirement advance.  Elementwise,
-/// so bit-identical to the scalar loop by construction (unfused multiply).
+/// In-place x[i] -= r[i] * dt — the DES retirement advance.  Elementwise
+/// with an unfused multiply.
 inline void mul_sub_inplace(double* x, const double* r, double dt,
                             std::size_t n_padded) {
-  const Vec4d vdt = Vec4d::broadcast(dt);
-  for (std::size_t q = 0; q < n_padded; q += kLanes) {
-    (Vec4d::load(x + q) - (Vec4d::load(r + q) * vdt)).store(x + q);
-  }
+  for (std::size_t i = 0; i < n_padded; ++i) x[i] = x[i] - r[i] * dt;
 }
 
 }  // namespace h2p::simd

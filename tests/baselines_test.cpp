@@ -2,7 +2,6 @@
 
 #include "baselines/annealing.h"
 #include "baselines/band.h"
-#include "baselines/dart.h"
 #include "baselines/exhaustive.h"
 #include "baselines/mnn_serial.h"
 #include "baselines/pipeit.h"
@@ -150,43 +149,6 @@ TEST(Annealing, DeterministicForSeed) {
   EXPECT_DOUBLE_EQ(a.static_makespan_ms, b.static_makespan_ms);
 }
 
-
-TEST(Dart, UsesOnlyCpuAndGpu) {
-  Fixture fx(testing_util::mixed_six());
-  const Timeline t = run_dart(*fx.eval);
-  const auto cpu_b = static_cast<std::size_t>(fx.soc.find(ProcKind::kCpuBig));
-  const auto gpu = static_cast<std::size_t>(fx.soc.find(ProcKind::kGpu));
-  bool used_cpu = false, used_gpu = false;
-  for (const TaskRecord& r : t.tasks) {
-    EXPECT_TRUE(r.proc_idx == cpu_b || r.proc_idx == gpu);
-    used_cpu |= (r.proc_idx == cpu_b);
-    used_gpu |= (r.proc_idx == gpu);
-  }
-  EXPECT_TRUE(used_cpu);
-  EXPECT_TRUE(used_gpu);
-}
-
-TEST(Dart, BeatsSerialViaRequestParallelism) {
-  Fixture fx(testing_util::mixed_six());
-  EXPECT_LT(run_dart(*fx.eval).makespan_ms(),
-            run_mnn_serial(*fx.eval).makespan_ms());
-}
-
-TEST(Dart, LosesToHetero2PipeWithoutSlicingOrNpu) {
-  Fixture fx(testing_util::mixed_six());
-  const PlannerReport report = Hetero2PipePlanner(*fx.eval).plan();
-  EXPECT_LT(simulate_plan(report.plan, *fx.eval).makespan_ms(),
-            run_dart(*fx.eval).makespan_ms());
-}
-
-TEST(Dart, SingleRequestGoesToFasterProcessor) {
-  Fixture fx({ModelId::kVGG16});
-  const Timeline t = run_dart(*fx.eval);
-  ASSERT_EQ(t.tasks.size(), 1u);
-  // VGG16 runs faster on the GPU than the big cluster (Fig 1).
-  const auto gpu = static_cast<std::size_t>(fx.soc.find(ProcKind::kGpu));
-  EXPECT_EQ(t.tasks[0].proc_idx, gpu);
-}
 
 TEST(PlannerMemoryFlag, OverloadReported) {
   Fixture heavy({ModelId::kBERT, ModelId::kViT, ModelId::kVGG16, ModelId::kBERT,

@@ -25,6 +25,9 @@
 #                      simulate --plan <plan with "model_index": 2.5>
 #   simulate_negative_num_stages
 #                      simulate --plan <plan with "num_stages": -1>
+#   simulate_overlapping_slices
+#                      simulate --plan <plan whose slices run layers 5-9
+#                      twice>; must also print no timeline
 
 foreach(var CLI CASE WORK_DIR)
   if(NOT DEFINED ${var})
@@ -82,6 +85,15 @@ elseif(CASE STREQUAL "online_threads_without_async")
 elseif(CASE STREQUAL "online_unknown_flag")
   set(args ${online} --bogus)
   set(expect "online: unknown flag --bogus")
+elseif(CASE STREQUAL "simulate_overlapping_slices")
+  set(plan "${WORK_DIR}/${CASE}.json")
+  file(WRITE "${plan}"
+       "{\"num_stages\": 4, \"models\": ["
+       "{\"model_index\": 0, \"high_contention\": false, "
+       "\"slices\": [[0, 10], [12, 5], [5, 8], [8, 12]]}]}\n")
+  set(args simulate --plan "${plan}" --models squeezenet)
+  set(expect "compile: slot 0's slices overlap, run backwards or leave a gap")
+  set(expect_no_stdout TRUE)
 elseif(CASE MATCHES "^simulate_")
   # A valid two-model, four-stage plan with one field made invalid.
   set(num_stages 4)
@@ -115,6 +127,9 @@ execute_process(COMMAND "${CLI}" ${args}
 if(NOT rc STREQUAL "1")
   message(FATAL_ERROR "h2p_cli ${args}: expected exit status 1, got ${rc}\n"
                       "stderr: ${err}")
+endif()
+if(expect_no_stdout AND NOT out STREQUAL "")
+  message(FATAL_ERROR "h2p_cli ${args}: expected no stdout, got:\n${out}")
 endif()
 string(FIND "${err}" "${expect}" at)
 if(at EQUAL -1)

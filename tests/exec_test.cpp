@@ -135,10 +135,9 @@ TEST(CompiledPlan, BuilderMatchesCompileForGridPlans) {
   for (std::size_t slot = 0; slot < report.plan.models.size(); ++slot) {
     builder.add_slot(slot);
     const ModelPlan& mp = report.plan.models[slot];
-    std::size_t seq = 0;
     for (std::size_t k = 0; k < mp.slices.size(); ++k) {
       if (mp.slices[k].empty()) continue;
-      builder.add_range(slot, seq++, k, mp.slices[k].begin, mp.slices[k].end);
+      builder.add_range(slot, k, mp.slices[k].begin, mp.slices[k].end);
     }
   }
   const exec::CompiledPlan rebuilt = builder.build();
@@ -156,6 +155,29 @@ TEST(CompiledPlan, BuilderMatchesCompileForGridPlans) {
 TEST(CompiledPlan, LowerRangeRejectsEmptyRange) {
   Fixture fx({ModelId::kResNet50});
   EXPECT_THROW(static_cast<void>(exec::lower_range(*fx.eval, 0, 0, 0, 0, 3, 3)),
+               std::invalid_argument);
+}
+
+/// A plan of model 0 alone, one slice per stage.
+PipelinePlan one_model_plan(std::vector<Slice> slices) {
+  PipelinePlan plan;
+  plan.num_stages = slices.size();
+  plan.models.push_back(ModelPlan{0, std::move(slices), false});
+  return plan;
+}
+
+TEST(CompiledPlan, CompileRejectsOverlappingSlices) {
+  // Stage 1 runs backwards (Slice::empty() calls it empty); stages 2-3
+  // then re-run layers 5-9 after stage 0 already ran them.
+  Fixture fx({ModelId::kSqueezeNet});
+  const std::size_t n = fx.eval->model(0).num_layers();
+  ASSERT_GE(n, 12u);
+  const PipelinePlan plan = one_model_plan({{0, 10}, {12, 5}, {5, 8}, {8, 12}});
+  EXPECT_THROW(static_cast<void>(exec::compile(plan, *fx.eval)),
+               std::invalid_argument);
+  // The overlap alone, with every range forwards and the last layer covered.
+  const PipelinePlan overlap = one_model_plan({{0, 10}, {}, {5, 8}, {8, n}});
+  EXPECT_THROW(static_cast<void>(exec::compile(overlap, *fx.eval)),
                std::invalid_argument);
 }
 

@@ -37,6 +37,16 @@ TEST(ModelPlan, CoversRejectsShort) {
   EXPECT_FALSE(mp.covers(10));
 }
 
+TEST(ModelPlan, CoversRejectsBackwardsSlice) {
+  // Slice::empty() calls [12, 5) empty, but a backwards range is malformed,
+  // not a skipped processor.
+  ModelPlan mp;
+  mp.slices = {{0, 10}, {12, 5}};
+  EXPECT_FALSE(mp.covers(10));
+  mp.slices = {{0, 10}, {10, 10}};
+  EXPECT_TRUE(mp.covers(10));
+}
+
 TEST(ModelPlan, AllEmptyCoversZeroLayers) {
   ModelPlan mp;
   mp.slices = {{0, 0}, {0, 0}};

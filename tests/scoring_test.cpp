@@ -371,11 +371,7 @@ class LaneWiseBoundOracle {
     const std::vector<double> r = row(candidate);
     std::vector<double> tmp(Kp_);
     const double* cs = cell_.data() + slot * Kp_;
-    for (std::size_t k = 0; k < Kp_; k += simd::kLanes) {
-      ((simd::Vec4d::load(proc_solo_.data() + k) - simd::Vec4d::load(cs + k)) +
-       simd::Vec4d::load(r.data() + k))
-          .store(tmp.data() + k);
-    }
+    for (std::size_t k = 0; k < Kp_; ++k) tmp[k] = (proc_solo_[k] - cs[k]) + r[k];
     return simd::fixed_max(tmp.data(), Kp_, 0.0);
   }
 

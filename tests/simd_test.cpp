@@ -1,13 +1,11 @@
-// util/simd.h fixed-lane kernels, the 64-byte arena alignment contract, and
-// the SIMD-vs-scalar equivalence property suite.
+// util/simd.h fixed-order kernels, the 64-byte arena alignment contract, and
+// the kernels-vs-reference equivalence property suite.
 //
 // The equivalence suite is the enforcement arm of the determinism contract
-// documented in util/simd.h: the vectorized DES / scorer must be
-// bit-identical to `sim/pipeline_sim_reference.cpp` (a hand-coded scalar
-// oracle with no simd.h dependency) on every calibrated SoC, for chain,
-// DAG and faulted workloads.  CI runs this file in both
-// `H2P_ENABLE_SIMD=ON` and `OFF` builds, so agreement with the oracle in
-// each transitively proves ON == OFF to the last ulp.
+// documented in util/simd.h: the DES / scorer built on the fixed-order
+// kernels must be bit-identical to `sim/pipeline_sim_reference.cpp` (a
+// hand-coded scalar oracle with no simd.h dependency) on every calibrated
+// SoC, for chain, DAG and faulted workloads.
 
 #include <cstddef>
 #include <cstdint>
@@ -146,12 +144,35 @@ TEST(Simd, MulSubInplaceMatchesScalarElementwise) {
   }
 }
 
+TEST(Simd, FixedMatvecColsMatchesFixedDotPerVictim) {
+  // The DES rate kernel prices every victim with one column-major pass;
+  // each out[v] must be exactly fixed_dot over victim v's row.
+  Rng rng(606);
+  for (int trial = 0; trial < 100; ++trial) {
+    const std::size_t n = 1 + rng.index(16);
+    const std::size_t pad = simd::padded_size(n);
+    std::vector<double> cols(pad * pad, 0.0);
+    for (std::size_t q = 0; q < n; ++q) {
+      for (std::size_t v = 0; v < n; ++v) cols[q * pad + v] = rng.uniform(0.0, 2.0);
+    }
+    const std::vector<double> x = random_padded(rng, n, pad, 0.0, 3.0);
+    std::vector<double> out(pad, -1.0);
+    simd::fixed_matvec_cols(cols.data(), x.data(), out.data(), pad);
+    for (std::size_t v = 0; v < pad; ++v) {
+      std::vector<double> row(pad);
+      for (std::size_t q = 0; q < pad; ++q) row[q] = cols[q * pad + v];
+      EXPECT_EQ(out[v], simd::fixed_dot(row.data(), x.data(), pad))
+          << "n=" << n << " victim " << v;
+    }
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Arena alignment: every carve must hand back 64-byte aligned storage so the
 // lane kernels and cacheline-sized spans never straddle or fault.
 
 static_assert(util::MonotonicArena::kAlignment >= 64,
-              "SIMD consumers assume cacheline-aligned arena spans");
+              "arena consumers assume cacheline-aligned spans");
 
 TEST(Arena, EveryCarveIs64ByteAligned) {
   util::MonotonicArena arena;
@@ -182,7 +203,7 @@ TEST(Arena, AlignmentSurvivesResetAndRegrowth) {
 }
 
 // ---------------------------------------------------------------------------
-// Equivalence property suite: vectorized DES vs the frozen scalar oracle,
+// Equivalence property suite: the kernel-based DES vs the frozen scalar oracle,
 // bitwise, across the calibrated SoCs and workload shapes.
 
 void expect_identical(const Timeline& a, const Timeline& b) {

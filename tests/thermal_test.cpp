@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include "models/model_zoo.h"
+#include "soc/cost_model.h"
 #include "soc/soc.h"
 #include "soc/thermal.h"
 
@@ -145,6 +147,35 @@ TEST(Thermal, CoarseBucketOfSocTracksWorstProcessor) {
   ASSERT_LT(worst, 1.0);
   EXPECT_EQ(coarse_thermal_bucket(soc, 1.0), coarse_thermal_bucket(worst));
   EXPECT_GT(coarse_thermal_bucket(soc, 1.0), 0u);
+}
+
+TEST(ThermalDerate, OnlyHotProcessorsLosePeak) {
+  const Soc cold = Soc::kirin990();
+  const Soc hot = thermally_derated(cold);
+  ASSERT_EQ(hot.num_processors(), cold.num_processors());
+  const auto cpu_b = static_cast<std::size_t>(cold.find(ProcKind::kCpuBig));
+  const auto npu = static_cast<std::size_t>(cold.find(ProcKind::kNpu));
+  // The big cluster throttles at sustained load; the NPU does not (Fig 11).
+  EXPECT_LT(hot.processor(cpu_b).peak_gflops, cold.processor(cpu_b).peak_gflops);
+  EXPECT_DOUBLE_EQ(hot.processor(npu).peak_gflops, cold.processor(npu).peak_gflops);
+  EXPECT_NE(hot.name(), cold.name());
+}
+
+TEST(ThermalDerate, IdleUtilizationIsNoOp) {
+  const Soc cold = Soc::kirin990();
+  const Soc idle = thermally_derated(cold, 0.0);
+  for (std::size_t k = 0; k < cold.num_processors(); ++k) {
+    EXPECT_DOUBLE_EQ(idle.processor(k).peak_gflops, cold.processor(k).peak_gflops);
+  }
+}
+
+TEST(ThermalDerate, SustainedLatencyWorseOnCpu) {
+  const Soc cold = Soc::kirin990();
+  const Soc hot = thermally_derated(cold);
+  const CostModel cost_cold(cold), cost_hot(hot);
+  const Model& m = zoo_model(ModelId::kResNet50);
+  const auto cpu_b = static_cast<std::size_t>(cold.find(ProcKind::kCpuBig));
+  EXPECT_GT(cost_hot.model_solo_ms(m, cpu_b), cost_cold.model_solo_ms(m, cpu_b));
 }
 
 }  // namespace

@@ -91,10 +91,8 @@
 #include <vector>
 
 #include "baselines/band.h"
-#include "baselines/dart.h"
 #include "baselines/mnn_serial.h"
 #include "baselines/pipeit.h"
-#include "baselines/ulayer.h"
 #include "core/graph_planner.h"
 #include "core/planner.h"
 #include "core/serialize.h"
@@ -546,8 +544,6 @@ int cmd_compare(int argc, char** argv) {
   };
   add("MNN (serial CPU_B)", run_mnn_serial(eval));
   add("Pipe-it", run_pipeit(eval));
-  add("uLayer", run_ulayer(eval));
-  add("DART", run_dart(eval));
   add("Band", run_band(eval));
   const PlannerReport no_ct =
       Hetero2PipePlanner(eval, PlannerOptions::no_ct()).plan();
