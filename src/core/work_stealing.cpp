@@ -129,12 +129,10 @@ int vertical_align(PipelinePlan& plan, const StaticEvaluator& eval,
     // Work-steal right (models after the critical path) then left (before),
     // mirroring Algorithm 3's two inner loops.
     for (std::size_t i = ic + 1; i < end; ++i) {
-      total_moves += align_to_profile(plan.models[i], eval, target,
-                                      opts.max_moves_per_model);
+      total_moves += align_to_profile(plan.models[i], eval, target);
     }
     for (std::size_t i = ic; i-- > u;) {
-      total_moves += align_to_profile(plan.models[i], eval, target,
-                                      opts.max_moves_per_model);
+      total_moves += align_to_profile(plan.models[i], eval, target);
     }
   }
 

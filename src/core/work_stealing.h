@@ -19,9 +19,6 @@ using PlanScorer = std::function<double(const PipelinePlan&)>;
 struct WorkStealingOptions {
   /// Run the tail-bubble local search after the sliding-window pass.
   bool tail_optimization = true;
-  /// Cap on boundary moves per model alignment (safety valve; the greedy
-  /// converges in O(n K) moves).
-  std::size_t max_moves_per_model = 1024;
 };
 
 /// slices -> boundary representation: b[0] = 0 <= b[1] <= ... <= b[K] = n,

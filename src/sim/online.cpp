@@ -127,7 +127,7 @@ OnlineResult run_online(const Soc& soc, const std::vector<OnlineRequest>& stream
   const std::uint64_t full_mask = P >= 64 ? ~0ull : ((1ull << P) - 1);
   const FaultToleranceOptions& ft = options.fault_tolerance;
 
-  exec::PlanCache local_cache(options.plan_cache_capacity);
+  exec::PlanCache local_cache;
   exec::PlanCache* cache =
       options.shared_cache != nullptr ? options.shared_cache : &local_cache;
 
@@ -328,7 +328,7 @@ OnlineResult run_online(const Soc& soc, const std::vector<OnlineRequest>& stream
           }
           if (!any_down) break;
           t += backoff;
-          backoff = std::min(backoff * ft.backoff_multiplier, ft.max_backoff_ms);
+          backoff = std::min(backoff * 2.0, ft.max_backoff_ms);
         }
         // Whatever is still dark after the ladder is declared dead: planning
         // proceeds without it (and keeps re-probing at later windows).

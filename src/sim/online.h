@@ -69,8 +69,7 @@ struct ThermalLoopOptions {
 struct FaultToleranceOptions {
   /// First wait when a processor probes unavailable at planning time.
   double initial_backoff_ms = 2.0;
-  /// Capped exponential growth of that wait.
-  double backoff_multiplier = 2.0;
+  /// The wait doubles with each probe, capped here.
   double max_backoff_ms = 16.0;
   /// Backoff probes before the processor is declared dead and planning
   /// proceeds without it.  A dead processor is still cheaply re-probed at
@@ -95,12 +94,11 @@ struct OnlineOptions {
   /// on the same Soc under the same planner knobs).  A hit skips both the
   /// cost-table build and the O(|M|^3 |H|) planner.
   bool use_plan_cache = true;
-  std::size_t plan_cache_capacity = 32;
   /// Overhead charged on a cache hit (the lookup itself; ~free on-device).
   double cache_hit_overhead_ms = 0.0;
   /// Optional externally owned cache, shared across run_online calls (e.g.
   /// a long-lived serving process).  When null an internal per-call cache
-  /// of `plan_cache_capacity` entries is used.
+  /// of PlanCache's default capacity is used.
   exec::PlanCache* shared_cache = nullptr;
 
   /// Worker pool for async prefetch (`async_planning`); each prefetch job

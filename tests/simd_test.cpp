@@ -10,6 +10,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <limits>
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -290,6 +291,10 @@ struct SocCase {
   std::size_t name_index;
   Soc (*make)();
 };
+
+// gtest's default printer would show the function pointer's bytes, which
+// change with each build's address layout; the SoC name is stable.
+void PrintTo(const SocCase& c, std::ostream* os) { *os << kSocNames[c.name_index]; }
 
 class SimdEquivalence : public ::testing::TestWithParam<SocCase> {};
 
