@@ -756,9 +756,11 @@ OnlineResult run_online(const Soc& soc, const std::vector<OnlineRequest>& stream
   result.timeline = simulate(soc, all_tasks, sim_options);
   // Latencies are reported per *request* (stream order), so invert the
   // slot -> request binding — it is a permutation within each window.
+  const std::vector<double> finish_of_slot = result.timeline.model_finish_times();
   for (std::size_t slot = 0; slot < next_slot; ++slot) {
     const std::size_t request = request_of_slot[slot];
-    const double finish = result.timeline.model_finish_ms(slot);
+    const double finish =
+        slot < finish_of_slot.size() ? finish_of_slot[slot] : 0.0;
     result.completion_ms[request] = finish - stream[request].arrival_ms;
     if (std::isfinite(stream[request].deadline_ms) &&
         finish > stream[request].deadline_ms + 1e-9) {

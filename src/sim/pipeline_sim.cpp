@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <functional>
 #include <limits>
 #include <stdexcept>
 
@@ -50,6 +51,8 @@ void simulate(const Soc& soc, const sim::TaskTable& table,
   static obs::Counter& c_tasks = obs::Registry::global().counter("des.tasks");
   static obs::Counter& c_migrations =
       obs::Registry::global().counter("des.migrations");
+  static obs::Counter& c_probes =
+      obs::Registry::global().counter("des.dispatch_probes");
   c_tasks.inc(n);
   obs::Span des_span("des.simulate");
   des_span.arg("tasks", static_cast<double>(n));
@@ -65,7 +68,7 @@ void simulate(const Soc& soc, const sim::TaskTable& table,
   if (faults != nullptr) fault_edges = faults->edges();
 
   // Without a fault script nothing can migrate, so the scratch views the
-  // table's columns and queues directly instead of copying them.
+  // table's columns directly instead of copying them.
   scratch.prepare(table, P, /*alias_columns=*/faults == nullptr);
   // resize, not clear-then-resize: every slot [0, n) is overwritten at its
   // task's retirement before the function returns, and skipping the
@@ -110,21 +113,75 @@ void simulate(const Soc& soc, const sim::TaskTable& table,
     }
   }
 
-  std::size_t arrival_cursor = 0;
   double now = 0.0;
   std::size_t completed = 0;
   const double eps = 1e-9;
 
-  // First pending strictly-future arrival, +inf when none.
-  auto next_arrival_ms = [&]() -> double {
-    while (arrival_cursor < table.arrival_order.size()) {
-      const std::size_t i = table.arrival_order[arrival_cursor];
-      if (!started[i] && !done[i] && table.arrival_ms[i] > now + eps) {
-        return table.arrival_ms[i];
-      }
-      ++arrival_cursor;
+  // Event-driven readiness.  A task is ready once its unmet count — one per
+  // explicit dep or chain pred, plus one for a strictly-positive arrival —
+  // drops to zero: retirements release successors through succs_of and the
+  // arrival cursor releases arrivals as the clock passes them.  A ready task
+  // waits in its processor's min-heap of dispatch ranks, so a free
+  // processor starts the lowest (model, seq, index) ready task without
+  // scanning the tasks that are still blocked.
+  std::span<std::uint32_t> unmet = scratch.unmet;
+  std::span<std::uint32_t> heap_data = scratch.ready_heap;
+  std::span<std::uint32_t> heap_base = scratch.heap_base;
+  std::span<std::uint32_t> heap_size = scratch.heap_size;
+  std::size_t probes = 0;  // ready-heap entries pushed, popped or rescanned
+  const std::greater<std::uint32_t> min_heap;
+  auto push_ready = [&](std::size_t i) {
+    const std::size_t p = scratch.proc[i];
+    std::uint32_t* h = heap_data.data() + heap_base[p];
+    h[heap_size[p]++] = table.dispatch_rank[i];
+    std::push_heap(h, h + heap_size[p], min_heap);
+    ++probes;
+  };
+  auto release = [&](std::size_t i) {
+    if (--unmet[i] == 0) push_ready(i);
+  };
+
+  // Give every processor a heap region sized by its unfinished tasks (each
+  // is pushed at most once while assigned to it) and fill it with the ready
+  // ones, appended in rank order, which already is heap order.  Runs once
+  // up front and again after a permanent drop-out has moved tasks between
+  // processors.
+  auto rebuild_ready_heaps = [&] {
+    std::fill(heap_base.begin(), heap_base.end(), std::uint32_t{0});
+    for (std::size_t i = 0; i < n; ++i) {
+      if (!done[i]) ++heap_base[scratch.proc[i] + 1];
     }
-    return std::numeric_limits<double>::infinity();
+    for (std::size_t p = 0; p < P; ++p) heap_base[p + 1] += heap_base[p];
+    std::fill(heap_size.begin(), heap_size.end(), std::uint32_t{0});
+    for (const std::uint32_t i : table.dispatch_order) {
+      if (unmet[i] != 0 || started[i] || done[i]) continue;
+      const std::size_t p = scratch.proc[i];
+      heap_data[heap_base[p] + heap_size[p]++] = table.dispatch_rank[i];
+      ++probes;
+    }
+  };
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::uint32_t deps =
+        table.explicit_deps[i]
+            ? table.dep_offsets[i + 1] - table.dep_offsets[i]
+            : static_cast<std::uint32_t>(table.pred[i] >= 0);
+    unmet[i] = deps + static_cast<std::uint32_t>(table.arrival_ms[i] > 0.0);
+  }
+  rebuild_ready_heaps();
+
+  // Strictly-positive arrivals (table.arrival_order) are released in time
+  // order; the cursor then names the first one still in the future.
+  std::size_t arrival_cursor = 0;
+  auto admit_arrivals = [&] {
+    while (arrival_cursor < table.arrival_order.size() &&
+           table.arrival_ms[table.arrival_order[arrival_cursor]] <= now + eps) {
+      release(table.arrival_order[arrival_cursor++]);
+    }
+  };
+  auto next_arrival_ms = [&]() -> double {
+    return arrival_cursor < table.arrival_order.size()
+               ? table.arrival_ms[table.arrival_order[arrival_cursor]]
+               : std::numeric_limits<double>::infinity();
   };
 
   // First fault edge strictly after `now`, +inf when none remain.
@@ -138,44 +195,14 @@ void simulate(const Soc& soc, const sim::TaskTable& table,
                : std::numeric_limits<double>::infinity();
   };
 
-  // Plan/compiled lowerings release everything at t=0; skip the per-task
-  // arrival compare when no strictly-positive arrival exists at all.
-  const bool has_arrivals = !table.arrival_order.empty();
-  // With arrivals or faults in play, readiness can change without a
-  // retirement (a clock jump, a recovery edge) — re-arm every processor's
-  // start scan each event instead of relying on retirement wakes.
-  const bool conservative_wake = has_arrivals || faults != nullptr;
-  auto task_ready = [&](std::size_t i) {
-    if (started[i] || done[i]) return false;
-    if (has_arrivals && table.arrival_ms[i] > now + eps) return false;
-    if (table.explicit_deps[i]) {
-      for (const std::uint32_t d : table.deps_of(i)) {
-        if (!done[d]) return false;  // a join waits on every branch tail
-      }
-      return true;
-    }
-    const std::int32_t p = table.pred[i];
-    if (p >= 0 && !done[static_cast<std::size_t>(p)]) return false;
-    return true;
-  };
-
-  auto queue_cmp = [&](std::uint32_t a, std::uint32_t b) {
-    if (table.model_idx[a] != table.model_idx[b]) {
-      return table.model_idx[a] < table.model_idx[b];
-    }
-    if (table.seq_in_model[a] != table.seq_in_model[b]) {
-      return table.seq_in_model[a] < table.seq_in_model[b];
-    }
-    return a < b;
-  };
-
   // Permanent-drop-out handling: once a processor's drop-out is known to be
   // permanent, every pending task assigned to it (queued or running; a
   // running one loses its progress) migrates to its cheapest legal fallback
   // per the table's flattened alt costs, keeping its (model, seq) chain
-  // position.  Determinism: procs are swept in index order and targets break
-  // ties on the lowest index, so replays are bit-identical.  Migration
-  // mutates only the scratch copies — the table stays read-only.
+  // position.  Determinism: procs are swept in index order, each one's
+  // tasks in (model, seq, index) order, and targets break ties on the
+  // lowest index, so replays are bit-identical.  Migration mutates only the
+  // scratch copies — the table stays read-only.
   auto migrate_task = [&](std::size_t i) {
     std::size_t best = P;
     double best_solo = std::numeric_limits<double>::infinity();
@@ -207,19 +234,10 @@ void simulate(const Soc& soc, const sim::TaskTable& table,
     scratch.sens[i] = table.alt_sensitivity[i * table.alt_procs + best];
     scratch.intens[i] = table.alt_intensity[i * table.alt_procs + best];
     started[i] = 0;
-    std::uint32_t* qd = scratch.queue_data.data() + scratch.queue_base[best];
-    const std::uint32_t sz = scratch.queue_size[best];
-    std::uint32_t* pos =
-        std::lower_bound(qd, qd + sz, static_cast<std::uint32_t>(i), queue_cmp);
-    const auto idx = static_cast<std::uint32_t>(pos - qd);
-    std::move_backward(pos, qd + sz, qd + sz + 1);
-    *pos = static_cast<std::uint32_t>(i);
-    scratch.queue_size[best] = sz + 1;
-    scratch.queue_cursor[best] = std::min(scratch.queue_cursor[best], idx);
-    scratch.proc_startable[best] = 1;
   };
   auto sweep_permanent_faults = [&] {
     if (faults == nullptr) return;
+    bool moved = false;
     for (std::size_t p = 0; p < P; ++p) {
       if (scratch.proc_dead[p] || !faults->permanently_down(p, now)) continue;
       scratch.proc_dead[p] = 1;
@@ -247,47 +265,36 @@ void simulate(const Soc& soc, const sim::TaskTable& table,
         proc_running[p] = -1;
       }
       std::size_t pending_n = 0;
-      const std::uint32_t* qd = scratch.queue_data.data() + scratch.queue_base[p];
-      for (std::uint32_t pos = scratch.queue_cursor[p];
-           pos < scratch.queue_size[p]; ++pos) {
-        if (!done[qd[pos]]) scratch.pending[pending_n++] = qd[pos];
+      for (const std::uint32_t i : table.dispatch_order) {
+        if (!done[i] && scratch.proc[i] == p) scratch.pending[pending_n++] = i;
       }
-      scratch.queue_size[p] = 0;
-      scratch.queue_cursor[p] = 0;
+      probes += n;
       for (std::size_t k = 0; k < pending_n; ++k) {
         migrate_task(scratch.pending[k]);
       }
+      moved = true;
+    }
+    if (moved) {
+      rebuild_ready_heaps();
+      probes += n;
     }
   };
 
   auto start_eligible = [&] {
     for (std::size_t p = 0; p < P; ++p) {
-      if (proc_running[p] >= 0) continue;
-      if (!scratch.proc_startable[p]) continue;
+      if (proc_running[p] >= 0 || heap_size[p] == 0) continue;
       if (faults != nullptr && !faults->available(p, now)) continue;
-      const std::uint32_t* qd = scratch.queue_data.data() + scratch.queue_base[p];
-      std::uint32_t& cur = scratch.queue_cursor[p];
-      while (cur < scratch.queue_size[p] && done[qd[cur]]) ++cur;
-      std::int64_t best = -1;
-      for (std::uint32_t pos = cur; pos < scratch.queue_size[p]; ++pos) {
-        if (task_ready(qd[pos])) {
-          best = qd[pos];
-          break;  // sorted: first ready is min (model, seq)
-        }
-      }
-      if (best < 0) {
-        // Nothing startable here until a retirement wakes this queue again.
-        scratch.proc_startable[p] = 0;
-      } else {
-        const auto bi = static_cast<std::size_t>(best);
-        started[bi] = 1;
-        proc_running[p] = static_cast<std::int32_t>(bi);
-        run_task[running_size] = static_cast<std::uint32_t>(bi);
-        run_remaining[running_size] = std::max(scratch.solo[bi], 0.0);
-        run_start[running_size] = now;
-        run_solo[running_size] = scratch.solo[bi];
-        ++running_size;
-      }
+      std::uint32_t* h = heap_data.data() + heap_base[p];
+      std::pop_heap(h, h + heap_size[p], min_heap);
+      const std::size_t bi = table.dispatch_order[h[--heap_size[p]]];
+      ++probes;
+      started[bi] = 1;
+      proc_running[p] = static_cast<std::int32_t>(bi);
+      run_task[running_size] = static_cast<std::uint32_t>(bi);
+      run_remaining[running_size] = std::max(scratch.solo[bi], 0.0);
+      run_start[running_size] = now;
+      run_solo[running_size] = scratch.solo[bi];
+      ++running_size;
     }
   };
 
@@ -357,16 +364,13 @@ void simulate(const Soc& soc, const sim::TaskTable& table,
     if (++guard > guard_max + n * n) {
       throw std::runtime_error("simulate: no progress (dependency cycle?)");
     }
-    if (conservative_wake) {
-      std::fill(scratch.proc_startable.begin(), scratch.proc_startable.end(),
-                std::uint8_t{1});
-    }
+    admit_arrivals();
     sweep_permanent_faults();
     start_eligible();
 
     if (running_size == 0) {
       // Nothing runnable: jump to the next strictly-future arrival or fault
-      // edge (a recovery can unblock a queue no arrival would).  Tasks that
+      // edge (a recovery can unblock a heap no arrival would).  Tasks that
       // have already arrived but are chain-blocked don't count — if only
       // those remain, the dependency graph is wedged.
       const double next_wake = std::min(next_arrival_ms(), next_fault_edge_ms());
@@ -413,11 +417,7 @@ void simulate(const Soc& soc, const sim::TaskTable& table,
         const std::size_t i = run_task[ri];
         done[i] = 1;
         proc_running[scratch.proc[i]] = -1;
-        // Wake the freed processor and every processor holding a dependent.
-        scratch.proc_startable[scratch.proc[i]] = 1;
-        for (const std::uint32_t s : table.succs_of(i)) {
-          scratch.proc_startable[scratch.proc[s]] = 1;
-        }
+        for (const std::uint32_t s : table.succs_of(i)) release(s);
         ++completed;
         TaskRecord rec;
         rec.model_idx = table.model_idx[i];
@@ -441,6 +441,7 @@ void simulate(const Soc& soc, const sim::TaskTable& table,
     for (std::size_t ri = w; ri < running_size; ++ri) run_remaining[ri] = 0.0;
     running_size = w;
   }
+  c_probes.inc(probes);
 }
 
 Timeline simulate(const Soc& soc, std::span<const SimTask> tasks,

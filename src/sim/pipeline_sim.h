@@ -76,7 +76,12 @@ struct SimOptions {
 /// Dispatch: a free processor picks, among its ready tasks (predecessors
 /// done — the chain predecessor, or every explicit dep — and arrival
 /// passed), the lowest (model_idx, seq_in_model) — i.e., pipeline FIFO
-/// order.
+/// order.  Readiness is event-driven: each task counts its unmet
+/// predecessors and arrival, a retirement or a passed arrival releases it,
+/// and a released task waits in its processor's ready min-heap.  Tasks
+/// blocked on a later window's arrival are never scanned: dispatch over a
+/// whole stream costs O(n log n + events * P).  The `des.dispatch_probes`
+/// counter sums the ready-heap entries each call pushes, pops and rescans.
 ///
 /// The table is read-only (migration mutates scratch copies), so one table
 /// can be evaluated many times — or concurrently from several threads, each

@@ -52,15 +52,21 @@ QueueStats pipelined_queueing(const StaticEvaluator& eval,
   const Timeline timeline = simulate(eval.soc(), tasks, {});
   stats.completion_ms.resize(m, 0.0);
   stats.queueing_ms.resize(m, 0.0);
+  // One pass each for finishes and first starts (the last seq-0 task of a
+  // slot in timeline order, the makespan when it has none).
+  const std::vector<double> finish = timeline.model_finish_times();
+  std::vector<double> first_start(finish.size(), timeline.makespan_ms());
+  for (const TaskRecord& t : timeline.tasks) {
+    if (t.seq_in_model == 0) first_start[t.model_idx] = t.start_ms;
+  }
   for (std::size_t slot = 0; slot < compiled.num_models; ++slot) {
     const std::size_t original = compiled.original_index[slot];
     const double arrive = original < arrival_ms.size() ? arrival_ms[original] : 0.0;
-    double first_start = timeline.makespan_ms();
-    for (const TaskRecord& t : timeline.tasks) {
-      if (t.model_idx == slot && t.seq_in_model == 0) first_start = t.start_ms;
-    }
-    stats.completion_ms[original] = timeline.model_finish_ms(slot) - arrive;
-    stats.queueing_ms[original] = std::max(0.0, first_start - arrive);
+    const double slot_finish = slot < finish.size() ? finish[slot] : 0.0;
+    const double slot_start =
+        slot < first_start.size() ? first_start[slot] : timeline.makespan_ms();
+    stats.completion_ms[original] = slot_finish - arrive;
+    stats.queueing_ms[original] = std::max(0.0, slot_start - arrive);
   }
   stats.makespan_ms = timeline.makespan_ms();
   return stats;

@@ -40,8 +40,8 @@ void TaskTable::clear() {
   num_models = 0;
   num_procs = 0;
   pred.clear();
-  proc_offsets.clear();
-  proc_order.clear();
+  dispatch_order.clear();
+  dispatch_rank.clear();
   arrival_order.clear();
   succ_offsets.clear();
   succ_edges.clear();
@@ -81,22 +81,23 @@ void TaskTable::finalize(std::size_t min_procs, std::size_t n_logical) {
     ++succ_offsets[d + 1];
   }
 
-  // Chain predecessor resolution: latest smaller seq_in_model per model,
-  // ties on seq resolving to the lowest task index — the exact bucketed
-  // logic the AoS simulator used, run once per table instead of per run.
-  pred.assign(n, -1);
-  arrival_order.clear();
-  std::vector<std::uint32_t>& order = proc_order;  // reused below
-  order.clear();
-  order.reserve(n);
+  // Dispatch order: every task by (model, seq, index), the order in which
+  // a free processor picks among its ready tasks.  The plan and
+  // compiled-plan lowerings emit tasks model-major with ascending seq, so
+  // index order already is it; arbitrary AoS inputs (build_from_tasks)
+  // are sorted.
+  dispatch_order.resize(n);
+  bool index_sorted = true;
   for (std::size_t i = 0; i < n; ++i) {
-    if (!explicit_deps[i]) order.push_back(static_cast<std::uint32_t>(i));
-    if (arrival_ms[i] > 0.0) {
-      arrival_order.push_back(static_cast<std::uint32_t>(i));
+    dispatch_order[i] = static_cast<std::uint32_t>(i);
+    if (i > 0 && (model_idx[i - 1] > model_idx[i] ||
+                  (model_idx[i - 1] == model_idx[i] &&
+                   seq_in_model[i - 1] > seq_in_model[i]))) {
+      index_sorted = false;
     }
   }
-  if (!order.empty()) {
-    std::sort(order.begin(), order.end(),
+  if (!index_sorted) {
+    std::sort(dispatch_order.begin(), dispatch_order.end(),
               [&](std::uint32_t a, std::uint32_t b) {
                 if (model_idx[a] != model_idx[b]) {
                   return model_idx[a] < model_idx[b];
@@ -106,6 +107,21 @@ void TaskTable::finalize(std::size_t min_procs, std::size_t n_logical) {
                 }
                 return a < b;
               });
+  }
+  dispatch_rank.resize(n);
+  for (std::size_t r = 0; r < n; ++r) {
+    dispatch_rank[dispatch_order[r]] = static_cast<std::uint32_t>(r);
+  }
+
+  // Chain predecessor resolution over the implicit-chain tasks in dispatch
+  // order: latest smaller seq_in_model per model, ties on seq resolving to
+  // the lowest task index — the exact bucketed logic the AoS simulator
+  // used, run once per table instead of per run.
+  pred.assign(n, -1);
+  std::vector<std::uint32_t>& order = chain_order_;
+  order.clear();
+  for (const std::uint32_t i : dispatch_order) {
+    if (!explicit_deps[i]) order.push_back(i);
   }
   for (std::size_t lo = 0; lo < order.size();) {
     std::size_t hi = lo;
@@ -131,9 +147,9 @@ void TaskTable::finalize(std::size_t min_procs, std::size_t n_logical) {
   }
 
   // Forward adjacency: dependents by explicit edge, chain successors by
-  // pred (chain links exist only for the non-explicit tasks still listed in
+  // pred (chain links exist only for the non-explicit tasks listed in
   // `order`).  Built with the usual in-place counting-sort cursor trick;
-  // the DES uses it to wake only the processors a retirement could unblock.
+  // the DES releases a retirement's dependents through it.
   for (const std::uint32_t j : order) {
     if (pred[j] >= 0) ++succ_offsets[static_cast<std::size_t>(pred[j]) + 1];
   }
@@ -154,61 +170,19 @@ void TaskTable::finalize(std::size_t min_procs, std::size_t n_logical) {
   succ_offsets[0] = 0;
 
   // Strictly-positive arrivals in ascending order (index tie-break: the
-  // returned next-arrival *time* is what the simulator consumes, so any
-  // deterministic order among equal arrivals is equivalent).
+  // simulator releases every arrival due at an event before it dispatches,
+  // so any deterministic order among equal arrivals is equivalent).
+  arrival_order.clear();
+  for (std::size_t i = 0; i < n; ++i) {
+    if (arrival_ms[i] > 0.0) {
+      arrival_order.push_back(static_cast<std::uint32_t>(i));
+    }
+  }
   if (!arrival_order.empty()) {
     std::sort(arrival_order.begin(), arrival_order.end(),
               [&](std::uint32_t a, std::uint32_t b) {
                 if (arrival_ms[a] != arrival_ms[b]) {
                   return arrival_ms[a] < arrival_ms[b];
-                }
-                return a < b;
-              });
-  }
-
-  // Per-processor dispatch queues, (model, seq, index)-sorted.  The plan /
-  // compiled-plan lowerings emit tasks model-major with ascending seq, so
-  // ascending task index already IS (model, seq, idx) order; a stable
-  // counting sort by processor then yields exactly what the comparator sort
-  // produced, at O(n + P) with no allocation — finalize runs per scored
-  // candidate, and the two sorts were its dominant cost.  Arbitrary AoS
-  // inputs (build_from_tasks) fall back to the comparator sort.
-  proc_offsets.assign(num_procs + 1, 0);
-  for (std::size_t i = 0; i < n; ++i) ++proc_offsets[proc_idx[i] + 1];
-  for (std::size_t p = 0; p < num_procs; ++p) {
-    proc_offsets[p + 1] += proc_offsets[p];
-  }
-  bool index_sorted = true;
-  for (std::size_t i = 1; i < n; ++i) {
-    if (model_idx[i - 1] > model_idx[i] ||
-        (model_idx[i - 1] == model_idx[i] &&
-         seq_in_model[i - 1] > seq_in_model[i])) {
-      index_sorted = false;
-      break;
-    }
-  }
-  order.assign(n, 0);
-  if (index_sorted) {
-    // proc_offsets doubles as the bucket cursor, then shifts back in place.
-    for (std::size_t i = 0; i < n; ++i) {
-      order[proc_offsets[proc_idx[i]]++] = static_cast<std::uint32_t>(i);
-    }
-    for (std::size_t p = num_procs; p > 0; --p) {
-      proc_offsets[p] = proc_offsets[p - 1];
-    }
-    proc_offsets[0] = 0;
-  } else {
-    for (std::size_t i = 0; i < n; ++i) {
-      order[i] = static_cast<std::uint32_t>(i);
-    }
-    std::sort(order.begin(), order.end(),
-              [&](std::uint32_t a, std::uint32_t b) {
-                if (proc_idx[a] != proc_idx[b]) return proc_idx[a] < proc_idx[b];
-                if (model_idx[a] != model_idx[b]) {
-                  return model_idx[a] < model_idx[b];
-                }
-                if (seq_in_model[a] != seq_in_model[b]) {
-                  return seq_in_model[a] < seq_in_model[b];
                 }
                 return a < b;
               });
@@ -393,8 +367,8 @@ void TaskTable::build_from_plan(const PipelinePlan& plan,
   alt_procs = 0;
   // Rescoring sweeps mutate slice *boundaries*, not slot-to-processor
   // assignments, so successive candidates usually share the exact task
-  // structure — and every derived structure finalize() rebuilds (preds,
-  // queues, forward adjacency, arrival order) depends only on the
+  // structure — and every derived structure finalize() rebuilds (dispatch
+  // order, preds, forward adjacency, arrival order) depends only on the
   // structural columns.  `maybe_same` gates a per-cell verification in the
   // fill loop below: if the previous build was a plan lowering with the
   // same n and P, and every (model, proc) cell verifies unchanged, the
@@ -488,11 +462,10 @@ void SimScratch::prepare(const TaskTable& table, std::size_t P,
   // mode carves less, but reserving the private-copy footprint keeps one
   // arena block serving both modes.
   const std::size_t bytes =
-      n * (2 * sizeof(std::uint32_t) + 3 * sizeof(double) +
+      n * (5 * sizeof(std::uint32_t) + 3 * sizeof(double) +
            2 * sizeof(std::uint8_t)) +
-      P * n * sizeof(std::uint32_t) +
-      P * (4 * sizeof(std::uint32_t) + sizeof(std::int32_t) +
-           2 * sizeof(std::uint8_t)) +
+      (P + 1) * (2 * sizeof(std::uint32_t) + sizeof(std::int32_t) +
+                 sizeof(std::uint8_t)) +
       Pp * (4 * sizeof(double) + sizeof(std::uint32_t)) +
       P * Pp * sizeof(double) + (Pp * Pp + 2 * Pp) * sizeof(double) +
       24 * util::MonotonicArena::kAlignment;
@@ -514,15 +487,15 @@ void SimScratch::prepare(const TaskTable& table, std::size_t P,
     proc_intensity = arena_.make_span<double>(Pp);
     coupling_t = arena_.make_span<double>(Pp * Pp);
     extra_by_proc = arena_.make_span<double>(Pp);
-    queue_base = arena_.make_span<std::uint32_t>(P);
-    queue_size = arena_.make_span<std::uint32_t>(P);
-    queue_cursor = arena_.make_span<std::uint32_t>(P);
+    unmet = arena_.make_span<std::uint32_t>(n);
+    ready_heap = arena_.make_span<std::uint32_t>(n);
+    heap_base = arena_.make_span<std::uint32_t>(P + 1);
+    heap_size = arena_.make_span<std::uint32_t>(P);
     pending = arena_.make_span<std::uint32_t>(n);
     proc_running = arena_.make_span<std::int32_t>(P);
     done = arena_.make_span<std::uint8_t>(n);
     started = arena_.make_span<std::uint8_t>(n);
     proc_dead = arena_.make_span<std::uint8_t>(P);
-    proc_startable = arena_.make_span<std::uint8_t>(P);
     prepared_n_ = n;
     prepared_P_ = P;
     prepared_private_ = false;
@@ -530,27 +503,15 @@ void SimScratch::prepare(const TaskTable& table, std::size_t P,
   padded_procs = Pp;
 
   if (alias_columns) {
-    // No-fault run: nothing ever writes the per-task columns or the queue
-    // contents (migration is the only writer and it requires a fault
-    // script), so view the table directly and skip four column copies plus
-    // the per-queue scatter.  const_cast is confined to building the view;
-    // the invariant is documented on the member declarations.
+    // No-fault run: nothing ever writes the per-task columns (migration is
+    // the only writer and it requires a fault script), so view the table
+    // directly and skip four column copies.  const_cast is confined to
+    // building the view; the invariant is documented on the member
+    // declarations.
     proc = {const_cast<std::uint32_t*>(table.proc_idx.data()), n};
     solo = {const_cast<double*>(table.solo_ms.data()), n};
     sens = {const_cast<double*>(table.sensitivity.data()), n};
     intens = {const_cast<double*>(table.intensity.data()), n};
-    queue_data = {const_cast<std::uint32_t*>(table.proc_order.data()),
-                  table.proc_order.size()};
-    queue_stride = 0;
-    for (std::size_t p = 0; p < P; ++p) {
-      if (p < table.num_procs) {
-        queue_base[p] = table.proc_offsets[p];
-        queue_size[p] = table.proc_offsets[p + 1] - table.proc_offsets[p];
-      } else {
-        queue_base[p] = 0;
-        queue_size[p] = 0;
-      }
-    }
   } else {
     // Lazy private carve: the reserve budget above always includes the
     // column copies, so the first copy-mode prepare at this geometry can
@@ -560,41 +521,24 @@ void SimScratch::prepare(const TaskTable& table, std::size_t P,
       priv_sens_ = arena_.make_span<double>(n);
       priv_intens_ = arena_.make_span<double>(n);
       priv_proc_ = arena_.make_span<std::uint32_t>(n);
-      priv_queue_ = arena_.make_span<std::uint32_t>(P * n);
       prepared_private_ = true;
     }
     solo = priv_solo_;
     sens = priv_sens_;
     intens = priv_intens_;
     proc = priv_proc_;
-    queue_data = priv_queue_;
     std::copy(table.proc_idx.begin(), table.proc_idx.end(), proc.begin());
     std::copy(table.solo_ms.begin(), table.solo_ms.begin() + n, solo.begin());
     std::copy(table.sensitivity.begin(), table.sensitivity.begin() + n,
               sens.begin());
     std::copy(table.intensity.begin(), table.intensity.begin() + n,
               intens.begin());
-    queue_stride = n;
-    for (std::size_t p = 0; p < P; ++p) {
-      queue_base[p] = static_cast<std::uint32_t>(p * n);
-      if (p < table.num_procs) {
-        const std::uint32_t lo = table.proc_offsets[p];
-        const std::uint32_t hi = table.proc_offsets[p + 1];
-        queue_size[p] = hi - lo;
-        std::copy(table.proc_order.begin() + lo, table.proc_order.begin() + hi,
-                  queue_data.begin() + static_cast<std::ptrdiff_t>(p * n));
-      } else {
-        queue_size[p] = 0;
-      }
-    }
   }
 
   std::fill(done.begin(), done.end(), std::uint8_t{0});
   std::fill(started.begin(), started.end(), std::uint8_t{0});
   std::fill(proc_dead.begin(), proc_dead.end(), std::uint8_t{0});
-  std::fill(proc_startable.begin(), proc_startable.end(), std::uint8_t{1});
   std::fill(proc_running.begin(), proc_running.end(), std::int32_t{-1});
-  std::fill(queue_cursor.begin(), queue_cursor.end(), std::uint32_t{0});
   // The masked lane kernels read whole padded spans: keep the dead slots at
   // exact zeros so they never contribute.
   std::fill(rates.begin(), rates.end(), 0.0);

@@ -30,10 +30,12 @@ namespace sim {
 /// CSR-packed edge lists, built **once per candidate set** with every
 /// derived structure the simulator needs precomputed:
 ///
+///  - `dispatch_order`/`dispatch_rank`: every task in (model, seq, index)
+///    order, the order a free processor picks its ready tasks in;
 ///  - `pred`: the legacy chain predecessor per task (bucketed resolution,
 ///    identical tie-breaking to the AoS path);
-///  - `proc_order`/`proc_offsets`: per-processor dispatch queues pre-sorted
-///    by (model, seq, index);
+///  - `succ_offsets`/`succ_edges`: the forward adjacency a retirement
+///    releases its dependents through;
 ///  - `arrival_order`: strictly-future arrivals in ascending order.
 ///
 /// The `build_from_*` members reuse the columns' capacity, so a thread-local
@@ -70,15 +72,15 @@ class TaskTable {
 
   // ---- derived, computed by the build_* members ----------------------------
   std::size_t num_models = 0;              // max model_idx + 1
-  std::size_t num_procs = 0;               // queue count (>= max proc_idx + 1)
+  std::size_t num_procs = 0;               // max(min_procs, max proc_idx + 1)
   std::size_t max_proc_idx = 0;            // max proc_idx over tasks (0 if none)
+  std::vector<std::uint32_t> dispatch_order;  // tasks by (model, seq, idx)
+  std::vector<std::uint32_t> dispatch_rank;   // inverse: position per task
   std::vector<std::int32_t> pred;          // chain predecessor, -1 = root
-  std::vector<std::uint32_t> proc_offsets; // num_procs + 1
-  std::vector<std::uint32_t> proc_order;   // per-proc (model, seq, idx) order
   std::vector<std::uint32_t> arrival_order;// tasks with arrival_ms > 0, sorted
   // Forward adjacency (CSR): tasks whose readiness can change when i
-  // completes — explicit dependents plus chain successors.  The DES start
-  // scan uses it to wake only the processors a retirement could unblock.
+  // completes — explicit dependents plus chain successors, one entry per
+  // dependency edge.  The DES decrements each one's unmet count through it.
   std::vector<std::uint32_t> succ_offsets; // size()+1
   std::vector<std::uint32_t> succ_edges;
 
@@ -88,15 +90,9 @@ class TaskTable {
   }
 
   [[nodiscard]] std::size_t size() const { return n_; }
-  [[nodiscard]] std::span<const std::uint32_t> deps_of(std::size_t i) const {
-    return {dep_edges.data() + dep_offsets[i],
-            dep_edges.data() + dep_offsets[i + 1]};
-  }
 
   /// Transpose an AoS task list (the compatibility entry the legacy
-  /// simulate() wrappers use).  `min_procs` widens the queue array so a Soc
-  /// with more processors than the tasks reference still gets a queue per
-  /// processor.
+  /// simulate() wrappers use).  `min_procs` is a floor for `num_procs`.
   void build_from_tasks(std::span<const SimTask> tasks, std::size_t min_procs);
 
   /// Lower a compiled plan directly into columns — the SoA equivalent of
@@ -142,6 +138,7 @@ class TaskTable {
     std::vector<LoweredRow> rows;
   };
   std::vector<SlotMemo> slot_memo_;
+  std::vector<std::uint32_t> chain_order_;  // finalize()'s chain-task buffer
 
   std::size_t n_ = 0;  // logical task count (columns are padded beyond it)
   // True iff the current derived structures came from a build_from_plan
@@ -161,10 +158,10 @@ class SimScratch {
  public:
   /// Carve and initialize all per-run state for `table` on `P` processors
   /// (P >= table.num_procs).  With `alias_columns` set (the no-fault scoring
-  /// path) the per-task columns and dispatch queues alias the table directly
-  /// instead of being copied: only permanent-drop-out migration ever writes
-  /// them, and migration requires a fault script — callers running with
-  /// faults MUST pass false to get private copies.
+  /// path) the per-task columns alias the table directly instead of being
+  /// copied: only permanent-drop-out migration ever writes them, and
+  /// migration requires a fault script — callers running with faults MUST
+  /// pass false to get private copies.
   void prepare(const TaskTable& table, std::size_t P,
                bool alias_columns = false);
 
@@ -178,16 +175,18 @@ class SimScratch {
   std::span<std::uint8_t> done;
   std::span<std::uint8_t> started;
 
-  // Per-processor dispatch queues: queue p occupies
-  // queue_data[queue_base[p] .. queue_base[p] + queue_size[p]), sorted by
-  // (model, seq, index).  Private copies use base p * stride with
-  // stride = n so migration inserts never overflow; aliased queues reuse
-  // the table's packed proc_order with base proc_offsets[p].
-  std::span<std::uint32_t> queue_data;
-  std::span<std::uint32_t> queue_base;
-  std::span<std::uint32_t> queue_size;
-  std::span<std::uint32_t> queue_cursor;
-  std::size_t queue_stride = 0;
+  // Event-driven readiness (filled by simulate()).  `unmet[i]` counts task
+  // i's predecessors not yet retired, plus one while a
+  // strictly-positive arrival is in the future; at zero the task is ready.
+  // Ready tasks wait in one binary min-heap per processor, keyed by their
+  // TaskTable::dispatch_rank: heap p occupies ready_heap[heap_base[p] ..
+  // heap_base[p] + heap_size[p]), and its region holds every unfinished
+  // task of p, so pushes never overflow.  A permanent drop-out re-carves
+  // the regions after migration.
+  std::span<std::uint32_t> unmet;
+  std::span<std::uint32_t> ready_heap;
+  std::span<std::uint32_t> heap_base;    // P + 1
+  std::span<std::uint32_t> heap_size;
 
   // The running set, SoA with capacity padded_procs so the per-event rate /
   // min-dt / advance kernels (util/simd.h) sweep whole lanes: entries
@@ -203,12 +202,6 @@ class SimScratch {
   std::span<std::int32_t> proc_running;
   std::span<double> rates;               // per running slot, padded
   std::span<std::uint8_t> proc_dead;
-  // Start-scan gate: 1 when the processor's queue may hold a newly ready
-  // task.  Retirements mark the retiring task's processor and every
-  // successor's processor; a fruitless scan clears the flag.  Tables with
-  // positive arrivals or an active fault script re-arm every processor each
-  // event (readiness there can change without a retirement).
-  std::span<std::uint8_t> proc_startable;
   std::span<std::uint32_t> pending;      // migration staging, capacity n
 
   // Dense Eq. 2 operands: `coupling` holds P rows of padded_procs doubles
@@ -255,7 +248,7 @@ class SimScratch {
   // the public spans at the table) doesn't lose them for the next
   // copy-mode prepare at the same geometry.
   std::span<double> priv_solo_, priv_sens_, priv_intens_;
-  std::span<std::uint32_t> priv_proc_, priv_queue_;
+  std::span<std::uint32_t> priv_proc_;
 };
 
 }  // namespace sim

@@ -26,6 +26,16 @@ double Timeline::model_finish_ms(std::size_t model_idx) const {
   return end;
 }
 
+std::vector<double> Timeline::model_finish_times() const {
+  std::size_t models = num_models;
+  for (const TaskRecord& t : tasks) models = std::max(models, t.model_idx + 1);
+  std::vector<double> finish(models, 0.0);
+  for (const TaskRecord& t : tasks) {
+    finish[t.model_idx] = std::max(finish[t.model_idx], t.end_ms);
+  }
+  return finish;
+}
+
 double Timeline::proc_idle_ms(std::size_t proc_idx) const {
   std::vector<const TaskRecord*> mine;
   for (const TaskRecord& t : tasks) {

@@ -31,6 +31,10 @@ struct Timeline {
   [[nodiscard]] double throughput_per_s() const;
   /// Completion time of one model (max end over its tasks).
   [[nodiscard]] double model_finish_ms(std::size_t model_idx) const;
+  /// Every model's completion time in one pass over the tasks: entry k
+  /// equals model_finish_ms(k) bit for bit (0.0 for a model with no
+  /// tasks).  Covers num_models and every model a task names.
+  [[nodiscard]] std::vector<double> model_finish_times() const;
   /// Measured idle time on a processor between its first and last task.
   [[nodiscard]] double proc_idle_ms(std::size_t proc_idx) const;
   /// Sum of proc_idle_ms over processors — the measured pipeline bubbles.

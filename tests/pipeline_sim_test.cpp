@@ -1,8 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <limits>
 
 #include "core/planner.h"
+#include "obs/metrics.h"
 #include "sim/fault_injector.h"
 #include "sim/pipeline_sim.h"
 #include "sim/pipeline_sim_reference.h"
@@ -300,8 +303,8 @@ TEST(TaskTable, FromPlanMatchesFromCompiled) {
   EXPECT_EQ(direct.dep_offsets, via_compiled.dep_offsets);
   EXPECT_EQ(direct.dep_edges, via_compiled.dep_edges);
   EXPECT_EQ(direct.pred, via_compiled.pred);
-  EXPECT_EQ(direct.proc_offsets, via_compiled.proc_offsets);
-  EXPECT_EQ(direct.proc_order, via_compiled.proc_order);
+  EXPECT_EQ(direct.dispatch_order, via_compiled.dispatch_order);
+  EXPECT_EQ(direct.dispatch_rank, via_compiled.dispatch_rank);
 }
 
 TEST(TaskTable, PlanMakespanMatchesSimulatePlan) {
@@ -319,6 +322,189 @@ TEST(TaskTable, UnknownDependencyThrows) {
   t.deps = {7};  // out of range
   const std::vector<SimTask> tasks{t};
   EXPECT_THROW(simulate(soc, tasks, {}), std::invalid_argument);
+}
+
+// ---------------------------------------------------------------------------
+// Stream-shaped tables: what run_online hands the DES for a whole stream —
+// hundreds of models released over time, most of them waiting on a later
+// arrival while earlier windows run.
+
+/// `num_models` requests released in windows of four.  Within and across
+/// windows the arrivals are out of model order; every fifth model ties the
+/// arrival of the model three before it exactly; model 1 arrives 0.4 ns
+/// after t = 0.  With `dag_every` > 0 every such model is a fork/join DAG
+/// (explicit deps) whose join also carries a later arrival of its own.
+std::vector<SimTask> stream_tasks(Rng& rng, std::size_t num_procs,
+                                  std::size_t num_models, std::size_t dag_every,
+                                  bool with_alt) {
+  std::vector<SimTask> tasks;
+  std::vector<double> arrival(num_models, 0.0);
+  // Appends one task and draws its contention and fallback costs.
+  auto add = [&](std::size_t m, std::size_t seq, std::size_t proc, double solo,
+                 double arrival_ms, bool explicit_deps,
+                 std::vector<std::size_t> deps) {
+    SimTask t;
+    t.model_idx = m;
+    t.seq_in_model = seq;
+    t.proc_idx = proc;
+    t.solo_ms = solo;
+    t.arrival_ms = arrival_ms;
+    t.explicit_deps = explicit_deps;
+    t.deps = std::move(deps);
+    t.sensitivity = rng.uniform(0.0, 1.0);
+    t.intensity = rng.uniform(0.0, 1.0);
+    if (with_alt) {
+      t.alt.resize(num_procs);
+      for (std::size_t q = 0; q < num_procs; ++q) {
+        t.alt[q] = SimTask::AltCost{rng.uniform(0.5, 12.0),
+                                    rng.uniform(0.0, 1.0),
+                                    rng.uniform(0.0, 1.0)};
+      }
+    }
+    tasks.push_back(std::move(t));
+    return tasks.size() - 1;
+  };
+  for (std::size_t m = 0; m < num_models; ++m) {
+    arrival[m] = 12.0 * static_cast<double>(m / 4) + rng.uniform(0.0, 20.0);
+    if (m % 5 == 4) arrival[m] = arrival[m - 3];  // exact tie
+    if (m == 1) arrival[m] = 4e-10;               // within eps of t = 0
+    const std::size_t proc0 = rng.index(num_procs);
+    if (dag_every > 0 && m % dag_every == 0) {
+      const double root_solo = rng.uniform(0.5, 4.0);
+      const std::size_t root = add(m, 0, proc0, root_solo, arrival[m], true, {});
+      const std::size_t left_proc = rng.index(num_procs);
+      const double left_solo = rng.uniform(0.5, 6.0);
+      const std::size_t right_proc = rng.index(num_procs);
+      const double right_solo = rng.uniform(0.5, 6.0);
+      const std::size_t left = add(m, 1, left_proc, left_solo, 0.0, true, {root});
+      const std::size_t right =
+          add(m, 1, right_proc, right_solo, 0.0, true, {root});
+      const std::size_t join_proc = rng.index(num_procs);
+      const double join_solo = rng.uniform(0.5, 3.0);
+      const double join_arrival = arrival[m] + rng.uniform(0.0, 8.0);
+      add(m, 2, join_proc, join_solo, join_arrival, true, {left, right});
+      continue;
+    }
+    const std::size_t chain = 3 + rng.index(4);
+    for (std::size_t seq = 0; seq < chain; ++seq) {
+      const std::size_t proc = seq == 0 ? proc0 : rng.index(num_procs);
+      const double solo = rng.uniform(0.5, 6.0);
+      add(m, seq, proc, solo, seq == 0 ? arrival[m] : 0.0, false, {});
+    }
+  }
+  return tasks;
+}
+
+/// Moves one late model's arrival to 0.5 ns after a retirement the
+/// unmodified stream makes mid-run, and another's to that retirement's
+/// exact time.  Retirements before the moved arrivals are unaffected, so
+/// both land within eps of a real DES event.
+void pin_arrivals_to_an_event(const Soc& soc, std::vector<SimTask>& tasks,
+                              const SimOptions& options) {
+  const Timeline probe = sim::simulate_reference(soc, tasks, options);
+  double last_arrival = 0.0;
+  for (const SimTask& t : tasks) last_arrival = std::max(last_arrival, t.arrival_ms);
+  double event = 0.0;  // the retirement nearest the middle of the stream
+  for (const TaskRecord& r : probe.tasks) {
+    if (std::fabs(r.end_ms - last_arrival / 2) <
+        std::fabs(event - last_arrival / 2)) {
+      event = r.end_ms;
+    }
+  }
+  std::size_t moved = 0;
+  for (SimTask& t : tasks) {
+    if (moved < 2 && t.seq_in_model == 0 && t.arrival_ms > event + 1.0) {
+      t.arrival_ms = moved == 0 ? event + 5e-10 : event;
+      ++moved;
+    }
+  }
+  ASSERT_EQ(moved, 2u);
+}
+
+TEST(StreamOracle, ChainStreamMatchesReference) {
+  const Soc soc = Soc::kirin990();
+  for (int seed = 0; seed < 3; ++seed) {
+    Rng rng(7100 + seed);
+    std::vector<SimTask> tasks = stream_tasks(rng, soc.num_processors(), 140,
+                                              /*dag_every=*/0, false);
+    ASSERT_GE(tasks.size(), 500u);
+    pin_arrivals_to_an_event(soc, tasks, {});
+    for (const bool contention : {true, false}) {
+      SimOptions opt;
+      opt.contention = contention;
+      expect_identical(simulate(soc, tasks, opt),
+                       sim::simulate_reference(soc, tasks, opt));
+    }
+  }
+}
+
+TEST(StreamOracle, DagStreamWithArrivalsMatchesReference) {
+  const Soc soc = Soc::snapdragon870();
+  for (int seed = 0; seed < 3; ++seed) {
+    Rng rng(7200 + seed);
+    std::vector<SimTask> tasks = stream_tasks(rng, soc.num_processors(), 140,
+                                              /*dag_every=*/3, false);
+    ASSERT_GE(tasks.size(), 500u);
+    pin_arrivals_to_an_event(soc, tasks, {});
+    expect_identical(simulate(soc, tasks, {}),
+                     sim::simulate_reference(soc, tasks, {}));
+  }
+}
+
+TEST(StreamOracle, FaultedStreamMigratesAndMatchesReference) {
+  const Soc soc = Soc::kirin990();
+  // A transient NPU-side drop-out and a slowdown early on, then processor 0
+  // drops out for good mid-stream while later windows are still queued:
+  // its ready tasks move into the other processors' ready sets.
+  const FaultScript faults({
+      FaultEvent{FaultKind::kDropout, 1, 60.0, 95.0, 1.0},
+      FaultEvent{FaultKind::kSlowdown, 2, 40.0, 160.0, 0.5},
+      FaultEvent{FaultKind::kDropout, 0, 210.0, kInf, 1.0},
+  });
+  SimOptions opt;
+  opt.faults = &faults;
+  for (int seed = 0; seed < 3; ++seed) {
+    Rng rng(7300 + seed);
+    std::vector<SimTask> tasks = stream_tasks(rng, soc.num_processors(), 120,
+                                              /*dag_every=*/4, true);
+    ASSERT_GE(tasks.size(), 500u);
+    pin_arrivals_to_an_event(soc, tasks, opt);
+    const Timeline soa = simulate(soc, tasks, opt);
+    expect_identical(soa, sim::simulate_reference(soc, tasks, opt));
+    std::size_t migrated = 0;
+    for (std::size_t i = 0; i < tasks.size(); ++i) {
+      if (soa.tasks[i].proc_idx != tasks[i].proc_idx) {
+        ++migrated;
+        EXPECT_EQ(tasks[i].proc_idx, 0u);
+        EXPECT_GE(soa.tasks[i].start_ms, 210.0 - 1e-9);
+      }
+    }
+    EXPECT_GT(migrated, 20u);
+  }
+}
+
+TEST(DesComplexity, DispatchProbesStayLinearInStreamLength) {
+  const Soc soc = Soc::kirin990();
+  Rng rng(7400);
+  const std::vector<SimTask> tasks = stream_tasks(rng, soc.num_processors(),
+                                                  900, /*dag_every=*/0, false);
+  ASSERT_GE(tasks.size(), 4000u);
+  sim::TaskTable table;
+  table.build_from_tasks(tasks, soc.num_processors());
+  sim::SimScratch scratch;
+  Timeline out;
+
+  obs::Registry& reg = obs::Registry::global();
+  const bool was_enabled = reg.enabled();
+  reg.set_enabled(true);
+  obs::Counter& probes = reg.counter("des.dispatch_probes");
+  const std::uint64_t before = probes.value();
+  simulate(soc, table, scratch, out, {});
+  const std::uint64_t examined = probes.value() - before;
+  reg.set_enabled(was_enabled);
+
+  EXPECT_GT(examined, 0u);
+  EXPECT_LE(examined, 4 * tasks.size());
 }
 
 TEST(SimScratchReuse, ChainRunsBitIdenticalToFreshScratch) {

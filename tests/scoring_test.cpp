@@ -211,8 +211,8 @@ void expect_tables_equal(const sim::TaskTable& a, const sim::TaskTable& b) {
   EXPECT_EQ(a.num_procs, b.num_procs);
   EXPECT_EQ(a.max_proc_idx, b.max_proc_idx);
   EXPECT_EQ(a.pred, b.pred);
-  EXPECT_EQ(a.proc_offsets, b.proc_offsets);
-  EXPECT_EQ(a.proc_order, b.proc_order);
+  EXPECT_EQ(a.dispatch_order, b.dispatch_order);
+  EXPECT_EQ(a.dispatch_rank, b.dispatch_rank);
   EXPECT_EQ(a.arrival_order, b.arrival_order);
   EXPECT_EQ(a.succ_offsets, b.succ_offsets);
   EXPECT_EQ(a.succ_edges, b.succ_edges);

@@ -34,6 +34,23 @@ TEST(Timeline, ModelFinish) {
   EXPECT_DOUBLE_EQ(t.model_finish_ms(1), 30.0);
 }
 
+TEST(Timeline, ModelFinishTimesMatchPerModelQueries) {
+  Timeline t = sample_timeline();
+  t.num_models = 4;  // model 2 has no tasks, model 3 only a later one
+  t.tasks.push_back({3, 0, 1, 30.0, 41.5, 11.5});
+  t.tasks.push_back({0, 2, 0, 30.0, 24.0, 0.0});  // ends before model 0's max
+  const std::vector<double> finish = t.model_finish_times();
+  ASSERT_EQ(finish.size(), 4u);
+  for (std::size_t k = 0; k < finish.size(); ++k) {
+    EXPECT_EQ(finish[k], t.model_finish_ms(k)) << "model " << k;  // bitwise
+  }
+  EXPECT_EQ(finish[2], 0.0);
+  // A task naming a model past num_models widens the result.
+  t.num_models = 1;
+  EXPECT_EQ(t.model_finish_times().size(), 4u);
+  EXPECT_TRUE(Timeline{}.model_finish_times().empty());
+}
+
 TEST(Timeline, ProcIdleBetweenTasks) {
   const Timeline t = sample_timeline();
   EXPECT_DOUBLE_EQ(t.proc_idle_ms(0), 5.0);  // gap 10..15
