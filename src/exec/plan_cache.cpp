@@ -9,34 +9,6 @@
 namespace h2p::exec {
 namespace {
 
-/// Split a make_key-produced key into (soc fingerprint, sorted names, knob
-/// suffix).  Returns false for keys that did not come from make_key — the
-/// fingerprint never contains "||" and the knob suffix is the last "||"
-/// section, so the two outermost separators are unambiguous.
-struct KeyParts {
-  std::string_view soc;
-  std::vector<std::string_view> names;
-  std::string_view knobs;
-};
-
-bool split_key(const std::string& key, KeyParts* out) {
-  const std::size_t first = key.find("||");
-  if (first == std::string::npos) return false;
-  const std::size_t last = key.rfind("||");
-  if (last == first) return false;
-  out->soc = std::string_view(key).substr(0, first);
-  out->knobs = std::string_view(key).substr(last + 2);
-  std::string_view names = std::string_view(key).substr(first + 2, last - first - 2);
-  out->names.clear();
-  while (!names.empty()) {
-    const std::size_t comma = names.find(',');
-    if (comma == std::string_view::npos) return false;  // make_key always
-    out->names.push_back(names.substr(0, comma));       // terminates with ','
-    names.remove_prefix(comma + 1);
-  }
-  return true;
-}
-
 /// Multiset edit distance capped at "more than one": both name lists are
 /// sorted (make_key sorts), so a single merge pass counts the elements
 /// unique to each side.
@@ -64,6 +36,27 @@ bool within_one_edit(const std::vector<std::string_view>& a,
 }
 
 }  // namespace
+
+/// Returns false for keys that did not come from make_key — the
+/// fingerprint never contains "||" and the knob suffix is the last "||"
+/// section, so the two outermost separators are unambiguous.
+bool PlanCache::split_key(std::string_view key, KeyParts* out) {
+  const std::size_t first = key.find("||");
+  if (first == std::string_view::npos) return false;
+  const std::size_t last = key.rfind("||");
+  if (last == first) return false;
+  out->soc = key.substr(0, first);
+  out->knobs = key.substr(last + 2);
+  std::string_view names = key.substr(first + 2, last - first - 2);
+  out->names.clear();
+  while (!names.empty()) {
+    const std::size_t comma = names.find(',');
+    if (comma == std::string_view::npos) return false;  // make_key always
+    out->names.push_back(names.substr(0, comma));       // terminates with ','
+    names.remove_prefix(comma + 1);
+  }
+  return true;
+}
 
 PlanCache::PlanCache(std::size_t capacity) : capacity_(std::max<std::size_t>(capacity, 1)) {}
 
@@ -94,10 +87,9 @@ const CompiledPlan* PlanCache::find_near(const std::string& key) {
   KeyParts probe;
   if (!split_key(key, &probe)) return nullptr;
   for (auto it = entries_.begin(); it != entries_.end(); ++it) {
-    if (it->key == key) continue;  // exact match is find()'s job
-    KeyParts cand;
-    if (!split_key(it->key, &cand)) continue;
-    if (cand.soc != probe.soc || cand.knobs != probe.knobs) continue;
+    if (!it->parsed || it->key == key) continue;  // exact match is find()'s job
+    const KeyParts& cand = it->parts;
+    if (cand.knobs != probe.knobs || cand.soc != probe.soc) continue;
     if (!within_one_edit(cand.names, probe.names)) continue;
     ++stats_.warm_hits;
     static obs::Counter& warm_hits =
@@ -133,9 +125,11 @@ const CompiledPlan& PlanCache::insert(const std::string& key, CompiledPlan plan)
         obs::Registry::global().counter("plan_cache.evictions");
     evictions.inc();
   }
-  entries_.push_front(Entry{key, std::move(plan)});
+  entries_.push_front(Entry{key, std::move(plan), {}, false});
+  Entry& entry = entries_.front();
+  entry.parsed = split_key(entry.key, &entry.parts);
   index_[key] = entries_.begin();
-  return entries_.front().plan;
+  return entry.plan;
 }
 
 void PlanCache::clear() {

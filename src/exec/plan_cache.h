@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <list>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -47,6 +48,10 @@ class PlanCache {
   };
 
   explicit PlanCache(std::size_t capacity = 32);
+  // Entries hold views into their own keys, and the index points into the
+  // entry list: a copy would alias the original's storage.
+  PlanCache(const PlanCache&) = delete;
+  PlanCache& operator=(const PlanCache&) = delete;
 
   [[nodiscard]] std::size_t size() const { return entries_.size(); }
   [[nodiscard]] std::size_t capacity() const { return capacity_; }
@@ -120,10 +125,24 @@ class PlanCache {
   [[nodiscard]] static bool near_miss(const std::string& a, const std::string& b);
 
  private:
+  /// A make_key-produced key split into (soc fingerprint, sorted model
+  /// components, knob suffix), as views into the key.
+  struct KeyParts {
+    std::string_view soc;
+    std::vector<std::string_view> names;
+    std::string_view knobs;
+  };
+
   struct Entry {
     std::string key;
     CompiledPlan plan;
+    /// `key` parsed once at insert (views into `key`, which a list node
+    /// never moves); `parsed` is false for keys not made by make_key.
+    KeyParts parts;
+    bool parsed = false;
   };
+
+  static bool split_key(std::string_view key, KeyParts* out);
 
   std::size_t capacity_;
   std::list<Entry> entries_;  // front = most recently used

@@ -20,10 +20,6 @@ constexpr double kInf = std::numeric_limits<double>::infinity();
 /// Processor indices are bits of a 64-bit availability mask.
 constexpr std::size_t kMaxProcs = 64;
 
-bool has_bit(std::uint64_t mask, std::size_t proc) {
-  return proc < kMaxProcs && ((mask >> proc) & 1u) != 0;
-}
-
 void sort_unique(std::vector<double>& v) {
   std::sort(v.begin(), v.end());
   v.erase(std::unique(v.begin(), v.end()), v.end());

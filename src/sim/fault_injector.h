@@ -230,6 +230,45 @@ class FaultScript {
   /// distinct.
   [[nodiscard]] const std::vector<double>& edges() const { return edges_; }
 
+  /// Forward-only reader of the segment timeline for a clock that never
+  /// moves backwards (the DES).  `advance(t)` steps over the cuts at or
+  /// before `t`, after which every query answers for `t` in O(1), exactly
+  /// as the point queries above would.  Holds two words and allocates
+  /// nothing; the script must outlive it.
+  class Cursor {
+   public:
+    explicit Cursor(const FaultScript& script) : script_(&script) {}
+
+    /// Moves to the segment holding `t_ms`, which must not be NaN or below
+    /// any earlier argument.  Returns how many segments it crossed.
+    std::size_t advance(double t_ms) {
+      const std::size_t from = seg_;
+      const std::vector<double>& cuts = script_->cuts_;
+      while (seg_ < cuts.size() && cuts[seg_] <= t_ms) ++seg_;
+      return seg_ - from;
+    }
+    /// Index of the current segment (0 before the first cut).
+    [[nodiscard]] std::size_t segment() const { return seg_; }
+
+    [[nodiscard]] bool available(std::size_t proc) const {
+      return !has_bit(script_->segments_[seg_].down, proc);
+    }
+    [[nodiscard]] bool permanently_down(std::size_t proc) const {
+      return has_bit(script_->segments_[seg_].permanent, proc);
+    }
+    [[nodiscard]] double slowdown(std::size_t proc) const {
+      const std::size_t w = script_->slow_procs_;
+      return proc < w ? script_->slow_[seg_ * w + proc] : 1.0;
+    }
+    [[nodiscard]] double bus_factor() const {
+      return script_->segments_[seg_].bus;
+    }
+
+   private:
+    const FaultScript* script_;
+    std::size_t seg_ = 0;
+  };
+
  private:
   /// Fault state over one segment of the timeline.
   struct Segment {
@@ -237,6 +276,11 @@ class FaultScript {
     std::uint64_t permanent = 0;  // bit p: a permanent drop-out covers p
     double bus = 1.0;             // clamped kBusDegrade product
   };
+
+  /// Bit `proc` of an availability-width (64-bit) processor mask.
+  static bool has_bit(std::uint64_t mask, std::size_t proc) {
+    return proc < 64 && ((mask >> proc) & 1u) != 0;
+  }
 
   /// Validates and sorts the events, then compiles the timeline.
   void normalize();

@@ -51,6 +51,15 @@ struct SocView {
   std::vector<std::size_t> kept;  // degraded stage k -> full processor index
 };
 
+/// A speculative cold plan in flight, with the ordered model list its job
+/// plans.  The plan-cache key names only the multiset, and the planner's
+/// result depends on the order, so a window may consume the plan only when
+/// its own order is this one.
+struct Prefetch {
+  std::vector<const Model*> models;
+  std::future<exec::CompiledPlan> plan;
+};
+
 /// `bus_centi` is the observed shared-bus bandwidth fraction in percent
 /// (100 = healthy): the view's bus term is scaled by it, so the planner's
 /// cost tables — and the Soc fingerprint inside the plan-cache key — see
@@ -174,14 +183,22 @@ OnlineResult run_online(const Soc& soc, const std::vector<OnlineRequest>& stream
   // DES lower bound on one request's chain: every layer must execute
   // somewhere among the surviving processors, contention and faults only
   // dilate, so completion >= sum of per-layer best solo times (the
-  // solo-work argument of the tail sweep's CollapseBound, per request).  +inf when some layer has no surviving processor at all.
+  // solo-work argument of the tail sweep's CollapseBound, per request).
+  // +inf when some layer has no surviving processor at all.
   // Priced on the current bucket's *derated* SoC: a throttled chip slows
   // every layer, so admission must not promise deadlines the derated
   // hardware cannot keep.  (The shared-bus factor only dilates further, so
-  // leaving it out keeps this a valid lower bound.)
+  // leaving it out keeps this a valid lower bound.)  The bound depends on
+  // nothing but (model, mask, bucket), so each triple is priced once per
+  // run.
   std::unordered_map<std::size_t, CostModel> bucket_costs;
+  std::map<std::tuple<const Model*, std::uint64_t, std::size_t>, double>
+      chain_bounds;
   const auto chain_lower_bound_ms = [&](const Model& model, std::uint64_t mask,
                                         std::size_t bucket) -> double {
+    const auto [memo, fresh] =
+        chain_bounds.try_emplace(std::make_tuple(&model, mask, bucket), 0.0);
+    if (!fresh) return memo->second;
     auto it = bucket_costs.find(bucket);
     if (it == bucket_costs.end()) {
       it = bucket_costs.emplace(bucket, CostModel(base_soc(bucket))).first;
@@ -197,10 +214,10 @@ OnlineResult run_online(const Soc& soc, const std::vector<OnlineRequest>& stream
         if (!proc.supports(layer.kind)) continue;
         best = std::min(best, lb_cost.layer_time_ms(layer, proc));
       }
-      if (!std::isfinite(best)) return kInf;
+      if (!std::isfinite(best)) return memo->second = kInf;
       total += best;
     }
-    return total;
+    return memo->second = total;
   };
 
   // Async mode: cold plans for upcoming windows are computed speculatively
@@ -210,8 +227,10 @@ OnlineResult run_online(const Soc& soc, const std::vector<OnlineRequest>& stream
   // whose key no longer matches at consume time (a fault flipped the mask,
   // a deferral reshaped the window) is discarded — whether a window is
   // served cold, warm, degraded or from cache is decided at consume time
-  // from cache state identical to a serial run's.
-  std::unordered_map<std::string, std::future<exec::CompiledPlan>> inflight;
+  // from cache state identical to a serial run's.  One whose key matches
+  // but whose model order does not (a deferral moved a request to the
+  // front of a same-multiset window) is left unconsumed.
+  std::unordered_map<std::string, Prefetch> inflight;
   std::uint64_t believed_mask = full_mask;
   // The thermal bucket the loop currently serves in.  Static by default;
   // with `thermal_loop` it follows the live models (with hysteresis).
@@ -243,15 +262,16 @@ OnlineResult run_online(const Soc& soc, const std::vector<OnlineRequest>& stream
           exec::PlanCache::make_key(view.soc, models, options.planner, env);
       if (inflight.count(key) != 0) continue;
       if (caching && cache->peek(key) != nullptr) continue;
-      inflight.emplace(
-          key, options.pool->submit([view_soc = view.soc,
-                                     models = std::move(models),
-                                     planner = options.planner,
-                                     hook = options.prefetch_job_hook,
-                                     with_fallback = faults != nullptr] {
+      std::future<exec::CompiledPlan> plan =
+          options.pool->submit([view_soc = view.soc, models,
+                                planner = options.planner,
+                                hook = options.prefetch_job_hook,
+                                with_fallback = faults != nullptr] {
             if (hook) hook();
             return plan_cold(view_soc, models, planner, with_fallback);
-          }));
+          });
+      inflight.emplace(std::move(key),
+                       Prefetch{std::move(models), std::move(plan)});
       ++submitted;
     }
     span.arg("submitted", static_cast<double>(submitted));
@@ -285,8 +305,20 @@ OnlineResult run_online(const Soc& soc, const std::vector<OnlineRequest>& stream
   double last_thermal_ms = 0.0;
   // Weather onsets surface in the obs stream the first time a probe runs at
   // or after their begin (the loop observes the present, never the future).
-  std::vector<bool> weather_seen(
-      faults != nullptr ? faults->weather().size() : 0, false);
+  // A cursor walks the weather indices in (begin_ms, index) order; the
+  // onsets one probe newly sees are reported in index order.
+  std::vector<std::size_t> weather_order;
+  if (faults != nullptr) {
+    weather_order.resize(faults->weather().size());
+    std::iota(weather_order.begin(), weather_order.end(), 0);
+    std::stable_sort(weather_order.begin(), weather_order.end(),
+                     [&](std::size_t a, std::size_t b) {
+                       return faults->weather()[a].begin_ms <
+                              faults->weather()[b].begin_ms;
+                     });
+  }
+  std::size_t weather_next = 0;
+  std::vector<std::size_t> onsets;
 
   while (!pending.empty()) {
     pump_prefetch();
@@ -364,22 +396,24 @@ OnlineResult run_online(const Soc& soc, const std::vector<OnlineRequest>& stream
       bus_centi = std::clamp(bus_centi, 5, 100);
     }
     believed_bus_centi = bus_centi;
-    if (faults != nullptr) {
-      for (std::size_t w = 0; w < weather_seen.size(); ++w) {
-        const WeatherEvent& we = faults->weather()[w];
-        if (weather_seen[w] || we.begin_ms > t) continue;
-        weather_seen[w] = true;
-        ++result.weather_onsets;
-        c_weather.inc();
-        tracer.instant("online.weather_onset",
-                       {{"weather", static_cast<double>(w)},
-                        {"kind", static_cast<double>(we.kind)},
-                        {"severity", we.severity}});
-        log.info("online.weather_onset", {{"kind", to_string(we.kind)},
-                                          {"t_ms", t},
-                                          {"severity", we.severity}});
-      }
+    while (weather_next < weather_order.size() &&
+           faults->weather()[weather_order[weather_next]].begin_ms <= t) {
+      onsets.push_back(weather_order[weather_next++]);
     }
+    std::sort(onsets.begin(), onsets.end());
+    for (const std::size_t w : onsets) {
+      const WeatherEvent& we = faults->weather()[w];
+      ++result.weather_onsets;
+      c_weather.inc();
+      tracer.instant("online.weather_onset",
+                     {{"weather", static_cast<double>(w)},
+                      {"kind", static_cast<double>(we.kind)},
+                      {"severity", we.severity}});
+      log.info("online.weather_onset", {{"kind", to_string(we.kind)},
+                                        {"t_ms", t},
+                                        {"severity", we.severity}});
+    }
+    onsets.clear();
 
     // ---- 3. Deadline admission -----------------------------------------
     std::vector<std::size_t> admitted;
@@ -539,7 +573,10 @@ OnlineResult run_online(const Soc& soc, const std::vector<OnlineRequest>& stream
     if (compiled == nullptr) {
       exec::CompiledPlan fresh;
       bool resolved = false;
-      if (const auto it = inflight.find(key); it != inflight.end()) {
+      // A prefetch planned for another order of this multiset is not this
+      // window's plan: a serial run plans the window's own order.
+      if (const auto it = inflight.find(key);
+          it != inflight.end() && it->second.models == models) {
         // A prefetch job that threw (a planner bug, a test hook) must not
         // take the serving loop down: swallow, fall back to a serial cold
         // replan on the calling thread — but no longer silently (the log
@@ -547,7 +584,7 @@ OnlineResult run_online(const Soc& soc, const std::vector<OnlineRequest>& stream
         // serial).
         try {
           const obs::Span wait_span("online.prefetch_wait");
-          fresh = options.pool->wait_and_help(it->second);
+          fresh = options.pool->wait_and_help(it->second.plan);
           resolved = true;
         } catch (const std::exception& e) {
           log.warn("online.prefetch_failed",
@@ -739,11 +776,11 @@ OnlineResult run_online(const Soc& soc, const std::vector<OnlineRequest>& stream
   // Drain discarded prefetches before the captured state goes away; a
   // throwing job is of no further interest (but is logged — a silently
   // dying prefetch was previously invisible).
-  for (auto& [key, fut] : inflight) {
+  for (auto& [key, prefetch] : inflight) {
     c_discarded.inc();
     log.debug("online.prefetch_discarded", {{"key", key}});
     try {
-      (void)options.pool->wait_and_help(fut);
+      (void)options.pool->wait_and_help(prefetch.plan);
     } catch (const std::exception& e) {
       log.warn("online.prefetch_failed", {{"key", key}, {"what", e.what()}});
     } catch (...) {

@@ -5,6 +5,7 @@
 #include <cmath>
 #include <functional>
 #include <limits>
+#include <optional>
 #include <stdexcept>
 
 #include "obs/log.h"
@@ -53,6 +54,8 @@ void simulate(const Soc& soc, const sim::TaskTable& table,
       obs::Registry::global().counter("des.migrations");
   static obs::Counter& c_probes =
       obs::Registry::global().counter("des.dispatch_probes");
+  static obs::Counter& c_fault_steps =
+      obs::Registry::global().counter("des.fault_segment_steps");
   c_tasks.inc(n);
   obs::Span des_span("des.simulate");
   des_span.arg("tasks", static_cast<double>(n));
@@ -66,6 +69,14 @@ void simulate(const Soc& soc, const sim::TaskTable& table,
   std::span<const double> fault_edges;
   std::size_t fault_cursor = 0;
   if (faults != nullptr) fault_edges = faults->edges();
+  // The fault state at `now`, from a forward-only cursor over the script's
+  // segments: the clock never moves backwards, so each event reads masks,
+  // slowdowns and the bus factor in O(1) instead of binary-searching.
+  std::optional<FaultScript::Cursor> fault_state;
+  if (faults != nullptr) fault_state.emplace(*faults);
+  std::size_t fault_segment = std::numeric_limits<std::size_t>::max();
+  double fault_bus = 1.0;
+  std::size_t fault_steps = 0;  // cursor advances plus segments crossed
 
   // Without a fault script nothing can migrate, so the scratch views the
   // table's columns directly instead of copying them.
@@ -208,7 +219,7 @@ void simulate(const Soc& soc, const sim::TaskTable& table,
     double best_solo = std::numeric_limits<double>::infinity();
     for (std::size_t q = 0; q < table.alt_procs && q < P; ++q) {
       if (q == scratch.proc[i] || scratch.proc_dead[q]) continue;
-      if (faults->permanently_down(q, now)) continue;
+      if (fault_state->permanently_down(q)) continue;
       const double alt_solo = table.alt_solo_ms[i * table.alt_procs + q];
       if (!(alt_solo < best_solo)) continue;
       best = q;
@@ -236,10 +247,9 @@ void simulate(const Soc& soc, const sim::TaskTable& table,
     started[i] = 0;
   };
   auto sweep_permanent_faults = [&] {
-    if (faults == nullptr) return;
     bool moved = false;
     for (std::size_t p = 0; p < P; ++p) {
-      if (scratch.proc_dead[p] || !faults->permanently_down(p, now)) continue;
+      if (scratch.proc_dead[p] || !fault_state->permanently_down(p)) continue;
       scratch.proc_dead[p] = 1;
       obs::Log::global().warn("des.proc_permanently_down",
                               {{"proc", p}, {"t_ms", now}});
@@ -283,7 +293,7 @@ void simulate(const Soc& soc, const sim::TaskTable& table,
   auto start_eligible = [&] {
     for (std::size_t p = 0; p < P; ++p) {
       if (proc_running[p] >= 0 || heap_size[p] == 0) continue;
-      if (faults != nullptr && !faults->available(p, now)) continue;
+      if (faults != nullptr && !fault_state->available(p)) continue;
       std::uint32_t* h = heap_data.data() + heap_base[p];
       std::pop_heap(h, h + heap_size[p], min_heap);
       const std::size_t bi = table.dispatch_order[h[--heap_size[p]]];
@@ -338,20 +348,18 @@ void simulate(const Soc& soc, const sim::TaskTable& table,
       // (rate 0, driver queue preserved); a slowed one derates it.  A
       // degraded shared bus derates EVERY available task through the same
       // scalar bus_degrade_slowdown the reference simulator and the
-      // verifier use — one query per event, applied in lane order, so
-      // SIMD/scalar and SoA/reference stay bit-identical.
-      const double bus =
-          faults->has_bus_degrade() ? faults->bus_factor(now) : 1.0;
+      // verifier use, applied in lane order, so SoA and reference stay
+      // bit-identical.
       for (std::size_t ri = 0; ri < running_size; ++ri) {
         const std::size_t t = run_task[ri];
         const std::size_t p = scratch.proc[t];
-        if (!faults->available(p, now)) {
+        if (!fault_state->available(p)) {
           rates[ri] = 0.0;
         } else {
-          rates[ri] *= faults->slowdown(p, now);
-          if (bus < 1.0) {
+          rates[ri] *= fault_state->slowdown(p);
+          if (fault_bus < 1.0) {
             rates[ri] /= ContentionModel::bus_degrade_slowdown(
-                bus, scratch.sens[t]);
+                fault_bus, scratch.sens[t]);
           }
         }
       }
@@ -365,7 +373,16 @@ void simulate(const Soc& soc, const sim::TaskTable& table,
       throw std::runtime_error("simulate: no progress (dependency cycle?)");
     }
     admit_arrivals();
-    sweep_permanent_faults();
+    if (faults != nullptr) {
+      // Permanent drop-outs and the bus factor change only where the
+      // cursor crosses into another segment.
+      fault_steps += 1 + fault_state->advance(now);
+      if (fault_state->segment() != fault_segment) {
+        fault_segment = fault_state->segment();
+        fault_bus = fault_state->bus_factor();
+        sweep_permanent_faults();
+      }
+    }
     start_eligible();
 
     if (running_size == 0) {
@@ -442,6 +459,7 @@ void simulate(const Soc& soc, const sim::TaskTable& table,
     running_size = w;
   }
   c_probes.inc(probes);
+  c_fault_steps.inc(fault_steps);
 }
 
 Timeline simulate(const Soc& soc, std::span<const SimTask> tasks,

@@ -4,16 +4,23 @@
 // bit-identical to a serial run.  These suites run under TSan in CI.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <limits>
 #include <memory>
 #include <sstream>
 #include <stdexcept>
 #include <vector>
 
+#include "core/planner.h"
 #include "models/model_zoo.h"
 #include "obs/log.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "sim/fault_injector.h"
 #include "sim/online.h"
+#include "sim/pipeline_sim.h"
+#include "soc/cost_model.h"
 #include "util/thread_pool.h"
 
 namespace h2p {
@@ -308,6 +315,81 @@ TEST(OnlineAsync, BusyPipelineHidesPlanningOverhead) {
   EXPECT_GT(r.planning_hidden_ms, 0.0);
   for (std::size_t w = 1; w < r.windows.size(); ++w) {
     EXPECT_GT(r.windows[w].hidden_ms, 0.0);
+  }
+}
+
+TEST(OnlineAsync, DeferralReorderedWindowPlansItsOwnOrder) {
+  // The NPU is out over [0, 5): window 1 is planned degraded, and its last
+  // request S (deadline meetable only on the healthy SoC) is deferred to the
+  // front of the queue.  The prefetcher predicted window 2 as [M,S,M,S]
+  // under the healthy environment; it is served as [S,M,S,M] — same
+  // multiset, same plan-cache key — once the NPU is back.  The cold plan
+  // depends on the order, so consuming the prefetched plan would serve a
+  // plan a serial run never makes.
+  const Soc soc = Soc::kirin990();
+  const Model& s_model = zoo_model(ModelId::kResNet50);
+  const Model& m_model = zoo_model(ModelId::kBERT);
+  {
+    // Precondition: the two orders plan differently.
+    const StaticEvaluator msms(soc, {&m_model, &s_model, &m_model, &s_model});
+    const StaticEvaluator smsm(soc, {&s_model, &m_model, &s_model, &m_model});
+    ASSERT_NE(simulate_plan_makespan(Hetero2PipePlanner(msms).plan().plan, msms),
+              simulate_plan_makespan(Hetero2PipePlanner(smsm).plan().plan, smsm));
+  }
+
+  const FaultScript faults({FaultEvent{FaultKind::kDropout, 0, 0.0, 5.0, 1.0}});
+  std::vector<OnlineRequest> stream;
+  for (ModelId id : {ModelId::kSqueezeNet, ModelId::kMobileNetV2,
+                     ModelId::kAlexNet}) {
+    stream.push_back({&zoo_model(id), 0.0});
+  }
+  // Its deadline holds from the recovery at t = 5 on the healthy SoC, but
+  // not from t = 1.5 on the degraded one.
+  OnlineRequest deferred{&s_model, 0.0};
+  const CostModel cost(soc);
+  double healthy_lb = 0.0;  // the admission bound: best solo time per layer
+  for (const Layer& layer : s_model.layers()) {
+    double best = std::numeric_limits<double>::infinity();
+    for (const Processor& proc : soc.processors()) {
+      if (proc.supports(layer.kind)) {
+        best = std::min(best, cost.layer_time_ms(layer, proc));
+      }
+    }
+    healthy_lb += best;
+  }
+  deferred.deadline_ms = 5.5 + healthy_lb;
+  stream.push_back(deferred);
+  for (const Model* m : {&m_model, &s_model, &m_model, &s_model}) {
+    stream.push_back({m, 5.0});
+  }
+
+  OnlineOptions opts;
+  opts.replan_window = 4;
+  opts.deadline_policy = DeadlinePolicy::kDefer;
+  opts.faults = &faults;
+  opts.drift_tracking = true;
+  opts.fault_tolerance.initial_backoff_ms = 0.5;
+  opts.fault_tolerance.max_backoff_ms = 1.0;
+  opts.fault_tolerance.max_retries = 2;
+  const OnlineResult serial = run_online(soc, stream, opts);
+  ASSERT_EQ(serial.deferred_requests, 1u);
+  ASSERT_EQ(serial.windows.size(), 3u);
+  const std::uint64_t full = (1ull << soc.num_processors()) - 1;
+  EXPECT_NE(serial.windows[0].avail_mask, full);
+  EXPECT_EQ(serial.windows[1].avail_mask, full);
+  EXPECT_EQ(serial.windows[1].source, WindowSource::kColdReplan);
+
+  ThreadPool pool(2);
+  OnlineOptions async = opts;
+  async.pool = &pool;
+  async.async_planning = true;
+  const OnlineResult r = run_online(soc, stream, async);
+  expect_identical(serial, r);
+  ASSERT_EQ(r.windows.size(), serial.windows.size());
+  for (std::size_t w = 0; w < r.windows.size(); ++w) {
+    EXPECT_EQ(r.windows[w].predicted_makespan_ms,
+              serial.windows[w].predicted_makespan_ms)
+        << "window " << w;
   }
 }
 

@@ -507,6 +507,67 @@ TEST(DesComplexity, DispatchProbesStayLinearInStreamLength) {
   EXPECT_LE(examined, 4 * tasks.size());
 }
 
+TEST(DesComplexity, FaultQueriesStayLinearInEventsAndSegments) {
+  // A faulted stream: transient and permanent drop-outs, slowdowns and
+  // bus degrades over the whole arrival span.  The fault cursor only moves
+  // forward, so its work is one step per DES event plus one per segment
+  // crossed.  A DES event retires a task, reaches an arrival or reaches a
+  // fault edge.
+  const Soc soc = Soc::kirin990();
+  Rng rng(7500);
+  const std::vector<SimTask> tasks = stream_tasks(rng, soc.num_processors(),
+                                                  900, /*dag_every=*/0, true);
+  ASSERT_GE(tasks.size(), 4000u);
+  FaultSamplerOptions fo;
+  fo.horizon_ms = 2500.0;
+  fo.mean_gap_ms = 150.0;
+  fo.permanent_prob = 0.0;
+  fo.mean_weather_gap_ms = 200.0;
+  const FaultScript sampled = FaultScript::sample(soc, 11, fo);
+  // Processor 0 drops out for good mid-stream.
+  std::vector<FaultEvent> script = sampled.events();
+  script.push_back(FaultEvent{FaultKind::kDropout, 0, 1300.0, kInf, 1.0});
+  const FaultScript faults(std::move(script), sampled.weather());
+  std::size_t transient = 0, permanent = 0, bus = 0;
+  for (const FaultEvent& e : faults.events()) {
+    if (e.kind == FaultKind::kDropout) ++(std::isinf(e.end_ms) ? permanent : transient);
+    if (e.kind == FaultKind::kBusDegrade) ++bus;
+  }
+  ASSERT_GT(transient, 0u);
+  ASSERT_GT(permanent, 0u);
+  ASSERT_GT(bus, 0u);
+
+  sim::TaskTable table;
+  table.build_from_tasks(tasks, soc.num_processors());
+  sim::SimScratch scratch;
+  Timeline out;
+  SimOptions opt;
+  opt.faults = &faults;
+
+  obs::Registry& reg = obs::Registry::global();
+  const bool was_enabled = reg.enabled();
+  reg.set_enabled(true);
+  obs::Counter& steps = reg.counter("des.fault_segment_steps");
+  obs::Counter& migrations = reg.counter("des.migrations");
+  const std::uint64_t steps_before = steps.value();
+  const std::uint64_t migrations_before = migrations.value();
+  simulate(soc, table, scratch, out, opt);
+  const std::uint64_t stepped = steps.value() - steps_before;
+  const std::uint64_t migrated = migrations.value() - migrations_before;
+  reg.set_enabled(was_enabled);
+
+  std::size_t arrivals = 0;
+  for (const SimTask& t : tasks) arrivals += t.arrival_ms > 0.0 ? 1 : 0;
+  const std::size_t events = tasks.size() + arrivals + faults.edges().size();
+  // Cut points are edge - eps, plus one for a permanent end: at most
+  // edges + 1 cuts, so edges + 2 segments.
+  const std::size_t segments = faults.edges().size() + 2;
+  EXPECT_GT(migrated, 0u);
+  EXPECT_GT(stepped, 0u);
+  EXPECT_LE(stepped, events + segments);
+  EXPECT_FALSE(verify_timeline_against_faults(out, faults, tasks).has_value());
+}
+
 TEST(SimScratchReuse, ChainRunsBitIdenticalToFreshScratch) {
   const Soc soc = Soc::kirin990();
   Rng rng(6200);

@@ -12,8 +12,10 @@
 #include <vector>
 
 #include "models/model_zoo.h"
+#include "obs/trace.h"
 #include "sim/fault_injector.h"
 #include "sim/online.h"
+#include "soc/cost_model.h"
 #include "soc/thermal.h"
 #include "util/thread_pool.h"
 
@@ -323,6 +325,117 @@ TEST(ThermalLoop, WeatherAndThermalLoopComposeDeterministically) {
   async.pool = &pool;
   async.async_planning = true;
   expect_identical(base, run_online(soc, stream, async));
+}
+
+TEST(ThermalLoop, WeatherOnsetsFromUnsortedScriptReportOnceInIndexOrder) {
+  // The weather list is not in begin_ms order: weather 1 (t = 15) and
+  // weather 2 (t = 5) cross, and both begin, with weather 3, between the
+  // probes at t = 0 and t = 20.  Each onset is reported once, at the first
+  // probe at or after its begin, and one probe's onsets in index order.
+  const FaultScript faults = fault_script_from_json(Json::parse(R"({
+    "events": [
+      {"kind": "slowdown", "proc": 1, "begin_ms": 35, "end_ms": 60,
+       "factor": 0.7, "weather": 0},
+      {"kind": "slowdown", "proc": 1, "begin_ms": 15, "end_ms": 25,
+       "factor": 0.8, "weather": 1},
+      {"kind": "slowdown", "proc": 2, "begin_ms": 5, "end_ms": 9,
+       "factor": 0.6, "weather": 2},
+      {"kind": "bus_degrade", "proc": 0, "begin_ms": 18, "end_ms": 30,
+       "factor": 0.5, "weather": 3}],
+    "weather": [
+      {"kind": "thermal_storm", "begin_ms": 35, "duration_ms": 25},
+      {"kind": "thermal_storm", "begin_ms": 15, "duration_ms": 10},
+      {"kind": "thermal_storm", "begin_ms": 5, "duration_ms": 4},
+      {"kind": "background_burst", "begin_ms": 18, "duration_ms": 12}]})"));
+  ASSERT_EQ(faults.weather().size(), 4u);
+  ASSERT_GT(faults.weather()[1].begin_ms, faults.weather()[2].begin_ms);
+
+  const auto stream = window_stream({ModelId::kSqueezeNet}, 3, 20.0);
+  OnlineOptions opts;
+  opts.replan_window = 1;
+  opts.faults = &faults;
+  obs::Tracer& tracer = obs::Tracer::global();
+  tracer.clear();
+  tracer.set_enabled(true);
+  const OnlineResult r = run_online(Soc::kirin990(), stream, opts);
+  tracer.set_enabled(false);
+  std::vector<double> onsets;
+  for (const obs::TraceEvent& e : tracer.events()) {
+    if (e.name != "online.weather_onset") continue;
+    for (const obs::TraceArg& a : e.args) {
+      if (a.key == "weather") onsets.push_back(a.number);
+    }
+  }
+  tracer.clear();
+
+  ASSERT_EQ(r.windows.size(), 3u);
+  EXPECT_EQ(r.windows[1].arrival_ms, 20.0);
+  EXPECT_EQ(r.weather_onsets, 4u);
+  EXPECT_EQ(onsets, (std::vector<double>{1, 2, 3, 0}));
+}
+
+TEST(ThermalLoop, AdmissionBoundIsPricedPerMaskAndBucket) {
+  // One model, judged while the closed loop moves the bucket and an NPU
+  // drop-out moves the mask.  Two of every three requests carry a deadline
+  // that the cool healthy SoC meets and the derated or degraded one
+  // provably cannot, so each admission decision depends on both.
+  const Soc soc = Soc::kirin990();
+  const std::uint64_t full = (1ull << soc.num_processors()) - 1;
+  const Model& model = zoo_model(ModelId::kResNet50);
+  // The admission bound, recomputed: each layer's best solo time over the
+  // supporting processors in `mask` of the bucket's derated SoC.
+  const auto bound_ms = [&](std::uint64_t mask, std::size_t bucket) {
+    const Soc priced = thermally_derated_bucket(soc, bucket);
+    const CostModel cost(priced);
+    double total = 0.0;
+    for (const Layer& layer : model.layers()) {
+      double best = kInf;
+      for (std::size_t p = 0; p < priced.num_processors(); ++p) {
+        if (((mask >> p) & 1ull) == 0) continue;
+        if (!priced.processor(p).supports(layer.kind)) continue;
+        best = std::min(best, cost.layer_time_ms(layer, priced.processor(p)));
+      }
+      total += best;
+    }
+    return total;
+  };
+  const double slack = 1.04 * bound_ms(full, 0);
+  std::vector<OnlineRequest> stream;
+  for (int i = 0; i < 30; ++i) {
+    OnlineRequest req{&model, 5.0 * i};
+    if (i % 3 != 2) req.deadline_ms = req.arrival_ms + slack;
+    stream.push_back(req);
+  }
+  const FaultScript faults({FaultEvent{FaultKind::kDropout, 0, 40.0, 80.0, 1.0}});
+  OnlineOptions opts = hot_loop_options();
+  opts.replan_window = 1;
+  opts.faults = &faults;
+  opts.deadline_policy = DeadlinePolicy::kShed;
+  const OnlineResult r = run_online(soc, stream, opts);
+
+  // Windows hold one request each and nothing is deferred, so the executed
+  // windows are the admitted requests in stream order.
+  EXPECT_GT(r.shed_requests, 0u);
+  std::vector<std::uint64_t> masks;
+  std::vector<std::size_t> buckets;
+  std::size_t w = 0;
+  for (std::size_t i = 0; i < stream.size(); ++i) {
+    if (!r.admitted[i]) continue;
+    ASSERT_LT(w, r.windows.size());
+    const WindowStats& ws = r.windows[w++];
+    masks.push_back(ws.avail_mask);
+    buckets.push_back(ws.thermal_bucket);
+    const double t = ws.release_ms - ws.planning_ms;
+    EXPECT_LE(std::max(stream[i].arrival_ms, t) +
+                  bound_ms(ws.avail_mask, ws.thermal_bucket),
+              stream[i].deadline_ms + 1e-9)
+        << "request " << i << " admitted provably late";
+  }
+  EXPECT_EQ(w, r.windows.size());
+  std::sort(masks.begin(), masks.end());
+  std::sort(buckets.begin(), buckets.end());
+  EXPECT_GE(std::unique(masks.begin(), masks.end()) - masks.begin(), 2);
+  EXPECT_GE(std::unique(buckets.begin(), buckets.end()) - buckets.begin(), 2);
 }
 
 }  // namespace
