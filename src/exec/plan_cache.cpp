@@ -83,23 +83,34 @@ const CompiledPlan* PlanCache::peek(const std::string& key) const {
   return it == index_.end() ? nullptr : &it->second->plan;
 }
 
-const CompiledPlan* PlanCache::find_near(const std::string& key) {
+std::list<PlanCache::Entry>::const_iterator PlanCache::scan_near(
+    const std::string& key) const {
   KeyParts probe;
-  if (!split_key(key, &probe)) return nullptr;
+  if (!split_key(key, &probe)) return entries_.end();
   for (auto it = entries_.begin(); it != entries_.end(); ++it) {
     if (!it->parsed || it->key == key) continue;  // exact match is find()'s job
     const KeyParts& cand = it->parts;
     if (cand.knobs != probe.knobs || cand.soc != probe.soc) continue;
-    if (!within_one_edit(cand.names, probe.names)) continue;
-    ++stats_.warm_hits;
-    static obs::Counter& warm_hits =
-        obs::Registry::global().counter("plan_cache.warm_hits");
-    warm_hits.inc();
-    obs::Tracer::global().instant("plan_cache.warm_hit");
-    entries_.splice(entries_.begin(), entries_, it);
-    return &entries_.front().plan;
+    if (within_one_edit(cand.names, probe.names)) return it;
   }
-  return nullptr;
+  return entries_.end();
+}
+
+const CompiledPlan* PlanCache::find_near(const std::string& key) {
+  const auto it = scan_near(key);
+  if (it == entries_.end()) return nullptr;
+  ++stats_.warm_hits;
+  static obs::Counter& warm_hits =
+      obs::Registry::global().counter("plan_cache.warm_hits");
+  warm_hits.inc();
+  obs::Tracer::global().instant("plan_cache.warm_hit");
+  entries_.splice(entries_.begin(), entries_, it);
+  return &entries_.front().plan;
+}
+
+const CompiledPlan* PlanCache::peek_near(const std::string& key) const {
+  const auto it = scan_near(key);
+  return it == entries_.end() ? nullptr : &it->plan;
 }
 
 bool PlanCache::near_miss(const std::string& a, const std::string& b) {

@@ -73,6 +73,12 @@ class PlanCache {
   /// otherwise.  Keys that did not come from `make_key` never match.
   [[nodiscard]] const CompiledPlan* find_near(const std::string& key);
 
+  /// Non-mutating near-miss lookup: the entry `find_near` would return, but
+  /// without the MRU bump or the warm-hit count (`find_near` is to this what
+  /// `find` is to `peek`).  The async prefetcher uses it to skip windows the
+  /// consume path will warm-start instead of planning cold.
+  [[nodiscard]] const CompiledPlan* peek_near(const std::string& key) const;
+
   /// Insert (or overwrite) and return the stored plan; evicts the
   /// least-recently-used entry when at capacity.
   const CompiledPlan& insert(const std::string& key, CompiledPlan plan);
@@ -120,8 +126,8 @@ class PlanCache {
 
   /// True if the two make_key-style keys agree on SoC + knobs and their
   /// name multisets differ by at most one add/remove/substitute (exact
-  /// matches return false).  Exposed for the online loop's prefetch policy
-  /// and for tests; malformed keys never qualify.
+  /// matches return false).  Exposed for tests; malformed keys never
+  /// qualify.
   [[nodiscard]] static bool near_miss(const std::string& a, const std::string& b);
 
  private:
@@ -143,6 +149,9 @@ class PlanCache {
   };
 
   static bool split_key(std::string_view key, KeyParts* out);
+  /// The near-miss search `find_near` and `peek_near` share; end() if none.
+  [[nodiscard]] std::list<Entry>::const_iterator scan_near(
+      const std::string& key) const;
 
   std::size_t capacity_;
   std::list<Entry> entries_;  // front = most recently used

@@ -220,8 +220,36 @@ OnlineResult run_online(const Soc& soc, const std::vector<OnlineRequest>& stream
     return memo->second = total;
   };
 
+  // The thermal bucket the loop currently serves in.  Static by default;
+  // with `thermal_loop` it follows the live models (with hysteresis).
+  std::size_t bucket = options.thermal_bucket;
+
+  // The key of `models` planned on the healthy SoC (full mask, clean bus)
+  // in the current bucket: the seed a degraded window replans from.
+  const auto healthy_key = [&](const std::vector<const Model*>& models) {
+    return exec::PlanCache::make_key(view_for(full_mask, bucket, 100).soc,
+                                     models, options.planner,
+                                     exec::PlanCache::PlanEnv{full_mask, bucket});
+  };
+  // Whether step 4 of the loop below, run now, would plan the window cold:
+  // this mirrors its ladder (exact hit, warm start from a near miss,
+  // degraded replan from the healthy plan) with non-mutating peeks, and
+  // must change with it.  Optimistic where the ladder can still fall
+  // through (a warm or degraded replan the planner rejects plans cold).
+  const auto plans_cold = [&](const std::string& key,
+                              const std::vector<const Model*>& models,
+                              std::uint64_t mask, int bus_centi) {
+    if (!caching) return true;
+    if (cache->peek(key) != nullptr) return false;
+    if (warm && cache->peek_near(key) != nullptr) return false;
+    const bool degraded = mask != full_mask || bus_centi < 100;
+    return !degraded || cache->peek(healthy_key(models)) == nullptr;
+  };
+
   // Async mode: cold plans for upcoming windows are computed speculatively
-  // on the pool, keyed by the plan-cache key they were predicted under.
+  // on the pool, keyed by the plan-cache key they were predicted under, for
+  // the windows the believed environment would plan cold (`plans_cold`):
+  // a window the cache will serve or seed gains nothing from a cold plan.
   // Prefetch is *best-effort and non-binding*: keys are predicted with the
   // availability mask of the last resolved window, and a prefetched plan
   // whose key no longer matches at consume time (a fault flipped the mask,
@@ -232,9 +260,6 @@ OnlineResult run_online(const Soc& soc, const std::vector<OnlineRequest>& stream
   // front of a same-multiset window) is left unconsumed.
   std::unordered_map<std::string, Prefetch> inflight;
   std::uint64_t believed_mask = full_mask;
-  // The thermal bucket the loop currently serves in.  Static by default;
-  // with `thermal_loop` it follows the live models (with hysteresis).
-  std::size_t bucket = options.thermal_bucket;
   // Shared-bus factor observed at the last probe, quantized to centi.
   int believed_bus_centi = 100;
   const auto pump_prefetch = [&] {
@@ -261,7 +286,7 @@ OnlineResult run_online(const Soc& soc, const std::vector<OnlineRequest>& stream
       std::string key =
           exec::PlanCache::make_key(view.soc, models, options.planner, env);
       if (inflight.count(key) != 0) continue;
-      if (caching && cache->peek(key) != nullptr) continue;
+      if (!plans_cold(key, models, believed_mask, believed_bus_centi)) continue;
       std::future<exec::CompiledPlan> plan =
           options.pool->submit([view_soc = view.soc, models,
                                 planner = options.planner,
@@ -504,6 +529,8 @@ OnlineResult run_online(const Soc& soc, const std::vector<OnlineRequest>& stream
     }
 
     // ---- 4. Resolve the window's plan ----------------------------------
+    // The prefetcher predicts this ladder with `plans_cold`; keep the two
+    // in step.
     const obs::ScopedLatency window_latency(h_window_ms);
     exec::CompiledPlan storage;
     const exec::CompiledPlan* compiled = nullptr;
@@ -551,10 +578,7 @@ OnlineResult run_online(const Soc& soc, const std::vector<OnlineRequest>& stream
       // replan on the survivors.  A pure bus degrade keeps every processor
       // (identity projection) and just re-settles the boundaries against
       // the bus-scaled cost tables.
-      const std::string healthy_key = exec::PlanCache::make_key(
-          view_for(full_mask, bucket, 100).soc, models, options.planner,
-          exec::PlanCache::PlanEnv{full_mask, bucket});
-      if (const exec::CompiledPlan* seed = cache->peek(healthy_key)) {
+      if (const exec::CompiledPlan* seed = cache->peek(healthy_key(models))) {
         const StaticEvaluator eval(view.soc, models);
         const Hetero2PipePlanner planner(eval, options.planner);
         if (std::optional<PlannerReport> report =

@@ -113,12 +113,17 @@ struct OnlineOptions {
   /// the calling thread in stream order, and cold plans are deterministic
   /// functions of (Soc view, window, knobs), so an async run produces a
   /// bit-identical Timeline, plans and stats to a serial run — only host
-  /// wall-clock changes.  A prefetched plan whose predicted cache key no
-  /// longer matches at consume time (a fault changed the availability mask,
-  /// a deferral reshaped the window) is simply discarded.  Requires a
-  /// non-null `pool` and `prefetch_depth` >= 1 (validated at entry).
+  /// wall-clock changes.  Only windows the believed environment (last
+  /// observed mask, bus factor and thermal bucket) would plan cold are
+  /// prefetched: one the cache would serve exactly, warm-start from a near
+  /// miss or replan degraded from its healthy plan gets no speculative job.
+  /// A prefetched plan whose predicted cache key no longer matches at
+  /// consume time (a fault changed the availability mask, a deferral
+  /// reshaped the window) is simply discarded.  Requires a non-null `pool`
+  /// and `prefetch_depth` >= 1 (validated at entry).
   bool async_planning = false;
-  /// How many windows ahead the async loop keeps in flight.
+  /// How far the async loop predicts: the window about to be served plus
+  /// `prefetch_depth` more.
   std::size_t prefetch_depth = 2;
 
   /// Cross-window warm-start replanning: when a window misses the cache

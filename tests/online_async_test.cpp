@@ -5,11 +5,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cstdint>
 #include <limits>
 #include <memory>
 #include <sstream>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "core/planner.h"
@@ -318,6 +320,72 @@ TEST(OnlineAsync, BusyPipelineHidesPlanningOverhead) {
   }
 }
 
+/// Recurring scenes: three pairwise-disjoint scenes, then exact repeats and
+/// one-model substitutions of them.  Served with cache and warm start, only
+/// the first sight of each scene plans cold.
+std::vector<OnlineRequest> recurring_scene_stream() {
+  using M = ModelId;
+  const std::vector<std::vector<ModelId>> windows = {
+      {M::kResNet50, M::kBERT, M::kSqueezeNet},       // A
+      {M::kMobileNetV2, M::kGoogLeNet, M::kViT},      // B
+      {M::kAlexNet, M::kVGG16, M::kInceptionV4},      // C
+      {M::kResNet50, M::kBERT, M::kSqueezeNet},       // A
+      {M::kResNet50, M::kBERT, M::kAlexNet},          // A, S -> Alex
+      {M::kMobileNetV2, M::kGoogLeNet, M::kResNet50}, // B, ViT -> R
+      {M::kMobileNetV2, M::kGoogLeNet, M::kViT},      // B
+      {M::kResNet50, M::kBERT, M::kMobileNetV2},      // A, S -> Mob
+      {M::kAlexNet, M::kBERT, M::kInceptionV4},       // C, VGG -> BERT
+      {M::kMobileNetV2, M::kGoogLeNet, M::kSqueezeNet},  // B, ViT -> S
+      {M::kAlexNet, M::kVGG16, M::kInceptionV4},      // C
+      {M::kAlexNet, M::kViT, M::kInceptionV4},        // C, VGG -> ViT
+      {M::kResNet50, M::kGoogLeNet, M::kSqueezeNet},  // A, BERT -> Goog
+      {M::kMobileNetV2, M::kBERT, M::kViT},           // B, Goog -> BERT
+      {M::kResNet50, M::kVGG16, M::kInceptionV4},     // C, Alex -> R
+  };
+  std::vector<OnlineRequest> stream;
+  for (const auto& window : windows) {
+    for (ModelId id : window) {
+      stream.push_back(
+          {&zoo_model(id), static_cast<double>(stream.size()) * 5.0});
+    }
+  }
+  return stream;
+}
+
+TEST(OnlineAsync, PrefetchSubmitsOnlyWindowsPlannedCold) {
+  // A window the cache serves exactly or warm-starts gains nothing from a
+  // speculative cold plan.  A prefetcher that submits only windows the
+  // believed environment plans cold runs one job per cold window here, and
+  // every job is consumed; one that submits every exact miss runs one per
+  // substituted scene too (12 jobs, 9 discarded).
+  const Soc soc = Soc::kirin990();
+  const auto stream = recurring_scene_stream();
+  OnlineOptions serial;
+  serial.replan_window = 3;
+  serial.warm_start = true;
+  const OnlineResult expected = run_online(soc, stream, serial);
+  const int cold =
+      expected.replans - expected.warm_hits - expected.degraded_hits;
+  ASSERT_EQ(cold, 3);
+  ASSERT_EQ(expected.warm_hits, 9);
+
+  ThreadPool pool(2);
+  OnlineOptions async = serial;
+  async.pool = &pool;
+  async.async_planning = true;
+  std::atomic<int> jobs{0};
+  async.prefetch_job_hook = [&jobs] { ++jobs; };
+  obs::Registry& reg = obs::Registry::global();
+  obs::Counter& discarded = reg.counter("online.prefetch_discarded");
+  const std::uint64_t discarded_before = discarded.value();
+  reg.set_enabled(true);
+  const OnlineResult r = run_online(soc, stream, async);
+  reg.set_enabled(false);
+  expect_identical(expected, r);
+  EXPECT_EQ(discarded.value(), discarded_before);
+  EXPECT_EQ(jobs.load(), cold);
+}
+
 TEST(OnlineAsync, DeferralReorderedWindowPlansItsOwnOrder) {
   // The NPU is out over [0, 5): window 1 is planned degraded, and its last
   // request S (deadline meetable only on the healthy SoC) is deferred to the
@@ -383,8 +451,27 @@ TEST(OnlineAsync, DeferralReorderedWindowPlansItsOwnOrder) {
   OnlineOptions async = opts;
   async.pool = &pool;
   async.async_planning = true;
+  std::ostringstream sink;
+  obs::Log::global().set_sink_stream(&sink);
+  obs::Log::global().set_level(obs::LogLevel::kDebug);
   const OnlineResult r = run_online(soc, stream, async);
+  obs::Log::global().set_level(obs::LogLevel::kWarn);
+  obs::Log::global().set_sink_stream(nullptr);
   expect_identical(serial, r);
+  // The [M,S,M,S] prefetch was made and left unconsumed: the window it
+  // predicted plans cold in a serial run too, so the prefetcher submits it.
+  const std::string predicted = exec::PlanCache::make_key(
+      soc, {&m_model, &s_model, &m_model, &s_model}, opts.planner,
+      exec::PlanCache::PlanEnv{full, 0});
+  bool discarded = false;
+  std::istringstream lines(sink.str());
+  for (std::string line; std::getline(lines, line);) {
+    if (line.find("online.prefetch_discarded") != std::string::npos &&
+        line.find(predicted) != std::string::npos) {
+      discarded = true;
+    }
+  }
+  EXPECT_TRUE(discarded);
   ASSERT_EQ(r.windows.size(), serial.windows.size());
   for (std::size_t w = 0; w < r.windows.size(); ++w) {
     EXPECT_EQ(r.windows[w].predicted_makespan_ms,

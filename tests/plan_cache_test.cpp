@@ -4,6 +4,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <map>
+#include <random>
+#include <string>
+#include <vector>
 
 #include "core/planner.h"
 #include "exec/plan_cache.h"
@@ -389,6 +394,72 @@ TEST(PlanCachePeek, DoesNotBumpLruOrTouchStats) {
   EXPECT_EQ(cache.peek("a"), nullptr);
   EXPECT_EQ(cache.stats().hits, 0u);
   EXPECT_EQ(cache.stats().misses, 0u);
+}
+
+TEST(PlanCachePeek, PeekNearAgreesWithFindNearAndMutatesNothing) {
+  // Two caches see the same seeded insert / find / find_near sequence; one
+  // also answers peek_near before every operation.  peek_near must name the
+  // entry find_near then returns, and the two caches must stay in lockstep:
+  // same stats, same entries surviving the same evictions.
+  const std::vector<ModelId> pool = {ModelId::kResNet50, ModelId::kBERT,
+                                     ModelId::kSqueezeNet, ModelId::kAlexNet};
+  const std::vector<Soc> socs = {Soc::kirin990(), Soc::snapdragon870()};
+  const std::uint64_t no_npu =
+      ((1ull << Soc::kirin990().num_processors()) - 1) & ~1ull;
+  std::mt19937 rng(2024);
+  const auto pick = [&rng](std::size_t n) {
+    return std::uniform_int_distribution<std::size_t>(0, n - 1)(rng);
+  };
+  const auto random_key = [&] {
+    std::vector<ModelId> ids(1 + pick(3));
+    for (ModelId& id : ids) id = pool[pick(pool.size())];
+    exec::PlanCache::PlanEnv env;
+    if (pick(4) == 0) env.avail_mask = no_npu;
+    return exec::PlanCache::make_key(socs[pick(socs.size())], window_of(ids),
+                                     {}, env);
+  };
+
+  exec::PlanCache peeked(6);
+  exec::PlanCache plain(6);
+  std::map<const exec::CompiledPlan*, std::string> key_of_peeked;
+  std::map<const exec::CompiledPlan*, std::string> key_of_plain;
+  std::vector<std::string> keys;
+  std::size_t near_found = 0;
+  for (int step = 0; step < 400; ++step) {
+    const std::string key = random_key();
+    const exec::CompiledPlan* peek = peeked.peek_near(key);
+    switch (pick(3)) {
+      case 0:
+        key_of_peeked[&peeked.insert(key, {})] = key;
+        key_of_plain[&plain.insert(key, {})] = key;
+        keys.push_back(key);
+        break;
+      case 1:
+        EXPECT_EQ(peeked.find(key) != nullptr, plain.find(key) != nullptr);
+        break;
+      default: {
+        const exec::CompiledPlan* a = peeked.find_near(key);
+        const exec::CompiledPlan* b = plain.find_near(key);
+        ASSERT_EQ(a, peek) << "step " << step;
+        ASSERT_EQ(a != nullptr, b != nullptr) << "step " << step;
+        if (a != nullptr) {
+          EXPECT_EQ(key_of_peeked[a], key_of_plain[b]);
+          ++near_found;
+        }
+        break;
+      }
+    }
+    (void)peeked.peek_near(random_key());
+    EXPECT_EQ(peeked.stats().hits, plain.stats().hits);
+    EXPECT_EQ(peeked.stats().misses, plain.stats().misses);
+    EXPECT_EQ(peeked.stats().warm_hits, plain.stats().warm_hits);
+    EXPECT_EQ(peeked.stats().evictions, plain.stats().evictions);
+  }
+  EXPECT_GT(near_found, 10u);
+  EXPECT_GT(plain.stats().evictions, 10u);
+  for (const std::string& key : keys) {
+    EXPECT_EQ(peeked.peek(key) != nullptr, plain.peek(key) != nullptr);
+  }
 }
 
 TEST(PlanCache, CapacityClampedToAtLeastOne) {
