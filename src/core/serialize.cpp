@@ -55,8 +55,12 @@ Json soc_to_json(const Soc& soc) {
 Soc soc_from_json(const Json& j) {
   std::vector<Processor> procs;
   const Json& pj = j.at("processors");
+  if (pj.size() == 0) {
+    throw std::runtime_error("soc_from_json: \"processors\" must not be empty");
+  }
   for (std::size_t i = 0; i < pj.size(); ++i) {
     const Json& p = pj.at(i);
+    const std::string where = "soc_from_json: processor " + std::to_string(i);
     Processor proc;
     proc.name = p.at("name").as_string();
     proc.kind = proc_kind_from(p.at("kind").as_string());
@@ -64,7 +68,11 @@ Soc soc_from_json(const Json& j) {
     proc.mem_bw_gbps = p.at("mem_bw_gbps").as_number();
     proc.l2_bytes = p.at("l2_bytes").as_number();
     proc.launch_overhead_ms = p.at("launch_overhead_ms").as_number();
-    proc.batch_capacity = static_cast<int>(p.at("batch_capacity").as_number());
+    proc.batch_capacity = static_cast<int>(json_index(
+        p.at("batch_capacity"), 2147483648.0, where, "batch_capacity"));
+    if (proc.batch_capacity == 0) {
+      throw std::runtime_error(where + ": \"batch_capacity\" must be positive");
+    }
     proc.copy_in_latency_ms = p.at("copy_in_latency_ms").as_number();
     proc.tdp_watts = p.at("tdp_watts").as_number();
     procs.push_back(std::move(proc));
@@ -177,12 +185,9 @@ GraphModel graph_from_json(const Json& j) {
     const Json& inputs = nj.at("inputs");
     std::vector<std::size_t> ins;
     for (std::size_t k = 0; k < inputs.size(); ++k) {
-      const double v = inputs.at(k).as_number();
-      if (v < 0 || static_cast<std::size_t>(v) >= id) {
-        throw std::runtime_error(
-            "graph_from_json: node input must reference an earlier node");
-      }
-      ins.push_back(static_cast<std::size_t>(v));
+      ins.push_back(json_index(inputs.at(k), static_cast<double>(id),
+                               "graph_from_json: node " + std::to_string(id),
+                               "inputs"));
     }
     graph.add(std::move(l), std::move(ins));
   }
@@ -244,37 +249,6 @@ Json calibration_report_to_json(const obs::CalibrationReport& report) {
   }
   j["cells"] = std::move(cells);
   return j;
-}
-
-obs::CalibrationReport calibration_report_from_json(const Json& j) {
-  if (j.contains("schema") && j.at("schema").as_string() != "h2p.drift/v1") {
-    throw std::runtime_error("calibration_report_from_json: unknown schema " +
-                             j.at("schema").as_string());
-  }
-  obs::CalibrationReport report;
-  report.records = static_cast<std::uint64_t>(j.at("records").as_number());
-  report.skipped = static_cast<std::uint64_t>(j.at("skipped").as_number());
-  report.alerts = static_cast<std::uint64_t>(j.at("alerts").as_number());
-  report.ewma_abs_rel_err = j.at("ewma_abs_rel_err").as_number();
-  report.min_samples =
-      static_cast<std::size_t>(j.at("min_samples").as_number());
-  const Json& cells = j.at("cells");
-  for (std::size_t i = 0; i < cells.size(); ++i) {
-    const Json& cj = cells.at(i);
-    obs::DriftCell cell;
-    cell.proc = static_cast<std::size_t>(cj.at("proc").as_number());
-    cell.kind = obs::parse_slice_kind(cj.at("kind").as_string());
-    cell.thermal_bucket =
-        static_cast<std::size_t>(cj.at("thermal_bucket").as_number());
-    cell.count = static_cast<std::uint64_t>(cj.at("count").as_number());
-    cell.sum_predicted_ms = cj.at("sum_predicted_ms").as_number();
-    cell.sum_executed_ms = cj.at("sum_executed_ms").as_number();
-    cell.sum_rel_err = cj.at("sum_rel_err").as_number();
-    cell.sum_abs_rel_err = cj.at("sum_abs_rel_err").as_number();
-    cell.max_abs_rel_err = cj.at("max_abs_rel_err").as_number();
-    report.cells.push_back(cell);
-  }
-  return report;
 }
 
 }  // namespace h2p

@@ -14,7 +14,8 @@ namespace h2p {
 
 Json soc_to_json(const Soc& soc);
 /// Parses a device description; throws std::runtime_error on missing or
-/// ill-typed fields.
+/// ill-typed fields, an empty "processors" list, or a "batch_capacity"
+/// that is not a positive integer.
 Soc soc_from_json(const Json& j);
 
 Json plan_to_json(const PipelinePlan& plan);
@@ -25,9 +26,9 @@ PipelinePlan plan_from_json(const Json& j);
 /// "working_set_bytes", "locality", "inputs": [node indices]}, ...]}`.
 /// Node order in the array is the node-id order; `inputs` reference earlier
 /// array positions.  `graph_from_json` validates that the result is a DAG
-/// and throws std::runtime_error on unknown layer kinds, out-of-range
-/// inputs, or cycles.  Round-trip is exact: the reparsed graph has the same
-/// `topology_hash()`.
+/// and throws std::runtime_error on unknown layer kinds, inputs that are
+/// not integer indices of earlier nodes, or cycles.  Round-trip is exact:
+/// the reparsed graph has the same `topology_hash()`.
 Json graph_to_json(const GraphModel& graph);
 GraphModel graph_from_json(const Json& j);
 
@@ -43,10 +44,9 @@ Json timeline_to_json(const Timeline& timeline);
 ///              "sum_rel_err":x,"sum_abs_rel_err":x,"max_abs_rel_err":x,
 ///              "correction":r,"confidence":c,
 ///              "mean_rel_err":m,"mean_abs_rel_err":m}, ...]}
-/// Sums are authoritative (they merge exactly across fleet snapshots);
-/// correction/confidence/mean_* are derived conveniences recomputed on
-/// parse.  `obs::merge_snapshots` consumes and emits this same shape.
+/// One-way, like timelines: the program writes it and never reads it back.
+/// Sums are authoritative; correction/confidence/mean_* are derived from
+/// them for the reader's convenience.
 Json calibration_report_to_json(const obs::CalibrationReport& report);
-obs::CalibrationReport calibration_report_from_json(const Json& j);
 
 }  // namespace h2p

@@ -6,14 +6,12 @@
 #include <mutex>
 #include <span>
 #include <string>
-#include <string_view>
 #include <tuple>
 #include <vector>
 
 #include "obs/log.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "util/json.h"
 
 namespace h2p::obs {
 
@@ -29,9 +27,6 @@ enum class SliceKind : std::uint8_t {
 };
 
 [[nodiscard]] const char* to_string(SliceKind kind);
-/// Parse "lead" | "interior" | "tail" | "solo"; throws std::invalid_argument
-/// otherwise (the strings come from our own serialized reports).
-[[nodiscard]] SliceKind parse_slice_kind(std::string_view text);
 
 /// Classify seq `seq_in_model` of a model whose last slice is `last_seq`.
 [[nodiscard]] inline SliceKind classify_slice(std::size_t seq_in_model,
@@ -92,8 +87,8 @@ struct DriftOptions {
 };
 
 /// Streaming residual aggregate of one (processor × slice-kind ×
-/// thermal-bucket) cell.  Sums (not means) so cells merge exactly during
-/// fleet aggregation.
+/// thermal-bucket) cell.  Sums (not means) so the derived ratios below are
+/// exact over every record the cell has seen.
 struct DriftCell {
   std::size_t proc = 0;
   SliceKind kind = SliceKind::kSolo;
@@ -204,14 +199,5 @@ class DriftTracker {
   bool ewma_seeded_ = false;
   bool alerting_ = false;
 };
-
-/// Merge N registry/drift JSON snapshots into one fleet report:
-/// counters sum, gauges last-write, histogram buckets sum element-wise
-/// (bounds must match — throws std::runtime_error otherwise) with the
-/// summary recomputed from the merged buckets via `summary_from_buckets`,
-/// calibration cells join on (proc, kind, bucket) with their sums added,
-/// `host` last-write, and `fleet.snapshots` counts the merged leaves.
-/// Associative by construction, so shard-local partial merges compose.
-[[nodiscard]] Json merge_snapshots(std::span<const Json> snapshots);
 
 }  // namespace h2p::obs

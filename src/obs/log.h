@@ -56,9 +56,9 @@ struct LogField {
 /// Structured JSONL event log.  One line per record:
 ///   {"ts_ms":12.345,"seq":7,"level":"warn","event":"online.prefetch_failed",...}
 /// `ts_ms` is wall milliseconds since the Log's construction; `seq` is a
-/// monotonic per-Log sequence number so records merged across files and
-/// threads during fleet aggregation have a total order even when ts_ms
-/// ties (lines are seq-unique, and sorting on seq recovers emission order).
+/// monotonic per-Log sequence number, so records from several threads
+/// have a total order even when ts_ms ties (lines are seq-unique, and
+/// sorting on seq recovers emission order).
 /// Records at or above the current level go to the sink (stderr by default,
 /// a file via `set_sink_file`); everything else is a relaxed load and a
 /// branch.  Thread-safe: each record is formatted privately and written

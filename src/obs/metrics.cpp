@@ -5,6 +5,51 @@
 #include <thread>
 
 namespace h2p::obs {
+namespace {
+
+/// Summary reconstructed from fixed-bucket state: percentiles interpolated
+/// inside the bucket containing the rank (first bucket from 0 or the
+/// observed min when tighter, overflow pinned to the observed max).
+/// `counts` has bounds.size() + 1 entries.
+Summary summary_from_buckets(const std::vector<double>& bounds,
+                             const std::vector<std::uint64_t>& counts,
+                             std::uint64_t count, double sum, double min,
+                             double max) {
+  Summary s;
+  s.count = count;
+  if (s.count == 0) return s;
+  s.mean = sum / static_cast<double>(s.count);
+  const double mn = min;
+  const double mx = max;
+  s.min = mn;
+  s.max = mx;
+
+  const auto pct = [&](double q) {
+    const double rank = q * static_cast<double>(s.count);
+    double below = 0.0;
+    for (std::size_t b = 0; b < counts.size(); ++b) {
+      const double here = static_cast<double>(counts[b]);
+      if (below + here >= rank && here > 0.0) {
+        if (b == counts.size() - 1) return mx;
+        const double hi = bounds[b];
+        double lo = b == 0 ? std::min(0.0, mn) : bounds[b - 1];
+        lo = std::max(lo, mn);
+        const double frac = std::clamp((rank - below) / here, 0.0, 1.0);
+        return std::clamp(lo + (hi - lo) * frac, mn, mx);
+      }
+      below += here;
+    }
+    return mx;
+  };
+  s.p50 = pct(0.50);
+  s.p90 = pct(0.90);
+  s.p95 = pct(0.95);
+  s.p99 = pct(0.99);
+  // stddev is not recoverable from (count, sum, buckets); left 0.
+  return s;
+}
+
+}  // namespace
 
 std::uint64_t Counter::value() const {
   std::uint64_t total = 0;
@@ -65,44 +110,6 @@ Summary Histogram::summary() const {
   }
   return summary_from_buckets(bounds_, bucket_counts(), count(), sum(), mn,
                               mx);
-}
-
-Summary summary_from_buckets(const std::vector<double>& bounds,
-                             const std::vector<std::uint64_t>& counts,
-                             std::uint64_t count, double sum, double min,
-                             double max) {
-  Summary s;
-  s.count = count;
-  if (s.count == 0) return s;
-  s.mean = sum / static_cast<double>(s.count);
-  const double mn = min;
-  const double mx = max;
-  s.min = mn;
-  s.max = mx;
-
-  const auto pct = [&](double q) {
-    const double rank = q * static_cast<double>(s.count);
-    double below = 0.0;
-    for (std::size_t b = 0; b < counts.size(); ++b) {
-      const double here = static_cast<double>(counts[b]);
-      if (below + here >= rank && here > 0.0) {
-        if (b == counts.size() - 1) return mx;
-        const double hi = bounds[b];
-        double lo = b == 0 ? std::min(0.0, mn) : bounds[b - 1];
-        lo = std::max(lo, mn);
-        const double frac = std::clamp((rank - below) / here, 0.0, 1.0);
-        return std::clamp(lo + (hi - lo) * frac, mn, mx);
-      }
-      below += here;
-    }
-    return mx;
-  };
-  s.p50 = pct(0.50);
-  s.p90 = pct(0.90);
-  s.p95 = pct(0.95);
-  s.p99 = pct(0.99);
-  // stddev is not recoverable from (count, sum, buckets); left 0.
-  return s;
 }
 
 Registry& Registry::global() {

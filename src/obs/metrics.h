@@ -195,18 +195,6 @@ class ScopedLatency {
 /// {"cpus": hardware_concurrency}.
 [[nodiscard]] Json host_info_json();
 
-/// Summary reconstructed from fixed-bucket state: percentiles interpolated
-/// inside the bucket containing the rank (first bucket from 0 or the
-/// observed min when tighter, overflow pinned to the observed max).  This is
-/// the one interpolation shared by `Histogram::summary()` and fleet snapshot
-/// merging (obs/drift.h), so a merged histogram reports the same percentiles
-/// a single registry with the combined observations would.  `counts` has
-/// bounds.size() + 1 entries; stddev is not recoverable and stays 0.
-[[nodiscard]] Summary summary_from_buckets(
-    const std::vector<double>& bounds,
-    const std::vector<std::uint64_t>& counts, std::uint64_t count, double sum,
-    double min, double max);
-
 // ---- hot-path inline bodies -----------------------------------------------
 
 inline void Counter::inc(std::uint64_t n) {

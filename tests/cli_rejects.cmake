@@ -15,7 +15,7 @@
 #                      online --faults <script with "proc": 2.5>
 #   faults_unknown_proc
 #                      online --faults <script naming processor 7 of 4>
-#   deep_json          fleet-merge <array nested 200000 levels deep>
+#   deep_json          simulate --plan <array nested 200000 levels deep>
 #   plan_threads       plan --threads 2 (plans are single-threaded)
 #   online_threads_without_async
 #                      online --threads 2 without --async
@@ -28,6 +28,8 @@
 #   simulate_overlapping_slices
 #                      simulate --plan <plan whose slices run layers 5-9
 #                      twice>; must also print no timeline
+#   soc_json_no_processors
+#                      plan --soc-json <SoC with "processors": []>
 
 foreach(var CLI CASE WORK_DIR)
   if(NOT DEFINED ${var})
@@ -71,11 +73,11 @@ elseif(CASE MATCHES "^faults_(negative|fractional|unknown)_proc$")
        "\"begin_ms\": 0, \"end_ms\": null}]}\n")
   set(args ${online} --faults "${script}")
 elseif(CASE STREQUAL "deep_json")
-  set(snapshot "${WORK_DIR}/deep.json")
+  set(plan "${WORK_DIR}/deep.json")
   string(REPEAT "[" 200000 deep)
-  file(WRITE "${snapshot}" "${deep}")
-  set(args fleet-merge "${snapshot}")
-  set(expect "nesting deeper than")
+  file(WRITE "${plan}" "${deep}")
+  set(args simulate --plan "${plan}" --models squeezenet)
+  set(expect "nesting deeper than 256 levels")
 elseif(CASE STREQUAL "plan_threads")
   set(args plan --models resnet50,squeezenet --threads 2)
   set(expect "plan: unknown flag --threads")
@@ -94,6 +96,14 @@ elseif(CASE STREQUAL "simulate_overlapping_slices")
   set(args simulate --plan "${plan}" --models squeezenet)
   set(expect "compile: slot 0's slices overlap, run backwards or leave a gap")
   set(expect_no_stdout TRUE)
+elseif(CASE STREQUAL "soc_json_no_processors")
+  set(soc "${WORK_DIR}/${CASE}.json")
+  file(WRITE "${soc}"
+       "{\"name\": \"empty\", \"bus_bw_gbps\": 30, "
+       "\"mem_capacity_bytes\": 8e9, \"available_bytes\": 4e9, "
+       "\"processors\": [], \"mem_states\": []}\n")
+  set(args plan --models squeezenet --soc-json "${soc}")
+  set(expect "soc_from_json: \"processors\" must not be empty")
 elseif(CASE MATCHES "^simulate_")
   # A valid two-model, four-stage plan with one field made invalid.
   set(num_stages 4)

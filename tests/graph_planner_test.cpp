@@ -287,14 +287,17 @@ TEST(GraphPlannerJson, RejectsUnknownKindAndForwardEdges) {
   bad_kind["nodes"] = std::move(nodes);
   EXPECT_THROW(graph_from_json(bad_kind), std::runtime_error);
 
-  // A node referencing itself / a later node: inputs must point backwards.
-  Json bad_edge = Json::object();
-  bad_edge["name"] = Json::string("bad");
-  Json nodes2 = Json::array();
-  nodes2.push_back(node_json("a", "ReLU", {}));
-  nodes2.push_back(node_json("b", "ReLU", {3.0}));
-  bad_edge["nodes"] = std::move(nodes2);
-  EXPECT_THROW(graph_from_json(bad_edge), std::runtime_error);
+  // Inputs must be integer indices of earlier nodes: a later node, a
+  // fraction or a huge double must not truncate onto a valid index.
+  for (const double input : {3.0, 0.5, 1e300}) {
+    Json bad_edge = Json::object();
+    bad_edge["name"] = Json::string("bad");
+    Json nodes2 = Json::array();
+    nodes2.push_back(node_json("a", "ReLU", {}));
+    nodes2.push_back(node_json("b", "ReLU", {input}));
+    bad_edge["nodes"] = std::move(nodes2);
+    EXPECT_THROW(graph_from_json(bad_edge), std::runtime_error) << input;
+  }
 }
 
 TEST(GraphPlannerJson, ParsedGraphPlansLikeZooGraph) {

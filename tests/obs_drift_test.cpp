@@ -1,11 +1,10 @@
 // Prediction-drift observability (obs/drift.h): residual math on synthetic
-// timelines, the EWMA alert detector, run_online integration, and fleet
-// snapshot merging.
+// timelines, the EWMA alert detector, the scorecard JSON and run_online
+// integration.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <sstream>
-#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -48,11 +47,10 @@ TEST(ObsDrift, ClassifyAndKindStrings) {
   EXPECT_EQ(obs::classify_slice(1, 3), SliceKind::kInterior);
   EXPECT_EQ(obs::classify_slice(2, 3), SliceKind::kInterior);
   EXPECT_EQ(obs::classify_slice(3, 3), SliceKind::kTail);
-  for (SliceKind k : {SliceKind::kLead, SliceKind::kInterior, SliceKind::kTail,
-                      SliceKind::kSolo}) {
-    EXPECT_EQ(obs::parse_slice_kind(obs::to_string(k)), k);
-  }
-  EXPECT_THROW(obs::parse_slice_kind("sideways"), std::invalid_argument);
+  EXPECT_STREQ(obs::to_string(SliceKind::kLead), "lead");
+  EXPECT_STREQ(obs::to_string(SliceKind::kInterior), "interior");
+  EXPECT_STREQ(obs::to_string(SliceKind::kTail), "tail");
+  EXPECT_STREQ(obs::to_string(SliceKind::kSolo), "solo");
 }
 
 TEST(ObsDrift, CalibrationReportExactRatios) {
@@ -157,7 +155,7 @@ TEST(ObsDrift, TrackerAlertFiresOnceAndRearmsWithHysteresis) {
   EXPECT_TRUE(tracker.cells().empty());
 }
 
-TEST(ObsDrift, CalibrationJsonRoundTrip) {
+TEST(ObsDrift, CalibrationJsonFields) {
   std::vector<SliceRecord> records = {make_record(10.0, 12.0),
                                       make_record(8.0, 6.0, 1, SliceKind::kLead),
                                       make_record(0.0, 1.0)};
@@ -166,15 +164,12 @@ TEST(ObsDrift, CalibrationJsonRoundTrip) {
   EXPECT_EQ(j.at("schema").as_string(), "h2p.drift/v1");
   EXPECT_EQ(j.at("records").as_number(), 2.0);
   EXPECT_EQ(j.at("skipped").as_number(), 1.0);
-
-  const obs::CalibrationReport back = calibration_report_from_json(j);
-  // Re-serialization is byte-identical: the sums are authoritative and the
-  // derived fields are pure functions of them.
-  EXPECT_EQ(calibration_report_to_json(back).dump(), j.dump());
-
-  Json bad = j;
-  bad["schema"] = Json::string("h2p.drift/v99");
-  EXPECT_THROW(calibration_report_from_json(bad), std::runtime_error);
+  ASSERT_EQ(j.at("cells").size(), 2u);
+  const Json& cell = j.at("cells").at(0);  // (p0, solo, b0)
+  EXPECT_EQ(cell.at("kind").as_string(), "solo");
+  EXPECT_EQ(cell.at("sum_predicted_ms").as_number(), 10.0);
+  EXPECT_EQ(cell.at("sum_executed_ms").as_number(), 12.0);
+  EXPECT_EQ(cell.at("correction").as_number(), 12.0 / 10.0);
 }
 
 std::vector<OnlineRequest> drift_stream() {
@@ -281,127 +276,6 @@ TEST(ObsDrift, ThermalStormTriggersDriftAlert) {
     if (rec.weather_idx == 0) ++covered;
   }
   EXPECT_GT(covered, 0u);
-}
-
-// ---- fleet snapshot aggregation --------------------------------------------
-
-TEST(FleetMerge, RegistrySnapshotsSumCountersAndHistograms) {
-  obs::Registry a;
-  a.set_enabled(true);
-  a.counter("online.windows").inc(3);
-  a.gauge("pool.threads").set(2.0);
-  obs::Histogram& ha = a.histogram("plan.latency_ms", {1.0, 2.0, 4.0});
-  ha.observe(0.5);
-  ha.observe(1.5);
-
-  obs::Registry b;
-  b.set_enabled(true);
-  b.counter("online.windows").inc(4);
-  b.counter("online.replans").inc(1);
-  b.gauge("pool.threads").set(8.0);
-  obs::Histogram& hb = b.histogram("plan.latency_ms", {1.0, 2.0, 4.0});
-  hb.observe(3.0);
-  hb.observe(100.0);  // overflow bucket
-
-  const std::vector<Json> snaps = {a.snapshot(), b.snapshot()};
-  const Json merged = obs::merge_snapshots(snaps);
-
-  EXPECT_EQ(merged.at("fleet").at("snapshots").as_number(), 2.0);
-  EXPECT_EQ(merged.at("counters").at("online.windows").as_number(), 7.0);
-  EXPECT_EQ(merged.at("counters").at("online.replans").as_number(), 1.0);
-  EXPECT_EQ(merged.at("gauges").at("pool.threads").as_number(), 8.0);  // last
-
-  const Json& hist = merged.at("histograms").at("plan.latency_ms");
-  const Json& buckets = hist.at("buckets");
-  ASSERT_EQ(buckets.size(), 4u);  // 3 bounds + overflow
-  EXPECT_EQ(buckets.at(0).at("count").as_number(), 1.0);  // 0.5
-  EXPECT_EQ(buckets.at(1).at("count").as_number(), 1.0);  // 1.5
-  EXPECT_EQ(buckets.at(2).at("count").as_number(), 1.0);  // 3.0
-  EXPECT_EQ(buckets.at(3).at("count").as_number(), 1.0);  // 100.0
-  const Json& summary = hist.at("summary");
-  EXPECT_EQ(summary.at("count").as_number(), 4.0);
-  ASSERT_TRUE(summary.contains("p95"));
-  EXPECT_GE(summary.at("p95").as_number(), summary.at("p50").as_number());
-  EXPECT_LE(summary.at("p99").as_number(), 100.0);  // overflow pinned to max
-}
-
-TEST(FleetMerge, HistogramSummaryHasInterpolatedPercentiles) {
-  // Satellite (a): Registry::snapshot must expose interpolated p50/p95/p99
-  // per histogram via the shared util/stats summary path.
-  obs::Registry reg;
-  reg.set_enabled(true);
-  obs::Histogram& h = reg.histogram("lat", {1.0, 2.0, 4.0, 8.0});
-  for (int i = 1; i <= 100; ++i) h.observe(static_cast<double>(i % 8));
-  const Json snap = reg.snapshot();
-  const Json& summary = snap.at("histograms").at("lat").at("summary");
-  for (const char* key : {"p50", "p90", "p95", "p99"}) {
-    ASSERT_TRUE(summary.contains(key)) << key;
-  }
-  EXPECT_LE(summary.at("p50").as_number(), summary.at("p95").as_number());
-  EXPECT_LE(summary.at("p95").as_number(), summary.at("p99").as_number());
-}
-
-TEST(FleetMerge, MergesCalibrationReportsExactly) {
-  // Two shards of the same fleet: the merged correction must equal what one
-  // tracker over the union of records would compute.
-  std::vector<SliceRecord> ra = {make_record(10.0, 12.0),
-                                 make_record(20.0, 24.0)};
-  std::vector<SliceRecord> rb = {make_record(10.0, 8.0)};
-  const Json ja = calibration_report_to_json(calibration_report(ra));
-  const Json jb = calibration_report_to_json(calibration_report(rb));
-  const std::vector<Json> snaps = {ja, jb};
-  const Json merged = obs::merge_snapshots(snaps);
-
-  const Json& cal = merged.at("calibration");
-  EXPECT_EQ(cal.at("schema").as_string(), "h2p.drift/v1");
-  EXPECT_EQ(cal.at("records").as_number(), 3.0);
-  ASSERT_EQ(cal.at("cells").size(), 1u);
-  const Json& cell = cal.at("cells").at(0);
-  EXPECT_DOUBLE_EQ(cell.at("sum_predicted_ms").as_number(), 40.0);
-  EXPECT_DOUBLE_EQ(cell.at("sum_executed_ms").as_number(), 44.0);
-  EXPECT_DOUBLE_EQ(cell.at("correction").as_number(), 1.1);  // 44 / 40
-
-  std::vector<SliceRecord> all = ra;
-  all.insert(all.end(), rb.begin(), rb.end());
-  const obs::CalibrationReport whole = calibration_report(all);
-  EXPECT_DOUBLE_EQ(cell.at("correction").as_number(),
-                   whole.cells[0].correction());
-}
-
-TEST(FleetMerge, MergeIsAssociative) {
-  // merge(A, merge(B, C)) == merge(merge(A, B), C), byte for byte.  Dyadic
-  // values keep double addition exact, so dump comparison is fair.
-  auto report_doc = [](double pred, double exec, std::size_t proc) {
-    std::vector<SliceRecord> recs = {make_record(pred, exec, proc)};
-    return calibration_report_to_json(calibration_report(recs));
-  };
-  const Json a = report_doc(8.0, 10.0, 0);
-  const Json b = report_doc(4.0, 3.0, 1);
-  const Json c = report_doc(16.0, 20.0, 0);
-
-  const std::vector<Json> bc = {b, c};
-  const std::vector<Json> left_in = {a, obs::merge_snapshots(bc)};
-  const Json left = obs::merge_snapshots(left_in);
-
-  const std::vector<Json> ab = {a, b};
-  const std::vector<Json> right_in = {obs::merge_snapshots(ab), c};
-  const Json right = obs::merge_snapshots(right_in);
-
-  EXPECT_EQ(left.dump(), right.dump());
-  EXPECT_EQ(left.at("fleet").at("snapshots").as_number(), 3.0);
-}
-
-TEST(FleetMerge, MismatchedHistogramBoundsThrow) {
-  obs::Registry a;
-  a.set_enabled(true);
-  a.histogram("h", {1.0, 2.0}).observe(0.5);
-  obs::Registry b;
-  b.set_enabled(true);
-  b.histogram("h", {1.0, 4.0}).observe(0.5);
-  const std::vector<Json> snaps = {a.snapshot(), b.snapshot()};
-  EXPECT_THROW({ (void)obs::merge_snapshots(snaps); }, std::runtime_error);
-  const std::vector<Json> empty;
-  EXPECT_THROW({ (void)obs::merge_snapshots(empty); }, std::invalid_argument);
 }
 
 }  // namespace

@@ -136,6 +136,21 @@ TEST(ObsRegistry, SnapshotShapeAndHostBlock) {
   EXPECT_EQ(reparsed.at("counters").at("a.count").as_number(), 5.0);
 }
 
+TEST(ObsRegistry, HistogramSummaryHasInterpolatedPercentiles) {
+  // Registry::snapshot exposes interpolated p50/p90/p95/p99 per histogram.
+  obs::Registry reg;
+  reg.set_enabled(true);
+  obs::Histogram& h = reg.histogram("lat", {1.0, 2.0, 4.0, 8.0});
+  for (int i = 1; i <= 100; ++i) h.observe(static_cast<double>(i % 8));
+  const Json snap = reg.snapshot();
+  const Json& summary = snap.at("histograms").at("lat").at("summary");
+  for (const char* key : {"p50", "p90", "p95", "p99"}) {
+    ASSERT_TRUE(summary.contains(key)) << key;
+  }
+  EXPECT_LE(summary.at("p50").as_number(), summary.at("p95").as_number());
+  EXPECT_LE(summary.at("p95").as_number(), summary.at("p99").as_number());
+}
+
 TEST(ObsRegistry, HistogramBadBoundsThrow) {
   obs::Registry reg;
   EXPECT_THROW(reg.histogram("bad", {2.0, 1.0}), std::invalid_argument);

@@ -77,14 +77,27 @@ TEST(Serialize, SocValidation) {
   j["name"] = Json::string("x");
   EXPECT_THROW(soc_from_json(j), std::runtime_error);  // missing processors
 
-  Json full = soc_to_json(Soc::kirin990());
-  (void)full["processors"].at(std::size_t{0});  // sanity
-  Json bad = Json::parse(full.dump());
-  bad["processors"] = Json::array();
-  Json pj = Json::object();
-  pj["name"] = Json::string("p");
-  pj["kind"] = Json::string("WEIRD");
-  EXPECT_NO_THROW(bad.dump());
+  // A SoC with no processors has nothing to plan on.
+  Json empty = soc_to_json(Soc::kirin990());
+  empty["processors"] = Json::array();
+  try {
+    (void)soc_from_json(empty);
+    ADD_FAILURE() << "empty processors accepted";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("\"processors\""), std::string::npos)
+        << e.what();
+  }
+
+  // batch_capacity is a positive integer, not a truncated double.
+  const std::string text = soc_to_json(Soc::kirin990()).dump();
+  const std::string field = "\"batch_capacity\":";
+  const std::size_t at = text.find(field) + field.size();
+  const std::size_t end = text.find_first_of(",}", at);
+  for (const char* cap : {"0", "-1", "1.5", "1e300"}) {
+    std::string bad = text;
+    bad.replace(at, end - at, cap);
+    EXPECT_THROW(soc_from_json(Json::parse(bad)), std::runtime_error) << cap;
+  }
 }
 
 TEST(Serialize, TimelineExport) {

@@ -62,13 +62,6 @@
 //                                     cache decisions, window steps)
 //                 --log-level <l>     debug|info|warn|error|off (def. warn)
 //                 --log-out <f>       JSONL event log file (def. stderr)
-//   h2p_cli fleet-merge [--out <f>] snap1.json snap2.json [...]
-//        merge N registry/drift snapshots (--metrics-out / --drift-out
-//        files, or previous fleet-merge outputs) into one fleet report:
-//        counters sum, gauges last-write, histogram buckets sum with
-//        percentiles recomputed, calibration cells join on (proc, kind,
-//        bucket).  Associative: partial merges compose.  --out omitted
-//        prints to stdout.
 //
 // Every plan runs on one thread; `online --async` adds the prefetch pool.
 // Integer flag values must be whole decimal numbers: positive, except the
@@ -115,7 +108,7 @@ namespace {
 int usage() {
   std::fprintf(stderr,
                "usage: h2p_cli "
-               "<socs|models|plan|simulate|compare|online|fleet-merge> "
+               "<socs|models|plan|simulate|compare|online> "
                "[options]\n"
                "see the header of tools/h2p_cli.cpp for details\n");
   return 2;
@@ -182,7 +175,6 @@ const std::map<std::string_view, std::vector<std::string_view>> kCommandFlags = 
       "--faults-out=", "--thermal-loop", "--thermal-scale=", "--deadline=",
       "--deadline-policy=", "--drift-out=", "--metrics-out=", "--trace-out=",
       "--log-level=", "--log-out="}},
-    {"fleet-merge", {"--out="}},
 };
 
 /// The first `--flag` in argv that `accepted` does not list, if any.
@@ -833,46 +825,6 @@ int cmd_online(int argc, char** argv) {
   return 0;
 }
 
-int cmd_fleet_merge(int argc, char** argv) {
-  const auto out_file = arg_value(argc, argv, "--out");
-  std::vector<Json> snapshots;
-  for (int i = 0; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--out") == 0) {
-      ++i;  // skip the value
-      continue;
-    }
-    std::ifstream in(argv[i]);
-    if (!in) {
-      std::fprintf(stderr, "cannot open %s\n", argv[i]);
-      return 1;
-    }
-    std::stringstream buf;
-    buf << in.rdbuf();
-    try {
-      snapshots.push_back(Json::parse(buf.str()));
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "%s: %s\n", argv[i], e.what());
-      return 1;
-    }
-  }
-  if (snapshots.empty()) {
-    std::fprintf(stderr, "fleet-merge: no snapshot files given\n");
-    return usage();
-  }
-  const Json merged = obs::merge_snapshots(snapshots);
-  if (out_file) {
-    std::ofstream f(*out_file);
-    if (!f) {
-      std::fprintf(stderr, "cannot open %s\n", out_file->c_str());
-      return 1;
-    }
-    f << merged.dump();
-  } else {
-    std::printf("%s\n", merged.dump().c_str());
-  }
-  return 0;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -893,7 +845,6 @@ int main(int argc, char** argv) {
     if (cmd == "simulate") return cmd_simulate(argc - 2, argv + 2);
     if (cmd == "compare") return cmd_compare(argc - 2, argv + 2);
     if (cmd == "online") return cmd_online(argc - 2, argv + 2);
-    if (cmd == "fleet-merge") return cmd_fleet_merge(argc - 2, argv + 2);
   } catch (const std::exception& e) {
     std::fprintf(stderr, "%s: %s\n", cmd.c_str(), e.what());
     return 1;
