@@ -75,12 +75,14 @@ IncrementalStaticScorer::IncrementalStaticScorer(const StaticEvaluator& eval,
   }
 
   if (m_ == 0) return;
-  const std::size_t num_cols = m_ + K_ - 1;
-  colmax_.resize(num_cols);
-  const RowView no_override;
-  for (std::size_t j = 0; j < num_cols; ++j) {
-    // slot = m_ is out of range: every row comes from the cache.
-    colmax_[j] = column_max(j, m_, no_override, m_);
+  colmax_.resize(m_ + K_ - 1);
+  refresh_columns(0, colmax_.size());
+}
+
+void IncrementalStaticScorer::refresh_columns(std::size_t lo, std::size_t hi) {
+  const RowView no_override;  // slot m_ is out of range: every row is cached
+  for (std::size_t j = lo; j < hi; ++j) {
+    colmax_[j] = column_max(j, m_, no_override);
   }
   base_score_ = 0.0;
   for (const double c : colmax_) base_score_ += c;
@@ -125,8 +127,7 @@ void IncrementalStaticScorer::store_row(std::size_t slot, const RowView& row) {
 }
 
 double IncrementalStaticScorer::column_max(std::size_t j, std::size_t slot,
-                                           const RowView& row_override,
-                                           std::size_t num_rows) const {
+                                           const RowView& row_override) const {
   // Mirrors StaticEvaluator::stage_times for one column: members gathered
   // in ascending-stage order deposit their intensity into the dense
   // per-processor buffer, each victim's Eq. 2 sum is the fixed-order dot
@@ -147,7 +148,7 @@ double IncrementalStaticScorer::column_max(std::size_t j, std::size_t slot,
   for (std::size_t k = 0; k < K_; ++k) {
     if (j < k) continue;
     const std::size_t i = j - k;
-    if (i >= num_rows) continue;
+    if (i >= m_) continue;
     double solo, intensity, sensitivity;
     bool active;
     if (i == slot) {
@@ -196,50 +197,15 @@ double IncrementalStaticScorer::score_with(std::size_t slot,
   assert(slot < m_);
   const RowView row = fill_row(model_index_[slot], slices);
 
-  const std::size_t num_cols = m_ + K_ - 1;
-  const std::size_t lo = slot;
+  const std::size_t num_cols = colmax_.size();
   const std::size_t hi = std::min(slot + K_, num_cols);  // exclusive
   double total = 0.0;
   // Full ascending column sum, exactly as makespan_ms performs it — only
   // the ≤ K affected columns are *recomputed*.
   for (std::size_t j = 0; j < num_cols; ++j) {
-    total += (j >= lo && j < hi) ? column_max(j, slot, row, m_) : colmax_[j];
+    total += (j >= slot && j < hi) ? column_max(j, slot, row) : colmax_[j];
   }
   return total;
-}
-
-double IncrementalStaticScorer::score_appended(
-    std::size_t model_index, std::span<const Slice> slices) const {
-  const RowView row = fill_row(model_index, slices);
-  // Columns j < m_ have no member from the appended row and keep their
-  // cached maxima; columns [m_, m_+K-1] are recomputed with the new row
-  // participating as slot m_ of an (m_+1)-row plan.
-  double total = 0.0;
-  for (std::size_t j = 0; j < m_; ++j) total += colmax_[j];
-  for (std::size_t j = m_; j < m_ + K_; ++j) {
-    total += column_max(j, m_, row, m_ + 1);
-  }
-  return total;
-}
-
-void IncrementalStaticScorer::apply_appended(std::size_t model_index,
-                                             std::span<const Slice> slices) {
-  const RowView row = fill_row(model_index, slices);
-  model_index_.push_back(model_index);
-  cell_solo_.resize((m_ + 1) * Kp_, 0.0);
-  cell_intensity_.resize((m_ + 1) * Kp_, 0.0);
-  cell_sensitivity_.resize((m_ + 1) * Kp_, 0.0);
-  cell_active_.resize((m_ + 1) * Kp_, 0);
-  store_row(m_, row);
-  ++m_;
-
-  colmax_.resize(m_ + K_ - 1);
-  const RowView no_override;
-  for (std::size_t j = m_ - 1; j < m_ + K_ - 1; ++j) {
-    colmax_[j] = column_max(j, m_, no_override, m_);
-  }
-  base_score_ = 0.0;
-  for (const double c : colmax_) base_score_ += c;
 }
 
 void IncrementalStaticScorer::apply(std::size_t slot,
@@ -248,14 +214,7 @@ void IncrementalStaticScorer::apply(std::size_t slot,
   assert(slot < m_);
   store_row(slot, fill_row(model_index_[slot], slices));
 
-  const std::size_t num_cols = m_ + K_ - 1;
-  const std::size_t hi = std::min(slot + K_, num_cols);
-  const RowView no_override;
-  for (std::size_t j = slot; j < hi; ++j) {
-    colmax_[j] = column_max(j, m_, no_override, m_);
-  }
-  base_score_ = 0.0;
-  for (const double c : colmax_) base_score_ += c;
+  refresh_columns(slot, std::min(slot + K_, colmax_.size()));
 }
 
 double fork_join_wavefront_ms(const ContentionModel& contention,

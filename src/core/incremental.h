@@ -44,19 +44,6 @@ class IncrementalStaticScorer {
   [[nodiscard]] double score_with(std::size_t slot,
                                   std::span<const Slice> slices) const;
 
-  /// Static contended makespan of the base plan with a *new* model (cost
-  /// table `model_index`) appended as slot m.  Appending only perturbs the
-  /// trailing wavefront columns j ∈ [m, m+K-1] — every earlier column has no
-  /// member from the new row — so the evaluation is O(K²) contention work,
-  /// like `score_with`.  Bit-identical to a full evaluation of the
-  /// (m+1)-slot plan.  Warm-start replanning uses this to audition candidate
-  /// slicings of the one model a near-miss window adds.
-  [[nodiscard]] double score_appended(std::size_t model_index,
-                                      std::span<const Slice> slices) const;
-
-  /// Commit an appended row: the scorer now tracks m+1 slots.
-  void apply_appended(std::size_t model_index, std::span<const Slice> slices);
-
   /// Commit `slices` into the base plan and refresh the affected caches.
   void apply(std::size_t slot, std::span<const Slice> slices);
 
@@ -74,12 +61,10 @@ class IncrementalStaticScorer {
   };
 
   /// Per-stage solo/intensity/sensitivity of `slices` for one model (by
-  /// cost-table index, so appended rows need no pre-registered slot),
-  /// written into the calling thread's workspace row.
+  /// cost-table index), written into the calling thread's workspace row.
   RowView fill_row(std::size_t model_index, std::span<const Slice> slices) const;
 
-  /// Copy a filled row into the flat cell arrays at `slot` (which must
-  /// already be within the arrays' extent).
+  /// Copy a filled row into the flat cell arrays at `slot`.
   void store_row(std::size_t slot, const RowView& row);
 
   /// Contended maximum of wavefront column j, reading row `slot` from
@@ -87,11 +72,12 @@ class IncrementalStaticScorer {
   /// Reproduces StaticEvaluator::stage_times + makespan_ms for that column
   /// exactly: same k-ascending member enumeration, the same dense
   /// fixed-order Eq. 2 dot product (util/simd.h), and a lane-wide max over
-  /// the contended column times.  `num_rows` is the plan height (m_, or
-  /// m_+1 when an appended row is being evaluated as slot m_).
+  /// the contended column times.
   [[nodiscard]] double column_max(std::size_t j, std::size_t slot,
-                                  const RowView& row_override,
-                                  std::size_t num_rows) const;
+                                  const RowView& row_override) const;
+
+  /// Recompute the cached maxima of columns [lo, hi) and the base score.
+  void refresh_columns(std::size_t lo, std::size_t hi);
 
   const StaticEvaluator* eval_;
   std::size_t m_ = 0;

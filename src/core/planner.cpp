@@ -13,6 +13,18 @@
 #include "sim/pipeline_sim.h"
 
 namespace h2p {
+namespace {
+
+std::vector<double> intensities_of(const StaticEvaluator& eval) {
+  std::vector<double> intensities;
+  intensities.reserve(eval.num_models());
+  for (std::size_t i = 0; i < eval.num_models(); ++i) {
+    intensities.push_back(eval.model_intensity(i));
+  }
+  return intensities;
+}
+
+}  // namespace
 
 PlannerReport Hetero2PipePlanner::plan() const {
   static obs::Counter& cold_plans =
@@ -24,7 +36,6 @@ PlannerReport Hetero2PipePlanner::plan() const {
   obs::Span plan_span("planner.plan_cold");
   plan_span.arg("models", static_cast<double>(eval_->num_models()));
 
-  PlannerReport report;
   const std::size_t K =
       opts_.num_stages ? opts_.num_stages : eval_->soc().num_processors();
 
@@ -38,20 +49,13 @@ PlannerReport Hetero2PipePlanner::plan() const {
   MitigationResult mitigation;
   {
     obs::Span span("planner.mitigation");
-    std::vector<double> intensities;
-    intensities.reserve(eval_->num_models());
-    for (std::size_t i = 0; i < eval_->num_models(); ++i) {
-      intensities.push_back(eval_->model_intensity(i));
-    }
     if (opts_.contention_mitigation) {
-      mitigation =
-          mitigate_contention(intensities, K, opts_.classifier_percentile);
+      mitigation = mitigate_contention(intensities_of(*eval_), K,
+                                       opts_.classifier_percentile);
     } else {
       mitigation.order.resize(eval_->num_models());
-      for (std::size_t i = 0; i < mitigation.order.size(); ++i) mitigation.order[i] = i;
-      ContentionClassifier classifier(opts_.classifier_percentile);
-      classifier.fit(intensities);
-      for (double v : intensities) mitigation.high.push_back(classifier.is_high(v));
+      std::iota(mitigation.order.begin(), mitigation.order.end(), std::size_t{0});
+      mitigation.high = classify();
     }
   }
 
@@ -68,21 +72,10 @@ PlannerReport Hetero2PipePlanner::plan() const {
   // simulator: the static wavefront objective undervalues whole-model
   // parallelism (a collapsed model overlaps neighbouring columns in
   // reality), and the DES on a handful of tasks is cheap.
-  const PlanScorer des_scorer = [this](const PipelinePlan& p) {
-    // simulate_plan_makespan lowers straight into a thread-local SoA
-    // TaskTable and reuses a thread-local SimScratch: allocation-free per
-    // candidate after warm-up (the tail sweep scores hundreds per window).
-    double score = simulate_plan_makespan(p, *eval_);
-    // Constraint (6): a layout whose concurrent residents overflow free
-    // memory would swap on a real device ("substantial performance
-    // slowdown", §VI-D) — penalize it so the local search prefers
-    // feasible layouts whenever one is reachable.
-    if (!eval_->satisfies_memory(p)) score *= 1.5;
-    return score;
-  };
+  const PlanScorer des = des_scorer();
 
   // Each branch carries out its tail sweep's final score, which is the
-  // score des_scorer would give the branch plan; a branch re-scores only
+  // score `des` would give the branch plan; a branch re-scores only
   // when no sweep ran, and only if the comparison needs it.
   struct Branch {
     PipelinePlan plan;
@@ -91,7 +84,7 @@ PlannerReport Hetero2PipePlanner::plan() const {
   std::uint64_t branch_calls = 0;
   const auto branch_score = [&](Branch& b) {
     if (std::isnan(b.score)) {
-      b.score = des_scorer(b.plan);
+      b.score = des(b.plan);
       ++branch_calls;
     }
     return b.score;
@@ -106,14 +99,15 @@ PlannerReport Hetero2PipePlanner::plan() const {
     if (opts_.work_stealing) {
       WorkStealingOptions ws;
       ws.tail_optimization = opts_.tail_optimization;
-      *moves = vertical_align(b.plan, *eval_, ws, des_scorer, &b.score);
+      *moves = vertical_align(b.plan, *eval_, ws, des, &b.score);
     } else if (opts_.tail_optimization) {
-      optimize_tail(b.plan, *eval_, des_scorer, &b.score);
+      optimize_tail(b.plan, *eval_, des, &b.score);
     }
     return b;
   };
 
-  Branch best = finalize(mitigation.order, &report.layers_stolen);
+  int layers_stolen = 0;
+  Branch best = finalize(mitigation.order, &layers_stolen);
   if (opts_.contention_mitigation && mitigation.relocations > 0) {
     std::vector<std::size_t> identity(pipeline.models.size());
     std::iota(identity.begin(), identity.end(), std::size_t{0});
@@ -121,21 +115,49 @@ PlannerReport Hetero2PipePlanner::plan() const {
     Branch original = finalize(identity, &identity_moves);
     if (branch_score(original) + 1e-9 < branch_score(best)) {
       best = std::move(original);
-      report.layers_stolen = identity_moves;
+      layers_stolen = identity_moves;
     }
   }
   static obs::Counter& c_branch_calls =
       obs::Registry::global().counter("planner.score_calls.branch");
   c_branch_calls.inc(branch_calls);
-  pipeline = std::move(best.plan);
+  return report_for(std::move(best.plan), std::move(mitigation), layers_stolen);
+}
 
+std::vector<bool> Hetero2PipePlanner::classify() const {
+  const std::vector<double> intensities = intensities_of(*eval_);
+  ContentionClassifier classifier(opts_.classifier_percentile);
+  classifier.fit(intensities);
+  return classifier.classify(intensities);
+}
+
+PlanScorer Hetero2PipePlanner::des_scorer() const {
+  return [this](const PipelinePlan& p) {
+    // simulate_plan_makespan lowers straight into a thread-local SoA
+    // TaskTable and reuses a thread-local SimScratch: allocation-free per
+    // candidate after warm-up (the tail sweep scores hundreds per window).
+    double score = simulate_plan_makespan(p, *eval_);
+    // Constraint (6): a layout whose concurrent residents overflow free
+    // memory would swap on a real device ("substantial performance
+    // slowdown", §VI-D) — penalize it so the local search prefers
+    // feasible layouts whenever one is reachable.
+    if (!eval_->satisfies_memory(p)) score *= 1.5;
+    return score;
+  };
+}
+
+PlannerReport Hetero2PipePlanner::report_for(PipelinePlan plan,
+                                             MitigationResult mitigation,
+                                             int layers_stolen) const {
+  PlannerReport report;
   const StaticEvaluator::StaticSummary summary =
-      eval_->summarize(pipeline, /*with_contention=*/true);
+      eval_->summarize(plan, /*with_contention=*/true);
   report.static_makespan_ms = summary.makespan_ms;
   report.static_bubble_ms = summary.bubble_ms;
-  report.memory_ok = eval_->satisfies_memory(pipeline);
+  report.memory_ok = eval_->satisfies_memory(plan);
+  report.layers_stolen = layers_stolen;
   report.mitigation = std::move(mitigation);
-  report.plan = std::move(pipeline);
+  report.plan = std::move(plan);
   return report;
 }
 

@@ -65,17 +65,17 @@ class Hetero2PipePlanner {
 
   /// Warm-start replanning from a near-miss cached plan (same SoC + knobs,
   /// model multiset within one add/remove/substitute of this evaluator's —
-  /// the entries `exec::PlanCache::find_near` serves).  Instead of running
-  /// Algorithm 1 and the full mitigation + alignment passes from scratch,
-  /// the seed's per-model boundaries and its mitigated order are inherited;
-  /// only the one model the window adds (if any) is DP-sliced, placed into
-  /// the removed model's slot (Def.-4 permitting) with its slicing
-  /// auditioned by the incremental static scorer, and the result is settled
-  /// with two DES evaluations plus one DES-scored tail sweep — against the
-  /// cold path's two full DES-aligned branches, which is what makes a warm
-  /// replan several times cheaper than a cold one.  Returns nullopt when
-  /// the seed is unusable (stage-count mismatch, more than one model of
-  /// delta, non-grid seed); callers then fall back to `plan()`.
+  /// the entries `exec::PlanCache::find_near` serves).  The seed's
+  /// per-model boundaries and mitigated order are inherited; only the one
+  /// model the window adds (if any) is DP-sliced, placed into the removed
+  /// model's slot (Def.-4 permitting) and its slicing auditioned against
+  /// the K single-processor collapses by the incremental static scorer.
+  /// The plan is then settled: two DES evaluations arbitrate a static
+  /// re-alignment, and one DES-scored tail sweep follows — against the cold
+  /// path's two full DES-aligned branches, which is what makes a warm
+  /// replan several times cheaper.  Returns nullopt when the seed is
+  /// unusable (stage-count mismatch, more than one model of delta, non-grid
+  /// seed); callers then fall back to `plan()`.
   ///
   /// A warm-started plan is NOT guaranteed bit-identical to the cold plan
   /// for the same window — it is a different (cheaper) search path.  Tests
@@ -84,19 +84,17 @@ class Hetero2PipePlanner {
   [[nodiscard]] std::optional<PlannerReport> plan_warm(
       const exec::CompiledPlan& seed) const;
 
-  /// Degraded warm-start: replan the SAME window after processors dropped
+  /// Degraded warm start: replan the SAME window after processors dropped
   /// out, seeding from the plan compiled for the healthy SoC.  This
   /// planner's evaluator must be built for the degraded SoC view (one stage
   /// per surviving processor); `kept_procs[k]` names the healthy-plan stage
-  /// that degraded stage k corresponds to (strictly increasing).  Each
-  /// model keeps its slicing on surviving stages; a dropped stage's layer
-  /// range is merged into the adjacent surviving stage (previous if one
-  /// exists, else next), and the imbalance that merge introduces is settled
-  /// the same way plan_warm settles: a DES-arbitrated static re-alignment
-  /// plus one DES-scored tail sweep.  Returns nullopt when the seed is
-  /// unusable (stage/processor-map mismatch, different model multiset,
-  /// non-grid seed); callers then fall back to a cold plan on the degraded
-  /// view.
+  /// that degraded stage k corresponds to (strictly increasing; the
+  /// identity map re-settles a plan whose cost tables moved, e.g. under a
+  /// degraded bus).  A dropped stage's layer range merges into the adjacent
+  /// surviving stage (previous if one exists, else next); the result is
+  /// settled exactly as plan_warm settles.  Returns nullopt when the seed
+  /// is unusable (stage/processor-map mismatch, different model multiset,
+  /// non-grid seed); callers then fall back to a cold plan.
   [[nodiscard]] std::optional<PlannerReport> plan_degraded(
       const exec::CompiledPlan& seed,
       const std::vector<std::size_t>& kept_procs) const;
@@ -104,6 +102,19 @@ class Hetero2PipePlanner {
   [[nodiscard]] const PlannerOptions& options() const { return opts_; }
 
  private:
+  /// H/L labels (§V-B) by model index, thresholded on this window.
+  [[nodiscard]] std::vector<bool> classify() const;
+  /// DES makespan with constraint (6)'s ×1.5 penalty on memory overflow:
+  /// what every DES-in-the-loop search here minimizes.
+  [[nodiscard]] PlanScorer des_scorer() const;
+  [[nodiscard]] PlannerReport report_for(PipelinePlan plan,
+                                         MitigationResult mitigation,
+                                         int layers_stolen) const;
+  /// The seeded replans' shared tail: stamp the labels `high` (by model
+  /// index) on `plan`'s rows, settle it and report it.
+  [[nodiscard]] PlannerReport settle(PipelinePlan plan,
+                                     std::vector<bool> high) const;
+
   const StaticEvaluator* eval_;
   PlannerOptions opts_;
 };

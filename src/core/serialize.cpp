@@ -1,5 +1,7 @@
 #include "core/serialize.h"
 
+#include <cmath>
+#include <cstdio>
 #include <stdexcept>
 #include <string>
 
@@ -14,6 +16,20 @@ ProcKind proc_kind_from(const std::string& s) {
     if (s == to_string(k)) return k;
   }
   throw std::runtime_error("soc_from_json: unknown processor kind " + s);
+}
+
+/// A numeric field that must be finite and > 0 (>= 0 with `zero_ok`).
+double soc_number(const Json& obj, const char* field, const std::string& where,
+                  bool zero_ok = false) {
+  const double x = obj.at(field).as_number();
+  if (!std::isfinite(x) || x < 0.0 || (x == 0.0 && !zero_ok)) {
+    char buf[64];
+    std::snprintf(buf, sizeof(buf), "%g", x);
+    throw std::runtime_error(where + ": \"" + field + "\" must be a finite " +
+                             (zero_ok ? "non-negative" : "positive") +
+                             " number, got " + buf);
+  }
+  return x;
 }
 
 }  // namespace
@@ -64,31 +80,33 @@ Soc soc_from_json(const Json& j) {
     Processor proc;
     proc.name = p.at("name").as_string();
     proc.kind = proc_kind_from(p.at("kind").as_string());
-    proc.peak_gflops = p.at("peak_gflops").as_number();
-    proc.mem_bw_gbps = p.at("mem_bw_gbps").as_number();
-    proc.l2_bytes = p.at("l2_bytes").as_number();
-    proc.launch_overhead_ms = p.at("launch_overhead_ms").as_number();
+    proc.peak_gflops = soc_number(p, "peak_gflops", where);
+    proc.mem_bw_gbps = soc_number(p, "mem_bw_gbps", where);
+    proc.l2_bytes = soc_number(p, "l2_bytes", where, true);
+    proc.launch_overhead_ms = soc_number(p, "launch_overhead_ms", where, true);
     proc.batch_capacity = static_cast<int>(json_index(
         p.at("batch_capacity"), 2147483648.0, where, "batch_capacity"));
     if (proc.batch_capacity == 0) {
       throw std::runtime_error(where + ": \"batch_capacity\" must be positive");
     }
-    proc.copy_in_latency_ms = p.at("copy_in_latency_ms").as_number();
-    proc.tdp_watts = p.at("tdp_watts").as_number();
+    proc.copy_in_latency_ms = soc_number(p, "copy_in_latency_ms", where, true);
+    proc.tdp_watts = soc_number(p, "tdp_watts", where, true);
     procs.push_back(std::move(proc));
   }
 
   std::vector<MemFreqState> states;
   const Json& sj = j.at("mem_states");
   for (std::size_t i = 0; i < sj.size(); ++i) {
-    states.push_back(MemFreqState{sj.at(i).at("mhz").as_number(),
-                                  sj.at(i).at("bw_gbps").as_number()});
+    const std::string where = "soc_from_json: mem_state " + std::to_string(i);
+    states.push_back(MemFreqState{soc_number(sj.at(i), "mhz", where),
+                                  soc_number(sj.at(i), "bw_gbps", where)});
   }
 
+  const std::string where = "soc_from_json";
   return Soc(j.at("name").as_string(), std::move(procs),
-             j.at("bus_bw_gbps").as_number(),
-             j.at("mem_capacity_bytes").as_number(),
-             j.at("available_bytes").as_number(), std::move(states));
+             soc_number(j, "bus_bw_gbps", where),
+             soc_number(j, "mem_capacity_bytes", where),
+             soc_number(j, "available_bytes", where), std::move(states));
 }
 
 Json plan_to_json(const PipelinePlan& plan) {

@@ -13,9 +13,12 @@ namespace h2p {
 /// device descriptions).  Formats are stable and human-editable.
 
 Json soc_to_json(const Soc& soc);
-/// Parses a device description; throws std::runtime_error on missing or
-/// ill-typed fields, an empty "processors" list, or a "batch_capacity"
-/// that is not a positive integer.
+/// Parses a device description; throws std::runtime_error, naming the
+/// processor or mem state and the field, on missing or ill-typed fields,
+/// an empty "processors" list, a "batch_capacity" that is not a positive
+/// integer, a rate, bandwidth or memory size that is not finite and
+/// positive, or a cache size, latency or power that is negative or
+/// non-finite.
 Soc soc_from_json(const Json& j);
 
 Json plan_to_json(const PipelinePlan& plan);

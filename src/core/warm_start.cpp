@@ -1,16 +1,14 @@
-// Warm-start replanning: Hetero2PipePlanner::plan_warm.
+// Seeded replanning: Hetero2PipePlanner::plan_warm and plan_degraded.
 //
-// A near-miss plan-cache entry (same SoC, same knobs, model multiset within
-// one add/remove/substitute — exec::PlanCache::find_near) already paid for
-// the expensive parts of planning its window: the Algorithm-1 DPs, the
-// mitigation ordering, and the DES-scored alignment.  For the window that
-// almost repeats it, replanning from scratch re-derives nearly all of that.
-// plan_warm instead inherits the seed's boundaries and order, DP-slices only
-// the one model the window adds, places it into the removed model's slot
-// (Def.-4 permitting), auditions its slicing with the incremental static
-// scorer, and settles the final plan with two discrete-event evaluations —
-// against the hundreds of DES *scorings* inside the cold planner's
-// alignment and tail candidate loops, which is where cold spends its time.
+// A near-miss plan-cache entry (exec::PlanCache::find_near) already paid
+// for the expensive parts of planning its window: the Algorithm-1 DPs, the
+// mitigation ordering and the DES-scored alignment.  plan_warm inherits the
+// seed's boundaries and order, DP-slices only the one model the window
+// adds, places it by Def. 4 and auditions its slicing with the incremental
+// static scorer; plan_degraded projects the window's healthy-SoC plan onto
+// the surviving processors.  Both then share one decode, slot match,
+// relabel, settle and report — two DES evaluations and one DES-scored tail
+// sweep, against the hundreds of DES scorings a cold plan spends.
 #include <algorithm>
 #include <deque>
 #include <optional>
@@ -18,7 +16,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "contention/classifier.h"
 #include "core/incremental.h"
 #include "core/mitigation.h"
 #include "core/planner.h"
@@ -26,16 +23,63 @@
 #include "exec/compiled_plan.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "sim/pipeline_sim.h"
 
 namespace h2p {
 namespace {
 
+/// The seed as a grid plan, or nullopt when it cannot seed.  A DAG plan can
+/// occupy one (slot, proc) cell per slice and still carry fork/join edges
+/// the grid round-trip would silently drop, so those are refused up front,
+/// not just the duplicate (slot, proc) cells to_pipeline_plan throws on.
+std::optional<PipelinePlan> decode_seed(const exec::CompiledPlan& seed) {
+  if (!seed.chain_precedence()) return std::nullopt;
+  try {
+    return exec::to_pipeline_plan(seed);
+  } catch (const std::exception&) {
+    return std::nullopt;  // non-grid schedule; cannot seed
+  }
+}
+
+/// Seed slots matched to the evaluator's models by name, multiset-wise:
+/// duplicates pair up in (slot order, evaluator order).
+struct SlotMatch {
+  std::vector<std::size_t> model_of_slot;  // evaluator index; m = removed
+  std::size_t removed = 0;                 // seed slots left unmatched
+  std::vector<std::size_t> added;          // unmatched evaluator indices, ascending
+};
+
+SlotMatch match_slots(const exec::CompiledPlan& seed,
+                      const StaticEvaluator& eval) {
+  const std::size_t m = eval.num_models();
+  std::unordered_map<std::string, std::deque<std::size_t>> free_by_name;
+  for (std::size_t i = 0; i < m; ++i) {
+    free_by_name[eval.model(i).name()].push_back(i);
+  }
+  SlotMatch match;
+  match.model_of_slot.assign(seed.num_models, m);
+  for (std::size_t slot = 0; slot < seed.num_models; ++slot) {
+    auto& queue = free_by_name[seed.model_names[slot]];
+    if (queue.empty()) {
+      ++match.removed;
+      continue;
+    }
+    match.model_of_slot[slot] = queue.front();
+    queue.pop_front();
+  }
+  for (const auto& [name, queue] : free_by_name) {
+    for (const std::size_t idx : queue) match.added.push_back(idx);
+  }
+  std::sort(match.added.begin(), match.added.end());
+  return match;
+}
+
 /// optimize_tail's candidate set for one slot — the K single-processor
-/// collapses — scored incrementally and accepted only on strict improvement,
-/// with the same ascending-collapse tie-breaking.
-bool audition_collapses(IncrementalStaticScorer& inc, PipelinePlan& plan,
-                        const StaticEvaluator& eval, std::size_t slot) {
+/// collapses — scored against the slot's current slicing by the
+/// incremental static scorer (O(K²) work per candidate) and accepted only
+/// on strict improvement, with the same ascending-collapse tie-breaking.
+void audition_collapses(PipelinePlan& plan, const StaticEvaluator& eval,
+                        std::size_t slot) {
+  const IncrementalStaticScorer inc(eval, plan);
   const std::size_t K = plan.num_stages;
   const std::size_t n = eval.model(plan.models[slot].model_index).num_layers();
   std::vector<Slice> collapsed(K);
@@ -54,15 +98,49 @@ bool audition_collapses(IncrementalStaticScorer& inc, PipelinePlan& plan,
       accepted = static_cast<int>(s);
     }
   }
-  if (accepted < 0) return false;
+  if (accepted < 0) return;
   std::fill(plan.models[slot].slices.begin(), plan.models[slot].slices.end(),
             Slice{0, 0});
   plan.models[slot].slices[static_cast<std::size_t>(accepted)] = Slice{0, n};
-  inc.apply(slot, plan.models[slot].slices);
-  return true;
 }
 
 }  // namespace
+
+PlannerReport Hetero2PipePlanner::settle(PipelinePlan plan,
+                                         std::vector<bool> high) const {
+  for (ModelPlan& mp : plan.models) mp.high_contention = high[mp.model_index];
+  // The seeded boundaries were DES-aligned for a nearby window, so they are
+  // near-good; a static re-alignment sometimes helps and sometimes hurts
+  // (the wavefront objective undervalues whole-model parallelism), so two
+  // DES evaluations arbitrate it.  One DES-scored tail sweep then polishes
+  // the winner: ≤ m·K candidates, most pruned by the solo-work bound.
+  int layers_stolen = 0;
+  const PlanScorer des = des_scorer();
+  if (opts_.work_stealing && !plan.models.empty()) {
+    PipelinePlan aligned = plan;
+    WorkStealingOptions ws;
+    ws.tail_optimization = opts_.tail_optimization;
+    const int moves = vertical_align(aligned, *eval_, ws);
+    if (des(aligned) + 1e-9 < des(plan)) {
+      plan = std::move(aligned);
+      layers_stolen = moves;
+    }
+  }
+  if (opts_.tail_optimization && !plan.models.empty()) {
+    optimize_tail(plan, *eval_, des);
+  }
+
+  // The seeded order keeps the seed's mitigation; report it as is.
+  MitigationResult mitigation;
+  mitigation.high = std::move(high);
+  std::vector<bool> in_order;
+  for (const ModelPlan& mp : plan.models) {
+    mitigation.order.push_back(mp.model_index);
+    in_order.push_back(mp.high_contention);
+  }
+  mitigation.fully_mitigated = !has_window_violation(in_order, plan.num_stages);
+  return report_for(std::move(plan), std::move(mitigation), layers_stolen);
+}
 
 std::optional<PlannerReport> Hetero2PipePlanner::plan_warm(
     const exec::CompiledPlan& seed) const {
@@ -78,84 +156,40 @@ std::optional<PlannerReport> Hetero2PipePlanner::plan_warm(
   const std::size_t K =
       opts_.num_stages ? opts_.num_stages : eval_->soc().num_processors();
   if (seed.num_stages != K) return std::nullopt;
-  // A DAG plan can occupy one (slot, proc) cell per slice and still carry
-  // fork/join edges the grid round-trip would silently drop — refuse those
-  // seeds up front, not just the duplicate (slot, proc) cells
-  // to_pipeline_plan throws on.
-  if (!seed.chain_precedence()) return std::nullopt;
-
-  PipelinePlan seed_plan;
-  try {
-    seed_plan = exec::to_pipeline_plan(seed);
-  } catch (const std::exception&) {
-    return std::nullopt;  // non-grid schedule; cannot seed
-  }
-
-  // Match seed slots to this window's models by name, multiset-wise:
-  // duplicates pair up in (slot order, evaluator order).
-  const std::size_t m = eval_->num_models();
-  std::unordered_map<std::string, std::deque<std::size_t>> free_by_name;
-  for (std::size_t i = 0; i < m; ++i) {
-    free_by_name[eval_->model(i).name()].push_back(i);
-  }
-  std::vector<std::size_t> slot_match(seed.num_models, m);  // m = unmatched
-  std::size_t removed = 0;
-  for (std::size_t slot = 0; slot < seed.num_models; ++slot) {
-    auto& queue = free_by_name[seed.model_names[slot]];
-    if (queue.empty()) {
-      ++removed;
-      continue;
-    }
-    slot_match[slot] = queue.front();
-    queue.pop_front();
-  }
-  std::vector<std::size_t> added;
-  for (const auto& [name, queue] : free_by_name) {
-    for (const std::size_t idx : queue) added.push_back(idx);
-  }
-  std::sort(added.begin(), added.end());
-  if (removed > 1 || added.size() > 1) return std::nullopt;  // not a near miss
+  const std::optional<PipelinePlan> grid = decode_seed(seed);
+  if (!grid) return std::nullopt;
+  const SlotMatch match = match_slots(seed, *eval_);
+  if (match.removed > 1 || match.added.size() > 1) return std::nullopt;
 
   // Inherit the seed's boundaries and order for every matched model.
+  const std::size_t m = eval_->num_models();
   PipelinePlan plan;
   plan.num_stages = K;
   plan.models.reserve(m);
   std::size_t removed_slot = seed.num_models;  // position in the new plan
   for (std::size_t slot = 0; slot < seed.num_models; ++slot) {
-    if (slot_match[slot] == m) {  // the removed model's slot
+    if (match.model_of_slot[slot] == m) {  // the removed model's slot
       removed_slot = plan.models.size();
       continue;
     }
-    ModelPlan mp = seed_plan.models[slot];
-    mp.model_index = slot_match[slot];
+    ModelPlan mp = grid->models[slot];
+    mp.model_index = match.model_of_slot[slot];
     if (!mp.covers(eval_->model(mp.model_index).num_layers())) {
       return std::nullopt;  // same name, different architecture
     }
     plan.models.push_back(std::move(mp));
   }
 
-  // Warm mitigation: labels are re-fit on this window's intensities (the
-  // classifier threshold is a percentile of the *window*), the inherited
-  // order keeps the seed's mitigation, and the added model is placed by the
-  // Def.-4 rule directly instead of re-running the LAP.
-  std::vector<double> intensities;
-  intensities.reserve(m);
-  for (std::size_t i = 0; i < m; ++i) intensities.push_back(eval_->model_intensity(i));
-  ContentionClassifier classifier(opts_.classifier_percentile);
-  classifier.fit(intensities);
-  std::vector<bool> high;
-  high.reserve(m);
-  for (const double v : intensities) high.push_back(classifier.is_high(v));
-  for (ModelPlan& mp : plan.models) mp.high_contention = high[mp.model_index];
-
-  const bool polish = opts_.work_stealing || opts_.tail_optimization;
-  IncrementalStaticScorer inc(*eval_, plan);
-  if (!added.empty()) {
-    const std::size_t idx = added.front();
+  // Warm mitigation: labels are re-fit on this window (the classifier
+  // threshold is a percentile of the *window*), the inherited order keeps
+  // the seed's mitigation, and the added model is placed by the Def.-4 rule
+  // directly instead of re-running the LAP.
+  std::vector<bool> high = classify();
+  if (!match.added.empty()) {
+    const std::size_t idx = match.added.front();
     ModelPlan fresh;
     fresh.model_index = idx;
     fresh.slices = horizontal_slices(*eval_, idx, K);
-    fresh.high_contention = high[idx];
 
     // Placement: a substitution takes the removed model's slot, keeping the
     // seed's mitigated order structure intact; a pure addition appends.  If
@@ -164,9 +198,9 @@ std::optional<PlannerReport> Hetero2PipePlanner::plan_warm(
     // the paper's "no sufficient L" residual case when none is.
     std::size_t pos =
         removed_slot <= plan.models.size() ? removed_slot : plan.models.size();
-    if (opts_.contention_mitigation && fresh.high_contention) {
+    if (opts_.contention_mitigation && high[idx]) {
       std::vector<bool> labels;
-      for (const ModelPlan& mp : plan.models) labels.push_back(mp.high_contention);
+      for (const ModelPlan& mp : plan.models) labels.push_back(high[mp.model_index]);
       const auto feasible_at = [&](std::size_t p) {
         std::vector<bool> candidate = labels;
         candidate.insert(candidate.begin() + static_cast<std::ptrdiff_t>(p), true);
@@ -183,93 +217,13 @@ std::optional<PlannerReport> Hetero2PipePlanner::plan_warm(
         }
       }
     }
-    if (pos == plan.models.size()) {
-      // Appending keeps the scorer's cached columns valid: audition the DP
-      // slicing against the K single-processor collapses with O(K²) work
-      // per candidate before committing the row.
-      double best = inc.score_appended(idx, fresh.slices);
-      std::vector<Slice> collapsed(K);
-      const std::size_t n = eval_->model(idx).num_layers();
-      for (std::size_t s = 0; polish && s < K; ++s) {
-        std::fill(collapsed.begin(), collapsed.end(), Slice{0, 0});
-        collapsed[s] = Slice{0, n};
-        if (std::equal(collapsed.begin(), collapsed.end(), fresh.slices.begin(),
-                       fresh.slices.end())) {
-          continue;
-        }
-        const double score = inc.score_appended(idx, collapsed);
-        if (score + 1e-9 < best) {
-          best = score;
-          fresh.slices = collapsed;
-        }
-      }
-      inc.apply_appended(idx, fresh.slices);
-      plan.models.push_back(std::move(fresh));
-    } else {
-      // Interior insertion shifts every later wavefront column; rebuild the
-      // scorer once and audition through the ordinary single-row path.
-      plan.models.insert(plan.models.begin() + static_cast<std::ptrdiff_t>(pos),
-                         std::move(fresh));
-      inc = IncrementalStaticScorer(*eval_, plan);
-      if (polish) audition_collapses(inc, plan, *eval_, pos);
+    plan.models.insert(plan.models.begin() + static_cast<std::ptrdiff_t>(pos),
+                       std::move(fresh));
+    if (opts_.work_stealing || opts_.tail_optimization) {
+      audition_collapses(plan, *eval_, pos);
     }
   }
-
-  // Final polish.  The inherited boundaries were DES-aligned for a window
-  // one model away, so they are already near-good; a full static
-  // re-alignment sometimes helps and sometimes hurts (the static wavefront
-  // objective undervalues whole-model parallelism).  Build the statically
-  // re-aligned candidate and let the discrete-event simulator arbitrate —
-  // two DES *evaluations* total, against the hundreds a cold plan spends
-  // scoring candidates inside its alignment and tail loops.
-  int layers_stolen = 0;
-  if (polish && !plan.models.empty()) {
-    const PlanScorer des = [this](const PipelinePlan& p) {
-      double score = simulate_plan_makespan(p, *eval_);  // thread-local SoA path
-      if (!eval_->satisfies_memory(p)) score *= 1.5;  // constraint (6)
-      return score;
-    };
-    // Two candidates, one DES evaluation each: keep the inherited
-    // boundaries, or statically re-align them (greedy stealing + the
-    // incremental tail sweep — cheap, but its wavefront objective
-    // undervalues whole-model parallelism, so it must not win unarbitrated).
-    if (opts_.work_stealing) {
-      PipelinePlan aligned = plan;
-      WorkStealingOptions ws;
-      ws.tail_optimization = opts_.tail_optimization;
-      const int moves = vertical_align(aligned, *eval_, ws);
-      if (des(aligned) + 1e-9 < des(plan)) {
-        plan = std::move(aligned);
-        layers_stolen = moves;
-      }
-    }
-    // One DES-scored tail sweep on the winner.  This is the only DES-in-
-    // the-loop work warm does: ≤ m·K candidate scorings, most pruned by
-    // the solo-work lower bound — against cold's two full DES-aligned
-    // branches (alignment windows × tail sweeps, each DES-scored).
-    if (opts_.tail_optimization) {
-      optimize_tail(plan, *eval_, des);
-    }
-  }
-
-  PlannerReport report;
-  const StaticEvaluator::StaticSummary summary =
-      eval_->summarize(plan, /*with_contention=*/true);
-  report.static_makespan_ms = summary.makespan_ms;
-  report.static_bubble_ms = summary.bubble_ms;
-  report.memory_ok = eval_->satisfies_memory(plan);
-  report.layers_stolen = layers_stolen;
-  report.mitigation.high = std::move(high);
-  for (const ModelPlan& mp : plan.models) {
-    report.mitigation.order.push_back(mp.model_index);
-  }
-  {
-    std::vector<bool> in_order;
-    for (const ModelPlan& mp : plan.models) in_order.push_back(mp.high_contention);
-    report.mitigation.fully_mitigated = !has_window_violation(in_order, K);
-  }
-  report.plan = std::move(plan);
-  return report;
+  return settle(std::move(plan), std::move(high));
 }
 
 std::optional<PlannerReport> Hetero2PipePlanner::plan_degraded(
@@ -297,32 +251,12 @@ std::optional<PlannerReport> Hetero2PipePlanner::plan_degraded(
     if (kept_procs[k] >= seed.num_stages) return std::nullopt;
     if (k > 0 && kept_procs[k] <= kept_procs[k - 1]) return std::nullopt;
   }
-  // Same guard as plan_warm: fork/join seeds don't survive the grid
-  // round-trip the stage projection below relies on.
-  if (!seed.chain_precedence()) return std::nullopt;
-
-  PipelinePlan seed_plan;
-  try {
-    seed_plan = exec::to_pipeline_plan(seed);
-  } catch (const std::exception&) {
-    return std::nullopt;  // non-grid schedule; cannot seed
-  }
-
+  const std::optional<PipelinePlan> grid = decode_seed(seed);
+  if (!grid) return std::nullopt;
   // The window is unchanged — only the hardware shrank — so the model
   // multiset must match this evaluator's exactly.
-  const std::size_t m = eval_->num_models();
-  if (seed.num_models != m) return std::nullopt;
-  std::unordered_map<std::string, std::deque<std::size_t>> free_by_name;
-  for (std::size_t i = 0; i < m; ++i) {
-    free_by_name[eval_->model(i).name()].push_back(i);
-  }
-  std::vector<std::size_t> slot_match(seed.num_models, m);
-  for (std::size_t slot = 0; slot < seed.num_models; ++slot) {
-    auto& queue = free_by_name[seed.model_names[slot]];
-    if (queue.empty()) return std::nullopt;  // multiset mismatch
-    slot_match[slot] = queue.front();
-    queue.pop_front();
-  }
+  const SlotMatch match = match_slots(seed, *eval_);
+  if (match.removed != 0 || !match.added.empty()) return std::nullopt;
 
   std::vector<bool> kept(seed.num_stages, false);
   for (const std::size_t p : kept_procs) kept[p] = true;
@@ -334,17 +268,17 @@ std::optional<PlannerReport> Hetero2PipePlanner::plan_degraded(
   // precedes every survivor.
   PipelinePlan plan;
   plan.num_stages = K;
-  plan.models.reserve(m);
+  plan.models.reserve(seed.num_models);
   for (std::size_t slot = 0; slot < seed.num_models; ++slot) {
     ModelPlan deg;
-    deg.model_index = slot_match[slot];
+    deg.model_index = match.model_of_slot[slot];
     deg.slices.assign(K, Slice{0, 0});
     std::ptrdiff_t j = -1;        // degraded stage of the last kept healthy stage
     bool carry = false;           // dropped layers awaiting a home
     Slice carried{0, 0};
     for (std::size_t k = 0; k < seed.num_stages; ++k) {
       if (kept[k]) ++j;
-      const Slice r = seed_plan.models[slot].slices[k];
+      const Slice r = grid->models[slot].slices[k];
       if (r.empty()) continue;
       if (kept[k]) {
         Slice& cell = deg.slices[static_cast<std::size_t>(j)];
@@ -385,62 +319,11 @@ std::optional<PlannerReport> Hetero2PipePlanner::plan_degraded(
     plan.models.push_back(std::move(deg));
   }
 
-  // Labels are re-fit on the degraded evaluator's intensities (the cost
-  // tables — and thus the classifier's percentile — see only survivors).
-  std::vector<double> intensities;
-  intensities.reserve(m);
-  for (std::size_t i = 0; i < m; ++i) intensities.push_back(eval_->model_intensity(i));
-  ContentionClassifier classifier(opts_.classifier_percentile);
-  classifier.fit(intensities);
-  std::vector<bool> high;
-  high.reserve(m);
-  for (const double v : intensities) high.push_back(classifier.is_high(v));
-  for (ModelPlan& mp : plan.models) mp.high_contention = high[mp.model_index];
-
-  // The merge concentrated the dropped stage's work onto one survivor, so
-  // unlike plan_warm the static re-alignment is usually needed — but its
-  // wavefront objective still mustn't win unarbitrated (see plan_warm).
-  int layers_stolen = 0;
-  const bool polish = opts_.work_stealing || opts_.tail_optimization;
-  if (polish && !plan.models.empty()) {
-    const PlanScorer des = [this](const PipelinePlan& p) {
-      double score = simulate_plan_makespan(p, *eval_);  // thread-local SoA path
-      if (!eval_->satisfies_memory(p)) score *= 1.5;  // constraint (6)
-      return score;
-    };
-    if (opts_.work_stealing) {
-      PipelinePlan aligned = plan;
-      WorkStealingOptions ws;
-      ws.tail_optimization = opts_.tail_optimization;
-      const int moves = vertical_align(aligned, *eval_, ws);
-      if (des(aligned) + 1e-9 < des(plan)) {
-        plan = std::move(aligned);
-        layers_stolen = moves;
-      }
-    }
-    if (opts_.tail_optimization) {
-      optimize_tail(plan, *eval_, des);
-    }
-  }
-
-  PlannerReport report;
-  const StaticEvaluator::StaticSummary summary =
-      eval_->summarize(plan, /*with_contention=*/true);
-  report.static_makespan_ms = summary.makespan_ms;
-  report.static_bubble_ms = summary.bubble_ms;
-  report.memory_ok = eval_->satisfies_memory(plan);
-  report.layers_stolen = layers_stolen;
-  report.mitigation.high = std::move(high);
-  for (const ModelPlan& mp : plan.models) {
-    report.mitigation.order.push_back(mp.model_index);
-  }
-  {
-    std::vector<bool> in_order;
-    for (const ModelPlan& mp : plan.models) in_order.push_back(mp.high_contention);
-    report.mitigation.fully_mitigated = !has_window_violation(in_order, K);
-  }
-  report.plan = std::move(plan);
-  return report;
+  // The degraded evaluator's cost tables — and thus the classifier's
+  // percentile — see only survivors.  The merge concentrated the dropped
+  // stage's work onto one survivor, so unlike plan_warm the static
+  // re-alignment in settle is usually needed.
+  return settle(std::move(plan), classify());
 }
 
 }  // namespace h2p

@@ -555,21 +555,29 @@ OnlineResult run_online(const Soc& soc, const std::vector<OnlineRequest>& stream
         }
       }
     }
+    // Warm or degraded replan from a cached seed, compiled and cached like
+    // a cold plan; `compiled` stays null without a seed or a usable one.
+    const auto replan_seeded = [&](const exec::CompiledPlan* seed,
+                                   WindowSource source) {
+      if (seed == nullptr) return;
+      const StaticEvaluator eval(view.soc, models);
+      const Hetero2PipePlanner planner(eval, options.planner);
+      const bool is_warm = source == WindowSource::kWarmReplan;
+      std::optional<PlannerReport> report =
+          is_warm ? planner.plan_warm(*seed)
+                  : planner.plan_degraded(*seed, view.kept);
+      if (!report) return;
+      exec::CompiledPlan fresh = exec::compile(report->plan, eval);
+      if (faults != nullptr) exec::attach_fallback_costs(fresh, eval);
+      compiled = &cache->insert(key, std::move(fresh));
+      ws.source = source;
+      ++result.replans;
+      ++(is_warm ? result.warm_hits : result.degraded_hits);
+      (is_warm ? c_warm_hits : c_degraded).inc();
+      ws.planning_ms = options.warm_planning_overhead_ms;
+    };
     if (compiled == nullptr && warm) {
-      if (const exec::CompiledPlan* seed = cache->find_near(key)) {
-        const StaticEvaluator eval(view.soc, models);
-        const Hetero2PipePlanner planner(eval, options.planner);
-        if (std::optional<PlannerReport> report = planner.plan_warm(*seed)) {
-          exec::CompiledPlan fresh = exec::compile(report->plan, eval);
-          if (faults != nullptr) exec::attach_fallback_costs(fresh, eval);
-          compiled = &cache->insert(key, std::move(fresh));
-          ws.source = WindowSource::kWarmReplan;
-          ++result.replans;
-          ++result.warm_hits;
-          c_warm_hits.inc();
-          ws.planning_ms = options.warm_planning_overhead_ms;
-        }
-      }
+      replan_seeded(cache->find_near(key), WindowSource::kWarmReplan);
     }
     if (compiled == nullptr && caching &&
         (mask != full_mask || bus_centi < 100)) {
@@ -578,21 +586,8 @@ OnlineResult run_online(const Soc& soc, const std::vector<OnlineRequest>& stream
       // replan on the survivors.  A pure bus degrade keeps every processor
       // (identity projection) and just re-settles the boundaries against
       // the bus-scaled cost tables.
-      if (const exec::CompiledPlan* seed = cache->peek(healthy_key(models))) {
-        const StaticEvaluator eval(view.soc, models);
-        const Hetero2PipePlanner planner(eval, options.planner);
-        if (std::optional<PlannerReport> report =
-                planner.plan_degraded(*seed, view.kept)) {
-          exec::CompiledPlan fresh = exec::compile(report->plan, eval);
-          if (faults != nullptr) exec::attach_fallback_costs(fresh, eval);
-          compiled = &cache->insert(key, std::move(fresh));
-          ws.source = WindowSource::kDegradedReplan;
-          ++result.replans;
-          ++result.degraded_hits;
-          c_degraded.inc();
-          ws.planning_ms = options.warm_planning_overhead_ms;
-        }
-      }
+      replan_seeded(cache->peek(healthy_key(models)),
+                    WindowSource::kDegradedReplan);
     }
     if (compiled == nullptr) {
       exec::CompiledPlan fresh;

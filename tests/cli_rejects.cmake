@@ -30,6 +30,14 @@
 #                      twice>; must also print no timeline
 #   soc_json_no_processors
 #                      plan --soc-json <SoC with "processors": []>
+#   soc_json_negative_rate
+#                      plan --soc-json <kirin990 export with
+#                      processors[0].peak_gflops = -5>
+#   socs_export_unknown
+#                      socs --export foo
+#   soc_unknown_name   plan --soc foo
+#   soc_json_missing_file
+#                      plan --soc-json <a file that does not exist>
 
 foreach(var CLI CASE WORK_DIR)
   if(NOT DEFINED ${var})
@@ -104,6 +112,26 @@ elseif(CASE STREQUAL "soc_json_no_processors")
        "\"processors\": [], \"mem_states\": []}\n")
   set(args plan --models squeezenet --soc-json "${soc}")
   set(expect "soc_from_json: \"processors\" must not be empty")
+elseif(CASE STREQUAL "soc_json_negative_rate")
+  execute_process(COMMAND "${CLI}" socs --export kirin990
+                  RESULT_VARIABLE export_rc OUTPUT_VARIABLE export)
+  if(NOT export_rc STREQUAL "0")
+    message(FATAL_ERROR "h2p_cli socs --export kirin990 failed: ${export_rc}")
+  endif()
+  string(JSON export SET "${export}" processors 0 peak_gflops -5)
+  set(soc "${WORK_DIR}/${CASE}.json")
+  file(WRITE "${soc}" "${export}")
+  set(args plan --models resnet50,squeezenet --soc-json "${soc}")
+  set(expect "processor 0: \"peak_gflops\" must be a finite positive number, got -5")
+elseif(CASE STREQUAL "socs_export_unknown")
+  set(args socs --export foo)
+  set(expect "socs: --export: unknown SoC \"foo\"")
+elseif(CASE STREQUAL "soc_unknown_name")
+  set(args plan --models resnet50,squeezenet --soc foo)
+  set(expect "plan: --soc: unknown SoC \"foo\"")
+elseif(CASE STREQUAL "soc_json_missing_file")
+  set(args plan --models resnet50,squeezenet --soc-json "${WORK_DIR}/missing.json")
+  set(expect "plan: --soc-json: cannot open \"${WORK_DIR}/missing.json\"")
 elseif(CASE MATCHES "^simulate_")
   # A valid two-model, four-stage plan with one field made invalid.
   set(num_stages 4)

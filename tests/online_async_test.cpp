@@ -386,6 +386,48 @@ TEST(OnlineAsync, PrefetchSubmitsOnlyWindowsPlannedCold) {
   EXPECT_EQ(jobs.load(), cold);
 }
 
+TEST(OnlineAsync, PrefetchPlansDegradedWindowsWithoutHealthySeed) {
+  // The NPU is down for good from t = 0, so every window is planned on the
+  // degraded view and no healthy plan ever exists to seed a degraded
+  // replan: the prefetcher must treat a degraded window with no healthy
+  // seed as cold.  Its first pump runs before any probe and predicts
+  // windows 0-2 under the healthy mask; those three guesses are discarded.
+  // Every later cold window then plans from exactly one prefetch.
+  const Soc soc = Soc::kirin990();
+  const auto stream = recurring_scene_stream();
+  const FaultScript faults({FaultEvent{FaultKind::kDropout, 0, 0.0,
+                                       std::numeric_limits<double>::infinity(),
+                                       1.0}});
+  OnlineOptions serial;
+  serial.replan_window = 3;
+  serial.warm_start = true;
+  serial.faults = &faults;
+  const OnlineResult expected = run_online(soc, stream, serial);
+  const int cold =
+      expected.replans - expected.warm_hits - expected.degraded_hits;
+  ASSERT_EQ(cold, 3);
+  ASSERT_EQ(expected.degraded_hits, 0);
+  const std::uint64_t full = (1ull << soc.num_processors()) - 1;
+  for (const WindowStats& w : expected.windows) ASSERT_NE(w.avail_mask, full);
+
+  ThreadPool pool(2);
+  OnlineOptions async = serial;
+  async.pool = &pool;
+  async.async_planning = true;
+  std::atomic<int> jobs{0};
+  async.prefetch_job_hook = [&jobs] { ++jobs; };
+  obs::Registry& reg = obs::Registry::global();
+  obs::Counter& discarded = reg.counter("online.prefetch_discarded");
+  const std::uint64_t discarded_before = discarded.value();
+  reg.set_enabled(true);
+  const OnlineResult r = run_online(soc, stream, async);
+  reg.set_enabled(false);
+  expect_identical(expected, r);
+  const int guesses = static_cast<int>(discarded.value() - discarded_before);
+  EXPECT_EQ(guesses, 3);
+  EXPECT_EQ(jobs.load() - guesses, cold - 1);
+}
+
 TEST(OnlineAsync, DeferralReorderedWindowPlansItsOwnOrder) {
   // The NPU is out over [0, 5): window 1 is planned degraded, and its last
   // request S (deadline meetable only on the healthy SoC) is deferred to the

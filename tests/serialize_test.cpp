@@ -1,5 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "core/planner.h"
 #include "core/serialize.h"
 #include "sim/pipeline_sim.h"
@@ -97,6 +102,77 @@ TEST(Serialize, SocValidation) {
     std::string bad = text;
     bad.replace(at, end - at, cap);
     EXPECT_THROW(soc_from_json(Json::parse(bad)), std::runtime_error) << cap;
+  }
+
+  // Every built-in description loads back.
+  for (const Soc& soc :
+       {Soc::kirin990(), Soc::snapdragon778g(), Soc::snapdragon870()}) {
+    EXPECT_NO_THROW((void)soc_from_json(Json::parse(soc_to_json(soc).dump())))
+        << soc.name();
+  }
+
+  // Rates, bandwidths and sizes must be finite and positive; cache sizes,
+  // latencies and power finite and non-negative.  Errors name the
+  // processor (or mem state) index and the field.
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const auto expect_rejected = [](const Json& j, const std::string& needle) {
+    try {
+      (void)soc_from_json(j);
+      ADD_FAILURE() << needle << " accepted";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find(needle), std::string::npos)
+          << e.what();
+    }
+  };
+  const Soc base = Soc::kirin990();
+  const auto with_proc = [&](double Processor::*field, double v) {
+    std::vector<Processor> procs = base.processors();
+    procs[1].*field = v;
+    return soc_to_json(Soc(base.name(), std::move(procs), base.bus_bw_gbps(),
+                           base.mem_capacity_bytes(), base.available_bytes(),
+                           base.mem_states()));
+  };
+  const std::pair<double Processor::*, const char*> positive[] = {
+      {&Processor::peak_gflops, "peak_gflops"},
+      {&Processor::mem_bw_gbps, "mem_bw_gbps"}};
+  const std::pair<double Processor::*, const char*> non_negative[] = {
+      {&Processor::l2_bytes, "l2_bytes"},
+      {&Processor::launch_overhead_ms, "launch_overhead_ms"},
+      {&Processor::copy_in_latency_ms, "copy_in_latency_ms"},
+      {&Processor::tdp_watts, "tdp_watts"}};
+  for (const auto& [field, name] : positive) {
+    for (const double v : {-5.0, 0.0, inf, nan}) {
+      expect_rejected(with_proc(field, v),
+                      std::string("processor 1: \"") + name + "\" must be");
+    }
+  }
+  for (const auto& [field, name] : non_negative) {
+    for (const double v : {-1.0, inf, nan}) {
+      expect_rejected(with_proc(field, v),
+                      std::string("processor 1: \"") + name + "\" must be");
+    }
+    EXPECT_NO_THROW((void)soc_from_json(with_proc(field, 0.0))) << name;
+  }
+  for (const char* name :
+       {"bus_bw_gbps", "mem_capacity_bytes", "available_bytes"}) {
+    for (const double v : {-1.0, 0.0, inf}) {
+      Json j = soc_to_json(base);
+      j[name] = Json::number(v);
+      expect_rejected(j, std::string("soc_from_json: \"") + name + "\" must be");
+    }
+  }
+  for (const bool bad_mhz : {true, false}) {
+    std::vector<MemFreqState> states = base.mem_states();
+    ASSERT_FALSE(states.empty());
+    (bad_mhz ? states.back().mhz : states.back().bw_gbps) = -1.0;
+    const std::string field = bad_mhz ? "mhz" : "bw_gbps";
+    expect_rejected(
+        soc_to_json(Soc(base.name(), base.processors(), base.bus_bw_gbps(),
+                        base.mem_capacity_bytes(), base.available_bytes(),
+                        std::move(states))),
+        "mem_state " + std::to_string(base.mem_states().size() - 1) + ": \"" +
+            field + "\" must be");
   }
 }
 

@@ -66,8 +66,9 @@
 // Every plan runs on one thread; `online --async` adds the prefetch pool.
 // Integer flag values must be whole decimal numbers: positive, except the
 // seeds (--fault-seed, --weather-seed), which may be 0.  A flag the
-// subcommand does not take, or a malformed value or input file, exits 1
-// with a message naming it.
+// subcommand does not take, or a malformed value, SoC name or input file,
+// exits 1 with a message naming it.  A missing required flag exits 2 with
+// the usage line.
 #include <algorithm>
 #include <charconv>
 #include <cstdint>
@@ -225,28 +226,27 @@ bool setup_obs(int argc, char** argv, ObsFlags* flags) {
   return true;
 }
 
-std::optional<Soc> builtin_soc(const std::string& name) {
+/// A built-in SoC by name; an unknown name throws, naming `flag`.
+Soc builtin_soc(const std::string& name, const char* flag) {
   if (name == "kirin990") return Soc::kirin990();
   if (name == "snapdragon778g") return Soc::snapdragon778g();
   if (name == "snapdragon870") return Soc::snapdragon870();
-  return std::nullopt;
+  throw std::invalid_argument(std::string(flag) + ": unknown SoC \"" + name + "\"");
 }
 
-std::optional<Soc> resolve_soc(int argc, char** argv) {
+/// The SoC a subcommand plans on: --soc-json, else --soc, else kirin990.
+/// A file that cannot be opened or parsed, or an unknown name, throws.
+Soc resolve_soc(int argc, char** argv) {
   if (const auto file = arg_value(argc, argv, "--soc-json")) {
     std::ifstream in(*file);
     if (!in) {
-      std::fprintf(stderr, "cannot open %s\n", file->c_str());
-      return std::nullopt;
+      throw std::invalid_argument("--soc-json: cannot open \"" + *file + "\"");
     }
     std::stringstream buf;
     buf << in.rdbuf();
     return soc_from_json(Json::parse(buf.str()));
   }
-  const std::string name = arg_value(argc, argv, "--soc").value_or("kirin990");
-  auto soc = builtin_soc(name);
-  if (!soc) std::fprintf(stderr, "unknown soc: %s\n", name.c_str());
-  return soc;
+  return builtin_soc(arg_value(argc, argv, "--soc").value_or("kirin990"), "--soc");
 }
 
 std::optional<std::vector<ModelId>> parse_models(const std::string& csv) {
@@ -319,14 +319,12 @@ std::optional<std::vector<GraphModel>> parse_graphs(const std::string& csv) {
 
 int cmd_socs(int argc, char** argv) {
   if (const auto name = arg_value(argc, argv, "--export")) {
-    const auto soc = builtin_soc(*name);
-    if (!soc) return usage();
-    std::printf("%s\n", soc_to_json(*soc).dump().c_str());
+    std::printf("%s\n", soc_to_json(builtin_soc(*name, "--export")).dump().c_str());
     return 0;
   }
   Table table({"Name", "Processors", "Bus (GB/s)", "Free mem (GiB)"});
   for (const char* name : {"kirin990", "snapdragon778g", "snapdragon870"}) {
-    const Soc soc = *builtin_soc(name);
+    const Soc soc = builtin_soc(name, "--soc");
     std::string procs;
     for (const Processor& p : soc.processors()) {
       procs += std::string(to_string(p.kind)) + " ";
@@ -367,10 +365,10 @@ int cmd_models() {
 }
 
 int cmd_plan(int argc, char** argv) {
-  const auto soc = resolve_soc(argc, argv);
   const auto models_csv = arg_value(argc, argv, "--models");
   const auto graphs_csv = arg_value(argc, argv, "--graphs");
-  if (!soc || (!models_csv && !graphs_csv)) return usage();
+  if (!models_csv && !graphs_csv) return usage();
+  const Soc soc = resolve_soc(argc, argv);
   std::optional<std::vector<ModelId>> ids;
   if (models_csv) {
     ids = parse_models(*models_csv);
@@ -398,14 +396,14 @@ int cmd_plan(int argc, char** argv) {
     std::vector<const GraphModel*> gptrs;
     for (const GraphModel& g : owned) gptrs.push_back(&g);
 
-    const GraphPlanner planner(*soc, gptrs, opts);
+    const GraphPlanner planner(soc, gptrs, opts);
     const GraphPlannerReport rep = planner.plan();
     const Timeline timeline = simulate(planner.evaluator().soc(),
                                        tasks_from_compiled(rep.compiled), {});
 
     std::printf("%s\n", rep.chain_report.plan.to_string().c_str());
     std::vector<std::string> names;
-    for (const Processor& p : soc->processors()) names.push_back(p.name);
+    for (const Processor& p : soc.processors()) names.push_back(p.name);
     std::printf("%s", timeline.gantt(names).c_str());
     std::printf(
         "\ndag: %s | offloaded branches %zu | DES chain %.2f ms -> final "
@@ -427,11 +425,11 @@ int cmd_plan(int argc, char** argv) {
       std::printf("chain plan written to %s\n", out->c_str());
     }
     if (const auto trace = arg_value(argc, argv, "--trace")) {
-      write_chrome_trace(timeline, *soc, rep.compiled, *trace);
+      write_chrome_trace(timeline, soc, rep.compiled, *trace);
       std::printf("chrome trace written to %s\n", trace->c_str());
     }
     if (obs_flags.trace_out) {
-      write_merged_chrome_trace(timeline, *soc, obs::Tracer::global(),
+      write_merged_chrome_trace(timeline, soc, obs::Tracer::global(),
                                 *obs_flags.trace_out);
       std::printf("merged trace written to %s\n", obs_flags.trace_out->c_str());
     }
@@ -445,7 +443,7 @@ int cmd_plan(int argc, char** argv) {
 
   std::vector<const Model*> models;
   for (ModelId id : *ids) models.push_back(&zoo_model(id));
-  const StaticEvaluator eval(*soc, models);
+  const StaticEvaluator eval(soc, models);
   const PlannerReport report = Hetero2PipePlanner(eval, opts).plan();
   const exec::CompiledPlan compiled = exec::compile(report.plan, eval);
   const Timeline timeline =
@@ -453,7 +451,7 @@ int cmd_plan(int argc, char** argv) {
 
   std::printf("%s\n", report.plan.to_string().c_str());
   std::vector<std::string> names;
-  for (const Processor& p : soc->processors()) names.push_back(p.name);
+  for (const Processor& p : soc.processors()) names.push_back(p.name);
   std::printf("%s", timeline.gantt(names).c_str());
   std::printf("\nmakespan %.2f ms | throughput %.2f inf/s | bubbles %.2f ms\n",
               timeline.makespan_ms(), timeline.throughput_per_s(),
@@ -470,11 +468,11 @@ int cmd_plan(int argc, char** argv) {
     std::printf("plan written to %s\n", out->c_str());
   }
   if (const auto trace = arg_value(argc, argv, "--trace")) {
-    write_chrome_trace(timeline, *soc, compiled, *trace);
+    write_chrome_trace(timeline, soc, compiled, *trace);
     std::printf("chrome trace written to %s\n", trace->c_str());
   }
   if (obs_flags.trace_out) {
-    write_merged_chrome_trace(timeline, *soc, obs::Tracer::global(),
+    write_merged_chrome_trace(timeline, soc, obs::Tracer::global(),
                               *obs_flags.trace_out);
     std::printf("merged trace written to %s\n", obs_flags.trace_out->c_str());
   }
@@ -487,10 +485,10 @@ int cmd_plan(int argc, char** argv) {
 }
 
 int cmd_simulate(int argc, char** argv) {
-  const auto soc = resolve_soc(argc, argv);
   const auto plan_file = arg_value(argc, argv, "--plan");
   const auto models_csv = arg_value(argc, argv, "--models");
-  if (!soc || !plan_file || !models_csv) return usage();
+  if (!plan_file || !models_csv) return usage();
+  const Soc soc = resolve_soc(argc, argv);
   const auto ids = parse_models(*models_csv);
   if (!ids) return 1;
 
@@ -505,7 +503,7 @@ int cmd_simulate(int argc, char** argv) {
 
   std::vector<const Model*> models;
   for (ModelId id : *ids) models.push_back(&zoo_model(id));
-  const StaticEvaluator eval(*soc, models);
+  const StaticEvaluator eval(soc, models);
   try {
     const exec::CompiledPlan compiled = exec::compile(plan, eval);
     const Timeline timeline =
@@ -519,15 +517,15 @@ int cmd_simulate(int argc, char** argv) {
 }
 
 int cmd_compare(int argc, char** argv) {
-  const auto soc = resolve_soc(argc, argv);
   const auto models_csv = arg_value(argc, argv, "--models");
-  if (!soc || !models_csv) return usage();
+  if (!models_csv) return usage();
+  const Soc soc = resolve_soc(argc, argv);
   const auto ids = parse_models(*models_csv);
   if (!ids) return 1;
 
   std::vector<const Model*> models;
   for (ModelId id : *ids) models.push_back(&zoo_model(id));
-  const StaticEvaluator eval(*soc, models);
+  const StaticEvaluator eval(soc, models);
 
   Table table({"Scheme", "Latency (ms)", "Throughput (inf/s)"});
   auto add = [&](const char* name, const Timeline& t) {
@@ -557,9 +555,9 @@ const char* window_source_name(WindowSource s) {
 }
 
 int cmd_online(int argc, char** argv) {
-  const auto soc = resolve_soc(argc, argv);
   const auto models_csv = arg_value(argc, argv, "--models");
-  if (!soc || !models_csv) return usage();
+  if (!models_csv) return usage();
+  const Soc soc = resolve_soc(argc, argv);
   const auto ids = parse_models(*models_csv);
   if (!ids) return 1;
 
@@ -613,16 +611,16 @@ int cmd_online(int argc, char** argv) {
         continue;
       }
       const auto proc = static_cast<std::size_t>(e.at("proc").as_number());
-      if (proc >= soc->num_processors()) {
+      if (proc >= soc.num_processors()) {
         std::fprintf(
             stderr, "--faults: event %zu names processor %zu, but %s has %zu\n",
-            i, proc, soc->name().c_str(), soc->num_processors());
+            i, proc, soc.name().c_str(), soc.num_processors());
         return 1;
       }
     }
     with_faults = true;
   } else if (arg_value(argc, argv, "--fault-seed")) {
-    faults = FaultScript::sample(*soc, seed_arg(argc, argv, "--fault-seed", 0));
+    faults = FaultScript::sample(soc, seed_arg(argc, argv, "--fault-seed", 0));
     with_faults = true;
   }
   if (has_flag(argc, argv, "--weather")) {
@@ -639,9 +637,9 @@ int cmd_online(int argc, char** argv) {
     wopts.mean_weather_gap_ms = horizon / 4.0;
     wopts.mean_weather_duration_ms = horizon / 5.0;
     wopts.horizon_ms = horizon;
-    const FaultScript weather = FaultScript::sample(*soc, wseed, wopts);
+    const FaultScript weather = FaultScript::sample(soc, wseed, wopts);
     faults = FaultScript::with_weather(
-        *soc, std::vector<WeatherEvent>(weather.weather()),
+        soc, std::vector<WeatherEvent>(weather.weather()),
         std::vector<FaultEvent>(faults.events()));
     with_faults = true;
   }
@@ -696,7 +694,7 @@ int cmd_online(int argc, char** argv) {
   const auto drift_out = arg_value(argc, argv, "--drift-out");
   if (drift_out) opts.drift_tracking = true;
 
-  const OnlineResult result = run_online(*soc, stream, opts);
+  const OnlineResult result = run_online(soc, stream, opts);
   if (with_faults) {
     if (const auto violation =
             verify_timeline_against_faults(result.timeline, faults)) {
@@ -806,7 +804,7 @@ int cmd_online(int argc, char** argv) {
   }
 
   if (obs_flags.trace_out) {
-    write_merged_chrome_trace(result.timeline, *soc, obs::Tracer::global(),
+    write_merged_chrome_trace(result.timeline, soc, obs::Tracer::global(),
                               *obs_flags.trace_out);
   }
   if (obs_flags.metrics_out) {
