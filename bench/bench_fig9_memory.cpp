@@ -20,7 +20,7 @@ void run_pipeline(const char* label, const std::vector<ModelId>& ids) {
   const StaticEvaluator eval(soc, models);
   const PlannerReport report = Hetero2PipePlanner(eval).plan();
   const exec::CompiledPlan compiled = exec::compile(report.plan, eval);
-  const Timeline timeline = simulate(soc, tasks_from_compiled(compiled), {});
+  const Timeline timeline = simulate(soc, compiled);
   const auto samples =
       trace_memory(timeline, compiled, soc, timeline.makespan_ms() / 24.0);
 
@@ -63,7 +63,7 @@ int main() {
   opts.num_stages = 1;  // NPU only (processor 0)
   const PlannerReport report = Hetero2PipePlanner(eval, opts).plan();
   const exec::CompiledPlan compiled = exec::compile(report.plan, eval);
-  const Timeline t = simulate(soc, tasks_from_compiled(compiled), {});
+  const Timeline t = simulate(soc, compiled);
   const auto samples = trace_memory(t, compiled, soc, t.makespan_ms() / 6.0);
   double max_mhz = 0.0;
   for (const auto& s : samples) max_mhz = std::max(max_mhz, s.mem_freq_mhz);

@@ -105,7 +105,7 @@ Timeline run_band(const StaticEvaluator& eval) {
     }
     builder.add_range(slot, d.fallback_proc, d.fallback_layer, n);
   }
-  return simulate(eval.soc(), tasks_from_compiled(builder.build()), {});
+  return simulate(eval.soc(), builder.build());
 }
 
 }  // namespace h2p

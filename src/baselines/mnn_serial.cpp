@@ -19,7 +19,7 @@ Timeline run_mnn_serial(const StaticEvaluator& eval) {
     builder.add_range(slot, static_cast<std::size_t>(cpu_b), 0, n);
   }
   // Single processor: no co-execution, contention model is a no-op.
-  return simulate(eval.soc(), tasks_from_compiled(builder.build()), {});
+  return simulate(eval.soc(), builder.build());
 }
 
 double mnn_serial_latency_ms(const StaticEvaluator& eval) {

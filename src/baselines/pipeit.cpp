@@ -83,7 +83,7 @@ Timeline run_pipeit(const StaticEvaluator& eval) {
     if (b > 0) builder.add_range(slot, procs.big, 0, b);
     if (b < n) builder.add_range(slot, procs.small, b, n);
   }
-  return simulate(eval.soc(), tasks_from_compiled(builder.build()), {});
+  return simulate(eval.soc(), builder.build());
 }
 
 }  // namespace h2p

@@ -75,9 +75,6 @@ ScheduledSlice lower_range(const StaticEvaluator& eval, std::size_t table_idx,
 
 void attach_fallback_costs(CompiledPlan& plan, const StaticEvaluator& eval) {
   const std::size_t P = eval.soc().num_processors();
-  if (plan.fallback_procs == P && plan.fallback.size() == plan.slices.size() * P) {
-    return;  // already attached by a previous caller of this cache entry
-  }
   plan.fallback_procs = P;
   plan.fallback.assign(plan.slices.size() * P, CompiledPlan::FallbackCost{});
   for (std::size_t i = 0; i < plan.slices.size(); ++i) {

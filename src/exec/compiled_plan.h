@@ -57,8 +57,8 @@ struct CompiledPlan {
   /// [slice * fallback_procs + q] is what slice `slice` would cost on
   /// processor q of the compiling evaluator's Soc.  The fault-aware online
   /// path hands these to the DES so work stranded by a permanent processor
-  /// drop-out can migrate (SimTask::alt).  Empty unless requested; a
-  /// non-finite solo_ms marks a processor the slice cannot run on.
+  /// drop-out can migrate (TaskTable's alt columns).  Empty unless
+  /// requested; a non-finite solo_ms marks a processor it cannot run on.
   struct FallbackCost {
     double solo_ms = 0.0;
     double sensitivity = 0.0;

@@ -8,7 +8,7 @@
 #include <string>
 
 #include "contention/contention_model.h"
-#include "sim/pipeline_sim.h"
+#include "sim/task_table.h"
 #include "soc/thermal.h"
 #include "util/rng.h"
 
@@ -488,7 +488,7 @@ FaultScript fault_script_from_json(const Json& json) {
 
 std::optional<std::string> verify_timeline_against_faults(
     const Timeline& timeline, const FaultScript& script,
-    std::span<const SimTask> tasks) {
+    const sim::TaskTable* table) {
   for (std::size_t i = 0; i < timeline.tasks.size(); ++i) {
     const TaskRecord& t = timeline.tasks[i];
     // A hair of grace past the start: the DES starts tasks exactly at
@@ -506,22 +506,22 @@ std::optional<std::string> verify_timeline_against_faults(
   // window must take at least its solo time dilated by the window's
   // guaranteed slowdown — a degraded bus can never speed anything up.
   // Needs per-task memory sensitivity, so it only runs when the caller
-  // supplies the simulator tasks (indexed like the timeline records).
-  if (!tasks.empty() && script.has_bus_degrade()) {
-    const std::size_t n = std::min(tasks.size(), timeline.tasks.size());
+  // supplies the DES's task table (indexed like the timeline records).
+  if (table != nullptr && script.has_bus_degrade()) {
+    const std::size_t n = std::min(table->size(), timeline.tasks.size());
     for (std::size_t i = 0; i < n; ++i) {
       const TaskRecord& t = timeline.tasks[i];
       // Migrated by the DES: the final run used the fallback cost row, not
-      // `tasks[i]`'s numbers — skip.
-      if (t.proc_idx != tasks[i].proc_idx) continue;
+      // the table's planned numbers — skip.
+      if (t.proc_idx != table->proc_idx[i]) continue;
       for (const FaultEvent& e : script.events()) {
         if (e.kind != FaultKind::kBusDegrade) continue;
         if (!(t.start_ms >= e.begin_ms - 1e-6 && t.end_ms <= e.end_ms + 1e-6)) {
           continue;  // not fully contained in this window
         }
         const double expected =
-            tasks[i].solo_ms * ContentionModel::bus_degrade_slowdown(
-                                   e.factor, tasks[i].sensitivity);
+            table->solo_ms[i] * ContentionModel::bus_degrade_slowdown(
+                                    e.factor, table->sensitivity[i]);
         if (t.duration_ms() < expected - 1e-6) {
           char buf[200];
           std::snprintf(buf, sizeof(buf),

@@ -3,7 +3,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <optional>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -317,9 +316,9 @@ class FaultScript {
 [[nodiscard]] Json fault_script_to_json(const FaultScript& script);
 [[nodiscard]] FaultScript fault_script_from_json(const Json& json);
 
-/// Forward declaration: the bus-degrade check consults per-task memory
-/// sensitivity, which lives on the simulator task, not the timeline record.
-struct SimTask;
+namespace sim {
+class TaskTable;
+}
 
 /// Post-hoc safety checker used by every fault test: scans a simulated
 /// timeline and returns a description of the first violation, or nullopt
@@ -327,14 +326,14 @@ struct SimTask;
 ///  - No task *started* on a processor inside one of the script's drop-out
 ///    windows (a task that began before the window opened and was frozen
 ///    across it is legal).
-///  - When `tasks` is supplied (indexed like the timeline), every task that
-///    ran entirely inside a bus-degrade window on its planned processor
-///    took at least solo_ms * ContentionModel::bus_degrade_slowdown(factor,
-///    sensitivity) — a degraded bus can never speed anything up.  Tasks the
-///    DES migrated (record proc != planned proc) are skipped: their final
-///    run uses the fallback cost row, not `tasks`' numbers.
+///  - When `table` (the DES input of the timeline) is supplied, every task
+///    that ran entirely inside a bus-degrade window on its planned
+///    processor took at least solo_ms * ContentionModel::
+///    bus_degrade_slowdown(factor, sensitivity).  Tasks the DES migrated
+///    (record proc != planned proc) are skipped: their final run uses the
+///    fallback cost row, not the table's planned numbers.
 [[nodiscard]] std::optional<std::string> verify_timeline_against_faults(
     const Timeline& timeline, const FaultScript& script,
-    std::span<const SimTask> tasks = {});
+    const sim::TaskTable* table = nullptr);
 
 }  // namespace h2p

@@ -14,6 +14,7 @@
 #include <utility>
 
 #include "exec/compiled_plan.h"
+#include "exec/plan_cache.h"
 #include "obs/log.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -136,9 +137,7 @@ OnlineResult run_online(const Soc& soc, const std::vector<OnlineRequest>& stream
   const std::uint64_t full_mask = P >= 64 ? ~0ull : ((1ull << P) - 1);
   const FaultToleranceOptions& ft = options.fault_tolerance;
 
-  exec::PlanCache local_cache;
-  exec::PlanCache* cache =
-      options.shared_cache != nullptr ? options.shared_cache : &local_cache;
+  exec::PlanCache cache;
 
   result.admitted.assign(stream.size(), false);
   result.completion_ms.assign(stream.size(), -1.0);
@@ -240,10 +239,10 @@ OnlineResult run_online(const Soc& soc, const std::vector<OnlineRequest>& stream
                               const std::vector<const Model*>& models,
                               std::uint64_t mask, int bus_centi) {
     if (!caching) return true;
-    if (cache->peek(key) != nullptr) return false;
-    if (warm && cache->peek_near(key) != nullptr) return false;
+    if (cache.peek(key) != nullptr) return false;
+    if (warm && cache.peek_near(key) != nullptr) return false;
     const bool degraded = mask != full_mask || bus_centi < 100;
-    return !degraded || cache->peek(healthy_key(models)) == nullptr;
+    return !degraded || cache.peek(healthy_key(models)) == nullptr;
   };
 
   // Async mode: cold plans for upcoming windows are computed speculatively
@@ -303,13 +302,15 @@ OnlineResult run_online(const Soc& soc, const std::vector<OnlineRequest>& stream
   };
 
   std::vector<bool> believed_dead(P, false);
-  std::vector<SimTask> all_tasks;
+  // The whole stream's DES input, appended as windows are consumed; not the
+  // thread-local DES table, which the planner's scoring calls overwrite.
+  sim::TaskTable tasks;
+  std::vector<double> root_arrival;  // per window, reused
   // Drift tracking: one record per appended task, predicted side and context
   // filled at consume time, executed side after the final simulation.  Index
-  // i of this vector is task i of all_tasks — and therefore of
+  // i of this vector is row i of `tasks` — and therefore of
   // result.timeline.tasks, which the simulator indexes identically.
   std::vector<obs::SliceRecord> drift_records;
-  std::size_t next_slot = 0;
   std::vector<std::size_t> request_of_slot;
   std::vector<std::size_t> window_of_slot;
   std::vector<std::size_t> slot_base_of_window;
@@ -538,21 +539,12 @@ OnlineResult run_online(const Soc& soc, const std::vector<OnlineRequest>& stream
     obs::Span plan_span("online.plan");
     plan_span.arg("window", static_cast<double>(result.windows.size()));
     if (caching) {
-      if (const exec::CompiledPlan* hit = cache->find(key)) {
+      if (const exec::CompiledPlan* hit = cache.find(key)) {
         compiled = hit;
         ws.source = WindowSource::kCacheHit;
         ++result.cache_hits;
         c_cache_hits.inc();
         ws.planning_ms = options.cache_hit_overhead_ms;
-        // A shared cache populated by a fault-oblivious run may hold plans
-        // without the fallback table the fault-aware DES migrates with.
-        if (faults != nullptr &&
-            hit->fallback_procs != view.soc.num_processors()) {
-          storage = *hit;
-          const StaticEvaluator eval(view.soc, models);
-          exec::attach_fallback_costs(storage, eval);
-          compiled = &storage;
-        }
       }
     }
     // Warm or degraded replan from a cached seed, compiled and cached like
@@ -569,7 +561,7 @@ OnlineResult run_online(const Soc& soc, const std::vector<OnlineRequest>& stream
       if (!report) return;
       exec::CompiledPlan fresh = exec::compile(report->plan, eval);
       if (faults != nullptr) exec::attach_fallback_costs(fresh, eval);
-      compiled = &cache->insert(key, std::move(fresh));
+      compiled = &cache.insert(key, std::move(fresh));
       ws.source = source;
       ++result.replans;
       ++(is_warm ? result.warm_hits : result.degraded_hits);
@@ -577,7 +569,7 @@ OnlineResult run_online(const Soc& soc, const std::vector<OnlineRequest>& stream
       ws.planning_ms = options.warm_planning_overhead_ms;
     };
     if (compiled == nullptr && warm) {
-      replan_seeded(cache->find_near(key), WindowSource::kWarmReplan);
+      replan_seeded(cache.find_near(key), WindowSource::kWarmReplan);
     }
     if (compiled == nullptr && caching &&
         (mask != full_mask || bus_centi < 100)) {
@@ -586,7 +578,7 @@ OnlineResult run_online(const Soc& soc, const std::vector<OnlineRequest>& stream
       // replan on the survivors.  A pure bus degrade keeps every processor
       // (identity projection) and just re-settles the boundaries against
       // the bus-scaled cost tables.
-      replan_seeded(cache->peek(healthy_key(models)),
+      replan_seeded(cache.peek(healthy_key(models)),
                     WindowSource::kDegradedReplan);
     }
     if (compiled == nullptr) {
@@ -621,7 +613,7 @@ OnlineResult run_online(const Soc& soc, const std::vector<OnlineRequest>& stream
       c_cold.inc();
       ws.planning_ms = options.planning_overhead_ms;
       if (caching) {
-        compiled = &cache->insert(key, std::move(fresh));
+        compiled = &cache.insert(key, std::move(fresh));
       } else {
         storage = std::move(fresh);
         compiled = &storage;
@@ -670,37 +662,20 @@ OnlineResult run_online(const Soc& soc, const std::vector<OnlineRequest>& stream
       }
     }
 
-    // Remap window-local slots to global slots — and degraded stage
-    // indices back to physical processors — and release each model's chain
-    // at max(its own arrival, the window's release).
-    const std::size_t fp = compiled->fallback_procs;
-    for (std::size_t k = 0; k < compiled->slices.size(); ++k) {
-      const exec::ScheduledSlice& s = compiled->slices[k];
-      SimTask task;
-      task.model_idx = next_slot + s.model_idx;
-      task.seq_in_model = s.seq_in_model;
-      task.proc_idx = view.kept[s.proc_idx];
-      task.solo_ms = s.solo_ms();
-      task.sensitivity = s.sensitivity;
-      task.intensity = s.intensity;
-      if (s.seq_in_model == 0) {
-        const std::size_t original = admitted[window_index[s.model_idx]];
-        task.arrival_ms = std::max(ws.release_ms, stream[original].arrival_ms);
-      }
-      if (faults != nullptr && fp == view.kept.size() &&
-          compiled->fallback.size() == compiled->slices.size() * fp) {
-        // Fallback costs are per degraded stage; spread them over the full
-        // processor space with removed processors marked illegal.
-        task.alt.assign(P, SimTask::AltCost{kInf, 0.0, 0.0});
-        for (std::size_t q = 0; q < fp; ++q) {
-          const exec::CompiledPlan::FallbackCost& fc =
-              compiled->fallback[k * fp + q];
-          task.alt[view.kept[q]] =
-              SimTask::AltCost{fc.solo_ms, fc.sensitivity, fc.intensity};
-        }
-      }
-      all_tasks.push_back(std::move(task));
+    // Append the window to the stream, degraded stages mapped back to
+    // physical processors and each model's chain released at max(its own
+    // arrival, the window's release).
+    const std::size_t first_slot = request_of_slot.size();
+    root_arrival.resize(m);
+    for (std::size_t slot = 0; slot < m; ++slot) {
+      const std::size_t request = admitted[window_index[slot]];
+      request_of_slot.push_back(request);
+      window_of_slot.push_back(result.windows.size());
+      result.admitted[request] = true;
+      root_arrival[slot] = std::max(ws.release_ms, stream[request].arrival_ms);
     }
+    const std::size_t first_row = tasks.size();
+    tasks.append_compiled(*compiled, root_arrival, view.kept, P);
 
     // ---- 5b. Record the window's own DES prediction ---------------------
     // The prediction is the plan's window-isolated, fault-free simulation —
@@ -710,8 +685,7 @@ OnlineResult run_online(const Soc& soc, const std::vector<OnlineRequest>& stream
     // cross-window pipelining, faults, bus degradation, thermal drift.
     // Post-hoc and read-only: nothing below feeds back into planning.
     if (options.drift_tracking) {
-      std::vector<SimTask> wtasks = tasks_from_compiled(*compiled);
-      const Timeline predicted = simulate(view.soc, wtasks, SimOptions{});
+      const Timeline predicted = simulate(view.soc, *compiled);
       ws.predicted_makespan_ms = predicted.makespan_ms();
       std::vector<std::size_t> last_seq(m, 0);
       for (const exec::ScheduledSlice& s : compiled->slices) {
@@ -722,7 +696,7 @@ OnlineResult run_online(const Soc& soc, const std::vector<OnlineRequest>& stream
         const exec::ScheduledSlice& s = compiled->slices[k];
         obs::SliceRecord rec;
         rec.window = result.windows.size();
-        rec.model_idx = next_slot + s.model_idx;
+        rec.model_idx = first_slot + s.model_idx;
         rec.seq_in_model = s.seq_in_model;
         rec.proc = view.kept[s.proc_idx];
         rec.kind = obs::classify_slice(s.seq_in_model, last_seq[s.model_idx]);
@@ -734,15 +708,8 @@ OnlineResult run_online(const Soc& soc, const std::vector<OnlineRequest>& stream
       }
     }
 
-    slot_base_of_window.push_back(next_slot);
+    slot_base_of_window.push_back(first_slot);
     slot_count_of_window.push_back(m);
-    for (std::size_t slot = 0; slot < m; ++slot) {
-      const std::size_t request = admitted[window_index[slot]];
-      request_of_slot.push_back(request);
-      window_of_slot.push_back(result.windows.size());
-      result.admitted[request] = true;
-    }
-    next_slot += m;
     result.windows.push_back(ws);
     c_windows.inc();
 
@@ -753,9 +720,8 @@ OnlineResult run_online(const Soc& soc, const std::vector<OnlineRequest>& stream
     // derives the next window's bucket through the hysteresis band.
     if (options.thermal_loop) {
       std::vector<double> busy(P, 0.0);
-      for (std::size_t k = all_tasks.size() - compiled->slices.size();
-           k < all_tasks.size(); ++k) {
-        busy[all_tasks[k].proc_idx] += all_tasks[k].solo_ms;
+      for (std::size_t k = first_row; k < tasks.size(); ++k) {
+        busy[tasks.proc_idx[k]] += tasks.solo_ms[k];
       }
       double max_busy = 0.0;
       for (std::size_t p = 0; p < P; ++p) {
@@ -809,11 +775,12 @@ OnlineResult run_online(const Soc& soc, const std::vector<OnlineRequest>& stream
 
   SimOptions sim_options;
   sim_options.faults = faults;
-  result.timeline = simulate(soc, all_tasks, sim_options);
+  tasks.finish(P);
+  result.timeline = simulate(soc, tasks, sim_options);
   // Latencies are reported per *request* (stream order), so invert the
   // slot -> request binding — it is a permutation within each window.
   const std::vector<double> finish_of_slot = result.timeline.model_finish_times();
-  for (std::size_t slot = 0; slot < next_slot; ++slot) {
+  for (std::size_t slot = 0; slot < request_of_slot.size(); ++slot) {
     const std::size_t request = request_of_slot[slot];
     const double finish =
         slot < finish_of_slot.size() ? finish_of_slot[slot] : 0.0;
@@ -850,7 +817,8 @@ OnlineResult run_online(const Soc& soc, const std::vector<OnlineRequest>& stream
       proc_clock[t.proc_idx] = t.end_ms;
     }
     // Lead-task record per global slot.
-    std::vector<std::size_t> lead_of_slot(next_slot, result.timeline.tasks.size());
+    std::vector<std::size_t> lead_of_slot(request_of_slot.size(),
+                                          result.timeline.tasks.size());
     for (std::size_t idx = 0; idx < result.timeline.tasks.size(); ++idx) {
       const TaskRecord& t = result.timeline.tasks[idx];
       if (t.seq_in_model == 0) lead_of_slot[t.model_idx] = idx;

@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "core/planner.h"
-#include "exec/plan_cache.h"
 #include "models/model.h"
 #include "obs/drift.h"
 #include "sim/fault_injector.h"
@@ -92,14 +91,11 @@ struct OnlineOptions {
 
   /// Reuse compiled plans for repeated request windows (same model multiset
   /// on the same Soc under the same planner knobs).  A hit skips both the
-  /// cost-table build and the O(|M|^3 |H|) planner.
+  /// cost-table build and the O(|M|^3 |H|) planner.  The cache lives for
+  /// one run_online call, at exec::PlanCache's default capacity.
   bool use_plan_cache = true;
   /// Overhead charged on a cache hit (the lookup itself; ~free on-device).
   double cache_hit_overhead_ms = 0.0;
-  /// Optional externally owned cache, shared across run_online calls (e.g.
-  /// a long-lived serving process).  When null an internal per-call cache
-  /// of PlanCache's default capacity is used.
-  exec::PlanCache* shared_cache = nullptr;
 
   /// Worker pool for async prefetch (`async_planning`); each prefetch job
   /// plans one window on one worker.  Plans on the calling thread never

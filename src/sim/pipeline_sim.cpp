@@ -233,7 +233,7 @@ void simulate(const Soc& soc, const sim::TaskTable& table,
            {"t_ms", now}});
       throw std::runtime_error(
           "simulate: task stranded on a permanently dropped processor with "
-          "no usable fallback (SimTask::alt)");
+          "no usable fallback (alt row)");
     }
     c_migrations.inc();
     obs::Tracer::global().instant(
@@ -462,13 +462,25 @@ void simulate(const Soc& soc, const sim::TaskTable& table,
   c_fault_steps.inc(fault_steps);
 }
 
+Timeline simulate(const Soc& soc, const sim::TaskTable& table,
+                  const SimOptions& options) {
+  Timeline out;
+  simulate(soc, table, tls_ctx().scratch, out, options);
+  return out;
+}
+
+Timeline simulate(const Soc& soc, const exec::CompiledPlan& compiled,
+                  const SimOptions& options) {
+  sim::TaskTable& table = tls_ctx().table;
+  table.build_from_compiled(compiled, soc.num_processors());
+  return simulate(soc, table, options);
+}
+
 Timeline simulate(const Soc& soc, std::span<const SimTask> tasks,
                   const SimOptions& options) {
-  DesContext& ctx = tls_ctx();
-  ctx.table.build_from_tasks(tasks, soc.num_processors());
-  Timeline out;
-  simulate(soc, ctx.table, ctx.scratch, out, options);
-  return out;
+  sim::TaskTable& table = tls_ctx().table;
+  table.build_from_tasks(tasks, soc.num_processors());
+  return simulate(soc, table, options);
 }
 
 double simulate_plan_makespan(const PipelinePlan& plan,
@@ -507,7 +519,6 @@ std::vector<SimTask> tasks_from_compiled(const exec::CompiledPlan& compiled) {
     // Slice deps are already global slice indices, and slices map 1:1 onto
     // tasks — carry the edges over verbatim.
     t.explicit_deps = true;
-    t.deps.reserve(s.deps.size());
     t.deps = s.deps;
     if (with_alt) {
       t.alt.resize(fp);
@@ -521,14 +532,9 @@ std::vector<SimTask> tasks_from_compiled(const exec::CompiledPlan& compiled) {
   return tasks;
 }
 
-std::vector<SimTask> tasks_from_plan(const PipelinePlan& plan,
-                                     const StaticEvaluator& eval) {
-  return tasks_from_compiled(exec::compile(plan, eval));
-}
-
 Timeline simulate_plan(const PipelinePlan& plan, const StaticEvaluator& eval,
                        const SimOptions& options) {
-  return simulate(eval.soc(), tasks_from_plan(plan, eval), options);
+  return simulate(eval.soc(), exec::compile(plan, eval), options);
 }
 
 }  // namespace h2p

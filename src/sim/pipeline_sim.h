@@ -15,11 +15,11 @@
 
 namespace h2p {
 
-/// One schedulable unit handed to the simulator.  By default tasks of the
-/// same model form a chain ordered by `seq_in_model`; tasks carrying
-/// explicit dependency edges (`explicit_deps`) instead wait on the listed
-/// tasks — the fork/join form DAG plans lower to.  At most one task runs
-/// per processor at a time.
+/// One schedulable unit in AoS form, the input of the reference oracle,
+/// hand-built test and Table 2 task sets and the benchmark's modeled pass
+/// (library code simulates a CompiledPlan).  Tasks of one model form a
+/// chain by `seq_in_model` unless `explicit_deps` lists what they wait on
+/// (the fork/join form).  At most one task runs per processor at a time.
 struct SimTask {
   std::size_t model_idx = 0;
   std::size_t seq_in_model = 0;
@@ -93,9 +93,17 @@ void simulate(const Soc& soc, const sim::TaskTable& table,
               sim::SimScratch& scratch, Timeline& out,
               const SimOptions& options = {});
 
-/// Compatibility entry: AoS task list by const reference (the historical
-/// by-value signature copied every per-task heap vector on each call).
-/// Builds a thread-local TaskTable/SimScratch and runs the SoA core.
+/// A caller-built table (e.g. a stream of appended windows) through the
+/// thread-local scratch, which stays carved for the next call.
+Timeline simulate(const Soc& soc, const sim::TaskTable& table,
+                  const SimOptions& options = {});
+
+/// One compiled plan, all arrivals at 0, through a thread-local
+/// TaskTable/SimScratch: the entry library, tool and figure callers use.
+Timeline simulate(const Soc& soc, const exec::CompiledPlan& compiled,
+                  const SimOptions& options = {});
+
+/// AoS entry (see SimTask) through a thread-local build_from_tasks table.
 Timeline simulate(const Soc& soc, std::span<const SimTask> tasks,
                   const SimOptions& options = {});
 
@@ -114,15 +122,11 @@ double simulate_compiled_makespan(const exec::CompiledPlan& compiled,
                                   const Soc& soc,
                                   const SimOptions& options = {});
 
-/// Map a compiled plan's slices 1:1 onto simulator tasks (arrivals zeroed;
-/// set them afterwards for streaming workloads).
+/// Map a compiled plan's slices 1:1 onto SimTasks (arrivals zeroed): the
+/// AoS twin of TaskTable::append_compiled, for SimTask's users only.
 std::vector<SimTask> tasks_from_compiled(const exec::CompiledPlan& compiled);
 
-/// Thin wrapper: lower via exec::compile, then tasks_from_compiled.
-std::vector<SimTask> tasks_from_plan(const PipelinePlan& plan,
-                                     const StaticEvaluator& eval);
-
-/// Convenience: plan -> DES timeline.
+/// Convenience: plan -> exec::compile -> DES timeline.
 Timeline simulate_plan(const PipelinePlan& plan, const StaticEvaluator& eval,
                        const SimOptions& options = {});
 

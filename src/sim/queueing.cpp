@@ -37,19 +37,17 @@ QueueStats pipelined_queueing(const StaticEvaluator& eval,
   Hetero2PipePlanner planner(eval);
   const PlannerReport report = planner.plan();
   const exec::CompiledPlan compiled = exec::compile(report.plan, eval);
-  std::vector<SimTask> tasks = tasks_from_compiled(compiled);
-
   // Release each model's root tasks at its arrival time (a DAG plan may
   // have several roots; a chain has exactly its seq-0 task).
-  for (SimTask& t : tasks) {
-    const std::size_t original = compiled.original_index[t.model_idx];
-    const bool root = t.explicit_deps ? t.deps.empty() : t.seq_in_model == 0;
-    if (root && original < arrival_ms.size()) {
-      t.arrival_ms = arrival_ms[original];
-    }
+  std::vector<double> root_arrival(compiled.num_models, 0.0);
+  for (std::size_t slot = 0; slot < compiled.num_models; ++slot) {
+    const std::size_t original = compiled.original_index[slot];
+    if (original < arrival_ms.size()) root_arrival[slot] = arrival_ms[original];
   }
-
-  const Timeline timeline = simulate(eval.soc(), tasks, {});
+  sim::TaskTable table;
+  table.append_compiled(compiled, root_arrival);
+  table.finish(eval.soc().num_processors());
+  const Timeline timeline = simulate(eval.soc(), table);
   stats.completion_ms.resize(m, 0.0);
   stats.queueing_ms.resize(m, 0.0);
   // One pass each for finishes and first starts (the last seq-0 task of a

@@ -18,33 +18,21 @@ constexpr double kInf = std::numeric_limits<double>::infinity();
 }
 
 void TaskTable::clear() {
-  n_ = 0;
-  max_proc_idx = 0;
+  n_ = num_slots_ = finalized_min_procs_ = 0;
+  max_proc_idx = alt_procs = num_models = num_procs = 0;
   plan_structure_ = false;
-  finalized_min_procs_ = 0;
-  model_idx.clear();
-  seq_in_model.clear();
-  proc_idx.clear();
-  solo_ms.clear();
-  sensitivity.clear();
-  intensity.clear();
-  arrival_ms.clear();
-  dram_bytes.clear();
+  for (auto* col : {&model_idx, &seq_in_model, &proc_idx, &dep_offsets,
+                    &dep_edges, &dispatch_order, &dispatch_rank,
+                    &arrival_order, &succ_offsets, &succ_edges}) {
+    col->clear();
+  }
+  for (auto* col : {&solo_ms, &sensitivity, &intensity, &arrival_ms,
+                    &dram_bytes, &alt_solo_ms, &alt_sensitivity,
+                    &alt_intensity}) {
+    col->clear();
+  }
   explicit_deps.clear();
-  dep_offsets.clear();
-  dep_edges.clear();
-  alt_procs = 0;
-  alt_solo_ms.clear();
-  alt_sensitivity.clear();
-  alt_intensity.clear();
-  num_models = 0;
-  num_procs = 0;
   pred.clear();
-  dispatch_order.clear();
-  dispatch_rank.clear();
-  arrival_order.clear();
-  succ_offsets.clear();
-  succ_edges.clear();
 }
 
 void TaskTable::finalize(std::size_t min_procs, std::size_t n_logical) {
@@ -258,56 +246,89 @@ void TaskTable::build_from_tasks(std::span<const SimTask> tasks,
   finalize(min_procs, n);
 }
 
+void TaskTable::append_compiled(const exec::CompiledPlan& compiled,
+                                std::span<const double> root_arrival_ms,
+                                std::span<const std::size_t> proc_map,
+                                std::size_t num_procs) {
+  const std::size_t base = n_;
+  const std::size_t k = compiled.slices.size();
+  const std::size_t n = base + k;
+  const std::size_t fp = compiled.fallback_procs;
+  const bool with_alt = fp > 0 && compiled.fallback.size() == k * fp;
+  if ((!root_arrival_ms.empty() && root_arrival_ms.size() < compiled.num_models) ||
+      (with_alt && !proc_map.empty() && proc_map.size() != fp)) {
+    throw std::invalid_argument(
+        "append_compiled: root arrivals or processor map do not fit the plan");
+  }
+  const auto physical = [&](std::size_t stage) {
+    if (!proc_map.empty() && stage >= proc_map.size()) {
+      throw std::invalid_argument("append_compiled: stage outside processor map");
+    }
+    return static_cast<std::uint32_t>(proc_map.empty() ? stage : proc_map[stage]);
+  };
+
+  // Drop the padding a previous finish() added; rows [base, n) are all
+  // written below.
+  plan_structure_ = false;
+  for (auto* col : {&model_idx, &seq_in_model, &proc_idx}) col->resize(n);
+  for (auto* col : {&solo_ms, &sensitivity, &intensity, &arrival_ms,
+                    &dram_bytes}) {
+    col->resize(n);
+  }
+  explicit_deps.resize(n, 1);
+  dep_offsets.resize(n + 1);  // dep_offsets[base] is 0 or the edge count
+  dep_edges.resize(dep_offsets[base]);
+  for (std::size_t j = 0; j < k; ++j) {
+    const exec::ScheduledSlice& s = compiled.slices[j];
+    const std::size_t row = base + j;
+    model_idx[row] = static_cast<std::uint32_t>(num_slots_ + s.model_idx);
+    seq_in_model[row] = static_cast<std::uint32_t>(s.seq_in_model);
+    proc_idx[row] = physical(s.proc_idx);
+    solo_ms[row] = s.solo_ms();
+    sensitivity[row] = s.sensitivity;
+    intensity[row] = s.intensity;
+    const bool released = s.deps.empty() && !root_arrival_ms.empty();
+    arrival_ms[row] = released ? root_arrival_ms[s.model_idx] : 0.0;
+    dram_bytes[row] = s.dram_bytes;
+    dep_offsets[row] = static_cast<std::uint32_t>(dep_edges.size());
+    for (const std::size_t d : s.deps) {
+      if (d >= k) throw std::invalid_argument("simulate: dependency on unknown task");
+      dep_edges.push_back(static_cast<std::uint32_t>(base + d));
+    }
+  }
+  dep_offsets[n] = static_cast<std::uint32_t>(dep_edges.size());
+  n_ = n;
+  num_slots_ += compiled.num_models;
+
+  // Fallback rows are `alt_procs` wide in physical processor space; rows
+  // appended before the first fallback table, rows without one and the
+  // processors a map leaves out are illegal targets (+inf), as
+  // build_from_tasks pads a ragged alt list.
+  if (with_alt && alt_procs == 0) {
+    alt_procs = std::max(num_procs, proc_map.empty() ? fp : 0);
+    for (const std::size_t p : proc_map) alt_procs = std::max(alt_procs, p + 1);
+  }
+  if (alt_procs == 0) return;
+  alt_solo_ms.resize(n * alt_procs, kInf);
+  alt_sensitivity.resize(n * alt_procs, 0.0);
+  alt_intensity.resize(n * alt_procs, 0.0);
+  for (std::size_t e = 0; with_alt && e < k * fp; ++e) {
+    const std::size_t q = physical(e % fp);
+    if (q >= alt_procs) {
+      throw std::invalid_argument("append_compiled: fallback too wide");
+    }
+    const std::size_t cell = (base + e / fp) * alt_procs + q;
+    alt_solo_ms[cell] = compiled.fallback[e].solo_ms;
+    alt_sensitivity[cell] = compiled.fallback[e].sensitivity;
+    alt_intensity[cell] = compiled.fallback[e].intensity;
+  }
+}
+
 void TaskTable::build_from_compiled(const exec::CompiledPlan& compiled,
                                     std::size_t min_procs) {
-  const std::size_t n = compiled.slices.size();
   clear();
-  model_idx.resize(n);
-  seq_in_model.resize(n);
-  proc_idx.resize(n);
-  solo_ms.resize(n);
-  sensitivity.resize(n);
-  intensity.resize(n);
-  arrival_ms.assign(n, 0.0);
-  dram_bytes.resize(n);
-  explicit_deps.assign(n, 1);
-  dep_offsets.resize(n + 1);
-
-  std::size_t num_edges = 0;
-  for (std::size_t k = 0; k < n; ++k) {
-    const exec::ScheduledSlice& s = compiled.slices[k];
-    model_idx[k] = static_cast<std::uint32_t>(s.model_idx);
-    seq_in_model[k] = static_cast<std::uint32_t>(s.seq_in_model);
-    proc_idx[k] = static_cast<std::uint32_t>(s.proc_idx);
-    solo_ms[k] = s.solo_ms();
-    sensitivity[k] = s.sensitivity;
-    intensity[k] = s.intensity;
-    dram_bytes[k] = s.dram_bytes;
-    dep_offsets[k] = static_cast<std::uint32_t>(num_edges);
-    num_edges += s.deps.size();
-  }
-  dep_offsets[n] = static_cast<std::uint32_t>(num_edges);
-  dep_edges.resize(num_edges);
-  std::size_t w = 0;
-  for (std::size_t k = 0; k < n; ++k) {
-    for (const std::size_t d : compiled.slices[k].deps) {
-      dep_edges[w++] = static_cast<std::uint32_t>(d);
-    }
-  }
-
-  const std::size_t fp = compiled.fallback_procs;
-  if (fp > 0 && compiled.fallback.size() == n * fp) {
-    alt_procs = fp;
-    alt_solo_ms.resize(n * fp);
-    alt_sensitivity.resize(n * fp);
-    alt_intensity.resize(n * fp);
-    for (std::size_t e = 0; e < n * fp; ++e) {
-      alt_solo_ms[e] = compiled.fallback[e].solo_ms;
-      alt_sensitivity[e] = compiled.fallback[e].sensitivity;
-      alt_intensity[e] = compiled.fallback[e].intensity;
-    }
-  }
-  finalize(min_procs, n);
+  append_compiled(compiled);
+  finish(min_procs);
 }
 
 void TaskTable::build_from_plan(const PipelinePlan& plan,

@@ -20,15 +20,12 @@ struct CompiledPlan;
 
 namespace sim {
 
-/// Structure-of-arrays task set for the discrete-event simulator.
-///
-/// The DES used to take a `std::vector<SimTask>` by value: an AoS copy
-/// whose per-task `deps`/`alt` vectors are separate heap blocks, rebuilt on
-/// every evaluation — and the tail sweep, warm-start auditions and graph
-/// arbitration call the DES thousands of times per planning window.  A
-/// TaskTable is the same task set laid out as contiguous columns plus
-/// CSR-packed edge lists, built **once per candidate set** with every
-/// derived structure the simulator needs precomputed:
+/// Structure-of-arrays task set, the DES's only input: contiguous columns
+/// plus CSR-packed edge lists, built **once per candidate set** (the tail
+/// sweep, warm-start auditions and graph arbitration call the DES thousands
+/// of times per planning window) with every derived structure precomputed.
+/// Compiled plans enter through append_compiled, pipeline plans through the
+/// scorer's memoized build_from_plan.  The derived structures:
 ///
 ///  - `dispatch_order`/`dispatch_rank`: every task in (model, seq, index)
 ///    order, the order a free processor picks its ready tasks in;
@@ -38,7 +35,7 @@ namespace sim {
 ///    releases its dependents through;
 ///  - `arrival_order`: strictly-future arrivals in ascending order.
 ///
-/// The `build_from_*` members reuse the columns' capacity, so a thread-local
+/// The builders reuse the columns' capacity, so a thread-local
 /// table re-lowered every candidate allocates nothing after warm-up.
 /// Columns are immutable during simulation — migration under faults mutates
 /// the *scratch* copies, never the table — so one table can back many
@@ -64,7 +61,7 @@ class TaskTable {
   std::vector<std::uint32_t> dep_offsets;  // size()+1; deps of task i are
   std::vector<std::uint32_t> dep_edges;    //   dep_edges[dep_offsets[i] .. i+1)
 
-  // ---- flattened fallback costs (SimTask::alt); empty unless attached ------
+  // ---- flattened fallback costs; empty unless a fallback table is attached --
   std::size_t alt_procs = 0;               // stride; 0 = no fallback table
   std::vector<double> alt_solo_ms;         // [task * alt_procs + q]
   std::vector<double> alt_sensitivity;
@@ -91,19 +88,33 @@ class TaskTable {
 
   [[nodiscard]] std::size_t size() const { return n_; }
 
-  /// Transpose an AoS task list (the compatibility entry the legacy
-  /// simulate() wrappers use).  `min_procs` is a floor for `num_procs`.
+  /// Transpose an AoS SimTask list (see SimTask for who still uses that
+  /// format).  `min_procs` is a floor for `num_procs`.
   void build_from_tasks(std::span<const SimTask> tasks, std::size_t min_procs);
 
-  /// Lower a compiled plan directly into columns — the SoA equivalent of
-  /// `tasks_from_compiled`, byte-identical values, no intermediate AoS
-  /// vector.
+  /// THE lowering into the DES: append a compiled plan's slices to a table
+  /// emptied by clear(), slots and deps offset past earlier appends (a
+  /// stream appends window by window).  `proc_map[k]` is stage k's
+  /// processor (empty = identity); slot s's root slices are released at
+  /// `root_arrival_ms[s]` (empty = 0).  The first fallback table fixes the
+  /// alt stride at `num_procs` (0 = its own width); unmapped processors and
+  /// rows without a fallback get +inf solo.  Derived structures are stale
+  /// until finish().
+  void append_compiled(const exec::CompiledPlan& compiled,
+                       std::span<const double> root_arrival_ms = {},
+                       std::span<const std::size_t> proc_map = {},
+                       std::size_t num_procs = 0);
+
+  /// Derive the structures below, once after the last append_compiled.
+  void finish(std::size_t min_procs) { finalize(min_procs, n_); }
+
+  /// clear() + append_compiled(compiled) + finish(min_procs).
   void build_from_compiled(const exec::CompiledPlan& compiled,
                            std::size_t min_procs);
 
   /// Lower a pipeline plan directly into columns — the SoA equivalent of
-  /// `tasks_from_plan` (exec::compile + tasks_from_compiled) for the
-  /// DES-scoring hot path.  Reads the same cost-table accessors in the same
+  /// build_from_compiled(exec::compile(plan, eval)) for the DES-scoring hot
+  /// path.  Reads the same cost-table accessors in the same
   /// order as exec::lower_range, so every double matches the two-step
   /// lowering bit for bit; skips the CompiledPlan assembly (names,
   /// footprints) a score-only evaluation never reads.
@@ -139,6 +150,8 @@ class TaskTable {
   };
   std::vector<SlotMemo> slot_memo_;
   std::vector<std::uint32_t> chain_order_;  // finalize()'s chain-task buffer
+  // Slots appended since clear(): append_compiled's slot offset.
+  std::size_t num_slots_ = 0;
 
   std::size_t n_ = 0;  // logical task count (columns are padded beyond it)
   // True iff the current derived structures came from a build_from_plan

@@ -1,7 +1,7 @@
 // Tests for the exec::CompiledPlan lowering layer.  The equivalence test
-// pins the refactor contract: tasks_from_plan is a thin wrapper over
-// exec::compile and must reproduce the pre-refactor expansion *byte for
-// byte* (exact float equality, not tolerance).
+// pins the refactor contract: exec::compile, mapped 1:1 onto simulator
+// tasks, must reproduce the pre-refactor expansion *byte for byte* (exact
+// float equality, not tolerance).
 #include <gtest/gtest.h>
 
 #include "core/planner.h"
@@ -22,8 +22,8 @@ std::vector<ModelId> five_models() {
 /// The lowering exactly as every consumer wrote it before exec::compile
 /// existed (see pre-refactor sim/pipeline_sim.cpp): iterate slots, skip
 /// empty slices, derive solo/sensitivity/intensity per stage.
-std::vector<SimTask> legacy_tasks_from_plan(const PipelinePlan& plan,
-                                            const StaticEvaluator& eval) {
+std::vector<SimTask> legacy_lowering(const PipelinePlan& plan,
+                                     const StaticEvaluator& eval) {
   std::vector<SimTask> tasks;
   for (std::size_t slot = 0; slot < plan.models.size(); ++slot) {
     const ModelPlan& mp = plan.models[slot];
@@ -49,9 +49,9 @@ TEST(ExecEquivalence, TasksByteIdenticalToLegacyOnAllSocs) {
     Fixture fx(five_models(), soc);
     const PlannerReport report = Hetero2PipePlanner(*fx.eval).plan();
 
-    const std::vector<SimTask> legacy =
-        legacy_tasks_from_plan(report.plan, *fx.eval);
-    const std::vector<SimTask> now = tasks_from_plan(report.plan, *fx.eval);
+    const std::vector<SimTask> legacy = legacy_lowering(report.plan, *fx.eval);
+    const std::vector<SimTask> now =
+        tasks_from_compiled(exec::compile(report.plan, *fx.eval));
 
     ASSERT_EQ(now.size(), legacy.size());
     for (std::size_t i = 0; i < legacy.size(); ++i) {

@@ -457,8 +457,10 @@ TEST(BusDegrade, SoAMatchesReferenceUnderFullWeather) {
     EXPECT_EQ(soa.tasks[i].end_ms, ref.tasks[i].end_ms) << "task " << i;
   }
   // The post-hoc checker accepts the genuine DES output.
+  sim::TaskTable table;
+  table.build_from_tasks(tasks, soc.num_processors());
   EXPECT_FALSE(
-      verify_timeline_against_faults(soa, faults, tasks).has_value());
+      verify_timeline_against_faults(soa, faults, &table).has_value());
 }
 
 TEST(BusDegrade, CheckerFlagsTasksTooFastForTheDegradedBus) {
@@ -469,6 +471,8 @@ TEST(BusDegrade, CheckerFlagsTasksTooFastForTheDegradedBus) {
   t.solo_ms = 10.0;
   t.sensitivity = 0.5;
   const std::vector<SimTask> tasks{t};
+  sim::TaskTable table;
+  table.build_from_tasks(tasks, 4);
   const double expected =
       10.0 * ContentionModel::bus_degrade_slowdown(0.5, 0.5);
 
@@ -476,21 +480,21 @@ TEST(BusDegrade, CheckerFlagsTasksTooFastForTheDegradedBus) {
   Timeline fast;
   fast.num_procs = 4;
   fast.tasks.push_back(TaskRecord{0, 0, 1, 0.0, expected - 1.0, 10.0});
-  const auto err = verify_timeline_against_faults(fast, s, tasks);
+  const auto err = verify_timeline_against_faults(fast, s, &table);
   ASSERT_TRUE(err.has_value());
   EXPECT_NE(err->find("bus"), std::string::npos);
 
   // Exactly the analytic dilation: clean.
   Timeline ok = fast;
   ok.tasks[0].end_ms = expected;
-  EXPECT_FALSE(verify_timeline_against_faults(ok, s, tasks).has_value());
+  EXPECT_FALSE(verify_timeline_against_faults(ok, s, &table).has_value());
 
   // A migrated task (record proc != planned proc) runs off its fallback
-  // cost row, not `tasks` numbers — the bus check must skip it.
+  // cost row, not the table's numbers — the bus check must skip it.
   Timeline migrated = fast;
   migrated.tasks[0].proc_idx = 2;
   EXPECT_FALSE(
-      verify_timeline_against_faults(migrated, s, tasks).has_value());
+      verify_timeline_against_faults(migrated, s, &table).has_value());
 
   // Without the task table the bus check is simply not run.
   EXPECT_FALSE(verify_timeline_against_faults(fast, s).has_value());

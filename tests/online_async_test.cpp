@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "core/planner.h"
+#include "exec/plan_cache.h"
 #include "models/model_zoo.h"
 #include "obs/log.h"
 #include "obs/metrics.h"

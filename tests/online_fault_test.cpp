@@ -7,8 +7,11 @@
 
 #include <cmath>
 #include <limits>
+#include <string>
 #include <vector>
 
+#include "exec/compiled_plan.h"
+#include "exec/plan_cache.h"
 #include "models/model_zoo.h"
 #include "sim/fault_injector.h"
 #include "sim/online.h"
@@ -330,38 +333,60 @@ TEST(OnlineFault, DeclaredDeadThenRejoinsOnRecovery) {
 
 TEST(OnlineFault, WarmStartStaysWithinEnvironment) {
   // find_near requires identical knobs (and thus identical availability
-  // mask): a near-miss window planned under a *different* mask must not
-  // warm-start across environments — it replans instead.
+  // mask): a window planned while a processor is down must not warm-start
+  // from a healthy near-miss plan, which lives in another environment.
   const Soc soc = Soc::kirin990();
+  const std::uint64_t full = (1ull << soc.num_processors()) - 1;
+  const PlannerOptions knobs;
+  const auto models_of = [](std::initializer_list<ModelId> ids) {
+    std::vector<const Model*> models;
+    for (const ModelId id : ids) models.push_back(&zoo_model(id));
+    return models;
+  };
+  const std::vector<const Model*> window =
+      models_of({ModelId::kResNet50, ModelId::kBERT, ModelId::kAlexNet});
+  // The near miss (AlexNet -> SqueezeNet), planned healthy.
+  const std::vector<const Model*> near =
+      models_of({ModelId::kResNet50, ModelId::kBERT, ModelId::kSqueezeNet});
+  const std::string healthy_key =
+      exec::PlanCache::make_key(soc, near, knobs, {full, 0});
+  exec::PlanCache cache(8);
+  const StaticEvaluator eval(soc, near);
+  cache.insert(healthy_key,
+               exec::compile(Hetero2PipePlanner(eval).plan().plan, eval));
+
+  // Control: the same window in the healthy environment is a near miss.
+  const std::string healthy_window =
+      exec::PlanCache::make_key(soc, window, knobs, {full, 0});
+  ASSERT_TRUE(exec::PlanCache::near_miss(healthy_key, healthy_window));
+  ASSERT_NE(cache.peek_near(healthy_window), nullptr);
+
+  // The NPU down: the serving loop keys the window on the surviving
+  // processors' SoC and the degraded mask.  Neither the mask alone nor the
+  // view with it reaches the healthy entry.
+  std::vector<Processor> survivors(soc.processors().begin() + 1,
+                                   soc.processors().end());
+  const Soc view(soc.name(), std::move(survivors), soc.bus_bw_gbps(),
+                 soc.mem_capacity_bytes(), soc.available_bytes(),
+                 soc.mem_states());
+  for (const std::string& degraded :
+       {exec::PlanCache::make_key(soc, window, knobs, {full & ~1ull, 0}),
+        exec::PlanCache::make_key(view, window, knobs, {full & ~1ull, 0})}) {
+    EXPECT_FALSE(exec::PlanCache::near_miss(healthy_key, degraded));
+    EXPECT_EQ(cache.find_near(degraded), nullptr);
+  }
+
+  // End to end, the degraded window replans cold.
   const FaultScript faults({FaultEvent{FaultKind::kDropout, 0, 0.0, kInf, 1.0}});
   std::vector<OnlineRequest> stream;
-  // One window, near-miss of nothing (the cache starts empty per call).
-  for (ModelId id : {ModelId::kResNet50, ModelId::kBERT, ModelId::kAlexNet}) {
-    stream.push_back({&zoo_model(id), 0.0});
-  }
+  for (const Model* m : window) stream.push_back({m, 0.0});
   OnlineOptions opts;
   opts.replan_window = 3;
   opts.warm_start = true;
   opts.faults = &faults;
-  exec::PlanCache shared(8);
-  opts.shared_cache = &shared;
-
-  // Seed the shared cache with a healthy near-miss plan (AlexNet ->
-  // SqueezeNet delta) by running the near-miss window without faults.
-  std::vector<OnlineRequest> healthy_stream;
-  for (ModelId id : {ModelId::kResNet50, ModelId::kBERT, ModelId::kSqueezeNet}) {
-    healthy_stream.push_back({&zoo_model(id), 0.0});
-  }
-  OnlineOptions healthy = opts;
-  healthy.faults = nullptr;
-  (void)run_online(soc, healthy_stream, healthy);
-  ASSERT_EQ(shared.size(), 1u);
-
   const OnlineResult r = run_online(soc, stream, opts);
   expect_safe(r, faults);
   ASSERT_EQ(r.windows.size(), 1u);
-  // The healthy near-miss entry exists but lives in a different
-  // environment: no warm hit, the degraded window replans cold.
   EXPECT_EQ(r.warm_hits, 0);
   EXPECT_EQ(r.windows[0].source, WindowSource::kColdReplan);
 }

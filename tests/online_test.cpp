@@ -1,6 +1,5 @@
 #include <gtest/gtest.h>
 
-#include "exec/plan_cache.h"
 #include "models/model_zoo.h"
 #include "sim/online.h"
 #include "util/stats.h"
@@ -194,24 +193,6 @@ TEST(OnlineCache, CacheHitOverheadCheaperThanReplanDelaysLess) {
   EXPECT_EQ(cached.cache_hits, 1);
   // The second window is released ~39 ms earlier on the cached path.
   EXPECT_LT(cached.completion_ms[2], uncached.completion_ms[2]);
-}
-
-TEST(OnlineCache, SharedCachePersistsAcrossCalls) {
-  const auto stream =
-      burst_stream({ModelId::kResNet50, ModelId::kBERT, ModelId::kSqueezeNet});
-  exec::PlanCache shared(8);
-  OnlineOptions opts;
-  opts.replan_window = 3;
-  opts.shared_cache = &shared;
-
-  const OnlineResult first = run_online(Soc::kirin990(), stream, opts);
-  EXPECT_EQ(first.replans, 1);
-  EXPECT_EQ(first.cache_hits, 0);
-
-  const OnlineResult second = run_online(Soc::kirin990(), stream, opts);
-  EXPECT_EQ(second.replans, 0);
-  EXPECT_EQ(second.cache_hits, 1);
-  EXPECT_EQ(shared.size(), 1u);
 }
 
 }  // namespace

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <limits>
 
+#include "core/graph_planner.h"
 #include "core/planner.h"
 #include "obs/metrics.h"
 #include "sim/fault_injector.h"
@@ -119,9 +120,12 @@ TEST(Sim, InvalidProcessorThrows) {
 }
 
 TEST(Sim, EmptyTaskListIsEmptyTimeline) {
-  const Timeline t = simulate(Soc::kirin990(), {}, {});
+  const Timeline t = simulate(Soc::kirin990(), std::vector<SimTask>{});
   EXPECT_TRUE(t.tasks.empty());
   EXPECT_DOUBLE_EQ(t.makespan_ms(), 0.0);
+  const Timeline c = simulate(Soc::kirin990(), exec::CompiledPlan{});
+  EXPECT_TRUE(c.tasks.empty());
+  EXPECT_DOUBLE_EQ(c.makespan_ms(), 0.0);
 }
 
 TEST(Sim, PlanRoundTripRespectsInvariants) {
@@ -322,6 +326,168 @@ TEST(TaskTable, UnknownDependencyThrows) {
   t.deps = {7};  // out of range
   const std::vector<SimTask> tasks{t};
   EXPECT_THROW(simulate(soc, tasks, {}), std::invalid_argument);
+}
+
+/// `soc` without processor `drop`, and the map from its stages back to the
+/// full processor indices — the view the online path plans degraded on.
+std::pair<Soc, std::vector<std::size_t>> without_processor(const Soc& soc,
+                                                           std::size_t drop) {
+  std::vector<Processor> procs;
+  std::vector<std::size_t> kept;
+  for (std::size_t p = 0; p < soc.num_processors(); ++p) {
+    if (p == drop) continue;
+    procs.push_back(soc.processor(p));
+    kept.push_back(p);
+  }
+  return {Soc(soc.name(), std::move(procs), soc.bus_bw_gbps(),
+              soc.mem_capacity_bytes(), soc.available_bytes(), soc.mem_states()),
+          std::move(kept)};
+}
+
+TEST(TaskTable, AppendCompiledMatchesAoSLowering) {
+  // Windows appended into one table must equal the AoS list a caller would
+  // hand-build from the same plans: slots and deps offset past the earlier
+  // windows, stages mapped to physical processors, roots released at their
+  // slot's arrival, fallback costs spread over every processor with +inf
+  // on removed ones and on rows without a fallback table.
+  const Soc soc = Soc::kirin990();
+  const std::size_t P = soc.num_processors();
+  const auto [view_soc, kept] = without_processor(soc, 1);
+  const FaultScript faults({FaultEvent{FaultKind::kDropout, 0, 6.0, kInf, 1.0}});
+  const std::vector<std::vector<ModelId>> chain_windows = {
+      testing_util::mixed_four(),
+      {ModelId::kAlexNet, ModelId::kGoogLeNet, ModelId::kSqueezeNet},
+      testing_util::mixed_six()};
+  const std::vector<GraphModel> graphs = {zoo_graph(GraphId::kHybridAttnCell),
+                                          zoo_graph(GraphId::kInceptionCell),
+                                          zoo_graph(GraphId::kTwoHeadNeck)};
+  Rng rng(3600);
+  std::size_t cases = 0;
+  for (const bool degraded : {false, true}) {
+    const Soc& plan_soc = degraded ? view_soc : soc;
+    const std::vector<std::size_t> proc_map =
+        degraded ? kept : std::vector<std::size_t>{};
+    const std::size_t stages = plan_soc.num_processors();
+    // Three chain windows and three DAG windows, each planned once.
+    std::vector<exec::CompiledPlan> chain_plans;
+    for (const std::vector<ModelId>& ids : chain_windows) {
+      Fixture fx(ids, plan_soc);
+      chain_plans.push_back(
+          exec::compile(Hetero2PipePlanner(*fx.eval).plan().plan, *fx.eval));
+    }
+    std::vector<exec::CompiledPlan> dag_plans;
+    bool forked = false;
+    for (const GraphModel& g : graphs) {
+      dag_plans.push_back(GraphPlanner(plan_soc, {&g}).plan().compiled);
+      for (const exec::ScheduledSlice& sl : dag_plans.back().slices) {
+        forked |= sl.deps.size() > 1;
+      }
+    }
+    if (!degraded) EXPECT_TRUE(forked);
+    for (std::vector<exec::CompiledPlan>* plans : {&chain_plans, &dag_plans}) {
+      // Fallback patterns: none, every window, and every other window
+      // (the stride appears mid-table and rows before it re-stride).
+      for (int pattern = 0; pattern < 3; ++pattern) {
+        for (const std::size_t depth : {2u, 3u}) {
+          SCOPED_TRACE(testing::Message()
+                       << "degraded " << degraded << " dag "
+                       << (plans == &dag_plans) << " pattern " << pattern
+                       << " depth " << depth);
+          sim::TaskTable table;
+          std::vector<SimTask> aos;
+          std::size_t slot_base = 0;
+          bool every_fallback = true;
+          for (std::size_t w = 0; w < depth; ++w) {
+            exec::CompiledPlan cp = (*plans)[w];
+            const bool with_fallback =
+                pattern == 1 || (pattern == 2 && w % 2 == 1);
+            every_fallback &= with_fallback;
+            if (with_fallback) {
+              cp.fallback_procs = stages;
+              cp.fallback.resize(cp.slices.size() * stages);
+              for (exec::CompiledPlan::FallbackCost& fc : cp.fallback) {
+                fc = {rng.uniform(0.5, 30.0), rng.uniform(0.0, 1.0),
+                      rng.uniform(0.0, 1.0)};
+              }
+            }
+            std::vector<double> roots(cp.num_models);
+            for (double& r : roots) {
+              r = rng.chance(0.3) ? 0.0 : rng.uniform(0.0, 40.0);
+            }
+            table.append_compiled(cp, roots, proc_map, P);
+
+            // The same window, hand-remapped.
+            const std::size_t row_base = aos.size();
+            for (SimTask t : tasks_from_compiled(cp)) {
+              const std::size_t slot = t.model_idx;
+              t.model_idx += slot_base;
+              if (degraded) t.proc_idx = kept[t.proc_idx];
+              if (t.deps.empty()) t.arrival_ms = roots[slot];
+              for (std::size_t& d : t.deps) d += row_base;
+              if (with_fallback) {
+                std::vector<SimTask::AltCost> alt(P, {kInf, 0.0, 0.0});
+                for (std::size_t q = 0; q < stages; ++q) {
+                  alt[degraded ? kept[q] : q] = t.alt[q];
+                }
+                t.alt = std::move(alt);
+              }
+              aos.push_back(std::move(t));
+            }
+            slot_base += cp.num_models;
+          }
+          table.finish(P);
+          sim::TaskTable expected;
+          expected.build_from_tasks(aos, P);
+
+          ASSERT_EQ(table.size(), expected.size());
+          EXPECT_EQ(table.model_idx, expected.model_idx);
+          EXPECT_EQ(table.seq_in_model, expected.seq_in_model);
+          EXPECT_EQ(table.proc_idx, expected.proc_idx);
+          EXPECT_EQ(table.solo_ms, expected.solo_ms);  // bitwise doubles
+          EXPECT_EQ(table.sensitivity, expected.sensitivity);
+          EXPECT_EQ(table.intensity, expected.intensity);
+          EXPECT_EQ(table.arrival_ms, expected.arrival_ms);
+          EXPECT_EQ(table.explicit_deps, expected.explicit_deps);
+          EXPECT_EQ(table.dep_offsets, expected.dep_offsets);
+          EXPECT_EQ(table.dep_edges, expected.dep_edges);
+          EXPECT_EQ(table.alt_procs, expected.alt_procs);
+          EXPECT_EQ(table.alt_solo_ms, expected.alt_solo_ms);
+          EXPECT_EQ(table.alt_sensitivity, expected.alt_sensitivity);
+          EXPECT_EQ(table.alt_intensity, expected.alt_intensity);
+          EXPECT_EQ(table.num_models, expected.num_models);
+          EXPECT_EQ(table.num_procs, expected.num_procs);
+          EXPECT_EQ(table.max_proc_idx, expected.max_proc_idx);
+          EXPECT_EQ(table.pred, expected.pred);
+          EXPECT_EQ(table.dispatch_order, expected.dispatch_order);
+          EXPECT_EQ(table.dispatch_rank, expected.dispatch_rank);
+          EXPECT_EQ(table.arrival_order, expected.arrival_order);
+          EXPECT_EQ(table.succ_offsets, expected.succ_offsets);
+          EXPECT_EQ(table.succ_edges, expected.succ_edges);
+          // SimTask has no dram_bytes: the table carries the slices' own.
+          std::size_t row = 0;
+          for (std::size_t w = 0; w < depth; ++w) {
+            for (const exec::ScheduledSlice& sl : (*plans)[w].slices) {
+              EXPECT_EQ(table.dram_bytes[row++], sl.dram_bytes);
+            }
+          }
+
+          // The DES on the appended table equals the reference oracle on
+          // the AoS list, healthy and — where every row can migrate —
+          // under a permanent drop-out.
+          std::vector<SimOptions> runs(1);
+          if (every_fallback) runs.push_back(SimOptions{true, &faults});
+          for (const SimOptions& opt : runs) {
+            sim::SimScratch scratch;
+            Timeline out;
+            simulate(soc, table, scratch, out, opt);
+            expect_identical(out, sim::simulate_reference(soc, aos, opt));
+          }
+          ++cases;
+        }
+      }
+    }
+  }
+  EXPECT_EQ(cases, 24u);
 }
 
 // ---------------------------------------------------------------------------
@@ -565,7 +731,7 @@ TEST(DesComplexity, FaultQueriesStayLinearInEventsAndSegments) {
   EXPECT_GT(migrated, 0u);
   EXPECT_GT(stepped, 0u);
   EXPECT_LE(stepped, events + segments);
-  EXPECT_FALSE(verify_timeline_against_faults(out, faults, tasks).has_value());
+  EXPECT_FALSE(verify_timeline_against_faults(out, faults, &table).has_value());
 }
 
 TEST(SimScratchReuse, ChainRunsBitIdenticalToFreshScratch) {

@@ -181,7 +181,9 @@ TEST(MemoryCheck, InterleavedEvaluatorsReEmplacedAtOneAddress) {
 // ---- memoized plan lowering ---------------------------------------------------
 
 double reference_makespan(const PipelinePlan& plan, const StaticEvaluator& eval) {
-  return sim::simulate_reference(eval.soc(), tasks_from_plan(plan, eval), {})
+  return sim::simulate_reference(eval.soc(),
+                                 tasks_from_compiled(exec::compile(plan, eval)),
+                                 {})
       .makespan_ms();
 }
 

@@ -11,6 +11,8 @@
 #include <string>
 #include <vector>
 
+#include "exec/compiled_plan.h"
+#include "exec/plan_cache.h"
 #include "models/model_zoo.h"
 #include "obs/trace.h"
 #include "sim/fault_injector.h"
@@ -230,21 +232,28 @@ INSTANTIATE_TEST_SUITE_P(AllSocs, ThermalLoopSocs,
 
 TEST(ThermalLoop, StaticBucketKeysPlanCacheApart) {
   // The same window planned under two different buckets must not share a
-  // cache entry: the derated SoC's fingerprint is part of the key.
+  // cache entry: the derated SoC's fingerprint and the bucket are both
+  // part of the key, and each keys apart on its own.
   const Soc soc = Soc::kirin990();
-  const auto stream = window_stream(
-      {ModelId::kMobileNetV2, ModelId::kGoogLeNet, ModelId::kAlexNet}, 1, 2.0);
-  exec::PlanCache shared(8);
-  OnlineOptions opts;
-  opts.replan_window = 3;
-  opts.shared_cache = &shared;
-  (void)run_online(soc, stream, opts);
-  ASSERT_EQ(shared.size(), 1u);
-  OnlineOptions hot = opts;
-  hot.thermal_bucket = 2;
-  const OnlineResult r = run_online(soc, stream, hot);
-  EXPECT_EQ(shared.size(), 2u);  // second entry, not a cross-bucket hit
-  EXPECT_EQ(r.cache_hits, 0);
+  const std::vector<const Model*> window = {&zoo_model(ModelId::kMobileNetV2),
+                                            &zoo_model(ModelId::kGoogLeNet),
+                                            &zoo_model(ModelId::kAlexNet)};
+  const std::uint64_t full = (1ull << soc.num_processors()) - 1;
+  const PlannerOptions knobs;
+  const std::string cool =
+      exec::PlanCache::make_key(soc, window, knobs, {full, 0});
+  exec::PlanCache cache(8);
+  const StaticEvaluator eval(soc, window);
+  cache.insert(cool, exec::compile(Hetero2PipePlanner(eval).plan().plan, eval));
+  const Soc derated = thermally_derated_bucket(soc, 2);
+  for (const std::string& hot :
+       {exec::PlanCache::make_key(derated, window, knobs, {full, 2}),
+        exec::PlanCache::make_key(soc, window, knobs, {full, 2}),
+        exec::PlanCache::make_key(derated, window, knobs, {full, 0})}) {
+    EXPECT_NE(hot, cool);
+    EXPECT_EQ(cache.find(hot), nullptr);
+    EXPECT_EQ(cache.peek_near(hot), nullptr);
+  }
 }
 
 // ---------------------------------------------------------------------------

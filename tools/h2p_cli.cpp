@@ -398,8 +398,7 @@ int cmd_plan(int argc, char** argv) {
 
     const GraphPlanner planner(soc, gptrs, opts);
     const GraphPlannerReport rep = planner.plan();
-    const Timeline timeline = simulate(planner.evaluator().soc(),
-                                       tasks_from_compiled(rep.compiled), {});
+    const Timeline timeline = simulate(planner.evaluator().soc(), rep.compiled);
 
     std::printf("%s\n", rep.chain_report.plan.to_string().c_str());
     std::vector<std::string> names;
@@ -446,8 +445,7 @@ int cmd_plan(int argc, char** argv) {
   const StaticEvaluator eval(soc, models);
   const PlannerReport report = Hetero2PipePlanner(eval, opts).plan();
   const exec::CompiledPlan compiled = exec::compile(report.plan, eval);
-  const Timeline timeline =
-      simulate(eval.soc(), tasks_from_compiled(compiled), {});
+  const Timeline timeline = simulate(eval.soc(), compiled);
 
   std::printf("%s\n", report.plan.to_string().c_str());
   std::vector<std::string> names;
@@ -506,8 +504,7 @@ int cmd_simulate(int argc, char** argv) {
   const StaticEvaluator eval(soc, models);
   try {
     const exec::CompiledPlan compiled = exec::compile(plan, eval);
-    const Timeline timeline =
-        simulate(eval.soc(), tasks_from_compiled(compiled), {});
+    const Timeline timeline = simulate(eval.soc(), compiled);
     std::printf("%s\n", timeline_to_json(timeline).dump().c_str());
   } catch (const std::exception& e) {
     std::fprintf(stderr, "plan does not fit the given models/soc: %s\n", e.what());
