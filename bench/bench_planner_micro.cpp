@@ -1,7 +1,7 @@
 // Planner micro-benchmarks (google-benchmark): verifies the complexity
 // claims of Sec. V — O(nK) horizontal DP, O(|M|^3) Kuhn-Munkres, and the
-// end-to-end planner cost O(|M|(nK + n + K) + |M|^3 |H|) — and times drift
-// capture, which no perfbench metric covers.  Host cost of planning and
+// end-to-end planner cost O(|M|(nK + n + K) + |M|^3 |H|) — and times
+// prediction capture, which no perfbench metric covers.  Host cost of planning and
 // serving is measured by perfbench (perfbench/run.py).
 //
 // Usage:
@@ -99,7 +99,7 @@ void BM_PlannerScaling(benchmark::State& state) {
 }
 BENCHMARK(BM_PlannerScaling)->RangeMultiplier(2)->Range(2, 16)->Complexity();
 
-// ---- drift capture ----------------------------------------------------------
+// ---- prediction capture -----------------------------------------------------
 
 /// A cache-cold stream: `num_windows` windows of `per_window` requests, each
 /// window a *distinct* model multiset (consecutive runs over the zoo), so
@@ -117,12 +117,12 @@ std::vector<OnlineRequest> cold_stream(std::size_t num_windows,
   return stream;
 }
 
-/// Prediction-drift observability overhead: the cache-cold stream with drift
-/// tracking off vs on.  Off is the zero-cost contract (one bool branch per
-/// window); on adds one window-isolated DES per window plus the post-hoc
-/// residual pass, both small next to the planner's own DES fan-out.  The
-/// gap between the two rows is the cost of drift capture.  `drift_slices`
-/// documents how many residuals the enabled run actually scored.
+/// Prediction-capture overhead: the cache-cold stream with drift tracking
+/// off vs on.  Off is the zero-cost contract (one bool branch per window);
+/// on adds one window-isolated DES per window, small next to the planner's
+/// own DES fan-out, and copies each slice's executed times; there is no
+/// residual pass.  The gap between the two rows is the cost of capture.
+/// `drift_slices` documents how many slice records the enabled run kept.
 void BM_DriftTracking(benchmark::State& state, bool enabled) {
   const Soc soc = Soc::kirin990();
   const std::vector<OnlineRequest> stream = cold_stream(8, 4);

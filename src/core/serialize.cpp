@@ -237,36 +237,4 @@ Json timeline_to_json(const Timeline& timeline) {
   return j;
 }
 
-Json calibration_report_to_json(const obs::CalibrationReport& report) {
-  Json j = Json::object();
-  j["schema"] = Json::string("h2p.drift/v1");
-  j["records"] = Json::number(static_cast<double>(report.records));
-  j["skipped"] = Json::number(static_cast<double>(report.skipped));
-  j["alerts"] = Json::number(static_cast<double>(report.alerts));
-  j["ewma_abs_rel_err"] = Json::number(report.ewma_abs_rel_err);
-  j["mean_abs_rel_err"] = Json::number(report.mean_abs_rel_err());
-  j["min_samples"] = Json::number(static_cast<double>(report.min_samples));
-  Json cells = Json::array();
-  for (const obs::DriftCell& cell : report.cells) {
-    Json cj = Json::object();
-    cj["proc"] = Json::number(static_cast<double>(cell.proc));
-    cj["kind"] = Json::string(obs::to_string(cell.kind));
-    cj["thermal_bucket"] =
-        Json::number(static_cast<double>(cell.thermal_bucket));
-    cj["count"] = Json::number(static_cast<double>(cell.count));
-    cj["sum_predicted_ms"] = Json::number(cell.sum_predicted_ms);
-    cj["sum_executed_ms"] = Json::number(cell.sum_executed_ms);
-    cj["sum_rel_err"] = Json::number(cell.sum_rel_err);
-    cj["sum_abs_rel_err"] = Json::number(cell.sum_abs_rel_err);
-    cj["max_abs_rel_err"] = Json::number(cell.max_abs_rel_err);
-    cj["correction"] = Json::number(cell.correction());
-    cj["confidence"] = Json::number(cell.confidence(report.min_samples));
-    cj["mean_rel_err"] = Json::number(cell.mean_rel_err());
-    cj["mean_abs_rel_err"] = Json::number(cell.mean_abs_rel_err());
-    cells.push_back(std::move(cj));
-  }
-  j["cells"] = std::move(cells);
-  return j;
-}
-
 }  // namespace h2p

@@ -2,7 +2,6 @@
 
 #include "core/plan.h"
 #include "models/graph.h"
-#include "obs/drift.h"
 #include "sim/trace.h"
 #include "soc/soc.h"
 #include "util/json.h"
@@ -37,19 +36,5 @@ GraphModel graph_from_json(const Json& j);
 
 /// One-way: timelines are results, not inputs.
 Json timeline_to_json(const Timeline& timeline);
-
-/// Calibration scorecard wire format (schema tag "h2p.drift/v1"):
-///   {"schema":"h2p.drift/v1","records":N,"skipped":N,"alerts":N,
-///    "ewma_abs_rel_err":x,"mean_abs_rel_err":x,"min_samples":k,
-///    "cells":[{"proc":p,"kind":"lead|interior|tail|solo",
-///              "thermal_bucket":b,"count":n,
-///              "sum_predicted_ms":x,"sum_executed_ms":x,
-///              "sum_rel_err":x,"sum_abs_rel_err":x,"max_abs_rel_err":x,
-///              "correction":r,"confidence":c,
-///              "mean_rel_err":m,"mean_abs_rel_err":m}, ...]}
-/// One-way, like timelines: the program writes it and never reads it back.
-/// Sums are authoritative; correction/confidence/mean_* are derived from
-/// them for the reader's convenience.
-Json calibration_report_to_json(const obs::CalibrationReport& report);
 
 }  // namespace h2p

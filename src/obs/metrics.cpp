@@ -1,7 +1,6 @@
 #include "obs/metrics.h"
 
 #include <algorithm>
-#include <stdexcept>
 #include <thread>
 
 namespace h2p::obs {
@@ -59,20 +58,11 @@ std::uint64_t Counter::value() const {
   return total;
 }
 
-double Gauge::value() const { return v_.load(std::memory_order_relaxed); }
-
-Histogram::Histogram(const Registry* owner, std::vector<double> bounds)
+Histogram::Histogram(const Registry* owner)
     : owner_(owner),
-      bounds_(std::move(bounds)),
+      bounds_(Registry::default_latency_buckets()),
       num_buckets_(bounds_.size() + 1),
-      buckets_(detail::kShards * num_buckets_) {
-  for (std::size_t i = 1; i < bounds_.size(); ++i) {
-    if (!(bounds_[i - 1] < bounds_[i])) {
-      throw std::invalid_argument(
-          "obs::Histogram: bucket bounds must be strictly ascending");
-    }
-  }
-}
+      buckets_(detail::kShards * num_buckets_) {}
 
 std::uint64_t Histogram::count() const {
   std::uint64_t total = 0;
@@ -127,24 +117,12 @@ Counter& Registry::counter(const std::string& name) {
   return *it->second;
 }
 
-Gauge& Registry::gauge(const std::string& name) {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = gauges_.find(name);
-  if (it == gauges_.end()) {
-    it = gauges_.emplace(name, std::unique_ptr<Gauge>(new Gauge(this))).first;
-  }
-  return *it->second;
-}
-
-Histogram& Registry::histogram(const std::string& name,
-                               std::vector<double> bounds) {
+Histogram& Registry::histogram(const std::string& name) {
   std::lock_guard<std::mutex> lock(mu_);
   auto it = histograms_.find(name);
   if (it == histograms_.end()) {
-    if (bounds.empty()) bounds = default_latency_buckets();
     it = histograms_
-             .emplace(name, std::unique_ptr<Histogram>(
-                                new Histogram(this, std::move(bounds))))
+             .emplace(name, std::unique_ptr<Histogram>(new Histogram(this)))
              .first;
   }
   return *it->second;
@@ -174,12 +152,6 @@ Json Registry::snapshot() const {
   }
   out["counters"] = std::move(counters);
 
-  Json gauges = Json::object();
-  for (const auto& [name, g] : gauges_) {
-    gauges[name] = Json::number(g->value());
-  }
-  out["gauges"] = std::move(gauges);
-
   Json histograms = Json::object();
   for (const auto& [name, h] : histograms_) {
     Json entry = Json::object();
@@ -207,9 +179,6 @@ void Registry::reset() {
     for (detail::CounterShard& s : c->shards_) {
       s.v.store(0, std::memory_order_relaxed);
     }
-  }
-  for (auto& [name, g] : gauges_) {
-    g->v_.store(0.0, std::memory_order_relaxed);
   }
   for (auto& [name, h] : histograms_) {
     for (detail::CounterShard& s : h->buckets_) {

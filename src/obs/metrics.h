@@ -78,22 +78,9 @@ class Counter {
   std::array<detail::CounterShard, detail::kShards> shards_;
 };
 
-/// Last-writer-wins scalar (worker counts, config values, water marks the
-/// caller maintains itself).  Not sharded: sets are rare.
-class Gauge {
- public:
-  void set(double v);
-  [[nodiscard]] double value() const;
-
- private:
-  friend class Registry;
-  explicit Gauge(const Registry* owner) : owner_(owner) {}
-  const Registry* owner_;
-  std::atomic<double> v_{0.0};
-};
-
-/// Fixed-bucket latency histogram.  Bucket bounds are ascending upper
-/// bounds; one implicit overflow bucket catches everything above the last.
+/// Fixed-bucket latency histogram over Registry::default_latency_buckets
+/// (ascending upper bounds); one implicit overflow bucket catches
+/// everything above the last.
 /// `observe` touches only the calling thread's shard (bucket + count + sum
 /// + min/max, all relaxed); disabled, it is the enabled-load alone.
 class Histogram {
@@ -112,7 +99,7 @@ class Histogram {
  private:
   friend class Registry;
   friend class ScopedLatency;
-  Histogram(const Registry* owner, std::vector<double> bounds);
+  explicit Histogram(const Registry* owner);
 
   struct alignas(64) Scalars {
     std::atomic<std::uint64_t> count{0};
@@ -129,7 +116,7 @@ class Histogram {
   std::array<Scalars, detail::kShards> scalars_;
 };
 
-/// Registry of named metrics.  Registration (`counter`/`gauge`/`histogram`)
+/// Registry of named metrics.  Registration (`counter`/`histogram`)
 /// takes a mutex and is meant for cold paths or cached references
 /// (`static obs::Counter& c = obs::Registry::global().counter("...")`);
 /// handles stay valid for the registry's lifetime — `reset` zeroes values
@@ -151,12 +138,7 @@ class Registry {
   }
 
   Counter& counter(const std::string& name);
-  Gauge& gauge(const std::string& name);
-  /// Bounds must be strictly ascending; empty uses default_latency_buckets.
-  /// Re-registering an existing name returns the existing histogram (the
-  /// bounds argument is ignored then).
-  Histogram& histogram(const std::string& name,
-                       std::vector<double> bounds = {});
+  Histogram& histogram(const std::string& name);
 
   /// Exponential millisecond buckets 0.001 .. 8192 (doubling).
   static std::vector<double> default_latency_buckets();
@@ -172,7 +154,6 @@ class Registry {
  private:
   mutable std::mutex mu_;
   std::map<std::string, std::unique_ptr<Counter>> counters_;
-  std::map<std::string, std::unique_ptr<Gauge>> gauges_;
   std::map<std::string, std::unique_ptr<Histogram>> histograms_;
   std::atomic<bool> enabled_{false};
 };
@@ -200,11 +181,6 @@ class ScopedLatency {
 inline void Counter::inc(std::uint64_t n) {
   if (!owner_->enabled()) return;
   shards_[detail::shard_index()].v.fetch_add(n, std::memory_order_relaxed);
-}
-
-inline void Gauge::set(double v) {
-  if (!owner_->enabled()) return;
-  v_.store(v, std::memory_order_relaxed);
 }
 
 inline void Histogram::observe(double v) {

@@ -306,9 +306,9 @@ OnlineResult run_online(const Soc& soc, const std::vector<OnlineRequest>& stream
   // thread-local DES table, which the planner's scoring calls overwrite.
   sim::TaskTable tasks;
   std::vector<double> root_arrival;  // per window, reused
-  // Drift tracking: one record per appended task, predicted side and context
-  // filled at consume time, executed side after the final simulation.  Index
-  // i of this vector is row i of `tasks` — and therefore of
+  // Prediction capture: one record per appended task, predicted side filled
+  // at consume time, executed side after the final simulation.  Index i of
+  // this vector is row i of `tasks` — and therefore of
   // result.timeline.tasks, which the simulator indexes identically.
   std::vector<obs::SliceRecord> drift_records;
   std::vector<std::size_t> request_of_slot;
@@ -680,18 +680,13 @@ OnlineResult run_online(const Soc& soc, const std::vector<OnlineRequest>& stream
     // ---- 5b. Record the window's own DES prediction ---------------------
     // The prediction is the plan's window-isolated, fault-free simulation —
     // exactly the timeline the planner arbitrated this plan on — offset to
-    // the window's release.  Residuals against the merged streaming
-    // timeline then measure everything the per-window DES could not see:
+    // the window's release.  The executed side, filled in after the final
+    // simulation, then shows everything the per-window DES could not see:
     // cross-window pipelining, faults, bus degradation, thermal drift.
     // Post-hoc and read-only: nothing below feeds back into planning.
     if (options.drift_tracking) {
       const Timeline predicted = simulate(view.soc, *compiled);
       ws.predicted_makespan_ms = predicted.makespan_ms();
-      std::vector<std::size_t> last_seq(m, 0);
-      for (const exec::ScheduledSlice& s : compiled->slices) {
-        last_seq[s.model_idx] =
-            std::max(last_seq[s.model_idx], s.seq_in_model);
-      }
       for (std::size_t k = 0; k < compiled->slices.size(); ++k) {
         const exec::ScheduledSlice& s = compiled->slices[k];
         obs::SliceRecord rec;
@@ -699,9 +694,6 @@ OnlineResult run_online(const Soc& soc, const std::vector<OnlineRequest>& stream
         rec.model_idx = first_slot + s.model_idx;
         rec.seq_in_model = s.seq_in_model;
         rec.proc = view.kept[s.proc_idx];
-        rec.kind = obs::classify_slice(s.seq_in_model, last_seq[s.model_idx]);
-        rec.thermal_bucket = ws.thermal_bucket;
-        rec.bus_factor = ws.bus_factor;
         rec.predicted_start_ms = ws.release_ms + predicted.tasks[k].start_ms;
         rec.predicted_finish_ms = ws.release_ms + predicted.tasks[k].end_ms;
         drift_records.push_back(rec);
@@ -845,14 +837,8 @@ OnlineResult run_online(const Soc& soc, const std::vector<OnlineRequest>& stream
     }
   }
 
-  // ---- Drift residuals: executed side + tracker feed -------------------
-  // A per-run tracker (not the global one) so the EWMA/alert sequence is a
-  // deterministic function of this run alone; its per-cell histograms and
-  // gauges still land in the global Registry.  Records are fed in task
-  // order — the order the merged timeline lists them — so serial and async
-  // runs produce the identical alert sequence.
+  // ---- Prediction capture: executed side --------------------------------
   if (options.drift_tracking) {
-    obs::DriftTracker tracker(options.drift);
     for (std::size_t idx = 0;
          idx < drift_records.size() && idx < result.timeline.tasks.size();
          ++idx) {
@@ -861,30 +847,8 @@ OnlineResult run_online(const Soc& soc, const std::vector<OnlineRequest>& stream
       rec.executed_start_ms = exec_rec.start_ms;
       rec.executed_finish_ms = exec_rec.end_ms;
       rec.migrated = exec_rec.proc_idx != rec.proc;
-      if (faults != nullptr) {
-        for (std::size_t w = 0; w < faults->weather().size(); ++w) {
-          const WeatherEvent& we = faults->weather()[w];
-          if (we.begin_ms <= exec_rec.start_ms &&
-              exec_rec.start_ms < we.begin_ms + we.duration_ms) {
-            rec.weather_idx = static_cast<int>(w);
-            break;
-          }
-        }
-      }
-      tracker.observe(rec);
-      WindowStats& ws = result.windows[rec.window];
-      ++ws.drift_slices;
-      ws.drift_abs_rel_err += std::fabs(rec.rel_err());
-    }
-    for (WindowStats& ws : result.windows) {
-      if (ws.drift_slices > 0) {
-        ws.drift_abs_rel_err /= static_cast<double>(ws.drift_slices);
-      }
     }
     result.slice_records = std::move(drift_records);
-    result.drift_report = tracker.report();
-    result.drift_alerts = tracker.alerts();
-    result.drift_mean_abs_rel_err = result.drift_report.mean_abs_rel_err();
   }
   return result;
 }

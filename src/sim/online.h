@@ -176,21 +176,14 @@ struct OnlineOptions {
   /// time and the window falls back to a serial cold replan.
   std::function<void()> prefetch_job_hook;
 
-  /// Prediction-drift observability (obs/drift.h): record, per executed
-  /// slice, the start/finish the window's own arbitrating DES promised
-  /// (window-isolated, fault-free — exactly what the planner chose the plan
-  /// on) against what the merged streaming timeline delivered under
-  /// cross-window pipelining, faults, bus degradation and thermal derating.
-  /// Residuals feed a per-run obs::DriftTracker (per-cell histograms and
-  /// gauges in the global Registry, EWMA alerting via obs::Log and
-  /// `online.drift_alert` trace instants) and come back in
-  /// `OnlineResult::slice_records` / `drift_report`.  Strictly
-  /// observational: all residual work happens after the final simulation on
-  /// already-modeled numbers, so a run with drift tracking on is
-  /// bit-identical to one with it off (asserted by the instrumentation
-  /// suites).
+  /// Prediction capture: record, per executed slice, the start/finish
+  /// the window's own arbitrating DES promised (window-isolated, fault-free
+  /// — exactly what the planner chose the plan on) next to what the merged
+  /// streaming timeline delivered, in `OnlineResult::slice_records`, and
+  /// each window's promised makespan in
+  /// `WindowStats::predicted_makespan_ms`.  Strictly observational: a run
+  /// with capture on is bit-identical to one with it off.
   bool drift_tracking = false;
-  obs::DriftOptions drift;
 };
 
 /// How one window's plan was obtained.
@@ -229,11 +222,8 @@ struct WindowStats {
   /// centi so plan-cache keys stay stable); 1.0 = healthy bus.
   double bus_factor = 1.0;
   /// drift_tracking only: the window plan's isolated DES makespan (the
-  /// prediction the planner arbitrated on), the mean |relative duration
-  /// error| of its executed slices, and how many slices were scored.
+  /// prediction the planner arbitrated on).
   double predicted_makespan_ms = 0.0;
-  double drift_abs_rel_err = 0.0;
-  std::size_t drift_slices = 0;
 };
 
 struct OnlineResult {
@@ -275,13 +265,9 @@ struct OnlineResult {
   /// One entry per executed window, in stream order (windows whose every
   /// request was shed or deferred do not execute and leave no entry).
   std::vector<WindowStats> windows;
-  /// drift_tracking only: one record per executed slice (task order of the
-  /// merged timeline), the calibration scorecard distilled from them, the
-  /// EWMA detector's alert count, and the run-level mean |relative error|.
+  /// drift_tracking only: one record per executed slice, in the task order
+  /// of the merged timeline.
   std::vector<obs::SliceRecord> slice_records;
-  obs::CalibrationReport drift_report;
-  std::size_t drift_alerts = 0;
-  double drift_mean_abs_rel_err = 0.0;
 };
 
 /// Online Hetero2Pipe: requests are grouped into windows of

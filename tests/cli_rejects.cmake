@@ -21,6 +21,11 @@
 #                      online --threads 2 without --async
 #   online_unknown_flag
 #                      online --bogus
+#   online_drift_out   online --drift-out x (the flag was removed)
+#   plan_out_unwritable
+#                      plan --out <a file in a missing directory>
+#   online_metrics_out_unwritable
+#                      online --metrics-out <a file in a missing directory>
 #   simulate_fractional_model_index
 #                      simulate --plan <plan with "model_index": 2.5>
 #   simulate_negative_num_stages
@@ -95,6 +100,17 @@ elseif(CASE STREQUAL "online_threads_without_async")
 elseif(CASE STREQUAL "online_unknown_flag")
   set(args ${online} --bogus)
   set(expect "online: unknown flag --bogus")
+elseif(CASE STREQUAL "online_drift_out")
+  set(args ${online} --drift-out x)
+  set(expect "online: unknown flag --drift-out")
+elseif(CASE STREQUAL "plan_out_unwritable")
+  set(path "${WORK_DIR}/missing/p.json")
+  set(args plan --models resnet50,squeezenet --out "${path}")
+  set(expect "plan: --out: cannot write \"${path}\"")
+elseif(CASE STREQUAL "online_metrics_out_unwritable")
+  set(path "${WORK_DIR}/missing/m.json")
+  set(args ${online} --metrics-out "${path}")
+  set(expect "online: --metrics-out: cannot write \"${path}\"")
 elseif(CASE STREQUAL "simulate_overlapping_slices")
   set(plan "${WORK_DIR}/${CASE}.json")
   file(WRITE "${plan}"

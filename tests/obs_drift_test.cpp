@@ -1,176 +1,21 @@
-// Prediction-drift observability (obs/drift.h): residual math on synthetic
-// timelines, the EWMA alert detector, the scorecard JSON and run_online
-// integration.
+// Prediction capture (OnlineOptions::drift_tracking): the per-slice
+// predicted-vs-executed records and per-window predicted makespans that
+// run_online hands back, and what perfbench's modeled run reads of them.
 #include <gtest/gtest.h>
 
-#include <cmath>
-#include <sstream>
-#include <string>
+#include <algorithm>
+#include <cstddef>
 #include <vector>
 
-#include "core/serialize.h"
 #include "models/model_zoo.h"
-#include "obs/drift.h"
-#include "obs/log.h"
-#include "obs/metrics.h"
-#include "obs/trace.h"
 #include "sim/fault_injector.h"
 #include "sim/online.h"
-#include "util/json.h"
 #include "util/thread_pool.h"
 
 namespace h2p {
 namespace {
 
-using obs::SliceKind;
 using obs::SliceRecord;
-
-/// A record whose predicted duration is `pred` and executed duration `exec`
-/// (both starting at 0), in the given cell.
-SliceRecord make_record(double pred, double exec, std::size_t proc = 0,
-                        SliceKind kind = SliceKind::kSolo,
-                        std::size_t bucket = 0) {
-  SliceRecord rec;
-  rec.proc = proc;
-  rec.kind = kind;
-  rec.thermal_bucket = bucket;
-  rec.predicted_start_ms = 0.0;
-  rec.predicted_finish_ms = pred;
-  rec.executed_start_ms = 0.0;
-  rec.executed_finish_ms = exec;
-  return rec;
-}
-
-TEST(ObsDrift, ClassifyAndKindStrings) {
-  EXPECT_EQ(obs::classify_slice(0, 0), SliceKind::kSolo);
-  EXPECT_EQ(obs::classify_slice(0, 3), SliceKind::kLead);
-  EXPECT_EQ(obs::classify_slice(1, 3), SliceKind::kInterior);
-  EXPECT_EQ(obs::classify_slice(2, 3), SliceKind::kInterior);
-  EXPECT_EQ(obs::classify_slice(3, 3), SliceKind::kTail);
-  EXPECT_STREQ(obs::to_string(SliceKind::kLead), "lead");
-  EXPECT_STREQ(obs::to_string(SliceKind::kInterior), "interior");
-  EXPECT_STREQ(obs::to_string(SliceKind::kTail), "tail");
-  EXPECT_STREQ(obs::to_string(SliceKind::kSolo), "solo");
-}
-
-TEST(ObsDrift, CalibrationReportExactRatios) {
-  // Exact arithmetic: a cell's correction is literally
-  // sum(executed) / sum(predicted) over its records.
-  std::vector<SliceRecord> records;
-  records.push_back(make_record(10.0, 12.0));  // rel_err +0.2
-  {
-    SliceRecord r = make_record(0.0, 0.0);  // second solo slice, offset times
-    r.predicted_start_ms = 10.0;
-    r.predicted_finish_ms = 30.0;  // duration 20
-    r.executed_start_ms = 12.0;
-    r.executed_finish_ms = 36.0;  // duration 24, rel_err +0.2
-    records.push_back(r);
-  }
-  records.push_back(
-      make_record(8.0, 6.0, /*proc=*/1, SliceKind::kLead));  // rel_err -0.25
-  records.push_back(make_record(0.0, 5.0));                  // skipped: pred 0
-
-  obs::DriftOptions opts;
-  opts.min_samples = 2;
-  const obs::CalibrationReport rep = calibration_report(records, opts);
-  EXPECT_EQ(rep.records, 3u);
-  EXPECT_EQ(rep.skipped, 1u);
-  EXPECT_EQ(rep.alerts, 0u);
-  ASSERT_EQ(rep.cells.size(), 2u);
-
-  // Cells are sorted by (proc, kind, thermal_bucket).
-  const obs::DriftCell& solo = rep.cells[0];
-  EXPECT_EQ(solo.proc, 0u);
-  EXPECT_EQ(solo.kind, SliceKind::kSolo);
-  EXPECT_EQ(solo.count, 2u);
-  EXPECT_DOUBLE_EQ(solo.sum_predicted_ms, 30.0);
-  EXPECT_DOUBLE_EQ(solo.sum_executed_ms, 36.0);
-  EXPECT_DOUBLE_EQ(solo.correction(), 1.2);  // 36 / 30, exact
-  EXPECT_DOUBLE_EQ(solo.mean_rel_err(), 0.2);
-  EXPECT_DOUBLE_EQ(solo.mean_abs_rel_err(), 0.2);
-  EXPECT_DOUBLE_EQ(solo.max_abs_rel_err, 0.2);
-  EXPECT_DOUBLE_EQ(solo.confidence(rep.min_samples), 0.5);  // 2 / (2 + 2)
-
-  const obs::DriftCell& lead = rep.cells[1];
-  EXPECT_EQ(lead.proc, 1u);
-  EXPECT_EQ(lead.kind, SliceKind::kLead);
-  EXPECT_DOUBLE_EQ(lead.correction(), 0.75);  // 6 / 8, exact
-  EXPECT_DOUBLE_EQ(lead.mean_rel_err(), -0.25);
-  EXPECT_DOUBLE_EQ(lead.confidence(rep.min_samples), 1.0 / 3.0);
-
-  // Run-level mean |rel_err| = (0.2 + 0.2 + 0.25) / 3.
-  EXPECT_DOUBLE_EQ(rep.mean_abs_rel_err(), 0.65 / 3.0);
-}
-
-TEST(ObsDrift, TrackerAlertFiresOnceAndRearmsWithHysteresis) {
-  obs::Registry registry;
-  registry.set_enabled(true);
-  obs::Log log;
-  std::ostringstream sink;
-  log.set_sink_stream(&sink);  // default level warn: alerts pass
-  obs::Tracer tracer;
-  tracer.set_enabled(true);
-
-  obs::DriftOptions opts;
-  opts.ewma_alpha = 1.0;  // EWMA == current |rel_err|: exact thresholds
-  opts.alert_threshold = 0.25;
-  opts.rearm_ratio = 0.8;  // re-arm below 0.2
-  opts.min_samples = 2;
-  obs::DriftTracker tracker(opts, &registry, &log, &tracer);
-
-  tracker.observe(make_record(10.0, 15.0));  // |0.5| but records < min
-  EXPECT_EQ(tracker.alerts(), 0u);
-  tracker.observe(make_record(10.0, 15.0));  // fires
-  EXPECT_EQ(tracker.alerts(), 1u);
-  tracker.observe(make_record(10.0, 15.0));  // latched: no storm
-  EXPECT_EQ(tracker.alerts(), 1u);
-  tracker.observe(make_record(10.0, 11.0));  // |0.1| < 0.2: re-arms
-  EXPECT_EQ(tracker.alerts(), 1u);
-  tracker.observe(make_record(10.0, 15.0));  // fires again
-  EXPECT_EQ(tracker.alerts(), 2u);
-
-  EXPECT_EQ(tracker.records(), 5u);
-  EXPECT_DOUBLE_EQ(tracker.ewma_abs_rel_err(), 0.5);
-  EXPECT_EQ(registry.counter("drift.alerts").value(), 2u);
-  EXPECT_EQ(registry.counter("drift.records").value(), 5u);
-  EXPECT_DOUBLE_EQ(registry.gauge("drift.ewma_abs_rel_err").value(), 0.5);
-
-  log.set_sink_stream(nullptr);
-  std::size_t warn_lines = 0;
-  std::string line;
-  std::istringstream in(sink.str());
-  while (std::getline(in, line)) {
-    if (line.find("drift.alert") != std::string::npos) ++warn_lines;
-  }
-  EXPECT_EQ(warn_lines, 2u);
-  std::size_t instants = 0;
-  for (const obs::TraceEvent& e : tracer.events()) {
-    if (e.instant && e.name == "online.drift_alert") ++instants;
-  }
-  EXPECT_EQ(instants, 2u);
-
-  tracker.reset();
-  EXPECT_EQ(tracker.records(), 0u);
-  EXPECT_EQ(tracker.alerts(), 0u);
-  EXPECT_TRUE(tracker.cells().empty());
-}
-
-TEST(ObsDrift, CalibrationJsonFields) {
-  std::vector<SliceRecord> records = {make_record(10.0, 12.0),
-                                      make_record(8.0, 6.0, 1, SliceKind::kLead),
-                                      make_record(0.0, 1.0)};
-  const obs::CalibrationReport rep = calibration_report(records);
-  const Json j = calibration_report_to_json(rep);
-  EXPECT_EQ(j.at("schema").as_string(), "h2p.drift/v1");
-  EXPECT_EQ(j.at("records").as_number(), 2.0);
-  EXPECT_EQ(j.at("skipped").as_number(), 1.0);
-  ASSERT_EQ(j.at("cells").size(), 2u);
-  const Json& cell = j.at("cells").at(0);  // (p0, solo, b0)
-  EXPECT_EQ(cell.at("kind").as_string(), "solo");
-  EXPECT_EQ(cell.at("sum_predicted_ms").as_number(), 10.0);
-  EXPECT_EQ(cell.at("sum_executed_ms").as_number(), 12.0);
-  EXPECT_EQ(cell.at("correction").as_number(), 12.0 / 10.0);
-}
 
 std::vector<OnlineRequest> drift_stream() {
   std::vector<OnlineRequest> stream;
@@ -189,7 +34,6 @@ TEST(ObsDrift, OnlineRecordsAlignWithTimeline) {
   const OnlineResult r = run_online(Soc::kirin990(), drift_stream(), opts);
 
   ASSERT_EQ(r.slice_records.size(), r.timeline.tasks.size());
-  std::size_t windowed = 0;
   for (std::size_t i = 0; i < r.slice_records.size(); ++i) {
     const SliceRecord& rec = r.slice_records[i];
     const TaskRecord& task = r.timeline.tasks[i];
@@ -198,18 +42,11 @@ TEST(ObsDrift, OnlineRecordsAlignWithTimeline) {
     EXPECT_EQ(rec.executed_start_ms, task.start_ms);
     EXPECT_EQ(rec.executed_finish_ms, task.end_ms);
     EXPECT_EQ(rec.migrated, rec.proc != task.proc_idx);
-    EXPECT_EQ(rec.weather_idx, -1);  // fault-free stream
     ASSERT_LT(rec.window, r.windows.size());
   }
   for (const WindowStats& ws : r.windows) {
     EXPECT_GT(ws.predicted_makespan_ms, 0.0);
-    windowed += ws.drift_slices;
   }
-  EXPECT_EQ(windowed, r.slice_records.size());
-  EXPECT_EQ(r.drift_report.records + r.drift_report.skipped,
-            r.slice_records.size());
-  EXPECT_DOUBLE_EQ(r.drift_mean_abs_rel_err,
-                   r.drift_report.mean_abs_rel_err());
 }
 
 TEST(ObsDrift, OnlineSerialAndAsyncSliceRecordsIdentical) {
@@ -228,54 +65,89 @@ TEST(ObsDrift, OnlineSerialAndAsyncSliceRecordsIdentical) {
   for (std::size_t i = 0; i < a.slice_records.size(); ++i) {
     const SliceRecord& ra = a.slice_records[i];
     const SliceRecord& rb = b.slice_records[i];
+    EXPECT_EQ(ra.window, rb.window);
     EXPECT_EQ(ra.proc, rb.proc);
-    EXPECT_EQ(ra.kind, rb.kind);
     EXPECT_EQ(ra.predicted_start_ms, rb.predicted_start_ms);  // bit-identical
     EXPECT_EQ(ra.predicted_finish_ms, rb.predicted_finish_ms);
     EXPECT_EQ(ra.executed_start_ms, rb.executed_start_ms);
     EXPECT_EQ(ra.executed_finish_ms, rb.executed_finish_ms);
   }
-  EXPECT_EQ(a.drift_alerts, b.drift_alerts);
-  EXPECT_EQ(calibration_report_to_json(a.drift_report).dump(),
-            calibration_report_to_json(b.drift_report).dump());
 }
 
-TEST(ObsDrift, ThermalStormTriggersDriftAlert) {
-  // A thermal storm slows the executed timeline against the fault-free
-  // window-isolated prediction: positive residuals that a low-threshold
-  // detector must flag, with the storm's provenance on the records.
+// perfbench's modeled run maps each slot to its window through
+// `SliceRecord::{window, model_idx}` and grades each window's plan by
+// `WindowStats::predicted_makespan_ms`.  Pin both on a stream where
+// faults and deferral reshape the windows: a deferred request moves to a
+// later window, so window membership is no longer arrival order chunked.
+TEST(ObsDrift, RecordsPinWindowSlotsAndPredictedMakespan) {
   const Soc soc = Soc::kirin990();
-  WeatherEvent storm;
-  storm.kind = WeatherKind::kThermalStorm;
-  storm.begin_ms = 0.0;
-  storm.duration_ms = 1e7;  // covers the whole stream
-  storm.severity = 0.9;
-  const FaultScript script = FaultScript::with_weather(soc, {storm});
-
+  // The NPU drops out for the first 5 ms; a deadline the degraded SoC
+  // provably cannot meet defers the first request past the outage.
+  const FaultScript faults({FaultEvent{FaultKind::kDropout, 0, 0.0, 5.0, 1.0}});
   std::vector<OnlineRequest> stream;
-  for (int rep = 0; rep < 3; ++rep) {
-    for (ModelId id :
-         {ModelId::kResNet50, ModelId::kBERT, ModelId::kSqueezeNet}) {
-      stream.push_back({&zoo_model(id), 0.0});
-    }
+  for (ModelId id : {ModelId::kResNet50, ModelId::kBERT, ModelId::kSqueezeNet,
+                     ModelId::kMobileNetV2, ModelId::kGoogLeNet,
+                     ModelId::kAlexNet, ModelId::kResNet50}) {
+    stream.push_back({&zoo_model(id), static_cast<double>(stream.size())});
   }
-  OnlineOptions opts;
-  opts.replan_window = 3;
-  opts.faults = &script;
-  opts.drift_tracking = true;
-  opts.drift.alert_threshold = 0.05;
-  opts.drift.min_samples = 4;
-  const OnlineResult r = run_online(soc, stream, opts);
+  stream[0].deadline_ms = 30.0;
 
-  EXPECT_GE(r.drift_alerts, 1u);
-  EXPECT_EQ(r.drift_alerts, r.drift_report.alerts);
-  EXPECT_GT(r.drift_mean_abs_rel_err, 0.0);
-  ASSERT_FALSE(r.slice_records.empty());
-  std::size_t covered = 0;
+  OnlineOptions opts;
+  opts.replan_window = 2;
+  opts.faults = &faults;
+  opts.deadline_policy = DeadlinePolicy::kDefer;
+  opts.fault_tolerance.initial_backoff_ms = 0.5;
+  opts.fault_tolerance.max_backoff_ms = 1.0;
+  opts.fault_tolerance.max_retries = 2;
+  opts.drift_tracking = true;
+  const OnlineResult r = run_online(soc, stream, opts);
+  ASSERT_GE(r.deferred_requests, 1u);
+  ASSERT_GE(r.windows.size(), 2u);
+  ASSERT_EQ(r.slice_records.size(), r.timeline.tasks.size());
+
+  // Every record names an executed window, and window w's records cover
+  // the slot run [slot_begin[w], slot_end[w]), which starts where window
+  // w - 1's run ended.
+  std::vector<std::size_t> slot_begin(r.windows.size(), 0);
+  std::vector<std::size_t> slot_end(r.windows.size(), 0);
+  std::vector<bool> seen(r.windows.size(), false);
+  std::vector<double> max_finish(r.windows.size(), 0.0);
+  std::size_t prev_window = 0;
   for (const SliceRecord& rec : r.slice_records) {
-    if (rec.weather_idx == 0) ++covered;
+    ASSERT_LT(rec.window, r.windows.size());
+    EXPECT_GE(rec.window, prev_window);  // windows appear in order
+    prev_window = rec.window;
+    if (!seen[rec.window]) {
+      seen[rec.window] = true;
+      slot_begin[rec.window] = rec.model_idx;
+      slot_end[rec.window] = rec.model_idx + 1;
+    }
+    slot_begin[rec.window] = std::min(slot_begin[rec.window], rec.model_idx);
+    slot_end[rec.window] = std::max(slot_end[rec.window], rec.model_idx + 1);
+    max_finish[rec.window] =
+        std::max(max_finish[rec.window], rec.predicted_finish_ms);
   }
-  EXPECT_GT(covered, 0u);
+  std::size_t next_slot = 0;
+  for (std::size_t w = 0; w < r.windows.size(); ++w) {
+    ASSERT_TRUE(seen[w]) << "window " << w << " has no records";
+    EXPECT_EQ(slot_begin[w], next_slot) << "window " << w;
+    next_slot = slot_end[w];
+  }
+  EXPECT_EQ(next_slot, r.timeline.num_models);
+  // The runs are disjoint by the checks above; no slot inside one is
+  // left without records.
+  std::vector<bool> slot_seen(r.timeline.num_models, false);
+  for (const SliceRecord& rec : r.slice_records) slot_seen[rec.model_idx] = true;
+  EXPECT_EQ(std::count(slot_seen.begin(), slot_seen.end(), true),
+            static_cast<std::ptrdiff_t>(r.timeline.num_models));
+
+  // Offsetting by the release is monotone under rounding, so the latest
+  // offset finish is exactly the offset isolated makespan.
+  for (std::size_t w = 0; w < r.windows.size(); ++w) {
+    EXPECT_EQ(r.windows[w].release_ms + r.windows[w].predicted_makespan_ms,
+              max_finish[w])
+        << "window " << w;
+  }
 }
 
 }  // namespace

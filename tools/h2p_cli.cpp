@@ -46,13 +46,6 @@
 //                                     tens of seconds, streams are ms)
 //                 --deadline <ms>     per-request deadline: arrival + ms
 //                 --deadline-policy <none|shed|defer>   admission control
-//                 --drift-out <f>     enable prediction-drift tracking and
-//                                     write the calibration scorecard JSON
-//                                     (schema h2p.drift/v1: per-(proc ×
-//                                     slice-kind × thermal-bucket)
-//                                     correction factors with confidence);
-//                                     adds a "drift" block + per-window
-//                                     drift stats to the result JSON
 //                 plus --soc/--soc-json/--no-ct as for `plan`
 //        telemetry (plan and online):
 //                 --metrics-out <f>   write the obs::Registry snapshot JSON
@@ -66,9 +59,9 @@
 // Every plan runs on one thread; `online --async` adds the prefetch pool.
 // Integer flag values must be whole decimal numbers: positive, except the
 // seeds (--fault-seed, --weather-seed), which may be 0.  A flag the
-// subcommand does not take, or a malformed value, SoC name or input file,
-// exits 1 with a message naming it.  A missing required flag exits 2 with
-// the usage line.
+// subcommand does not take, a malformed value, SoC name or input file, or
+// an output file that cannot be written exits 1 with a message naming it.
+// A missing required flag exits 2 with the usage line.
 #include <algorithm>
 #include <charconv>
 #include <cstdint>
@@ -174,8 +167,8 @@ const std::map<std::string_view, std::vector<std::string_view>> kCommandFlags = 
       "--repeat=", "--async", "--prefetch=", "--threads=", "--warm-start",
       "--no-cache", "--faults=", "--fault-seed=", "--weather", "--weather-seed=",
       "--faults-out=", "--thermal-loop", "--thermal-scale=", "--deadline=",
-      "--deadline-policy=", "--drift-out=", "--metrics-out=", "--trace-out=",
-      "--log-level=", "--log-out="}},
+      "--deadline-policy=", "--metrics-out=", "--trace-out=", "--log-level=",
+      "--log-out="}},
 };
 
 /// The first `--flag` in argv that `accepted` does not list, if any.
@@ -224,6 +217,19 @@ bool setup_obs(int argc, char** argv, ObsFlags* flags) {
     obs::Log::global().set_sink_file(*path);
   }
   return true;
+}
+
+/// Writes `text` to the file `path` given with `flag`; a file that cannot
+/// be opened or written throws, naming the flag.
+void write_output(const char* flag, const std::string& path,
+                  const std::string& text) {
+  std::ofstream f(path);
+  f << text;
+  f.close();
+  if (!f) {
+    throw std::runtime_error(std::string(flag) + ": cannot write \"" + path +
+                             "\"");
+  }
 }
 
 /// A built-in SoC by name; an unknown name throws, naming `flag`.
@@ -419,8 +425,7 @@ int cmd_plan(int argc, char** argv) {
                 peak_resident / 1048576.0);
 
     if (const auto out = arg_value(argc, argv, "--out")) {
-      std::ofstream f(*out);
-      f << plan_to_json(rep.chain_report.plan).dump();
+      write_output("--out", *out, plan_to_json(rep.chain_report.plan).dump());
       std::printf("chain plan written to %s\n", out->c_str());
     }
     if (const auto trace = arg_value(argc, argv, "--trace")) {
@@ -433,8 +438,8 @@ int cmd_plan(int argc, char** argv) {
       std::printf("merged trace written to %s\n", obs_flags.trace_out->c_str());
     }
     if (obs_flags.metrics_out) {
-      std::ofstream f(*obs_flags.metrics_out);
-      f << obs::Registry::global().snapshot().dump();
+      write_output("--metrics-out", *obs_flags.metrics_out,
+                   obs::Registry::global().snapshot().dump());
       std::printf("metrics written to %s\n", obs_flags.metrics_out->c_str());
     }
     return 0;
@@ -461,8 +466,7 @@ int cmd_plan(int argc, char** argv) {
               peak_resident / 1048576.0);
 
   if (const auto out = arg_value(argc, argv, "--out")) {
-    std::ofstream f(*out);
-    f << plan_to_json(report.plan).dump();
+    write_output("--out", *out, plan_to_json(report.plan).dump());
     std::printf("plan written to %s\n", out->c_str());
   }
   if (const auto trace = arg_value(argc, argv, "--trace")) {
@@ -475,8 +479,8 @@ int cmd_plan(int argc, char** argv) {
     std::printf("merged trace written to %s\n", obs_flags.trace_out->c_str());
   }
   if (obs_flags.metrics_out) {
-    std::ofstream f(*obs_flags.metrics_out);
-    f << obs::Registry::global().snapshot().dump();
+    write_output("--metrics-out", *obs_flags.metrics_out,
+                 obs::Registry::global().snapshot().dump());
     std::printf("metrics written to %s\n", obs_flags.metrics_out->c_str());
   }
   return 0;
@@ -641,12 +645,7 @@ int cmd_online(int argc, char** argv) {
     with_faults = true;
   }
   if (const auto file = arg_value(argc, argv, "--faults-out")) {
-    std::ofstream f(*file);
-    if (!f) {
-      std::fprintf(stderr, "cannot open %s\n", file->c_str());
-      return 1;
-    }
-    f << fault_script_to_json(faults).dump();
+    write_output("--faults-out", *file, fault_script_to_json(faults).dump());
   }
 
   // The prefetch pool exists only for --async, with exactly --threads
@@ -688,9 +687,6 @@ int cmd_online(int argc, char** argv) {
       return 1;
     }
   }
-  const auto drift_out = arg_value(argc, argv, "--drift-out");
-  if (drift_out) opts.drift_tracking = true;
-
   const OnlineResult result = run_online(soc, stream, opts);
   if (with_faults) {
     if (const auto violation =
@@ -765,23 +761,9 @@ int cmd_online(int argc, char** argv) {
       w["deferred"] = Json::number(static_cast<double>(ws.deferred));
     }
     w["deadline_misses"] = Json::number(static_cast<double>(ws.deadline_misses));
-    if (opts.drift_tracking) {
-      w["predicted_makespan_ms"] = Json::number(ws.predicted_makespan_ms);
-      w["drift_abs_rel_err"] = Json::number(ws.drift_abs_rel_err);
-      w["drift_slices"] = Json::number(static_cast<double>(ws.drift_slices));
-    }
     windows.push_back(std::move(w));
   }
   out["windows"] = std::move(windows);
-
-  if (opts.drift_tracking) {
-    Json dr = Json::object();
-    dr["slices"] =
-        Json::number(static_cast<double>(result.slice_records.size()));
-    dr["alerts"] = Json::number(static_cast<double>(result.drift_alerts));
-    dr["mean_abs_rel_err"] = Json::number(result.drift_mean_abs_rel_err);
-    out["drift"] = std::move(dr);
-  }
 
   // Plan-cache counters come straight from the metrics registry — the same
   // counters the cache increments — so this block cannot drift from the
@@ -805,16 +787,8 @@ int cmd_online(int argc, char** argv) {
                               *obs_flags.trace_out);
   }
   if (obs_flags.metrics_out) {
-    std::ofstream f(*obs_flags.metrics_out);
-    f << obs::Registry::global().snapshot().dump();
-  }
-  if (drift_out) {
-    std::ofstream f(*drift_out);
-    if (!f) {
-      std::fprintf(stderr, "cannot open %s\n", drift_out->c_str());
-      return 1;
-    }
-    f << calibration_report_to_json(result.drift_report).dump();
+    write_output("--metrics-out", *obs_flags.metrics_out,
+                 obs::Registry::global().snapshot().dump());
   }
   std::printf("%s\n", out.dump().c_str());
   return 0;
