@@ -50,7 +50,7 @@ void run_pair(const Soc& soc, const PairSpec& spec, Table& table) {
   for (std::size_t r = 0; r < reps_a; ++r) tasks.push_back(whole_task(0, cpu_b, sim_idx++));
   const std::size_t first_b = sim_idx;
   for (std::size_t r = 0; r < reps_b; ++r) tasks.push_back(whole_task(1, gpu, sim_idx++));
-  const Timeline co = simulate(soc, tasks, {true});
+  const Timeline co = simulate(soc, tasks);
 
   auto emit = [&](ModelId id, const char* proc_name, double solo,
                   std::size_t begin, std::size_t count) {
@@ -106,7 +106,7 @@ int main() {
   b.sensitivity = 0.6;
   b.intensity = eval.table(1).intensity(cpu_b, 0, nb - 1);
   const std::vector<SimTask> co_tasks{a, b};
-  const Timeline co = simulate(soc, co_tasks, {true});
+  const Timeline co = simulate(soc, co_tasks);
   std::printf("CPU_B victim with NPU aggressor: %.2f%% slowdown (paper: 3-4.5%%)\n",
               (co.tasks[0].duration_ms() / a.solo_ms - 1.0) * 100.0);
   return 0;

@@ -75,9 +75,7 @@ GraphPlannerReport GraphPlanner::plan() const {
   const std::size_t K = chain.num_stages;
 
   const auto des_ms = [this](const exec::CompiledPlan& plan) {
-    // Thread-local SoA lowering + scratch: arbitration runs allocation-free
-    // after the first evaluation on each thread.
-    return simulate_compiled_makespan(plan, eval_.soc());
+    return simulate(eval_.soc(), plan).makespan_ms();
   };
 
   // Per-slot chain slices in seq order (global indices into chain.slices).

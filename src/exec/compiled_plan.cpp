@@ -60,16 +60,19 @@ ScheduledSlice lower_range(const StaticEvaluator& eval, std::size_t table_idx,
     throw std::invalid_argument("lower_range: layer range exceeds model");
   }
   const CostTable& t = eval.table(table_idx);
+  // One slice_cost walk for the four per-slice fields; each is
+  // bit-identical to its standalone accessor.
+  const CostTable::SliceSimCosts c = t.slice_sim_costs(proc_idx, begin, end - 1);
   ScheduledSlice s;
   s.model_idx = slot;
   s.seq_in_model = seq;
   s.proc_idx = proc_idx;
   s.layers = Slice{begin, end};
-  s.exec_ms = t.exec_ms(proc_idx, begin, end - 1);
+  s.exec_ms = c.exec_ms;
   s.boundary_copy_ms = begin > 0 ? t.boundary_copy_ms(proc_idx, begin) : 0.0;
-  s.sensitivity = t.mem_sensitivity(proc_idx, begin, end - 1);
-  s.intensity = t.intensity(proc_idx, begin, end - 1);
-  s.dram_bytes = t.dram_bytes(proc_idx, begin, end - 1);
+  s.sensitivity = c.sensitivity;
+  s.intensity = c.intensity;
+  s.dram_bytes = c.dram_bytes;
   return s;
 }
 

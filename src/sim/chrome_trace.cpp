@@ -150,14 +150,6 @@ void write_chrome_trace(const Timeline& timeline, const Soc& soc,
   file << to_chrome_trace_json(timeline, soc);
 }
 
-void write_chrome_trace(const Timeline& timeline, const Soc& soc,
-                        const exec::CompiledPlan& compiled,
-                        const std::string& path) {
-  std::ofstream file(path);
-  if (!file) throw std::runtime_error("write_chrome_trace: cannot open " + path);
-  file << to_chrome_trace_json(timeline, soc, compiled);
-}
-
 std::string to_merged_chrome_trace_json(const Timeline& timeline,
                                         const Soc& soc,
                                         const obs::Tracer& tracer) {
@@ -174,16 +166,6 @@ std::string to_merged_chrome_trace_json(const Timeline& timeline,
   emit_host_events(out, tracer, first, /*pid=*/2);
   out << "],\"displayTimeUnit\":\"ms\"}";
   return out.str();
-}
-
-void write_merged_chrome_trace(const Timeline& timeline, const Soc& soc,
-                               const obs::Tracer& tracer,
-                               const std::string& path) {
-  std::ofstream file(path);
-  if (!file) {
-    throw std::runtime_error("write_merged_chrome_trace: cannot open " + path);
-  }
-  file << to_merged_chrome_trace_json(timeline, soc, tracer);
 }
 
 }  // namespace h2p

@@ -25,11 +25,6 @@ std::string to_chrome_trace_json(const Timeline& timeline, const Soc& soc,
 void write_chrome_trace(const Timeline& timeline, const Soc& soc,
                         const std::string& path);
 
-/// Enriched variant of write_chrome_trace.
-void write_chrome_trace(const Timeline& timeline, const Soc& soc,
-                        const exec::CompiledPlan& compiled,
-                        const std::string& path);
-
 /// Merged export: the DES timeline (pid 1, "device (modeled time)", one tid
 /// per processor) side by side with the host span tracer (pid 2,
 /// "host (wall clock)", one tid per recorded host thread — planner phases,
@@ -41,10 +36,5 @@ void write_chrome_trace(const Timeline& timeline, const Soc& soc,
 std::string to_merged_chrome_trace_json(const Timeline& timeline,
                                         const Soc& soc,
                                         const obs::Tracer& tracer);
-
-/// Write the merged trace; throws std::runtime_error on I/O failure.
-void write_merged_chrome_trace(const Timeline& timeline, const Soc& soc,
-                               const obs::Tracer& tracer,
-                               const std::string& path);
 
 }  // namespace h2p

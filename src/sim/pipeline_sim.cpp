@@ -103,25 +103,23 @@ void simulate(const Soc& soc, const sim::TaskTable& table,
   // the rows are refilled only when the kind signature or the carve address
   // changes (see SimScratch::coupling_sig) — steady-state scoring sweeps
   // reuse the previous run's rows.
-  if (options.contention) {
-    std::uint64_t sig = (static_cast<std::uint64_t>(P) << 8) | 1u;
-    for (std::size_t p = 0; p < P; ++p) {
-      sig = sig * 131u + static_cast<std::uint64_t>(soc.processor(p).kind);
-    }
-    if (sig != scratch.coupling_sig ||
-        scratch.coupling.data() != scratch.coupling_ptr) {
-      contention.fill_coupling_rows(scratch.coupling, Pp);
-      // Column-major mirror for the all-victims matvec; victim rows past P
-      // don't exist and contribute exact zeros.
-      for (std::size_t q = 0; q < Pp; ++q) {
-        for (std::size_t v = 0; v < Pp; ++v) {
-          scratch.coupling_t[q * Pp + v] =
-              v < P ? scratch.coupling[v * Pp + q] : 0.0;
-        }
+  std::uint64_t sig = (static_cast<std::uint64_t>(P) << 8) | 1u;
+  for (std::size_t p = 0; p < P; ++p) {
+    sig = sig * 131u + static_cast<std::uint64_t>(soc.processor(p).kind);
+  }
+  if (sig != scratch.coupling_sig ||
+      scratch.coupling.data() != scratch.coupling_ptr) {
+    contention.fill_coupling_rows(scratch.coupling, Pp);
+    // Column-major mirror for the all-victims matvec; victim rows past P
+    // don't exist and contribute exact zeros.
+    for (std::size_t q = 0; q < Pp; ++q) {
+      for (std::size_t v = 0; v < Pp; ++v) {
+        scratch.coupling_t[q * Pp + v] =
+            v < P ? scratch.coupling[v * Pp + q] : 0.0;
       }
-      scratch.coupling_sig = sig;
-      scratch.coupling_ptr = scratch.coupling.data();
     }
+    scratch.coupling_sig = sig;
+    scratch.coupling_ptr = scratch.coupling.data();
   }
 
   double now = 0.0;
@@ -129,9 +127,9 @@ void simulate(const Soc& soc, const sim::TaskTable& table,
   const double eps = 1e-9;
 
   // Event-driven readiness.  A task is ready once its unmet count — one per
-  // explicit dep or chain pred, plus one for a strictly-positive arrival —
-  // drops to zero: retirements release successors through succs_of and the
-  // arrival cursor releases arrivals as the clock passes them.  A ready task
+  // dependency edge, plus one for a strictly-positive arrival — drops to
+  // zero: retirements release successors through succs_of and the arrival
+  // cursor releases arrivals as the clock passes them.  A ready task
   // waits in its processor's min-heap of dispatch ranks, so a free
   // processor starts the lowest (model, seq, index) ready task without
   // scanning the tasks that are still blocked.
@@ -172,11 +170,8 @@ void simulate(const Soc& soc, const sim::TaskTable& table,
     }
   };
   for (std::size_t i = 0; i < n; ++i) {
-    const std::uint32_t deps =
-        table.explicit_deps[i]
-            ? table.dep_offsets[i + 1] - table.dep_offsets[i]
-            : static_cast<std::uint32_t>(table.pred[i] >= 0);
-    unmet[i] = deps + static_cast<std::uint32_t>(table.arrival_ms[i] > 0.0);
+    unmet[i] = table.dep_offsets[i + 1] - table.dep_offsets[i] +
+               static_cast<std::uint32_t>(table.arrival_ms[i] > 0.0);
   }
   rebuild_ready_heaps();
 
@@ -328,7 +323,7 @@ void simulate(const Soc& soc, const sim::TaskTable& table,
     // masked min-dt lane kernel blends them out.
     for (std::size_t q = 0; q < Pp; ++q) rates[q] = 0.0;
     for (std::size_t ri = 0; ri < running_size; ++ri) rates[ri] = 1.0;
-    if (options.contention && running_size > 1) {
+    if (running_size > 1) {
       for (std::size_t q = 0; q < Pp; ++q) proc_intensity[q] = 0.0;
       for (std::size_t ri = 0; ri < running_size; ++ri) {
         const std::size_t t = run_task[ri];
@@ -489,15 +484,6 @@ double simulate_plan_makespan(const PipelinePlan& plan,
   DesContext& ctx = tls_ctx();
   ctx.table.build_from_plan(plan, eval);
   simulate(eval.soc(), ctx.table, ctx.scratch, ctx.timeline, options);
-  return ctx.timeline.makespan_ms();
-}
-
-double simulate_compiled_makespan(const exec::CompiledPlan& compiled,
-                                  const Soc& soc,
-                                  const SimOptions& options) {
-  DesContext& ctx = tls_ctx();
-  ctx.table.build_from_compiled(compiled, soc.num_processors());
-  simulate(soc, ctx.table, ctx.scratch, ctx.timeline, options);
   return ctx.timeline.makespan_ms();
 }
 

@@ -17,9 +17,8 @@ namespace h2p {
 
 /// One schedulable unit in AoS form, the input of the reference oracle,
 /// hand-built test and Table 2 task sets and the benchmark's modeled pass
-/// (library code simulates a CompiledPlan).  Tasks of one model form a
-/// chain by `seq_in_model` unless `explicit_deps` lists what they wait on
-/// (the fork/join form).  At most one task runs per processor at a time.
+/// (library code simulates a CompiledPlan).  At most one task runs per
+/// processor at a time.
 struct SimTask {
   std::size_t model_idx = 0;
   std::size_t seq_in_model = 0;
@@ -30,10 +29,11 @@ struct SimTask {
   double arrival_ms = 0.0;    // earliest start (release time)
 
   /// When set, `deps` lists the indices (into simulate()'s task vector)
-  /// that must ALL retire before this task may start, and the implicit
-  /// chain resolution skips this task entirely; empty deps = a root.  When
-  /// unset (hand-built task sets, historical behaviour), the task waits on
-  /// the first task of its model's previous distinct-seq group.
+  /// that must ALL retire before this task may start; empty deps = a root.
+  /// When unset (hand-built task sets), the task waits on the first task of
+  /// its model's previous distinct-seq group among the unset tasks, in
+  /// (model, seq, index) order; TaskTable::build_from_tasks writes that as
+  /// an explicit edge.
   bool explicit_deps = false;
   std::vector<std::size_t> deps;
 
@@ -49,10 +49,10 @@ struct SimTask {
   std::vector<AltCost> alt;
 };
 
+/// The co-execution slowdown always applies; a task set with zero
+/// intensity everywhere runs on an ideal shared bus (Eq. 2's extra term is
+/// then an exact 0).
 struct SimOptions {
-  /// Apply the co-execution slowdown model; off = ideal shared bus.
-  bool contention = true;
-
   /// Optional fault environment.  When set, the simulator enforces it as
   /// ground truth: a processor inside a drop-out window starts no task (a
   /// task already running is frozen and resumes at recovery), a slowed
@@ -73,15 +73,15 @@ struct SimOptions {
 /// asynchronous ground truth the planner's static wavefront objective is
 /// validated against.
 ///
-/// Dispatch: a free processor picks, among its ready tasks (predecessors
-/// done — the chain predecessor, or every explicit dep — and arrival
-/// passed), the lowest (model_idx, seq_in_model) — i.e., pipeline FIFO
-/// order.  Readiness is event-driven: each task counts its unmet
-/// predecessors and arrival, a retirement or a passed arrival releases it,
-/// and a released task waits in its processor's ready min-heap.  Tasks
-/// blocked on a later window's arrival are never scanned: dispatch over a
-/// whole stream costs O(n log n + events * P).  The `des.dispatch_probes`
-/// counter sums the ready-heap entries each call pushes, pops and rescans.
+/// Dispatch: a free processor picks, among its ready tasks (every
+/// dependency edge retired and arrival passed), the lowest (model_idx,
+/// seq_in_model) — i.e., pipeline FIFO order.  Readiness is event-driven:
+/// each task counts its unmet edges and arrival, a retirement or a passed
+/// arrival releases it, and a released task waits in its processor's ready
+/// min-heap.  Tasks blocked on a later window's arrival are never scanned:
+/// dispatch over a whole stream costs O(n log n + events * P).  The
+/// `des.dispatch_probes` counter sums the ready-heap entries each call
+/// pushes, pops and rescans.
 ///
 /// The table is read-only (migration mutates scratch copies), so one table
 /// can be evaluated many times — or concurrently from several threads, each
@@ -115,12 +115,6 @@ Timeline simulate(const Soc& soc, std::span<const SimTask> tasks,
 double simulate_plan_makespan(const PipelinePlan& plan,
                               const StaticEvaluator& eval,
                               const SimOptions& options = {});
-
-/// DES makespan of a compiled plan via the same thread-local reuse path —
-/// the graph planner's arbitration scorer.
-double simulate_compiled_makespan(const exec::CompiledPlan& compiled,
-                                  const Soc& soc,
-                                  const SimOptions& options = {});
 
 /// Map a compiled plan's slices 1:1 onto SimTasks (arrivals zeroed): the
 /// AoS twin of TaskTable::append_compiled, for SimTask's users only.

@@ -277,7 +277,7 @@ Timeline simulate_reference(const Soc& soc, std::vector<SimTask> tasks,
   };
   auto compute_rates = [&] {
     rates.assign(running.size(), 1.0);
-    if (options.contention && running.size() > 1) {
+    if (running.size() > 1) {
       std::fill(proc_intensity.begin(), proc_intensity.end(), 0.0);
       for (const Running& o : running) {
         proc_intensity[tasks[o.task_idx].proc_idx] = tasks[o.task_idx].intensity;

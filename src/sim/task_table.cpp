@@ -8,7 +8,6 @@
 #include "core/plan.h"
 #include "exec/compiled_plan.h"
 #include "sim/pipeline_sim.h"
-#include "soc/cost_model.h"
 #include "util/simd.h"
 
 namespace h2p::sim {
@@ -27,19 +26,12 @@ void TaskTable::clear() {
     col->clear();
   }
   for (auto* col : {&solo_ms, &sensitivity, &intensity, &arrival_ms,
-                    &dram_bytes, &alt_solo_ms, &alt_sensitivity,
-                    &alt_intensity}) {
+                    &alt_solo_ms, &alt_sensitivity, &alt_intensity}) {
     col->clear();
   }
-  explicit_deps.clear();
-  pred.clear();
 }
 
-void TaskTable::finalize(std::size_t min_procs, std::size_t n_logical) {
-  // Builders pass the logical task count (build_from_plan pre-pads its
-  // double columns, so solo_ms.size() is not it); everything below reads
-  // n_, and the double columns gain zero padding at the very end.
-  n_ = n_logical;
+void TaskTable::finish(std::size_t min_procs) {
   const std::size_t n = n_;
   // Structure-reuse bookkeeping: build_from_plan re-sets plan_structure_
   // after this returns; any other builder leaves it cleared.
@@ -57,10 +49,9 @@ void TaskTable::finalize(std::size_t min_procs, std::size_t n_logical) {
     max_proc_idx = std::max<std::size_t>(max_proc_idx, proc_idx[i]);
   }
 
-  // Validate explicit edges here so every entry path throws the same error
-  // the AoS simulator did; the same walk counts each task's dependents for
-  // the forward adjacency (dep_edges holds explicit edges only, so no
-  // per-task filtering is needed).
+  // Validate the edges here so every entry path throws the same error the
+  // AoS simulator did; the same walk counts each task's dependents for the
+  // forward adjacency.
   succ_offsets.assign(n + 1, 0);
   for (const std::uint32_t d : dep_edges) {
     if (d >= n) {
@@ -101,57 +92,13 @@ void TaskTable::finalize(std::size_t min_procs, std::size_t n_logical) {
     dispatch_rank[dispatch_order[r]] = static_cast<std::uint32_t>(r);
   }
 
-  // Chain predecessor resolution over the implicit-chain tasks in dispatch
-  // order: latest smaller seq_in_model per model, ties on seq resolving to
-  // the lowest task index — the exact bucketed logic the AoS simulator
-  // used, run once per table instead of per run.
-  pred.assign(n, -1);
-  std::vector<std::uint32_t>& order = chain_order_;
-  order.clear();
-  for (const std::uint32_t i : dispatch_order) {
-    if (!explicit_deps[i]) order.push_back(i);
-  }
-  for (std::size_t lo = 0; lo < order.size();) {
-    std::size_t hi = lo;
-    while (hi < order.size() && model_idx[order[hi]] == model_idx[order[lo]]) {
-      ++hi;
-    }
-    // pred of every member = first task of the previous distinct-seq group.
-    std::size_t group_start = lo;
-    for (std::size_t q = lo; q < hi; ++q) {
-      if (seq_in_model[order[q]] != seq_in_model[order[group_start]]) {
-        group_start = q;
-      }
-      if (group_start > lo) {
-        std::size_t prev = group_start - 1;
-        while (prev > lo &&
-               seq_in_model[order[prev - 1]] == seq_in_model[order[prev]]) {
-          --prev;
-        }
-        pred[order[q]] = static_cast<std::int32_t>(order[prev]);
-      }
-    }
-    lo = hi;
-  }
-
-  // Forward adjacency: dependents by explicit edge, chain successors by
-  // pred (chain links exist only for the non-explicit tasks listed in
-  // `order`).  Built with the usual in-place counting-sort cursor trick;
-  // the DES releases a retirement's dependents through it.
-  for (const std::uint32_t j : order) {
-    if (pred[j] >= 0) ++succ_offsets[static_cast<std::size_t>(pred[j]) + 1];
-  }
+  // Forward adjacency, built with the usual in-place counting-sort cursor
+  // trick; the DES releases a retirement's dependents through it.
   for (std::size_t i = 0; i < n; ++i) succ_offsets[i + 1] += succ_offsets[i];
   succ_edges.resize(n == 0 ? 0 : succ_offsets[n]);
   for (std::size_t j = 0; j < n; ++j) {
     for (std::uint32_t e = dep_offsets[j]; e < dep_offsets[j + 1]; ++e) {
       succ_edges[succ_offsets[dep_edges[e]]++] = static_cast<std::uint32_t>(j);
-    }
-  }
-  for (const std::uint32_t j : order) {
-    if (pred[j] >= 0) {
-      succ_edges[succ_offsets[static_cast<std::size_t>(pred[j])]++] =
-          static_cast<std::uint32_t>(j);
     }
   }
   for (std::size_t i = n; i > 0; --i) succ_offsets[i] = succ_offsets[i - 1];
@@ -175,16 +122,6 @@ void TaskTable::finalize(std::size_t min_procs, std::size_t n_logical) {
                 return a < b;
               });
   }
-
-  // Zero-pad the double columns to a lane multiple (vector kernels sweep
-  // whole lanes; the padding is dead weight the logical accessors never
-  // expose).  Last step: everything above reads the logical extent.
-  const std::size_t np = simd::padded_size(n);
-  solo_ms.resize(np, 0.0);
-  sensitivity.resize(np, 0.0);
-  intensity.resize(np, 0.0);
-  arrival_ms.resize(np, 0.0);
-  dram_bytes.resize(np, 0.0);
 }
 
 void TaskTable::build_from_tasks(std::span<const SimTask> tasks,
@@ -198,12 +135,10 @@ void TaskTable::build_from_tasks(std::span<const SimTask> tasks,
   sensitivity.resize(n);
   intensity.resize(n);
   arrival_ms.resize(n);
-  dram_bytes.assign(n, 0.0);
-  explicit_deps.resize(n);
   dep_offsets.resize(n + 1);
 
-  std::size_t num_edges = 0;
   std::size_t max_alt = 0;
+  std::vector<std::uint32_t> chain;  // implicit-chain tasks; usually none
   for (std::size_t i = 0; i < n; ++i) {
     const SimTask& t = tasks[i];
     model_idx[i] = static_cast<std::uint32_t>(t.model_idx);
@@ -213,20 +148,49 @@ void TaskTable::build_from_tasks(std::span<const SimTask> tasks,
     sensitivity[i] = t.sensitivity;
     intensity[i] = t.intensity;
     arrival_ms[i] = t.arrival_ms;
-    explicit_deps[i] = t.explicit_deps ? 1 : 0;
-    dep_offsets[i] = static_cast<std::uint32_t>(num_edges);
-    if (t.explicit_deps) num_edges += t.deps.size();
+    if (!t.explicit_deps) chain.push_back(static_cast<std::uint32_t>(i));
     max_alt = std::max(max_alt, t.alt.size());
   }
-  dep_offsets[n] = static_cast<std::uint32_t>(num_edges);
-  dep_edges.resize(num_edges);
-  std::size_t w = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    if (!tasks[i].explicit_deps) continue;
-    for (const std::size_t d : tasks[i].deps) {
-      dep_edges[w++] = static_cast<std::uint32_t>(d);
+
+  // Each implicit task's one edge: the first task of its model's previous
+  // distinct-seq group among the implicit tasks, in (model, seq, index)
+  // order — the bucketed rule the reference simulator applies per run.
+  std::vector<std::int32_t> chain_pred;
+  if (!chain.empty()) {
+    std::sort(chain.begin(), chain.end(), [&](std::uint32_t a, std::uint32_t b) {
+      if (model_idx[a] != model_idx[b]) return model_idx[a] < model_idx[b];
+      if (seq_in_model[a] != seq_in_model[b]) {
+        return seq_in_model[a] < seq_in_model[b];
+      }
+      return a < b;
+    });
+    chain_pred.assign(n, -1);
+    std::int32_t group_first = -1;     // first task of the current seq group
+    std::int32_t previous_first = -1;  // ... and of the group before it
+    for (std::size_t q = 0; q < chain.size(); ++q) {
+      const std::uint32_t i = chain[q];
+      if (q == 0 || model_idx[chain[q - 1]] != model_idx[i]) {
+        previous_first = -1;
+        group_first = static_cast<std::int32_t>(i);
+      } else if (seq_in_model[chain[q - 1]] != seq_in_model[i]) {
+        previous_first = group_first;
+        group_first = static_cast<std::int32_t>(i);
+      }
+      chain_pred[i] = previous_first;
     }
   }
+
+  for (std::size_t i = 0; i < n; ++i) {
+    dep_offsets[i] = static_cast<std::uint32_t>(dep_edges.size());
+    if (tasks[i].explicit_deps) {
+      for (const std::size_t d : tasks[i].deps) {
+        dep_edges.push_back(static_cast<std::uint32_t>(d));
+      }
+    } else if (chain_pred[i] >= 0) {
+      dep_edges.push_back(static_cast<std::uint32_t>(chain_pred[i]));
+    }
+  }
+  dep_offsets[n] = static_cast<std::uint32_t>(dep_edges.size());
 
   if (max_alt > 0) {
     // Per-task alt lists may have ragged lengths; pad with +inf solo (an
@@ -243,7 +207,8 @@ void TaskTable::build_from_tasks(std::span<const SimTask> tasks,
       }
     }
   }
-  finalize(min_procs, n);
+  n_ = n;
+  finish(min_procs);
 }
 
 void TaskTable::append_compiled(const exec::CompiledPlan& compiled,
@@ -267,15 +232,11 @@ void TaskTable::append_compiled(const exec::CompiledPlan& compiled,
     return static_cast<std::uint32_t>(proc_map.empty() ? stage : proc_map[stage]);
   };
 
-  // Drop the padding a previous finish() added; rows [base, n) are all
-  // written below.
   plan_structure_ = false;
   for (auto* col : {&model_idx, &seq_in_model, &proc_idx}) col->resize(n);
-  for (auto* col : {&solo_ms, &sensitivity, &intensity, &arrival_ms,
-                    &dram_bytes}) {
+  for (auto* col : {&solo_ms, &sensitivity, &intensity, &arrival_ms}) {
     col->resize(n);
   }
-  explicit_deps.resize(n, 1);
   dep_offsets.resize(n + 1);  // dep_offsets[base] is 0 or the edge count
   dep_edges.resize(dep_offsets[base]);
   for (std::size_t j = 0; j < k; ++j) {
@@ -289,7 +250,6 @@ void TaskTable::append_compiled(const exec::CompiledPlan& compiled,
     intensity[row] = s.intensity;
     const bool released = s.deps.empty() && !root_arrival_ms.empty();
     arrival_ms[row] = released ? root_arrival_ms[s.model_idx] : 0.0;
-    dram_bytes[row] = s.dram_bytes;
     dep_offsets[row] = static_cast<std::uint32_t>(dep_edges.size());
     for (const std::size_t d : s.deps) {
       if (d >= k) throw std::invalid_argument("simulate: dependency on unknown task");
@@ -338,138 +298,85 @@ void TaskTable::build_from_plan(const PipelinePlan& plan,
   const std::size_t m = plan.models.size();
   if (slot_memo_.size() < m) slot_memo_.resize(m);
 
-  // Count-and-validate pass first (same checks, same order, so the first
-  // error thrown is identical to the old incremental build), then size every
-  // column once and fill through direct indexing.  A slot whose memo key
-  // matches was validated when it was memoized and cannot throw, so the
-  // first error still comes from the same slot.
+  // Refresh every slot whose memo key changed, in slot order, through the
+  // one lowering (exec::lower_range validates each range, so the first
+  // error thrown comes from the first bad slot); then count.
   std::size_t n = 0;
   std::size_t num_edges = 0;
   for (std::size_t slot = 0; slot < m; ++slot) {
     const ModelPlan& mp = plan.models[slot];
     SlotMemo& memo = slot_memo_[slot];
-    std::size_t model_tasks = 0;
-    if (memo.generation == generation && memo.model_index == mp.model_index &&
-        memo.slices == mp.slices) {
-      model_tasks = memo.rows.size();
-    } else {
+    if (memo.generation != generation || memo.model_index != mp.model_index ||
+        memo.slices != mp.slices) {
       memo.generation = 0;
-      if (mp.model_index >= eval.num_models()) {
-        throw std::invalid_argument(
-            "compile: plan references model index beyond the evaluator's model "
-            "list (plan and model list disagree?)");
-      }
-      const std::size_t num_layers = eval.model(mp.model_index).num_layers();
-      for (std::size_t k = 0; k < mp.slices.size(); ++k) {
-        const Slice& sl = mp.slices[k];
-        if (sl.empty()) continue;
-        if (k >= P) {
-          throw std::invalid_argument("lower_range: processor index out of range");
-        }
-        if (sl.end > num_layers) {
-          throw std::invalid_argument("lower_range: layer range exceeds model");
-        }
-        ++model_tasks;
-      }
-    }
-    n += model_tasks;
-    if (model_tasks > 0) num_edges += model_tasks - 1;
-  }
-
-  // No clear(): every cell in [0, n) is overwritten below and the double
-  // columns are sized straight to the padded extent with the tail re-zeroed
-  // by hand, so in the steady state (a rescoring sweep re-lowering
-  // same-shaped candidates) every resize here and in finalize() is a no-op
-  // size compare instead of a libstdc++ default-append memset — those
-  // fifteen-odd calls per build were a measurable slice of the scoring
-  // path.  The alt fallback table is detached by stride: stale alt columns
-  // from a previous build_from_tasks are never indexed once alt_procs is 0.
-  const std::size_t np = simd::padded_size(n);
-  alt_procs = 0;
-  // Rescoring sweeps mutate slice *boundaries*, not slot-to-processor
-  // assignments, so successive candidates usually share the exact task
-  // structure — and every derived structure finalize() rebuilds (dispatch
-  // order, preds, forward adjacency, arrival order) depends only on the
-  // structural columns.  `maybe_same` gates a per-cell verification in the
-  // fill loop below: if the previous build was a plan lowering with the
-  // same n and P, and every (model, proc) cell verifies unchanged, the
-  // finalize() call is skipped outright.  Verification is exact equality,
-  // not a hash — a single differing cell falls back to the full rebuild.
-  const bool maybe_same =
-      plan_structure_ && n == n_ && P == finalized_min_procs_;
-  bool same = maybe_same;
-  model_idx.resize(n);
-  seq_in_model.resize(n);
-  proc_idx.resize(n);
-  solo_ms.resize(np);
-  sensitivity.resize(np);
-  intensity.resize(np);
-  arrival_ms.resize(np);
-  dram_bytes.resize(np);
-  // A previous plan lowering left explicit_deps all-ones at this exact
-  // size; anything else gets the fill.
-  if (!maybe_same) explicit_deps.assign(n, 1);
-  dep_offsets.resize(n + 1);
-  dep_edges.resize(num_edges);
-  for (std::size_t i = n; i < np; ++i) {
-    solo_ms[i] = 0.0;
-    sensitivity[i] = 0.0;
-    intensity[i] = 0.0;
-    arrival_ms[i] = 0.0;
-    dram_bytes[i] = 0.0;
-  }
-
-  std::size_t w = 0;
-  std::size_t e = 0;
-  for (std::size_t slot = 0; slot < m; ++slot) {
-    const ModelPlan& mp = plan.models[slot];
-    SlotMemo& memo = slot_memo_[slot];
-    if (memo.generation != generation) {
-      // Same cost-table numbers, in the same order, as exec::lower_range —
-      // solo is exec + inbound copy, so every double matches the two-step
-      // compile + tasks_from_compiled lowering exactly.  The fused accessor
-      // collapses the four standalone reads (six slice_cost walks) into
-      // one; its fields are bit-identical to exec_ms / mem_sensitivity /
-      // intensity / dram_bytes.
-      const CostTable& t = eval.table(mp.model_index);
       memo.rows.clear();
       for (std::size_t k = 0; k < mp.slices.size(); ++k) {
         const Slice& sl = mp.slices[k];
         if (sl.empty()) continue;
-        const CostTable::SliceSimCosts sc =
-            t.slice_sim_costs(k, sl.begin, sl.end - 1);
-        const double copy = sl.begin > 0 ? t.boundary_copy_ms(k, sl.begin) : 0.0;
-        memo.rows.push_back(LoweredRow{static_cast<std::uint32_t>(k),
-                                       sc.exec_ms + copy, sc.sensitivity,
-                                       sc.intensity, sc.dram_bytes});
+        memo.rows.push_back(exec::lower_range(eval, mp.model_index, slot,
+                                              memo.rows.size(), k, sl.begin,
+                                              sl.end));
       }
       memo.model_index = mp.model_index;
       memo.slices = mp.slices;
       memo.generation = generation;
     }
+    n += memo.rows.size();
+    if (!memo.rows.empty()) num_edges += memo.rows.size() - 1;
+  }
+
+  // No clear(): every cell in [0, n) is overwritten below, so in the steady
+  // state (a rescoring sweep re-lowering same-shaped candidates) every
+  // resize here and in finish() is a no-op size compare instead of a
+  // libstdc++ default-append memset.  The alt fallback table is detached by
+  // stride: stale alt columns from a previous build_from_tasks are never
+  // indexed once alt_procs is 0.
+  alt_procs = 0;
+  // Rescoring sweeps mutate slice *boundaries*, not slot-to-processor
+  // assignments, so successive candidates usually share the exact task
+  // structure — and every derived structure finish() rebuilds (dispatch
+  // order, forward adjacency, arrival order) depends only on the
+  // structural columns.  `same` gates a per-cell verification in the fill
+  // loop below: if the previous build was a plan lowering with the same n
+  // and P, and every (model, proc) cell verifies unchanged, finish() is
+  // skipped outright.  Verification is exact equality, not a hash — a
+  // single differing cell falls back to the full rebuild.
+  bool same = plan_structure_ && n == n_ && P == finalized_min_procs_;
+  for (auto* col : {&model_idx, &seq_in_model, &proc_idx}) col->resize(n);
+  for (auto* col : {&solo_ms, &sensitivity, &intensity, &arrival_ms}) {
+    col->resize(n);
+  }
+  dep_offsets.resize(n + 1);
+  dep_edges.resize(num_edges);
+
+  std::size_t w = 0;
+  std::size_t e = 0;
+  for (std::size_t slot = 0; slot < m; ++slot) {
     const auto mi = static_cast<std::uint32_t>(slot);
-    for (std::size_t seq = 0; seq < memo.rows.size(); ++seq) {
-      const LoweredRow& row = memo.rows[seq];
+    const std::vector<exec::ScheduledSlice>& rows = slot_memo_[slot].rows;
+    for (std::size_t seq = 0; seq < rows.size(); ++seq) {
+      const exec::ScheduledSlice& row = rows[seq];
+      const auto proc = static_cast<std::uint32_t>(row.proc_idx);
       // The (model, proc) pair determines every other structural cell for a
       // plan lowering (seq counts within the slot, deps chain within the
       // model), so these two compares verify the whole row.
-      same = same && model_idx[w] == mi && proc_idx[w] == row.proc;
+      same = same && model_idx[w] == mi && proc_idx[w] == proc;
       model_idx[w] = mi;
       seq_in_model[w] = static_cast<std::uint32_t>(seq);
-      proc_idx[w] = row.proc;
-      solo_ms[w] = row.solo_ms;
+      proc_idx[w] = proc;
+      solo_ms[w] = row.solo_ms();
       sensitivity[w] = row.sensitivity;
       intensity[w] = row.intensity;
       arrival_ms[w] = 0.0;  // stale slots may hold a prior table's arrivals
-      dram_bytes[w] = row.dram_bytes;
       dep_offsets[w] = static_cast<std::uint32_t>(e);
       if (seq > 0) dep_edges[e++] = static_cast<std::uint32_t>(w - 1);
       ++w;
     }
   }
   dep_offsets[n] = static_cast<std::uint32_t>(e);
+  n_ = n;
   if (same) return;  // derived structures from the previous build still hold
-  finalize(P, n);
+  finish(P);
   plan_structure_ = true;
 }
 

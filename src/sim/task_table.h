@@ -5,8 +5,8 @@
 #include <span>
 #include <vector>
 
-#include "contention/contention_model.h"
 #include "core/plan.h"
+#include "exec/compiled_plan.h"
 #include "util/arena.h"
 
 namespace h2p {
@@ -14,23 +14,18 @@ namespace h2p {
 struct SimTask;
 class StaticEvaluator;
 
-namespace exec {
-struct CompiledPlan;
-}
-
 namespace sim {
 
 /// Structure-of-arrays task set, the DES's only input: contiguous columns
-/// plus CSR-packed edge lists, built **once per candidate set** (the tail
-/// sweep, warm-start auditions and graph arbitration call the DES thousands
-/// of times per planning window) with every derived structure precomputed.
-/// Compiled plans enter through append_compiled, pipeline plans through the
+/// plus CSR-packed explicit dependency edges, built **once per candidate
+/// set** (the tail sweep, warm-start auditions and graph arbitration call
+/// the DES thousands of times per planning window) with every derived
+/// structure precomputed.  Every row's costs come from exec::lower_range:
+/// compiled plans enter through append_compiled, pipeline plans through the
 /// scorer's memoized build_from_plan.  The derived structures:
 ///
 ///  - `dispatch_order`/`dispatch_rank`: every task in (model, seq, index)
 ///    order, the order a free processor picks its ready tasks in;
-///  - `pred`: the legacy chain predecessor per task (bucketed resolution,
-///    identical tie-breaking to the AoS path);
 ///  - `succ_offsets`/`succ_edges`: the forward adjacency a retirement
 ///    releases its dependents through;
 ///  - `arrival_order`: strictly-future arrivals in ascending order.
@@ -42,11 +37,7 @@ namespace sim {
 /// concurrent simulations.
 class TaskTable {
  public:
-  // ---- columns -------------------------------------------------------------
-  // Logically size() entries each; the double columns are physically padded
-  // with zeros to a util/simd.h lane multiple so vector kernels can sweep
-  // them without tail handling.  Both build paths pad identically, keeping
-  // whole-column comparisons between them exact.
+  // ---- columns, size() entries each -----------------------------------------
   std::vector<std::uint32_t> model_idx;
   std::vector<std::uint32_t> seq_in_model;
   std::vector<std::uint32_t> proc_idx;
@@ -54,10 +45,8 @@ class TaskTable {
   std::vector<double> sensitivity;
   std::vector<double> intensity;
   std::vector<double> arrival_ms;
-  std::vector<double> dram_bytes;          // informational (memory accounting)
-  std::vector<std::uint8_t> explicit_deps;
 
-  // ---- CSR dependency edges ------------------------------------------------
+  // ---- CSR dependency edges: a task is ready once all of them retired ------
   std::vector<std::uint32_t> dep_offsets;  // size()+1; deps of task i are
   std::vector<std::uint32_t> dep_edges;    //   dep_edges[dep_offsets[i] .. i+1)
 
@@ -67,16 +56,14 @@ class TaskTable {
   std::vector<double> alt_sensitivity;
   std::vector<double> alt_intensity;
 
-  // ---- derived, computed by the build_* members ----------------------------
+  // ---- derived, computed by finish() ---------------------------------------
   std::size_t num_models = 0;              // max model_idx + 1
   std::size_t num_procs = 0;               // max(min_procs, max proc_idx + 1)
   std::size_t max_proc_idx = 0;            // max proc_idx over tasks (0 if none)
   std::vector<std::uint32_t> dispatch_order;  // tasks by (model, seq, idx)
   std::vector<std::uint32_t> dispatch_rank;   // inverse: position per task
-  std::vector<std::int32_t> pred;          // chain predecessor, -1 = root
   std::vector<std::uint32_t> arrival_order;// tasks with arrival_ms > 0, sorted
-  // Forward adjacency (CSR): tasks whose readiness can change when i
-  // completes — explicit dependents plus chain successors, one entry per
+  // Forward adjacency (CSR): the dependents of task i, one entry per
   // dependency edge.  The DES decrements each one's unmet count through it.
   std::vector<std::uint32_t> succ_offsets; // size()+1
   std::vector<std::uint32_t> succ_edges;
@@ -89,7 +76,9 @@ class TaskTable {
   [[nodiscard]] std::size_t size() const { return n_; }
 
   /// Transpose an AoS SimTask list (see SimTask for who still uses that
-  /// format).  `min_procs` is a floor for `num_procs`.
+  /// format).  A task without explicit deps gets one edge to the first task
+  /// of its model's previous distinct-seq group, in (model, seq, index)
+  /// order.  `min_procs` is a floor for `num_procs`.
   void build_from_tasks(std::span<const SimTask> tasks, std::size_t min_procs);
 
   /// THE lowering into the DES: append a compiled plan's slices to a table
@@ -105,23 +94,22 @@ class TaskTable {
                        std::span<const std::size_t> proc_map = {},
                        std::size_t num_procs = 0);
 
-  /// Derive the structures below, once after the last append_compiled.
-  void finish(std::size_t min_procs) { finalize(min_procs, n_); }
+  /// Validate the edges and derive the structures above, once after the
+  /// last append; every builder ends here.
+  void finish(std::size_t min_procs);
 
   /// clear() + append_compiled(compiled) + finish(min_procs).
   void build_from_compiled(const exec::CompiledPlan& compiled,
                            std::size_t min_procs);
 
-  /// Lower a pipeline plan directly into columns — the SoA equivalent of
-  /// build_from_compiled(exec::compile(plan, eval)) for the DES-scoring hot
-  /// path.  Reads the same cost-table accessors in the same
-  /// order as exec::lower_range, so every double matches the two-step
-  /// lowering bit for bit; skips the CompiledPlan assembly (names,
-  /// footprints) a score-only evaluation never reads.
+  /// Lower a pipeline plan into columns — build_from_compiled(
+  /// exec::compile(plan, eval)) for the DES-scoring hot path, without the
+  /// CompiledPlan assembly (names, footprints) a score-only evaluation never
+  /// reads.  Rows come from exec::lower_range, which also validates them.
   ///
   /// Delta lowering: each slot's lowered rows are memoized under (evaluator
   /// generation, model index, slices), and only slots whose key changed
-  /// since the previous plan lowering read the cost tables again — a tail
+  /// since the previous plan lowering are lowered again — a tail
   /// candidate re-lowers one model.  The memo survives the other builders
   /// (its rows are a pure function of the key), and `clear()` keeps it.
   void build_from_plan(const PipelinePlan& plan, const StaticEvaluator& eval);
@@ -129,33 +117,22 @@ class TaskTable {
   void clear();
 
  private:
-  void finalize(std::size_t min_procs, std::size_t n_logical);
-
-  /// One non-empty slice of a slot, lowered.
-  struct LoweredRow {
-    std::uint32_t proc = 0;
-    double solo_ms = 0.0;
-    double sensitivity = 0.0;
-    double intensity = 0.0;
-    double dram_bytes = 0.0;
-  };
   /// build_from_plan's per-slot memo.  `generation` 0 marks it invalid: a
-  /// slot is invalidated before it is validated and re-keyed only once its
+  /// slot is invalidated before it is lowered and re-keyed only once its
   /// rows are rebuilt, so a slot that throws never stays marked valid.
   struct SlotMemo {
     std::uint64_t generation = 0;
     std::size_t model_index = 0;
     std::vector<Slice> slices;
-    std::vector<LoweredRow> rows;
+    std::vector<exec::ScheduledSlice> rows;
   };
   std::vector<SlotMemo> slot_memo_;
-  std::vector<std::uint32_t> chain_order_;  // finalize()'s chain-task buffer
   // Slots appended since clear(): append_compiled's slot offset.
   std::size_t num_slots_ = 0;
 
-  std::size_t n_ = 0;  // logical task count (columns are padded beyond it)
+  std::size_t n_ = 0;  // task count
   // True iff the current derived structures came from a build_from_plan
-  // finalize; lets the next plan lowering skip finalize() when its verified
+  // finish; lets the next plan lowering skip finish() when its verified
   // structural columns are unchanged (see build_from_plan).
   bool plan_structure_ = false;
   std::size_t finalized_min_procs_ = 0;

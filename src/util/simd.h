@@ -27,11 +27,13 @@
 // which is how the SoA-vs-reference bit-identity suite and the
 // incremental-vs-full scorer contract hold.
 //
-// Zero-padding invariance: callers pad buffers to `padded_size(n)` with
-// zero tails.  A zero term contributes `+0.0` to a nonnegative partial sum
-// (an exact no-op) and `0.0` never wins a max against a nonnegative
-// baseline, so two buffers padded to different multiples of 4 reduce to
-// bit-identical results.  min/max reductions are order-independent for
+// Zero-padding invariance: callers pad the buffers they sweep (the DES's
+// running set and coupling rows, the wavefront scorers' per-processor
+// rows) to `padded_size(n)` with zero tails; per-task columns are never
+// swept and stay unpadded.  A zero term contributes `+0.0` to a
+// nonnegative partial sum (an exact no-op) and `0.0` never wins a max
+// against a nonnegative baseline, so two buffers padded to different
+// multiples of 4 reduce to bit-identical results.  min/max reductions are order-independent for
 // finite doubles, so only the summation order needed freezing.
 
 namespace h2p::simd {

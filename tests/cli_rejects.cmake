@@ -26,6 +26,12 @@
 #                      plan --out <a file in a missing directory>
 #   online_metrics_out_unwritable
 #                      online --metrics-out <a file in a missing directory>
+#   plan_trace_unwritable
+#                      plan --trace <a file in a missing directory>
+#   plan_trace_out_unwritable
+#                      plan --trace-out <a file in a missing directory>
+#   online_log_out_unwritable
+#                      online --log-out <a file in a missing directory>
 #   simulate_fractional_model_index
 #                      simulate --plan <plan with "model_index": 2.5>
 #   simulate_negative_num_stages
@@ -111,6 +117,18 @@ elseif(CASE STREQUAL "online_metrics_out_unwritable")
   set(path "${WORK_DIR}/missing/m.json")
   set(args ${online} --metrics-out "${path}")
   set(expect "online: --metrics-out: cannot write \"${path}\"")
+elseif(CASE STREQUAL "plan_trace_unwritable")
+  set(path "${WORK_DIR}/missing/t.json")
+  set(args plan --models resnet50,squeezenet --trace "${path}")
+  set(expect "plan: --trace: cannot write \"${path}\"")
+elseif(CASE STREQUAL "plan_trace_out_unwritable")
+  set(path "${WORK_DIR}/missing/t.json")
+  set(args plan --models resnet50,squeezenet --trace-out "${path}")
+  set(expect "plan: --trace-out: cannot write \"${path}\"")
+elseif(CASE STREQUAL "online_log_out_unwritable")
+  set(path "${WORK_DIR}/missing/log.jsonl")
+  set(args ${online} --log-out "${path}")
+  set(expect "online: --log-out: cannot write \"${path}\"")
 elseif(CASE STREQUAL "simulate_overlapping_slices")
   set(plan "${WORK_DIR}/${CASE}.json")
   file(WRITE "${plan}"

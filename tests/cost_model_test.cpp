@@ -4,6 +4,7 @@
 
 #include "models/model_zoo.h"
 #include "soc/cost_model.h"
+#include "test_helpers.h"
 
 namespace h2p {
 namespace {

@@ -26,7 +26,7 @@ SimTask task(std::size_t model, std::size_t seq, std::size_t proc,
 }
 
 /// root(p0) -> {branch_a(p1), branch_b(p2)} -> join(p0): the canonical
-/// diamond, contention off so the arithmetic is exact.
+/// diamond, zero intensity so the arithmetic is exact.
 std::vector<SimTask> diamond(double a_ms = 4.0, double b_ms = 10.0) {
   std::vector<SimTask> tasks;
   tasks.push_back(task(0, 0, 0, 2.0, {}));
@@ -41,7 +41,7 @@ std::vector<SimTask> diamond(double a_ms = 4.0, double b_ms = 10.0) {
 TEST(DagDes, NoTaskStartsBeforeAllPredecessorsRetire) {
   const Soc soc = Soc::kirin990();
   const std::vector<SimTask> tasks = diamond();
-  const Timeline tl = simulate(soc, tasks, {false});
+  const Timeline tl = simulate(soc, tasks);
   ASSERT_EQ(tl.tasks.size(), tasks.size());
   for (std::size_t i = 0; i < tasks.size(); ++i) {
     for (const std::size_t d : tasks[i].deps) {
@@ -53,7 +53,7 @@ TEST(DagDes, NoTaskStartsBeforeAllPredecessorsRetire) {
 
 TEST(DagDes, ForkBranchesOverlapOnDistinctProcessors) {
   const Soc soc = Soc::kirin990();
-  const Timeline tl = simulate(soc, diamond(), {false});
+  const Timeline tl = simulate(soc, diamond());
   // Both branches released together at the root's end and run concurrently.
   EXPECT_DOUBLE_EQ(tl.tasks[1].start_ms, tl.tasks[0].end_ms);
   EXPECT_DOUBLE_EQ(tl.tasks[2].start_ms, tl.tasks[0].end_ms);
@@ -69,7 +69,7 @@ TEST(DagDes, JoinWaitsForBranchFrozenByTransientDropout) {
   // Branch b (proc 2, 10 ms, starts at 2) freezes inside [5, 20) and
   // resumes at recovery: 3 ms done pre-freeze, 7 ms remain -> ends at 27.
   const FaultScript script({FaultEvent{FaultKind::kDropout, 2, 5.0, 20.0}});
-  const Timeline tl = simulate(soc, diamond(), {false, &script});
+  const Timeline tl = simulate(soc, diamond(), {&script});
   EXPECT_NEAR(tl.tasks[2].end_ms, 27.0, 1e-9);
   // The fast branch finished long ago; the join still waits for the frozen
   // one — edge readiness holds under faults.
@@ -89,7 +89,7 @@ TEST(DagDes, MigratedBranchStillGatesTheJoin) {
   }
   const FaultScript script({FaultEvent{
       FaultKind::kDropout, 2, 5.0, std::numeric_limits<double>::infinity()}});
-  const Timeline tl = simulate(soc, tasks, {false, &script});
+  const Timeline tl = simulate(soc, tasks, {&script});
   // Branch b restarted on the fallback processor...
   EXPECT_EQ(tl.tasks[2].proc_idx, 3u);
   // ...and the join still ran strictly after BOTH branches.
@@ -116,8 +116,8 @@ TEST(DagDes, ExplicitChainMatchesImplicitChainExactly) {
       explicit_tasks.push_back(t);
     }
   }
-  const Timeline a = simulate(soc, implicit, {true});
-  const Timeline b = simulate(soc, explicit_tasks, {true});
+  const Timeline a = simulate(soc, implicit);
+  const Timeline b = simulate(soc, explicit_tasks);
   ASSERT_EQ(a.tasks.size(), b.tasks.size());
   for (std::size_t i = 0; i < a.tasks.size(); ++i) {
     EXPECT_EQ(a.tasks[i].start_ms, b.tasks[i].start_ms) << i;
@@ -129,7 +129,7 @@ TEST(DagDes, ExplicitChainMatchesImplicitChainExactly) {
 TEST(DagDes, OutOfRangeDepsRejected) {
   const Soc soc = Soc::kirin990();
   std::vector<SimTask> tasks = {task(0, 0, 0, 1.0, {5})};
-  EXPECT_THROW(simulate(soc, tasks, {false}), std::invalid_argument);
+  EXPECT_THROW(simulate(soc, tasks), std::invalid_argument);
 }
 
 TEST(DagDes, CompiledDagPlanSatisfiesReadinessEverywhere) {
@@ -164,7 +164,7 @@ TEST(DagDes, ReadinessHoldsUnderTransientFaultOnDagPlan) {
                                 5.0 + 3.0 * static_cast<double>(p)});
   }
   const FaultScript script(std::move(events));
-  const Timeline tl = simulate(soc, tasks, {true, &script});
+  const Timeline tl = simulate(soc, tasks, {&script});
   for (std::size_t i = 0; i < tasks.size(); ++i) {
     for (const std::size_t d : tasks[i].deps) {
       EXPECT_GE(tl.tasks[i].start_ms, tl.tasks[d].end_ms - 1e-12);

@@ -6,6 +6,7 @@
 #include <map>
 
 #include "sim/pipeline_sim.h"
+#include "test_helpers.h"
 #include "util/rng.h"
 
 namespace h2p {
@@ -99,16 +100,18 @@ TEST_P(DesInvariants, BusyPlusIdleEqualsSpanPerProcessor) {
 TEST_P(DesInvariants, ContentionFreeMatchesReferenceScheduler) {
   const Soc soc = Soc::kirin990();
   Rng rng(9200 + GetParam());
-  const auto tasks = random_task_graph(rng, soc.num_processors());
-  const Timeline t = simulate(soc, tasks, {false});
+  const auto tasks = testing_util::without_intensity(
+      random_task_graph(rng, soc.num_processors()));
+  const Timeline t = simulate(soc, tasks);
   EXPECT_NEAR(t.makespan_ms(), reference_makespan(soc, tasks), 1e-6);
 }
 
 TEST_P(DesInvariants, WorkConservedContentionOff) {
   const Soc soc = Soc::kirin990();
   Rng rng(9300 + GetParam());
-  const auto tasks = random_task_graph(rng, soc.num_processors());
-  const Timeline t = simulate(soc, tasks, {false});
+  const auto tasks = testing_util::without_intensity(
+      random_task_graph(rng, soc.num_processors()));
+  const Timeline t = simulate(soc, tasks);
   double solo_total = 0.0;
   for (const SimTask& task : tasks) solo_total += task.solo_ms;
   double executed = 0.0;
@@ -120,7 +123,7 @@ TEST_P(DesInvariants, ContentionOnlyStretchesNeverShrinks) {
   const Soc soc = Soc::kirin990();
   Rng rng(9400 + GetParam());
   const auto tasks = random_task_graph(rng, soc.num_processors());
-  const Timeline with = simulate(soc, tasks, {true});
+  const Timeline with = simulate(soc, tasks);
   for (std::size_t i = 0; i < tasks.size(); ++i) {
     EXPECT_GE(with.tasks[i].duration_ms(), tasks[i].solo_ms - 1e-6);
     EXPECT_LE(with.tasks[i].duration_ms(),

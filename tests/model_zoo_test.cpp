@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "models/model_zoo.h"
+#include "test_helpers.h"
 
 namespace h2p {
 namespace {

@@ -2,6 +2,7 @@
 
 #include "core/partition.h"
 #include "models/model_zoo.h"
+#include "test_helpers.h"
 #include "util/rng.h"
 
 namespace h2p {

@@ -72,8 +72,8 @@ TEST(Sim, ContentionStretchesCoRunningTasks) {
       {0, 0, cpu_b, 10.0, 0.8, 0.8, 0.0},
       {1, 0, gpu, 10.0, 0.8, 0.8, 0.0},
   };
-  const Timeline with = simulate(soc, tasks, {true});
-  const Timeline without = simulate(soc, tasks, {false});
+  const Timeline with = simulate(soc, tasks);
+  const Timeline without = simulate(soc, testing_util::without_intensity(tasks));
   EXPECT_GT(with.makespan_ms(), without.makespan_ms());
   EXPECT_GT(with.total_contention_ms(), 0.0);
   EXPECT_DOUBLE_EQ(without.total_contention_ms(), 0.0);
@@ -87,7 +87,7 @@ TEST(Sim, NpuCoRunBarelySlows) {
       {0, 0, cpu_b, 10.0, 0.8, 0.8, 0.0},
       {1, 0, npu, 10.0, 0.8, 0.8, 0.0},
   };
-  const Timeline t = simulate(soc, tasks, {true});
+  const Timeline t = simulate(soc, tasks);
   EXPECT_LT(t.makespan_ms(), 11.1);  // <11% stretch vs >20% for CPU-GPU
 }
 
@@ -100,7 +100,7 @@ TEST(Sim, PartialOverlapIntegratedExactly) {
       {0, 0, cpu_b, 10.0, 1.0, 1.0, 0.0},
       {1, 0, gpu, 100.0, 1.0, 1.0, 5.0},
   };
-  const Timeline t = simulate(soc, tasks, {true});
+  const Timeline t = simulate(soc, tasks);
   const double gamma = Soc::coupling(ProcKind::kCpuBig, ProcKind::kGpu);
   // Remaining 5 solo-ms run at rate 1/(1+gamma): wall = 5 + 5*(1+gamma).
   EXPECT_NEAR(t.tasks[0].end_ms, 5.0 + 5.0 * (1.0 + gamma), 1e-6);
@@ -168,7 +168,8 @@ TEST(Sim, PlanRoundTripRespectsInvariants) {
 TEST(Sim, ContentionOffMatchesSoloSums) {
   Fixture fx({ModelId::kResNet50});
   const PlannerReport report = Hetero2PipePlanner(*fx.eval).plan();
-  const Timeline t = simulate_plan(report.plan, *fx.eval, {false});
+  const Timeline t = simulate(
+      fx.soc, testing_util::without_intensity(exec::compile(report.plan, *fx.eval)));
   double solo_total = 0.0;
   for (std::size_t k = 0; k < report.plan.num_stages; ++k) {
     solo_total += fx.eval->stage_solo_ms(report.plan.models[0], k);
@@ -257,12 +258,9 @@ TEST(TaskTable, SoAMatchesLegacyReferenceOnRandomGraphs) {
     Rng rng(4200 + seed);
     const std::vector<SimTask> tasks =
         random_chain_tasks(rng, soc.num_processors(), /*with_alt=*/false);
-    for (const bool contention : {true, false}) {
-      SimOptions opt;
-      opt.contention = contention;
-      const Timeline soa = simulate(soc, tasks, opt);
-      const Timeline legacy = sim::simulate_reference(soc, tasks, opt);
-      expect_identical(soa, legacy);
+    for (const std::vector<SimTask>& set :
+         {tasks, testing_util::without_intensity(tasks)}) {
+      expect_identical(simulate(soc, set), sim::simulate_reference(soc, set));
     }
   }
 }
@@ -286,6 +284,97 @@ TEST(TaskTable, SoAMatchesLegacyReferenceUnderFaults) {
   }
 }
 
+/// Hand-built sets for the bucketed implicit-chain rule (a task waits on
+/// the first task of its model's previous distinct-seq group): implicit
+/// models whose seqs start anywhere, skip values and repeat (tie groups),
+/// now and then an explicit task inside such a model, explicit fork/join
+/// models beside them, positive arrivals, and the whole list shuffled with
+/// explicit deps remapped.  `ties` and `gaps` count what was drawn.
+std::vector<SimTask> shuffled_mixed_tasks(Rng& rng, std::size_t num_procs,
+                                          bool with_alt, std::size_t& ties,
+                                          std::size_t& gaps) {
+  std::vector<SimTask> tasks;
+  auto add = [&](std::size_t m, std::size_t seq, bool explicit_deps,
+                 std::vector<std::size_t> deps) {
+    SimTask t;
+    t.model_idx = m;
+    t.seq_in_model = seq;
+    t.proc_idx = rng.index(num_procs);
+    t.solo_ms = rng.uniform(0.5, 12.0);
+    t.sensitivity = rng.uniform(0.0, 1.0);
+    t.intensity = rng.uniform(0.0, 1.0);
+    t.arrival_ms = rng.chance(0.3) ? rng.uniform(0.0, 15.0) : 0.0;
+    t.explicit_deps = explicit_deps;
+    t.deps = std::move(deps);
+    if (with_alt) {
+      t.alt.resize(num_procs);
+      for (SimTask::AltCost& a : t.alt) {
+        a = {rng.uniform(0.5, 20.0), rng.uniform(0.0, 1.0), rng.uniform(0.0, 1.0)};
+      }
+    }
+    tasks.push_back(std::move(t));
+    return tasks.size() - 1;
+  };
+  const std::size_t num_models = 3 + rng.index(4);
+  for (std::size_t m = 0; m < num_models; ++m) {
+    if (rng.chance(0.3)) {
+      const std::size_t root = add(m, 0, true, {});
+      const std::size_t left = add(m, 1, true, {root});
+      const std::size_t right = add(m, 1, true, {root});
+      add(m, 2, true, {left, right});
+      continue;
+    }
+    std::size_t seq = rng.index(3);
+    const std::size_t groups = 1 + rng.index(4);
+    for (std::size_t g = 0; g < groups; ++g) {
+      const std::size_t width = rng.chance(0.4) ? 2 + rng.index(2) : 1;
+      ties += width - 1;
+      std::size_t last = 0;
+      for (std::size_t w = 0; w < width; ++w) last = add(m, seq, false, {});
+      if (rng.chance(0.2)) add(m, seq + 1, true, {last});
+      const std::size_t step = 1 + rng.index(3);
+      gaps += step > 1 ? 1 : 0;
+      seq += step;
+    }
+  }
+  std::vector<std::size_t> position(tasks.size());
+  for (std::size_t i = 0; i < position.size(); ++i) position[i] = i;
+  rng.shuffle(position);
+  std::vector<SimTask> shuffled(tasks.size());
+  for (std::size_t i = 0; i < tasks.size(); ++i) {
+    for (std::size_t& d : tasks[i].deps) d = position[d];
+    shuffled[position[i]] = std::move(tasks[i]);
+  }
+  return shuffled;
+}
+
+TEST(TaskTable, ShuffledImplicitChainsMatchReference) {
+  const Soc soc = Soc::kirin990();
+  const FaultScript faults({
+      FaultEvent{FaultKind::kDropout, 1, 4.0, 9.0, 1.0},
+      FaultEvent{FaultKind::kDropout, 2, 6.0, kInf, 1.0},  // permanent
+  });
+  SimOptions faulted;
+  faulted.faults = &faults;
+  std::size_t ties = 0, gaps = 0, migrated = 0;
+  for (int seed = 0; seed < 40; ++seed) {
+    SCOPED_TRACE(testing::Message() << "seed " << seed);
+    Rng rng(8800 + seed);
+    const std::vector<SimTask> tasks = shuffled_mixed_tasks(
+        rng, soc.num_processors(), /*with_alt=*/true, ties, gaps);
+    expect_identical(simulate(soc, tasks, {}),
+                     sim::simulate_reference(soc, tasks, {}));
+    const Timeline soa = simulate(soc, tasks, faulted);
+    expect_identical(soa, sim::simulate_reference(soc, tasks, faulted));
+    for (std::size_t i = 0; i < tasks.size(); ++i) {
+      migrated += soa.tasks[i].proc_idx != tasks[i].proc_idx ? 1 : 0;
+    }
+  }
+  EXPECT_GT(ties, 20u);
+  EXPECT_GT(gaps, 20u);
+  EXPECT_GT(migrated, 20u);
+}
+
 TEST(TaskTable, FromPlanMatchesFromCompiled) {
   Fixture fx(testing_util::mixed_six());
   const PlannerReport report = Hetero2PipePlanner(*fx.eval).plan();
@@ -303,10 +392,8 @@ TEST(TaskTable, FromPlanMatchesFromCompiled) {
   EXPECT_EQ(direct.solo_ms, via_compiled.solo_ms);        // bitwise doubles
   EXPECT_EQ(direct.sensitivity, via_compiled.sensitivity);
   EXPECT_EQ(direct.intensity, via_compiled.intensity);
-  EXPECT_EQ(direct.dram_bytes, via_compiled.dram_bytes);
   EXPECT_EQ(direct.dep_offsets, via_compiled.dep_offsets);
   EXPECT_EQ(direct.dep_edges, via_compiled.dep_edges);
-  EXPECT_EQ(direct.pred, via_compiled.pred);
   EXPECT_EQ(direct.dispatch_order, via_compiled.dispatch_order);
   EXPECT_EQ(direct.dispatch_rank, via_compiled.dispatch_rank);
 }
@@ -447,7 +534,6 @@ TEST(TaskTable, AppendCompiledMatchesAoSLowering) {
           EXPECT_EQ(table.sensitivity, expected.sensitivity);
           EXPECT_EQ(table.intensity, expected.intensity);
           EXPECT_EQ(table.arrival_ms, expected.arrival_ms);
-          EXPECT_EQ(table.explicit_deps, expected.explicit_deps);
           EXPECT_EQ(table.dep_offsets, expected.dep_offsets);
           EXPECT_EQ(table.dep_edges, expected.dep_edges);
           EXPECT_EQ(table.alt_procs, expected.alt_procs);
@@ -457,25 +543,17 @@ TEST(TaskTable, AppendCompiledMatchesAoSLowering) {
           EXPECT_EQ(table.num_models, expected.num_models);
           EXPECT_EQ(table.num_procs, expected.num_procs);
           EXPECT_EQ(table.max_proc_idx, expected.max_proc_idx);
-          EXPECT_EQ(table.pred, expected.pred);
           EXPECT_EQ(table.dispatch_order, expected.dispatch_order);
           EXPECT_EQ(table.dispatch_rank, expected.dispatch_rank);
           EXPECT_EQ(table.arrival_order, expected.arrival_order);
           EXPECT_EQ(table.succ_offsets, expected.succ_offsets);
           EXPECT_EQ(table.succ_edges, expected.succ_edges);
-          // SimTask has no dram_bytes: the table carries the slices' own.
-          std::size_t row = 0;
-          for (std::size_t w = 0; w < depth; ++w) {
-            for (const exec::ScheduledSlice& sl : (*plans)[w].slices) {
-              EXPECT_EQ(table.dram_bytes[row++], sl.dram_bytes);
-            }
-          }
 
           // The DES on the appended table equals the reference oracle on
           // the AoS list, healthy and — where every row can migrate —
           // under a permanent drop-out.
           std::vector<SimOptions> runs(1);
-          if (every_fallback) runs.push_back(SimOptions{true, &faults});
+          if (every_fallback) runs.push_back(SimOptions{&faults});
           for (const SimOptions& opt : runs) {
             sim::SimScratch scratch;
             Timeline out;
@@ -595,11 +673,9 @@ TEST(StreamOracle, ChainStreamMatchesReference) {
                                               /*dag_every=*/0, false);
     ASSERT_GE(tasks.size(), 500u);
     pin_arrivals_to_an_event(soc, tasks, {});
-    for (const bool contention : {true, false}) {
-      SimOptions opt;
-      opt.contention = contention;
-      expect_identical(simulate(soc, tasks, opt),
-                       sim::simulate_reference(soc, tasks, opt));
+    for (const std::vector<SimTask>& set :
+         {tasks, testing_util::without_intensity(tasks)}) {
+      expect_identical(simulate(soc, set), sim::simulate_reference(soc, set));
     }
   }
 }

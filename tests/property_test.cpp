@@ -39,8 +39,10 @@ TEST_P(RandomComboProperty, PlansAlwaysValidAndSimulatable) {
 TEST_P(RandomComboProperty, ContentionNeverSpeedsThingsUp) {
   Fixture fx(random_combo(6000 + GetParam()));
   const PlannerReport report = Hetero2PipePlanner(*fx.eval).plan();
-  const double with = simulate_plan(report.plan, *fx.eval, {true}).makespan_ms();
-  const double without = simulate_plan(report.plan, *fx.eval, {false}).makespan_ms();
+  const exec::CompiledPlan compiled = exec::compile(report.plan, *fx.eval);
+  const double with = simulate(fx.soc, compiled).makespan_ms();
+  const double without =
+      simulate(fx.soc, testing_util::without_intensity(compiled)).makespan_ms();
   EXPECT_GE(with, without - 1e-6);
 }
 
@@ -49,7 +51,8 @@ TEST_P(RandomComboProperty, ContentionNeverSpeedsThingsUp) {
 TEST_P(RandomComboProperty, MakespanSandwich) {
   Fixture fx(random_combo(7000 + GetParam()));
   const PlannerReport report = Hetero2PipePlanner(*fx.eval).plan();
-  const Timeline t = simulate_plan(report.plan, *fx.eval, {false});
+  const Timeline t = simulate(
+      fx.soc, testing_util::without_intensity(exec::compile(report.plan, *fx.eval)));
 
   double max_stage = 0.0, total_work = 0.0;
   for (const ModelPlan& mp : report.plan.models) {

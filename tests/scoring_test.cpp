@@ -205,14 +205,11 @@ void expect_tables_equal(const sim::TaskTable& a, const sim::TaskTable& b) {
   EXPECT_EQ(a.sensitivity, b.sensitivity);
   EXPECT_EQ(a.intensity, b.intensity);
   EXPECT_EQ(a.arrival_ms, b.arrival_ms);
-  EXPECT_EQ(a.dram_bytes, b.dram_bytes);
-  EXPECT_EQ(a.explicit_deps, b.explicit_deps);
   EXPECT_EQ(a.dep_offsets, b.dep_offsets);
   EXPECT_EQ(a.dep_edges, b.dep_edges);
   EXPECT_EQ(a.num_models, b.num_models);
   EXPECT_EQ(a.num_procs, b.num_procs);
   EXPECT_EQ(a.max_proc_idx, b.max_proc_idx);
-  EXPECT_EQ(a.pred, b.pred);
   EXPECT_EQ(a.dispatch_order, b.dispatch_order);
   EXPECT_EQ(a.dispatch_rank, b.dispatch_rank);
   EXPECT_EQ(a.arrival_order, b.arrival_order);

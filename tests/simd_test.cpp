@@ -304,11 +304,9 @@ TEST_P(SimdEquivalence, ChainTimelinesBitIdenticalToReference) {
     Rng rng(9100 + seed);
     const std::vector<SimTask> tasks =
         random_chain_tasks(rng, soc.num_processors(), /*with_alt=*/false);
-    for (const bool contention : {true, false}) {
-      SimOptions opt;
-      opt.contention = contention;
-      expect_identical(simulate(soc, tasks, opt),
-                       sim::simulate_reference(soc, tasks, opt));
+    for (const std::vector<SimTask>& set :
+         {tasks, testing_util::without_intensity(tasks)}) {
+      expect_identical(simulate(soc, set), sim::simulate_reference(soc, set));
     }
   }
 }

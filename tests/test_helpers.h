@@ -5,7 +5,9 @@
 #include <vector>
 
 #include "core/bubbles.h"
+#include "exec/compiled_plan.h"
 #include "models/model_zoo.h"
+#include "sim/pipeline_sim.h"
 #include "soc/soc.h"
 
 namespace h2p {
@@ -15,6 +17,7 @@ namespace h2p {
 // types would change with every build. Print them by name instead.
 inline void PrintTo(const Soc& soc, std::ostream* os) { *os << soc.name(); }
 inline void PrintTo(const Layer& layer, std::ostream* os) { *os << layer.name; }
+inline void PrintTo(ModelId id, std::ostream* os) { *os << to_string(id); }
 
 }  // namespace h2p
 
@@ -33,6 +36,24 @@ struct Fixture {
     eval = std::make_unique<StaticEvaluator>(soc, models);
   }
 };
+
+/// `tasks` with every aggressor intensity zeroed, fallback rows included:
+/// Eq. 2's extra term is then an exact 0, so the DES runs them as on an
+/// ideal shared bus.
+inline std::vector<SimTask> without_intensity(std::vector<SimTask> tasks) {
+  for (SimTask& t : tasks) {
+    t.intensity = 0.0;
+    for (SimTask::AltCost& a : t.alt) a.intensity = 0.0;
+  }
+  return tasks;
+}
+
+/// The compiled-plan counterpart of without_intensity(SimTask list).
+inline exec::CompiledPlan without_intensity(exec::CompiledPlan compiled) {
+  for (exec::ScheduledSlice& s : compiled.slices) s.intensity = 0.0;
+  for (exec::CompiledPlan::FallbackCost& f : compiled.fallback) f.intensity = 0.0;
+  return compiled;
+}
 
 inline std::vector<ModelId> mixed_four() {
   return {ModelId::kResNet50, ModelId::kBERT, ModelId::kSqueezeNet,

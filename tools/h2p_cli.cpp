@@ -214,7 +214,11 @@ bool setup_obs(int argc, char** argv, ObsFlags* flags) {
     obs::Log::global().set_level(*parsed);
   }
   if (const auto path = arg_value(argc, argv, "--log-out")) {
-    obs::Log::global().set_sink_file(*path);
+    try {
+      obs::Log::global().set_sink_file(*path);
+    } catch (const std::runtime_error&) {
+      throw std::runtime_error("--log-out: cannot write \"" + *path + "\"");
+    }
   }
   return true;
 }
@@ -429,12 +433,14 @@ int cmd_plan(int argc, char** argv) {
       std::printf("chain plan written to %s\n", out->c_str());
     }
     if (const auto trace = arg_value(argc, argv, "--trace")) {
-      write_chrome_trace(timeline, soc, rep.compiled, *trace);
+      write_output("--trace", *trace,
+                   to_chrome_trace_json(timeline, soc, rep.compiled));
       std::printf("chrome trace written to %s\n", trace->c_str());
     }
     if (obs_flags.trace_out) {
-      write_merged_chrome_trace(timeline, soc, obs::Tracer::global(),
-                                *obs_flags.trace_out);
+      write_output("--trace-out", *obs_flags.trace_out,
+                   to_merged_chrome_trace_json(timeline, soc,
+                                               obs::Tracer::global()));
       std::printf("merged trace written to %s\n", obs_flags.trace_out->c_str());
     }
     if (obs_flags.metrics_out) {
@@ -470,12 +476,12 @@ int cmd_plan(int argc, char** argv) {
     std::printf("plan written to %s\n", out->c_str());
   }
   if (const auto trace = arg_value(argc, argv, "--trace")) {
-    write_chrome_trace(timeline, soc, compiled, *trace);
+    write_output("--trace", *trace, to_chrome_trace_json(timeline, soc, compiled));
     std::printf("chrome trace written to %s\n", trace->c_str());
   }
   if (obs_flags.trace_out) {
-    write_merged_chrome_trace(timeline, soc, obs::Tracer::global(),
-                              *obs_flags.trace_out);
+    write_output("--trace-out", *obs_flags.trace_out,
+                 to_merged_chrome_trace_json(timeline, soc, obs::Tracer::global()));
     std::printf("merged trace written to %s\n", obs_flags.trace_out->c_str());
   }
   if (obs_flags.metrics_out) {
@@ -783,8 +789,9 @@ int cmd_online(int argc, char** argv) {
   }
 
   if (obs_flags.trace_out) {
-    write_merged_chrome_trace(result.timeline, soc, obs::Tracer::global(),
-                              *obs_flags.trace_out);
+    write_output("--trace-out", *obs_flags.trace_out,
+                 to_merged_chrome_trace_json(result.timeline, soc,
+                                             obs::Tracer::global()));
   }
   if (obs_flags.metrics_out) {
     write_output("--metrics-out", *obs_flags.metrics_out,
