@@ -8,7 +8,6 @@
 #include <string>
 
 #include "core/partition.h"
-#include "obs/metrics.h"
 #include "obs/trace.h"
 #include "util/lru_map.h"
 #include "util/simd.h"
@@ -28,9 +27,6 @@ StaticEvaluator::StaticEvaluator(const Soc& soc, std::vector<const Model*> model
       cost_(soc),
       contention_(soc),
       generation_(g_next_generation.fetch_add(1, std::memory_order_relaxed)) {
-  static obs::Histogram& build_ms =
-      obs::Registry::global().histogram("planner.cost_tables_ms");
-  const obs::ScopedLatency latency(build_ms);
   obs::Span span("planner.cost_tables");
   span.arg("models", static_cast<double>(models_.size()));
   const int cpu_b = soc.find(ProcKind::kCpuBig);

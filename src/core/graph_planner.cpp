@@ -5,7 +5,6 @@
 
 #include "core/incremental.h"
 #include "core/partition.h"
-#include "obs/metrics.h"
 #include "obs/trace.h"
 #include "sim/pipeline_sim.h"
 
@@ -61,11 +60,6 @@ GraphPlanner::GraphPlanner(const Soc& soc, std::vector<const GraphModel*> graphs
       chain_planner_(eval_, opts) {}
 
 GraphPlannerReport GraphPlanner::plan() const {
-  static obs::Counter& c_plans =
-      obs::Registry::global().counter("graph_planner.plans");
-  static obs::Counter& c_offloads =
-      obs::Registry::global().counter("graph_planner.offloaded_branches");
-  c_plans.inc();
   obs::Span span("graph_planner.plan");
   span.arg("graphs", static_cast<double>(graphs_.size()));
 
@@ -279,7 +273,6 @@ GraphPlannerReport GraphPlanner::plan() const {
     for (std::size_t slot = 0; slot < slot_is_dag.size(); ++slot) {
       if (slot_is_dag[slot]) rep.dag_slots.push_back(slot);
     }
-    c_offloads.inc(offloaded);
     obs::Tracer::global().instant("graph_planner.dag_accepted");
   } else {
     rep.compiled = std::move(chain);

@@ -65,8 +65,6 @@ class GraphPlanner {
   /// with the chain planner).  Layer index i of slot s's table is the node
   /// at topological position i of graph s.
   [[nodiscard]] const StaticEvaluator& evaluator() const { return eval_; }
-  [[nodiscard]] std::size_t num_graphs() const { return graphs_.size(); }
-  [[nodiscard]] const GraphModel& graph(std::size_t i) const { return *graphs_[i]; }
 
  private:
   std::vector<const GraphModel*> graphs_;

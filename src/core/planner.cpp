@@ -27,12 +27,6 @@ std::vector<double> intensities_of(const StaticEvaluator& eval) {
 }  // namespace
 
 PlannerReport Hetero2PipePlanner::plan() const {
-  static obs::Counter& cold_plans =
-      obs::Registry::global().counter("planner.cold_plans");
-  static obs::Histogram& cold_ms =
-      obs::Registry::global().histogram("planner.cold_ms");
-  cold_plans.inc();
-  const obs::ScopedLatency latency(cold_ms);
   obs::Span plan_span("planner.plan_cold");
   plan_span.arg("models", static_cast<double>(eval_->num_models()));
 

@@ -21,7 +21,6 @@
 #include "core/planner.h"
 #include "core/work_stealing.h"
 #include "exec/compiled_plan.h"
-#include "obs/metrics.h"
 #include "obs/trace.h"
 
 namespace h2p {
@@ -144,12 +143,6 @@ PlannerReport Hetero2PipePlanner::settle(PipelinePlan plan,
 
 std::optional<PlannerReport> Hetero2PipePlanner::plan_warm(
     const exec::CompiledPlan& seed) const {
-  static obs::Counter& warm_plans =
-      obs::Registry::global().counter("planner.warm_plans");
-  static obs::Histogram& warm_ms =
-      obs::Registry::global().histogram("planner.warm_ms");
-  warm_plans.inc();
-  const obs::ScopedLatency latency(warm_ms);
   obs::Span span("planner.plan_warm");
   span.arg("models", static_cast<double>(eval_->num_models()));
 
@@ -229,12 +222,6 @@ std::optional<PlannerReport> Hetero2PipePlanner::plan_warm(
 std::optional<PlannerReport> Hetero2PipePlanner::plan_degraded(
     const exec::CompiledPlan& seed,
     const std::vector<std::size_t>& kept_procs) const {
-  static obs::Counter& degraded_plans =
-      obs::Registry::global().counter("planner.degraded_plans");
-  static obs::Histogram& degraded_ms =
-      obs::Registry::global().histogram("planner.degraded_ms");
-  degraded_plans.inc();
-  const obs::ScopedLatency latency(degraded_ms);
   obs::Span span("planner.plan_degraded");
   span.arg("kept_procs", static_cast<double>(kept_procs.size()));
 

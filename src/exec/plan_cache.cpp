@@ -66,12 +66,10 @@ const CompiledPlan* PlanCache::find(const std::string& key) {
       obs::Registry::global().counter("plan_cache.misses");
   const auto it = index_.find(key);
   if (it == index_.end()) {
-    ++stats_.misses;
     misses.inc();
     obs::Tracer::global().instant("plan_cache.miss");
     return nullptr;
   }
-  ++stats_.hits;
   hits.inc();
   obs::Tracer::global().instant("plan_cache.hit");
   entries_.splice(entries_.begin(), entries_, it->second);
@@ -99,7 +97,6 @@ std::list<PlanCache::Entry>::const_iterator PlanCache::scan_near(
 const CompiledPlan* PlanCache::find_near(const std::string& key) {
   const auto it = scan_near(key);
   if (it == entries_.end()) return nullptr;
-  ++stats_.warm_hits;
   static obs::Counter& warm_hits =
       obs::Registry::global().counter("plan_cache.warm_hits");
   warm_hits.inc();
@@ -131,7 +128,6 @@ const CompiledPlan& PlanCache::insert(const std::string& key, CompiledPlan plan)
   if (entries_.size() >= capacity_) {
     index_.erase(entries_.back().key);
     entries_.pop_back();
-    ++stats_.evictions;
     static obs::Counter& evictions =
         obs::Registry::global().counter("plan_cache.evictions");
     evictions.inc();
@@ -215,25 +211,6 @@ std::string PlanCache::make_key(const Soc& soc,
   names.reserve(models.size());
   for (const Model* m : models) {
     names.push_back(m ? model_key_component(m->name(), m->content_hash())
-                      : "<null>");
-  }
-  return assemble_key(soc, std::move(names), options, env);
-}
-
-std::string PlanCache::make_graph_key(const Soc& soc,
-                                      const std::vector<const GraphModel*>& graphs,
-                                      const PlannerOptions& options) {
-  return make_graph_key(soc, graphs, options, PlanEnv{});
-}
-
-std::string PlanCache::make_graph_key(const Soc& soc,
-                                      const std::vector<const GraphModel*>& graphs,
-                                      const PlannerOptions& options,
-                                      const PlanEnv& env) {
-  std::vector<std::string> names;
-  names.reserve(graphs.size());
-  for (const GraphModel* g : graphs) {
-    names.push_back(g ? model_key_component(g->name(), g->topology_hash())
                       : "<null>");
   }
   return assemble_key(soc, std::move(names), options, env);

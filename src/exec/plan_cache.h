@@ -10,7 +10,6 @@
 
 #include "core/planner.h"
 #include "exec/compiled_plan.h"
-#include "models/graph.h"
 #include "models/model.h"
 #include "soc/soc.h"
 
@@ -37,16 +36,11 @@ namespace h2p::exec {
 /// Returned pointers stay valid until their entry is evicted or the cache
 /// is cleared; they are not invalidated by lookups or by inserting other
 /// keys.  Not thread-safe; guard externally if shared across threads.
+///
+/// Hits, misses, warm hits and evictions count into the global obs::Registry
+/// (`plan_cache.*`) when it is enabled.
 class PlanCache {
  public:
-  struct Stats {
-    std::size_t hits = 0;
-    std::size_t misses = 0;
-    /// Near-miss (warm-start) lookups that found a one-model-delta entry.
-    std::size_t warm_hits = 0;
-    std::size_t evictions = 0;
-  };
-
   explicit PlanCache(std::size_t capacity = 32);
   // Entries hold views into their own keys, and the index points into the
   // entry list: a copy would alias the original's storage.
@@ -55,12 +49,11 @@ class PlanCache {
 
   [[nodiscard]] std::size_t size() const { return entries_.size(); }
   [[nodiscard]] std::size_t capacity() const { return capacity_; }
-  [[nodiscard]] const Stats& stats() const { return stats_; }
 
   /// Lookup; bumps the entry to most-recently-used and counts a hit/miss.
   [[nodiscard]] const CompiledPlan* find(const std::string& key);
 
-  /// Non-mutating lookup: no LRU bump, no stats.  The async prefetcher uses
+  /// Non-mutating lookup: no LRU bump, no count.  The async prefetcher uses
   /// this to decide whether a window is worth a speculative cold plan
   /// without perturbing the (deterministic) LRU order the consume path sees.
   [[nodiscard]] const CompiledPlan* peek(const std::string& key) const;
@@ -99,14 +92,10 @@ class PlanCache {
     std::size_t thermal_bucket = 0;
   };
 
-  /// Canonical key: Soc fingerprint + sorted `name#<topology hash>` model
+  /// Canonical key: Soc fingerprint + sorted `name#<content hash>` model
   /// components + planner knobs (+ execution environment; the overload
-  /// without one means "fully healthy, nominal thermals").  The structural
-  /// hash keys on what the model *is*, not what it is called: two graphs
-  /// with identical layer multisets but different edges (an Inception cell
-  /// vs. its linearized chain) get distinct entries, while a chain graph
-  /// and the equivalent `Model` share one (`Model::content_hash` ==
-  /// `GraphModel::topology_hash` for linear graphs).
+  /// without one means "fully healthy, nominal thermals").  The content
+  /// hash keys on what the model *is*, not what it is called.
   [[nodiscard]] static std::string make_key(const Soc& soc,
                                             const std::vector<const Model*>& models,
                                             const PlannerOptions& options);
@@ -114,15 +103,6 @@ class PlanCache {
                                             const std::vector<const Model*>& models,
                                             const PlannerOptions& options,
                                             const PlanEnv& env);
-  /// Graph front end to the same key space: a chain GraphModel keys
-  /// identically to its linearized Model (distinct name to avoid braced-init
-  /// ambiguity with the Model overloads).
-  [[nodiscard]] static std::string make_graph_key(
-      const Soc& soc, const std::vector<const GraphModel*>& graphs,
-      const PlannerOptions& options);
-  [[nodiscard]] static std::string make_graph_key(
-      const Soc& soc, const std::vector<const GraphModel*>& graphs,
-      const PlannerOptions& options, const PlanEnv& env);
 
   /// True if the two make_key-style keys agree on SoC + knobs and their
   /// name multisets differ by at most one add/remove/substitute (exact
@@ -156,7 +136,6 @@ class PlanCache {
   std::size_t capacity_;
   std::list<Entry> entries_;  // front = most recently used
   std::unordered_map<std::string, std::list<Entry>::iterator> index_;
-  Stats stats_;
 };
 
 }  // namespace h2p::exec

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <stdexcept>
-#include <unordered_set>
 
 namespace h2p {
 
@@ -172,47 +171,9 @@ GraphDecomposition GraphModel::decompose() const {
   return d;
 }
 
-std::vector<std::size_t> GraphModel::articulation_points() const {
-  const GraphDecomposition d = decompose();
-  std::vector<std::size_t> ids;
-  for (std::size_t pos = 0; pos < d.order.size(); ++pos) {
-    if (d.articulation[pos]) ids.push_back(d.order[pos]);
-  }
-  return ids;
-}
-
 double GraphModel::nodes_flops(std::span<const std::size_t> ids) const {
   double total = 0.0;
   for (std::size_t id : ids) total += nodes_[id].layer.flops;
-  return total;
-}
-
-double GraphModel::nodes_param_bytes(std::span<const std::size_t> ids) const {
-  double total = 0.0;
-  for (std::size_t id : ids) total += nodes_[id].layer.param_bytes;
-  return total;
-}
-
-double GraphModel::nodes_peak_working_set_bytes(
-    std::span<const std::size_t> ids) const {
-  double peak = 0.0;
-  for (std::size_t id : ids) {
-    peak = std::max(peak, nodes_[id].layer.working_set_bytes);
-  }
-  return peak;
-}
-
-double GraphModel::cut_in_bytes(std::span<const std::size_t> ids) const {
-  const std::unordered_set<std::size_t> inside(ids.begin(), ids.end());
-  double total = 0.0;
-  for (std::size_t id : ids) {
-    const std::vector<std::size_t>& in = nodes_[id].inputs;
-    const bool boundary =
-        in.empty() || std::any_of(in.begin(), in.end(), [&](std::size_t dep) {
-          return inside.count(dep) == 0;
-        });
-    if (boundary) total += nodes_[id].layer.input_bytes;
-  }
   return total;
 }
 

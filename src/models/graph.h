@@ -77,24 +77,12 @@ class GraphModel {
   /// legacy `Model` path.
   [[nodiscard]] bool is_chain() const;
 
-  /// Node ids every source-to-sink walk passes through, in topological
-  /// order (see GraphDecomposition).  Every node of a chain qualifies.
-  [[nodiscard]] std::vector<std::size_t> articulation_points() const;
-
   /// Full fork/join decomposition (topological order, articulation flags,
   /// segments with their branches).
   [[nodiscard]] GraphDecomposition decompose() const;
 
-  // ---- aggregate queries over an arbitrary node set ------------------------
+  /// Sum of the FLOPs of an arbitrary node set.
   [[nodiscard]] double nodes_flops(std::span<const std::size_t> ids) const;
-  [[nodiscard]] double nodes_param_bytes(std::span<const std::size_t> ids) const;
-  /// Largest single working set in the set (peak-memory accounting).
-  [[nodiscard]] double nodes_peak_working_set_bytes(
-      std::span<const std::size_t> ids) const;
-  /// Activation bytes entering the set across the cut: the input bytes of
-  /// every member whose producers are not all inside the set (graph inputs
-  /// count as outside) — what a device-affine subgraph must receive.
-  [[nodiscard]] double cut_in_bytes(std::span<const std::size_t> ids) const;
 
   /// Critical-path FLOPs: the heaviest dependency chain — a lower bound on
   /// intra-model parallel speedup arguments.
@@ -106,8 +94,7 @@ class GraphModel {
   /// Structural fingerprint over the topology AND every layer's cost
   /// fields: two graphs with identical layer multisets but different edges
   /// hash differently (an Inception cell vs. its linearized chain).  For a
-  /// chain graph this equals `Model::content_hash()` of the linearization,
-  /// so both entry points share plan-cache entries.
+  /// chain graph this equals `Model::content_hash()` of the linearization.
   [[nodiscard]] std::uint64_t topology_hash() const;
 
   /// Linearize into the chain Model the legacy pipeline planner consumes.

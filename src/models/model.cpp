@@ -17,14 +17,12 @@ void Model::build_prefix_sums() {
   const std::size_t n = layers_.size();
   prefix_flops_.assign(n + 1, 0.0);
   prefix_params_.assign(n + 1, 0.0);
-  prefix_traffic_.assign(n + 1, 0.0);
   prefix_acts_.assign(n + 1, 0.0);
   prefix_weight_stream_.assign(n + 1, 0.0);
   for (std::size_t i = 0; i < n; ++i) {
     const Layer& l = layers_[i];
     prefix_flops_[i + 1] = prefix_flops_[i] + l.flops;
     prefix_params_[i + 1] = prefix_params_[i] + l.param_bytes;
-    prefix_traffic_[i + 1] = prefix_traffic_[i] + l.naive_traffic_bytes();
     prefix_acts_[i + 1] = prefix_acts_[i] + l.input_bytes + l.output_bytes;
     prefix_weight_stream_[i + 1] = prefix_weight_stream_[i] + l.weight_stream_bytes();
   }
@@ -62,11 +60,6 @@ double Model::range_flops(std::size_t i, std::size_t j) const {
 double Model::range_param_bytes(std::size_t i, std::size_t j) const {
   if (j < i || j >= layers_.size()) return 0.0;
   return prefix_params_[j + 1] - prefix_params_[i];
-}
-
-double Model::range_traffic_bytes(std::size_t i, std::size_t j) const {
-  if (j < i || j >= layers_.size()) return 0.0;
-  return prefix_traffic_[j + 1] - prefix_traffic_[i];
 }
 
 double Model::range_activation_bytes(std::size_t i, std::size_t j) const {

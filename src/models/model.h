@@ -31,7 +31,6 @@ class Model {
   // ---- O(1) range queries over [i, j] inclusive ---------------------------
   [[nodiscard]] double range_flops(std::size_t i, std::size_t j) const;
   [[nodiscard]] double range_param_bytes(std::size_t i, std::size_t j) const;
-  [[nodiscard]] double range_traffic_bytes(std::size_t i, std::size_t j) const;
   /// Raw activation bytes (input + output) of [i, j].
   [[nodiscard]] double range_activation_bytes(std::size_t i, std::size_t j) const;
   /// Sum of `Layer::weight_stream_bytes` over [i, j].
@@ -83,7 +82,6 @@ class Model {
   // prefix[i] = sum over layers [0, i-1]
   std::vector<double> prefix_flops_;
   std::vector<double> prefix_params_;
-  std::vector<double> prefix_traffic_;
   std::vector<double> prefix_acts_;
   std::vector<double> prefix_weight_stream_;
   // Sparse table over max(0, input_bytes + output_bytes): level l (stride n)

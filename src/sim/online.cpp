@@ -106,23 +106,9 @@ OnlineResult run_online(const Soc& soc, const std::vector<OnlineRequest>& stream
         "nothing; disable async_planning instead");
   }
 
-  // Registry mirrors of the OnlineResult counters (satellite of the
-  // telemetry layer): the CLI reads these back from the snapshot, and a
-  // test asserts they equal the result fields so the two cannot drift.
-  obs::Registry& reg = obs::Registry::global();
-  static obs::Counter& c_windows = reg.counter("online.windows");
-  static obs::Counter& c_cache_hits = reg.counter("online.cache_hits");
-  static obs::Counter& c_warm_hits = reg.counter("online.warm_hits");
-  static obs::Counter& c_degraded = reg.counter("online.degraded_replans");
-  static obs::Counter& c_cold = reg.counter("online.cold_replans");
-  static obs::Counter& c_shed = reg.counter("online.shed_requests");
-  static obs::Counter& c_deferred = reg.counter("online.deferred_requests");
-  static obs::Counter& c_misses = reg.counter("online.deadline_misses");
-  static obs::Counter& c_discarded = reg.counter("online.prefetch_discarded");
-  static obs::Counter& c_bucket_trans = reg.counter("online.bucket_transitions");
-  static obs::Counter& c_weather = reg.counter("online.weather_onsets");
-  static obs::Counter& c_bus_windows = reg.counter("online.bus_degraded_windows");
-  static obs::Histogram& h_window_ms = reg.histogram("online.window_resolve_ms");
+  // Prefetches drained unused: no OnlineResult field returns this count.
+  static obs::Counter& c_discarded =
+      obs::Registry::global().counter("online.prefetch_discarded");
   obs::Log& log = obs::Log::global();
   obs::Tracer& tracer = obs::Tracer::global();
 
@@ -430,7 +416,6 @@ OnlineResult run_online(const Soc& soc, const std::vector<OnlineRequest>& stream
     for (const std::size_t w : onsets) {
       const WeatherEvent& we = faults->weather()[w];
       ++result.weather_onsets;
-      c_weather.inc();
       tracer.instant("online.weather_onset",
                      {{"weather", static_cast<double>(w)},
                       {"kind", static_cast<double>(we.kind)},
@@ -472,7 +457,6 @@ OnlineResult run_online(const Soc& soc, const std::vector<OnlineRequest>& stream
                 deadline + 1e-9) {
           ++defer_count[i];
           ++result.deferred_requests;
-          c_deferred.inc();
           log.debug("online.request_deferred",
                     {{"request", i},
                      {"deadline_ms", deadline},
@@ -482,7 +466,6 @@ OnlineResult run_online(const Soc& soc, const std::vector<OnlineRequest>& stream
         }
         ++shed_here;
         ++result.shed_requests;
-        c_shed.inc();
         log.debug("online.request_shed",
                   {{"request", i}, {"deadline_ms", deadline}});
       }
@@ -523,7 +506,6 @@ OnlineResult run_online(const Soc& soc, const std::vector<OnlineRequest>& stream
     ws.bus_factor = static_cast<double>(bus_centi) / 100.0;
     if (bus_centi < 100) {
       ++result.bus_degraded_windows;
-      c_bus_windows.inc();
       tracer.instant("online.bus_degraded_window",
                      {{"window", static_cast<double>(result.windows.size())},
                       {"bus_factor", ws.bus_factor}});
@@ -532,7 +514,6 @@ OnlineResult run_online(const Soc& soc, const std::vector<OnlineRequest>& stream
     // ---- 4. Resolve the window's plan ----------------------------------
     // The prefetcher predicts this ladder with `plans_cold`; keep the two
     // in step.
-    const obs::ScopedLatency window_latency(h_window_ms);
     exec::CompiledPlan storage;
     const exec::CompiledPlan* compiled = nullptr;
     {
@@ -543,7 +524,6 @@ OnlineResult run_online(const Soc& soc, const std::vector<OnlineRequest>& stream
         compiled = hit;
         ws.source = WindowSource::kCacheHit;
         ++result.cache_hits;
-        c_cache_hits.inc();
         ws.planning_ms = options.cache_hit_overhead_ms;
       }
     }
@@ -565,7 +545,6 @@ OnlineResult run_online(const Soc& soc, const std::vector<OnlineRequest>& stream
       ws.source = source;
       ++result.replans;
       ++(is_warm ? result.warm_hits : result.degraded_hits);
-      (is_warm ? c_warm_hits : c_degraded).inc();
       ws.planning_ms = options.warm_planning_overhead_ms;
     };
     if (compiled == nullptr && warm) {
@@ -610,7 +589,6 @@ OnlineResult run_online(const Soc& soc, const std::vector<OnlineRequest>& stream
       }
       ws.source = WindowSource::kColdReplan;
       ++result.replans;
-      c_cold.inc();
       ws.planning_ms = options.planning_overhead_ms;
       if (caching) {
         compiled = &cache.insert(key, std::move(fresh));
@@ -703,7 +681,6 @@ OnlineResult run_online(const Soc& soc, const std::vector<OnlineRequest>& stream
     slot_base_of_window.push_back(first_slot);
     slot_count_of_window.push_back(m);
     result.windows.push_back(ws);
-    c_windows.inc();
 
     // ---- 6. Advance the closed thermal loop -----------------------------
     // The RC models integrate the modeled release delta at this window's
@@ -734,7 +711,6 @@ OnlineResult run_online(const Soc& soc, const std::vector<OnlineRequest>& stream
           options.thermal.max_bucket);
       if (next_bucket != bucket) {
         ++result.bucket_transitions;
-        c_bucket_trans.inc();
         tracer.instant("online.thermal_bucket",
                        {{"from", static_cast<double>(bucket)},
                         {"to", static_cast<double>(next_bucket)},
@@ -781,7 +757,6 @@ OnlineResult run_online(const Soc& soc, const std::vector<OnlineRequest>& stream
         finish > stream[request].deadline_ms + 1e-9) {
       ++result.deadline_misses;
       ++result.windows[window_of_slot[slot]].deadline_misses;
-      c_misses.inc();
     }
   }
 

@@ -35,8 +35,6 @@ class ThermalModel {
   /// limit", the paper's measurement protocol, converges to).
   [[nodiscard]] double steady_state_throttle(double utilization) const;
 
-  [[nodiscard]] double throttle_start_c() const { return throttle_start_c_; }
-
   /// Floor of the derating curve (factor at/above critical temperature);
   /// the deepest throttle this processor kind ever reaches.  Weather
   /// expansion scales thermal-storm slowdowns toward it.

@@ -85,7 +85,6 @@ class MonotonicArena {
   }
 
   [[nodiscard]] std::size_t bytes_reserved() const { return capacity_; }
-  [[nodiscard]] std::size_t bytes_used() const { return used_; }
 
  private:
   std::unique_ptr<std::byte[]> block_;

@@ -76,23 +76,6 @@ LinearFit fit_linear(std::span<const double> xs, std::span<const double> ys) {
   return fit;
 }
 
-Json summary_to_json(const Summary& s) {
-  const auto num = [](double v) {
-    return std::isfinite(v) ? Json::number(v) : Json();
-  };
-  Json out = Json::object();
-  out["count"] = Json::number(static_cast<double>(s.count));
-  out["mean"] = num(s.mean);
-  out["stddev"] = num(s.stddev);
-  out["min"] = num(s.min);
-  out["max"] = num(s.max);
-  out["p50"] = num(s.p50);
-  out["p90"] = num(s.p90);
-  out["p95"] = num(s.p95);
-  out["p99"] = num(s.p99);
-  return out;
-}
-
 double geomean(std::span<const double> xs) {
   if (xs.empty()) return 0.0;
   double acc = 0.0;

@@ -4,8 +4,6 @@
 #include <span>
 #include <vector>
 
-#include "util/json.h"
-
 namespace h2p {
 
 /// Summary statistics over a sample of scalar observations.
@@ -30,14 +28,6 @@ double maximum(std::span<const double> xs);
 double percentile(std::span<const double> xs, double q);
 
 Summary summarize(std::span<const double> xs);
-
-/// Canonical JSON form of a Summary — one serializer shared by every
-/// consumer (metrics snapshots, bench headers) instead of hand-rolled
-/// field-by-field copies:
-///   {"count":n,"mean":..,"stddev":..,"min":..,"max":..,
-///    "p50":..,"p90":..,"p95":..,"p99":..}
-/// Non-finite values (an empty histogram's min/max) serialize as null.
-Json summary_to_json(const Summary& s);
 
 /// Ordinary least-squares fit y = a + b*x; returns {a, b, r2}.
 struct LinearFit {

@@ -13,6 +13,7 @@ namespace h2p {
 namespace {
 
 using testing_util::Fixture;
+using testing_util::sim_task;
 
 TEST(CoverageExtra, NpuBatchWaves) {
   // The Kirin NPU has batch capacity 4: batches 1-4 cost one wave,
@@ -86,8 +87,8 @@ TEST(CoverageExtra, StageIntensityZeroForEmptySlice) {
 TEST(CoverageExtra, SimTaskWithZeroDurationCompletes) {
   const Soc soc = Soc::kirin990();
   std::vector<SimTask> tasks = {
-      {0, 0, 1, 0.0, 0.0, 0.0, 0.0},
-      {0, 1, 2, 5.0, 0.0, 0.0, 0.0},
+      sim_task(0, 0, 1, 0.0, 0.0, 0.0, 0.0),
+      sim_task(0, 1, 2, 5.0, 0.0, 0.0, 0.0),
   };
   const Timeline t = simulate(soc, tasks, {});
   EXPECT_NEAR(t.makespan_ms(), 5.0, 1e-6);

@@ -6,7 +6,7 @@
 #include "core/partition.h"
 #include "core/planner.h"
 #include "core/serialize.h"
-#include "exec/plan_cache.h"
+#include "exec/compiled_plan.h"
 #include "models/model_zoo.h"
 #include "sim/pipeline_sim.h"
 #include "soc/soc.h"
@@ -60,14 +60,8 @@ TEST(GraphPlannerChain, ByteIdenticalToLegacyModelPath) {
 }
 
 TEST(GraphPlannerChain, LinearGraphKeysMatchModelKeys) {
-  const Soc soc = Soc::kirin990();
   const Model& m = zoo_model(ModelId::kMobileNetV2);
-  const GraphModel g = GraphModel::from_chain(m);
-  const std::string model_key =
-      exec::PlanCache::make_key(soc, {&m}, PlannerOptions{});
-  const std::string graph_key =
-      exec::PlanCache::make_graph_key(soc, {&g}, PlannerOptions{});
-  EXPECT_EQ(model_key, graph_key);
+  EXPECT_EQ(GraphModel::from_chain(m).topology_hash(), m.content_hash());
 }
 
 // ---- Branchy planning -----------------------------------------------------
@@ -224,20 +218,6 @@ TEST(GraphPlannerPartition, RestrictedCutsOnlyAtLegalBoundaries) {
 }
 
 // ---- Cache keying regression ----------------------------------------------
-
-TEST(GraphPlannerCache, BranchyGraphAndLinearizedChainGetDistinctKeys) {
-  const Soc soc = Soc::kirin990();
-  const GraphModel& cell = zoo_graph(GraphId::kInceptionCell);
-  const Model chain = cell.linearize();
-  // Identical name, identical layer multiset — only the edges differ.  The
-  // old layer-count keying would have collided these.
-  ASSERT_EQ(cell.name(), chain.name());
-  const std::string graph_key =
-      exec::PlanCache::make_graph_key(soc, {&cell}, PlannerOptions{});
-  const std::string chain_key =
-      exec::PlanCache::make_key(soc, {&chain}, PlannerOptions{});
-  EXPECT_NE(graph_key, chain_key);
-}
 
 TEST(GraphPlannerCache, TopologyHashSeparatesCellFromChain) {
   const GraphModel& cell = zoo_graph(GraphId::kInceptionCell);

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "core/planner.h"
 #include "models/graph.h"
 #include "models/model_zoo.h"
@@ -7,6 +9,15 @@
 
 namespace h2p {
 namespace {
+
+/// `prefix` + i + `suffix`, appended in place: GCC 12 reports a false
+/// -Wrestrict on inlined `"literal" + std::string` concatenation.
+std::string numbered(const char* prefix, int i, const char* suffix = "") {
+  std::string out(prefix);
+  out += std::to_string(i);
+  out += suffix;
+  return out;
+}
 
 Layer tiny(const std::string& name, double flops = 100.0) {
   Layer l = make_activation(name, LayerKind::kReLU, flops);
@@ -92,7 +103,7 @@ TEST(Graph, DiamondWideGraph) {
   const std::size_t s = g.add(tiny("s", 1));
   std::vector<std::size_t> mids;
   for (int i = 0; i < 8; ++i) {
-    mids.push_back(g.add(tiny("m" + std::to_string(i), 10), {s}));
+    mids.push_back(g.add(tiny(numbered("m", i), 10), {s}));
   }
   g.add(tiny("join", 1), mids);
   const auto order = g.topological_order();
@@ -110,10 +121,10 @@ TEST(Graph, LinearizedGraphPlansEndToEnd) {
   std::size_t prev = g.add(make_conv2d("stem", 3, 32, 3, 56, 56));
   for (int cell = 0; cell < 4; ++cell) {
     const std::size_t a = g.add(
-        make_conv2d("c" + std::to_string(cell) + ".a", 32, 32, 1, 56, 56), {prev});
+        make_conv2d(numbered("c", cell, ".a"), 32, 32, 1, 56, 56), {prev});
     const std::size_t b = g.add(
-        make_conv2d("c" + std::to_string(cell) + ".b", 32, 32, 3, 56, 56), {prev});
-    prev = g.add(make_concat("c" + std::to_string(cell) + ".cat", 64.0 * 56 * 56),
+        make_conv2d(numbered("c", cell, ".b"), 32, 32, 3, 56, 56), {prev});
+    prev = g.add(make_concat(numbered("c", cell, ".cat"), 64.0 * 56 * 56),
                  {a, b});
   }
   g.add(make_fully_connected("head", 32 * 56 * 56, 100), {prev});

@@ -1,13 +1,19 @@
-// obs::Registry: sharded counters and histograms.  The concurrency
-// hammer runs under ASan/UBSan and TSan in CI.
+// obs::Registry: sharded counters, and the spans that time what the
+// registry only counts.  The concurrency hammer runs under ASan/UBSan and
+// TSan in CI.
 #include <gtest/gtest.h>
 
 #include <cstddef>
 #include <future>
+#include <limits>
+#include <map>
+#include <string>
 #include <vector>
 
 #include "models/model_zoo.h"
 #include "obs/metrics.h"
+#include "obs/trace.h"
+#include "sim/fault_injector.h"
 #include "sim/online.h"
 #include "util/json.h"
 #include "util/thread_pool.h"
@@ -18,17 +24,12 @@ namespace {
 TEST(ObsRegistry, DisabledMetricsAreNoops) {
   obs::Registry reg;  // disabled by default
   obs::Counter& c = reg.counter("c");
-  obs::Histogram& h = reg.histogram("h");
   c.inc();
-  h.observe(1.0);
   EXPECT_EQ(c.value(), 0u);
-  EXPECT_EQ(h.count(), 0u);
 
   reg.set_enabled(true);
   c.inc(3);
-  h.observe(1.0);
   EXPECT_EQ(c.value(), 3u);
-  EXPECT_EQ(h.count(), 1u);
 }
 
 TEST(ObsRegistry, RegistrationIsIdempotent) {
@@ -40,114 +41,59 @@ TEST(ObsRegistry, RegistrationIsIdempotent) {
   a.inc();
   b.inc();
   EXPECT_EQ(a.value(), 2u);
-  obs::Histogram& ha = reg.histogram("hsame");
-  obs::Histogram& hb = reg.histogram("hsame");
-  EXPECT_EQ(&ha, &hb);
 }
 
 TEST(ObsRegistry, ResetZeroesButKeepsHandles) {
   obs::Registry reg;
   reg.set_enabled(true);
   obs::Counter& c = reg.counter("c");
-  obs::Histogram& h = reg.histogram("h");
   c.inc(7);
-  h.observe(3.0);
   reg.reset();
   EXPECT_EQ(c.value(), 0u);
-  EXPECT_EQ(h.count(), 0u);
   c.inc();  // the pre-reset reference is still live
   EXPECT_EQ(c.value(), 1u);
 }
 
-// The tentpole's concurrency claim: N pool threads hammering the same
-// metrics lose nothing — totals are exact, not approximate.
+// N pool threads hammering the same counter lose nothing — the total is
+// exact, not approximate.
 TEST(ObsRegistry, ConcurrentHammerKeepsExactTotals) {
   obs::Registry reg;
   reg.set_enabled(true);
   obs::Counter& c = reg.counter("hammer.count");
-  obs::Histogram& h = reg.histogram("hammer.lat");
 
   constexpr std::size_t kTasks = 64;
   constexpr std::size_t kPerTask = 1000;
   ThreadPool pool(8);
   std::vector<std::future<void>> done;
   for (std::size_t i = 0; i < kTasks; ++i) {
-    done.push_back(pool.submit([&, i] {
-      for (std::size_t j = 0; j < kPerTask; ++j) {
-        c.inc();
-        h.observe(static_cast<double>(i % 7) + 0.5);
-      }
+    done.push_back(pool.submit([&] {
+      for (std::size_t j = 0; j < kPerTask; ++j) c.inc();
     }));
   }
   for (std::future<void>& f : done) f.get();
 
   EXPECT_EQ(c.value(), kTasks * kPerTask);
-  EXPECT_EQ(h.count(), kTasks * kPerTask);
-  std::uint64_t bucket_total = 0;
-  for (const std::uint64_t n : h.bucket_counts()) bucket_total += n;
-  EXPECT_EQ(bucket_total, kTasks * kPerTask);
-  const Summary s = h.summary();
-  EXPECT_EQ(s.count, kTasks * kPerTask);
-  EXPECT_DOUBLE_EQ(s.min, 0.5);
-  EXPECT_DOUBLE_EQ(s.max, 6.5);
-}
-
-TEST(ObsRegistry, HistogramSummaryInterpolatesPercentiles) {
-  obs::Registry reg;
-  reg.set_enabled(true);
-  obs::Histogram& h = reg.histogram("lat");
-  for (int i = 0; i < 100; ++i) h.observe(1.5);  // all in (1.024, 2.048]
-  const Summary s = h.summary();
-  EXPECT_EQ(s.count, 100u);
-  // Percentiles are interpolated inside the bucket, clamped to observed
-  // min/max — here every sample is 1.5, so every quantile is exactly it.
-  EXPECT_DOUBLE_EQ(s.p50, 1.5);
-  EXPECT_DOUBLE_EQ(s.p99, 1.5);
-  EXPECT_DOUBLE_EQ(s.mean, 1.5);
 }
 
 TEST(ObsRegistry, SnapshotShapeAndHostBlock) {
   obs::Registry reg;
   reg.set_enabled(true);
   reg.counter("a.count").inc(5);
-  reg.histogram("a.lat").observe(1.0);
   const Json snap = reg.snapshot();
   ASSERT_TRUE(snap.contains("host"));
   EXPECT_GE(snap.at("host").at("cpus").as_number(), 1.0);
   ASSERT_TRUE(snap.contains("counters"));
   EXPECT_EQ(snap.at("counters").at("a.count").as_number(), 5.0);
   EXPECT_FALSE(snap.contains("gauges"));
-  const Json& hist = snap.at("histograms").at("a.lat");
-  ASSERT_TRUE(hist.contains("summary"));
-  EXPECT_EQ(hist.at("summary").at("count").as_number(), 1.0);
-  ASSERT_TRUE(hist.contains("buckets"));
-  // One bucket per bound plus the overflow bucket (le = null).
-  EXPECT_EQ(hist.at("buckets").size(),
-            obs::Registry::default_latency_buckets().size() + 1);
   // The snapshot must round-trip through the JSON printer/parser.
   const Json reparsed = Json::parse(snap.dump());
   EXPECT_EQ(reparsed.at("counters").at("a.count").as_number(), 5.0);
 }
 
-TEST(ObsRegistry, HistogramSummaryHasInterpolatedPercentiles) {
-  // Registry::snapshot exposes interpolated p50/p90/p95/p99 per histogram.
-  obs::Registry reg;
-  reg.set_enabled(true);
-  obs::Histogram& h = reg.histogram("lat");
-  for (int i = 1; i <= 100; ++i) h.observe(static_cast<double>(i % 8));
-  const Json snap = reg.snapshot();
-  const Json& summary = snap.at("histograms").at("lat").at("summary");
-  for (const char* key : {"p50", "p90", "p95", "p99"}) {
-    ASSERT_TRUE(summary.contains(key)) << key;
-  }
-  EXPECT_LE(summary.at("p50").as_number(), summary.at("p95").as_number());
-  EXPECT_LE(summary.at("p95").as_number(), summary.at("p99").as_number());
-}
-
-// Satellite drift guard: the registry counters run_online increments must
-// equal the OnlineResult fields — the CLI's JSON reads the registry, so a
-// divergence here means the CLI output lies.
-TEST(ObsRegistry, OnlineCountersMatchOnlineResult) {
+// The plan cache's own counters agree with run_online's accounting: the
+// CLI's `plan_cache` block reads the registry, so a divergence here means
+// the CLI output lies.
+TEST(ObsRegistry, PlanCacheCountersMatchOnlineResult) {
   obs::Registry& reg = obs::Registry::global();
   reg.reset();
   reg.set_enabled(true);
@@ -167,21 +113,68 @@ TEST(ObsRegistry, OnlineCountersMatchOnlineResult) {
   const OnlineResult r = run_online(Soc::kirin990(), stream, opts);
   reg.set_enabled(false);
 
-  EXPECT_EQ(reg.counter("online.windows").value(), r.windows.size());
-  EXPECT_EQ(reg.counter("online.cache_hits").value(),
-            static_cast<std::uint64_t>(r.cache_hits));
-  EXPECT_EQ(reg.counter("online.warm_hits").value(),
-            static_cast<std::uint64_t>(r.warm_hits));
-  EXPECT_EQ(reg.counter("online.degraded_replans").value(),
-            static_cast<std::uint64_t>(r.degraded_hits));
-  EXPECT_EQ(reg.counter("online.cold_replans").value(),
-            static_cast<std::uint64_t>(r.replans - r.warm_hits -
-                                       r.degraded_hits));
-  // The plan-cache's own counters agree with the loop's accounting.
   EXPECT_EQ(reg.counter("plan_cache.hits").value(),
             static_cast<std::uint64_t>(r.cache_hits));
   EXPECT_EQ(reg.counter("plan_cache.warm_hits").value(),
             static_cast<std::uint64_t>(r.warm_hits));
+}
+
+// Spans time and counters count: one traced, metered run_online records a
+// span for every planner entry point and both halves of each serving
+// window, and the registry snapshot carries nothing but counters.
+TEST(ObsRegistry, OnlineRunSpansTimeEveryPlannerEntry) {
+  // w0 plans cold, w1 is a one-model near miss of w0 and warm-starts, and
+  // w2 repeats w0 after the NPU's permanent drop-out, so it replans
+  // degraded from w0's cached healthy plan.
+  const FaultScript faults({FaultEvent{FaultKind::kDropout, 0, 30.0,
+                                       std::numeric_limits<double>::infinity(),
+                                       1.0}});
+  const std::vector<ModelId> ids = {
+      ModelId::kResNet50, ModelId::kBERT, ModelId::kSqueezeNet,
+      ModelId::kResNet50, ModelId::kBERT, ModelId::kAlexNet,
+      ModelId::kResNet50, ModelId::kBERT, ModelId::kSqueezeNet,
+  };
+  std::vector<OnlineRequest> stream;
+  for (ModelId id : ids) {
+    stream.push_back({&zoo_model(id), static_cast<double>(stream.size()) * 5.0});
+  }
+  OnlineOptions opts;
+  opts.replan_window = 3;
+  opts.warm_start = true;
+  opts.faults = &faults;
+
+  obs::Registry& reg = obs::Registry::global();
+  obs::Tracer& tracer = obs::Tracer::global();
+  reg.reset();
+  reg.set_enabled(true);
+  tracer.clear();
+  tracer.set_enabled(true);
+  const OnlineResult r = run_online(Soc::kirin990(), stream, opts);
+  tracer.set_enabled(false);
+  reg.set_enabled(false);
+
+  ASSERT_EQ(r.windows.size(), 3u);
+  EXPECT_EQ(r.windows[0].source, WindowSource::kColdReplan);
+  EXPECT_EQ(r.windows[1].source, WindowSource::kWarmReplan);
+  EXPECT_EQ(r.windows[2].source, WindowSource::kDegradedReplan);
+
+  std::map<std::string, std::size_t> spans;
+  for (const obs::TraceEvent& e : tracer.events()) {
+    if (!e.instant) ++spans[e.name];
+  }
+  for (const char* name :
+       {"planner.cost_tables", "planner.plan_cold", "planner.plan_warm",
+        "planner.plan_degraded", "online.plan", "online.consume"}) {
+    EXPECT_GE(spans[name], 1u) << name;
+  }
+  EXPECT_EQ(spans["online.plan"], r.windows.size());
+  EXPECT_EQ(spans["online.consume"], r.windows.size());
+
+  const Json snap = reg.snapshot();
+  std::vector<std::string> keys;
+  for (const auto& [key, value] : snap.items()) keys.push_back(key);
+  EXPECT_EQ(keys, (std::vector<std::string>{"counters", "host"}));
+  tracer.clear();
 }
 
 }  // namespace

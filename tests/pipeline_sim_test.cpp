@@ -18,10 +18,11 @@ namespace h2p {
 namespace {
 
 using testing_util::Fixture;
+using testing_util::sim_task;
 
 TEST(Sim, SingleTaskRunsSolo) {
   const Soc soc = Soc::kirin990();
-  std::vector<SimTask> tasks = {{0, 0, 1, 10.0, 0.5, 0.5, 0.0}};
+  std::vector<SimTask> tasks = {sim_task(0, 0, 1, 10.0, 0.5, 0.5, 0.0)};
   const Timeline t = simulate(soc, tasks, {});
   ASSERT_EQ(t.tasks.size(), 1u);
   EXPECT_DOUBLE_EQ(t.tasks[0].start_ms, 0.0);
@@ -31,9 +32,9 @@ TEST(Sim, SingleTaskRunsSolo) {
 TEST(Sim, ChainPrecedenceRespected) {
   const Soc soc = Soc::kirin990();
   std::vector<SimTask> tasks = {
-      {0, 0, 0, 5.0, 0.0, 0.0, 0.0},
-      {0, 1, 1, 7.0, 0.0, 0.0, 0.0},
-      {0, 2, 2, 3.0, 0.0, 0.0, 0.0},
+      sim_task(0, 0, 0, 5.0, 0.0, 0.0, 0.0),
+      sim_task(0, 1, 1, 7.0, 0.0, 0.0, 0.0),
+      sim_task(0, 2, 2, 3.0, 0.0, 0.0, 0.0),
   };
   const Timeline t = simulate(soc, tasks, {});
   EXPECT_GE(t.tasks[1].start_ms, t.tasks[0].end_ms - 1e-9);
@@ -44,8 +45,8 @@ TEST(Sim, ProcessorExclusivity) {
   const Soc soc = Soc::kirin990();
   // Two independent models on the same processor must serialize.
   std::vector<SimTask> tasks = {
-      {0, 0, 1, 5.0, 0.0, 0.0, 0.0},
-      {1, 0, 1, 5.0, 0.0, 0.0, 0.0},
+      sim_task(0, 0, 1, 5.0, 0.0, 0.0, 0.0),
+      sim_task(1, 0, 1, 5.0, 0.0, 0.0, 0.0),
   };
   const Timeline t = simulate(soc, tasks, {});
   const auto& a = t.tasks[0];
@@ -57,8 +58,8 @@ TEST(Sim, ProcessorExclusivity) {
 TEST(Sim, FifoOrderOnSharedProcessor) {
   const Soc soc = Soc::kirin990();
   std::vector<SimTask> tasks = {
-      {1, 0, 1, 5.0, 0.0, 0.0, 0.0},  // model 1 listed first...
-      {0, 0, 1, 5.0, 0.0, 0.0, 0.0},  // ...but model 0 must start first
+      sim_task(1, 0, 1, 5.0, 0.0, 0.0, 0.0),  // model 1 listed first...
+      sim_task(0, 0, 1, 5.0, 0.0, 0.0, 0.0),  // ...but model 0 must start first
   };
   const Timeline t = simulate(soc, tasks, {});
   EXPECT_LT(t.tasks[1].start_ms, t.tasks[0].start_ms);
@@ -69,8 +70,8 @@ TEST(Sim, ContentionStretchesCoRunningTasks) {
   const auto cpu_b = static_cast<std::size_t>(soc.find(ProcKind::kCpuBig));
   const auto gpu = static_cast<std::size_t>(soc.find(ProcKind::kGpu));
   std::vector<SimTask> tasks = {
-      {0, 0, cpu_b, 10.0, 0.8, 0.8, 0.0},
-      {1, 0, gpu, 10.0, 0.8, 0.8, 0.0},
+      sim_task(0, 0, cpu_b, 10.0, 0.8, 0.8, 0.0),
+      sim_task(1, 0, gpu, 10.0, 0.8, 0.8, 0.0),
   };
   const Timeline with = simulate(soc, tasks);
   const Timeline without = simulate(soc, testing_util::without_intensity(tasks));
@@ -84,8 +85,8 @@ TEST(Sim, NpuCoRunBarelySlows) {
   const auto cpu_b = static_cast<std::size_t>(soc.find(ProcKind::kCpuBig));
   const auto npu = static_cast<std::size_t>(soc.find(ProcKind::kNpu));
   std::vector<SimTask> tasks = {
-      {0, 0, cpu_b, 10.0, 0.8, 0.8, 0.0},
-      {1, 0, npu, 10.0, 0.8, 0.8, 0.0},
+      sim_task(0, 0, cpu_b, 10.0, 0.8, 0.8, 0.0),
+      sim_task(1, 0, npu, 10.0, 0.8, 0.8, 0.0),
   };
   const Timeline t = simulate(soc, tasks);
   EXPECT_LT(t.makespan_ms(), 11.1);  // <11% stretch vs >20% for CPU-GPU
@@ -97,8 +98,8 @@ TEST(Sim, PartialOverlapIntegratedExactly) {
   const auto gpu = static_cast<std::size_t>(soc.find(ProcKind::kGpu));
   // GPU task arrives at t=5: CPU task runs 5ms solo, then contended.
   std::vector<SimTask> tasks = {
-      {0, 0, cpu_b, 10.0, 1.0, 1.0, 0.0},
-      {1, 0, gpu, 100.0, 1.0, 1.0, 5.0},
+      sim_task(0, 0, cpu_b, 10.0, 1.0, 1.0, 0.0),
+      sim_task(1, 0, gpu, 100.0, 1.0, 1.0, 5.0),
   };
   const Timeline t = simulate(soc, tasks);
   const double gamma = Soc::coupling(ProcKind::kCpuBig, ProcKind::kGpu);
@@ -108,14 +109,14 @@ TEST(Sim, PartialOverlapIntegratedExactly) {
 
 TEST(Sim, ArrivalsDelayStart) {
   const Soc soc = Soc::kirin990();
-  std::vector<SimTask> tasks = {{0, 0, 1, 5.0, 0.0, 0.0, 42.0}};
+  std::vector<SimTask> tasks = {sim_task(0, 0, 1, 5.0, 0.0, 0.0, 42.0)};
   const Timeline t = simulate(soc, tasks, {});
   EXPECT_NEAR(t.tasks[0].start_ms, 42.0, 1e-9);
 }
 
 TEST(Sim, InvalidProcessorThrows) {
   const Soc soc = Soc::kirin990();
-  std::vector<SimTask> tasks = {{0, 0, 99, 5.0, 0.0, 0.0, 0.0}};
+  std::vector<SimTask> tasks = {sim_task(0, 0, 99, 5.0, 0.0, 0.0, 0.0)};
   EXPECT_THROW(simulate(soc, tasks, {}), std::invalid_argument);
 }
 
@@ -233,15 +234,15 @@ std::vector<SimTask> dag_tasks(std::size_t num_procs) {
   std::vector<SimTask> tasks;
   for (std::size_t m = 0; m < 3; ++m) {
     const std::size_t base = tasks.size();
-    SimTask root{m, 0, (m + 0) % num_procs, 4.0 + m, 0.4, 0.5, 0.0};
+    SimTask root = sim_task(m, 0, (m + 0) % num_procs, 4.0 + m, 0.4, 0.5, 0.0);
     root.explicit_deps = true;
-    SimTask left{m, 1, (m + 1) % num_procs, 6.0, 0.6, 0.7, 0.0};
+    SimTask left = sim_task(m, 1, (m + 1) % num_procs, 6.0, 0.6, 0.7, 0.0);
     left.explicit_deps = true;
     left.deps = {base};
-    SimTask right{m, 1, (m + 2) % num_procs, 5.0, 0.5, 0.6, 0.0};
+    SimTask right = sim_task(m, 1, (m + 2) % num_procs, 5.0, 0.5, 0.6, 0.0);
     right.explicit_deps = true;
     right.deps = {base};
-    SimTask join{m, 2, (m + 3) % num_procs, 3.0, 0.3, 0.4, 0.0};
+    SimTask join = sim_task(m, 2, (m + 3) % num_procs, 3.0, 0.3, 0.4, 0.0);
     join.explicit_deps = true;
     join.deps = {base + 1, base + 2};
     tasks.push_back(root);
@@ -408,7 +409,7 @@ TEST(TaskTable, PlanMakespanMatchesSimulatePlan) {
 
 TEST(TaskTable, UnknownDependencyThrows) {
   const Soc soc = Soc::kirin990();
-  SimTask t{0, 0, 1, 5.0, 0.0, 0.0, 0.0};
+  SimTask t = sim_task(0, 0, 1, 5.0, 0.0, 0.0, 0.0);
   t.explicit_deps = true;
   t.deps = {7};  // out of range
   const std::vector<SimTask> tasks{t};
@@ -470,7 +471,9 @@ TEST(TaskTable, AppendCompiledMatchesAoSLowering) {
         forked |= sl.deps.size() > 1;
       }
     }
-    if (!degraded) EXPECT_TRUE(forked);
+    if (!degraded) {
+      EXPECT_TRUE(forked);
+    }
     for (std::vector<exec::CompiledPlan>* plans : {&chain_plans, &dag_plans}) {
       // Fallback patterns: none, every window, and every other window
       // (the stride appears mid-table and rows before it re-stride).

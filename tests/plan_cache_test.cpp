@@ -3,6 +3,7 @@
 // repeated request windows.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cmath>
 #include <cstdint>
 #include <map>
@@ -12,6 +13,7 @@
 
 #include "core/planner.h"
 #include "exec/plan_cache.h"
+#include "obs/metrics.h"
 #include "test_helpers.h"
 
 namespace h2p {
@@ -29,6 +31,34 @@ std::vector<const Model*> window_of(std::vector<ModelId> ids) {
   for (ModelId id : ids) models.push_back(&zoo_model(id));
   return models;
 }
+
+/// A PlanCache counts its hits, misses, warm hits and evictions into the
+/// global registry's `plan_cache.*` counters; this guard resets and enables
+/// the registry for one test and reads them back.
+class CacheCounters {
+ public:
+  CacheCounters() {
+    obs::Registry::global().reset();
+    obs::Registry::global().set_enabled(true);
+  }
+  ~CacheCounters() { obs::Registry::global().set_enabled(false); }
+  CacheCounters(const CacheCounters&) = delete;
+  CacheCounters& operator=(const CacheCounters&) = delete;
+
+  [[nodiscard]] std::uint64_t hits() const { return value("plan_cache.hits"); }
+  [[nodiscard]] std::uint64_t misses() const { return value("plan_cache.misses"); }
+  [[nodiscard]] std::uint64_t warm_hits() const {
+    return value("plan_cache.warm_hits");
+  }
+  [[nodiscard]] std::uint64_t evictions() const {
+    return value("plan_cache.evictions");
+  }
+
+ private:
+  static std::uint64_t value(const char* name) {
+    return obs::Registry::global().counter(name).value();
+  }
+};
 
 TEST(PlanCacheKey, IdenticalWindowsShareAKey) {
   const Soc soc = Soc::kirin990();
@@ -137,16 +167,17 @@ TEST(PlanCache, MissThenHit) {
   Fixture fx({ModelId::kResNet50, ModelId::kBERT}, soc);
   const std::string key = exec::PlanCache::make_key(soc, fx.models, {});
 
+  const CacheCounters counts;
   exec::PlanCache cache(4);
   EXPECT_EQ(cache.find(key), nullptr);
-  EXPECT_EQ(cache.stats().misses, 1u);
+  EXPECT_EQ(counts.misses(), 1u);
 
   const exec::CompiledPlan& stored = cache.insert(key, compile_window(fx));
   const exec::CompiledPlan* hit = cache.find(key);
   ASSERT_NE(hit, nullptr);
   EXPECT_EQ(hit, &stored);
   EXPECT_EQ(hit->slices, stored.slices);
-  EXPECT_EQ(cache.stats().hits, 1u);
+  EXPECT_EQ(counts.hits(), 1u);
   EXPECT_EQ(cache.size(), 1u);
 }
 
@@ -154,13 +185,14 @@ TEST(PlanCache, PermutedWindowHitsTheSameEntry) {
   const Soc soc = Soc::kirin990();
   Fixture fx({ModelId::kResNet50, ModelId::kBERT, ModelId::kSqueezeNet}, soc);
 
+  const CacheCounters counts;
   exec::PlanCache cache(4);
   cache.insert(exec::PlanCache::make_key(soc, fx.models, {}), compile_window(fx));
 
   const auto permuted = window_of(
       {ModelId::kSqueezeNet, ModelId::kResNet50, ModelId::kBERT});
   EXPECT_NE(cache.find(exec::PlanCache::make_key(soc, permuted, {})), nullptr);
-  EXPECT_EQ(cache.stats().hits, 1u);
+  EXPECT_EQ(counts.hits(), 1u);
 }
 
 TEST(PlanCache, EvictsLeastRecentlyUsedAtCapacity) {
@@ -168,6 +200,7 @@ TEST(PlanCache, EvictsLeastRecentlyUsedAtCapacity) {
   Fixture fx({ModelId::kSqueezeNet}, soc);
   exec::CompiledPlan plan = compile_window(fx);
 
+  const CacheCounters counts;
   exec::PlanCache cache(2);
   cache.insert("a", plan);
   cache.insert("b", plan);
@@ -175,7 +208,7 @@ TEST(PlanCache, EvictsLeastRecentlyUsedAtCapacity) {
   cache.insert("c", plan);              // evicts "b"
 
   EXPECT_EQ(cache.size(), 2u);
-  EXPECT_EQ(cache.stats().evictions, 1u);
+  EXPECT_EQ(counts.evictions(), 1u);
   EXPECT_NE(cache.find("a"), nullptr);
   EXPECT_EQ(cache.find("b"), nullptr);
   EXPECT_NE(cache.find("c"), nullptr);
@@ -211,14 +244,15 @@ TEST(PlanCache, ClearDropsEntriesButKeepsStats) {
   const Soc soc = Soc::kirin990();
   Fixture fx({ModelId::kSqueezeNet}, soc);
 
+  const CacheCounters counts;
   exec::PlanCache cache(4);
   cache.insert("a", compile_window(fx));
   ASSERT_NE(cache.find("a"), nullptr);
   cache.clear();
   EXPECT_EQ(cache.size(), 0u);
   EXPECT_EQ(cache.find("a"), nullptr);
-  EXPECT_EQ(cache.stats().hits, 1u);
-  EXPECT_EQ(cache.stats().misses, 1u);
+  EXPECT_EQ(counts.hits(), 1u);
+  EXPECT_EQ(counts.misses(), 1u);
 }
 
 // ---- near-miss lookup (warm-start seeds) ------------------------------------
@@ -226,6 +260,7 @@ TEST(PlanCache, ClearDropsEntriesButKeepsStats) {
 TEST(PlanCacheNear, OneModelSubstitutionIsServedAndCounted) {
   const Soc soc = Soc::kirin990();
   Fixture fx({ModelId::kResNet50, ModelId::kBERT, ModelId::kSqueezeNet}, soc);
+  const CacheCounters counts;
   exec::PlanCache cache(4);
   const exec::CompiledPlan& stored =
       cache.insert(exec::PlanCache::make_key(soc, fx.models, {}), compile_window(fx));
@@ -236,13 +271,14 @@ TEST(PlanCacheNear, OneModelSubstitutionIsServedAndCounted) {
       cache.find_near(exec::PlanCache::make_key(soc, probe, {}));
   ASSERT_NE(near, nullptr);
   EXPECT_EQ(near, &stored);
-  EXPECT_EQ(cache.stats().warm_hits, 1u);
-  EXPECT_EQ(cache.stats().hits, 0u);  // warm hits are counted separately
+  EXPECT_EQ(counts.warm_hits(), 1u);
+  EXPECT_EQ(counts.hits(), 0u);  // warm hits are counted separately
 }
 
 TEST(PlanCacheNear, AdditionAndRemovalAreServed) {
   const Soc soc = Soc::kirin990();
   Fixture fx({ModelId::kResNet50, ModelId::kBERT}, soc);
+  const CacheCounters counts;
   exec::PlanCache cache(4);
   cache.insert(exec::PlanCache::make_key(soc, fx.models, {}), compile_window(fx));
 
@@ -251,17 +287,18 @@ TEST(PlanCacheNear, AdditionAndRemovalAreServed) {
   EXPECT_NE(cache.find_near(exec::PlanCache::make_key(soc, added, {})), nullptr);
   const auto removed = window_of({ModelId::kResNet50});
   EXPECT_NE(cache.find_near(exec::PlanCache::make_key(soc, removed, {})), nullptr);
-  EXPECT_EQ(cache.stats().warm_hits, 2u);
+  EXPECT_EQ(counts.warm_hits(), 2u);
 }
 
 TEST(PlanCacheNear, ExactMatchIsNeverServed) {
   const Soc soc = Soc::kirin990();
   Fixture fx({ModelId::kResNet50, ModelId::kBERT}, soc);
+  const CacheCounters counts;
   exec::PlanCache cache(4);
   const std::string key = exec::PlanCache::make_key(soc, fx.models, {});
   cache.insert(key, compile_window(fx));
   EXPECT_EQ(cache.find_near(key), nullptr);
-  EXPECT_EQ(cache.stats().warm_hits, 0u);
+  EXPECT_EQ(counts.warm_hits(), 0u);
 }
 
 TEST(PlanCacheNear, TwoEditsRejected) {
@@ -276,6 +313,7 @@ TEST(PlanCacheNear, TwoEditsRejected) {
 TEST(PlanCacheNear, SocOrKnobMismatchRejected) {
   const Soc soc = Soc::kirin990();
   Fixture fx({ModelId::kResNet50, ModelId::kBERT}, soc);
+  const CacheCounters counts;
   exec::PlanCache cache(4);
   cache.insert(exec::PlanCache::make_key(soc, fx.models, {}), compile_window(fx));
 
@@ -286,7 +324,7 @@ TEST(PlanCacheNear, SocOrKnobMismatchRejected) {
   EXPECT_EQ(cache.find_near(exec::PlanCache::make_key(
                 soc, probe, PlannerOptions::no_ct())),
             nullptr);
-  EXPECT_EQ(cache.stats().warm_hits, 0u);
+  EXPECT_EQ(counts.warm_hits(), 0u);
 }
 
 TEST(PlanCacheNear, EnvironmentMismatchRejected) {
@@ -295,6 +333,7 @@ TEST(PlanCacheNear, EnvironmentMismatchRejected) {
   // laid out for the healthy chip.
   const Soc soc = Soc::kirin990();
   Fixture fx({ModelId::kResNet50, ModelId::kBERT}, soc);
+  const CacheCounters counts;
   exec::PlanCache cache(4);
   cache.insert(exec::PlanCache::make_key(soc, fx.models, {}), compile_window(fx));
 
@@ -308,7 +347,7 @@ TEST(PlanCacheNear, EnvironmentMismatchRejected) {
   hot.thermal_bucket = 3;
   EXPECT_EQ(cache.find_near(exec::PlanCache::make_key(soc, probe, {}, hot)),
             nullptr);
-  EXPECT_EQ(cache.stats().warm_hits, 0u);
+  EXPECT_EQ(counts.warm_hits(), 0u);
 }
 
 TEST(PlanCacheNear, EmptyWindowIsOneEditFromSingleton) {
@@ -344,13 +383,14 @@ TEST(PlanCacheNear, MalformedKeysNeverMatch) {
   // matched — near-miss parsing rejects them instead of guessing.
   const Soc soc = Soc::kirin990();
   Fixture fx({ModelId::kSqueezeNet}, soc);
+  const CacheCounters counts;
   exec::PlanCache cache(4);
   cache.insert("a", compile_window(fx));
   EXPECT_EQ(cache.find_near("b"), nullptr);
   EXPECT_EQ(cache.find_near(exec::PlanCache::make_key(soc, fx.models, {})),
             nullptr);
   EXPECT_FALSE(exec::PlanCache::near_miss("a", "b"));
-  EXPECT_EQ(cache.stats().warm_hits, 0u);
+  EXPECT_EQ(counts.warm_hits(), 0u);
 }
 
 TEST(PlanCacheNear, BumpsSourceEntryToMru) {
@@ -371,6 +411,7 @@ TEST(PlanCacheNear, BumpsSourceEntryToMru) {
 TEST(PlanCacheNear, CapacityOneEvictionDropsSeed) {
   const Soc soc = Soc::kirin990();
   Fixture fx({ModelId::kResNet50, ModelId::kBERT}, soc);
+  const CacheCounters counts;
   exec::PlanCache cache(1);
   EXPECT_EQ(cache.capacity(), 1u);
   cache.insert(exec::PlanCache::make_key(soc, fx.models, {}), compile_window(fx));
@@ -378,13 +419,14 @@ TEST(PlanCacheNear, CapacityOneEvictionDropsSeed) {
 
   const auto probe = window_of({ModelId::kResNet50, ModelId::kAlexNet});
   EXPECT_EQ(cache.find_near(exec::PlanCache::make_key(soc, probe, {})), nullptr);
-  EXPECT_EQ(cache.stats().evictions, 1u);
-  EXPECT_EQ(cache.stats().warm_hits, 0u);
+  EXPECT_EQ(counts.evictions(), 1u);
+  EXPECT_EQ(counts.warm_hits(), 0u);
 }
 
 TEST(PlanCachePeek, DoesNotBumpLruOrTouchStats) {
   const Soc soc = Soc::kirin990();
   Fixture fx({ModelId::kSqueezeNet}, soc);
+  const CacheCounters counts;
   exec::PlanCache cache(2);
   cache.insert("a", compile_window(fx));
   cache.insert("b", compile_window(fx));  // "a" is LRU
@@ -392,15 +434,17 @@ TEST(PlanCachePeek, DoesNotBumpLruOrTouchStats) {
   EXPECT_EQ(cache.peek("missing"), nullptr);
   cache.insert("c", compile_window(fx));  // evicts "a" (still LRU)
   EXPECT_EQ(cache.peek("a"), nullptr);
-  EXPECT_EQ(cache.stats().hits, 0u);
-  EXPECT_EQ(cache.stats().misses, 0u);
+  EXPECT_EQ(counts.hits(), 0u);
+  EXPECT_EQ(counts.misses(), 0u);
 }
 
 TEST(PlanCachePeek, PeekNearAgreesWithFindNearAndMutatesNothing) {
   // Two caches see the same seeded insert / find / find_near sequence; one
   // also answers peek_near before every operation.  peek_near must name the
   // entry find_near then returns, and the two caches must stay in lockstep:
-  // same stats, same entries surviving the same evictions.
+  // same counts, same entries surviving the same evictions.  Both count
+  // into the same registry, so each cache's operations are tallied by the
+  // counter deltas they cause.
   const std::vector<ModelId> pool = {ModelId::kResNet50, ModelId::kBERT,
                                      ModelId::kSqueezeNet, ModelId::kAlexNet};
   const std::vector<Soc> socs = {Soc::kirin990(), Soc::snapdragon870()};
@@ -419,6 +463,23 @@ TEST(PlanCachePeek, PeekNearAgreesWithFindNearAndMutatesNothing) {
                                      {}, env);
   };
 
+  const CacheCounters counts;
+  using Tally = std::array<std::uint64_t, 4>;  // hits, misses, warm, evictions
+  const auto now = [&counts] {
+    return Tally{counts.hits(), counts.misses(), counts.warm_hits(),
+                 counts.evictions()};
+  };
+  Tally peeked_total{};
+  Tally plain_total{};
+  const auto tally = [&now](Tally& total, const auto& op) {
+    const Tally before = now();
+    op();
+    const Tally after = now();
+    for (std::size_t i = 0; i < total.size(); ++i) {
+      total[i] += after[i] - before[i];
+    }
+  };
+
   exec::PlanCache peeked(6);
   exec::PlanCache plain(6);
   std::map<const exec::CompiledPlan*, std::string> key_of_peeked;
@@ -427,19 +488,27 @@ TEST(PlanCachePeek, PeekNearAgreesWithFindNearAndMutatesNothing) {
   std::size_t near_found = 0;
   for (int step = 0; step < 400; ++step) {
     const std::string key = random_key();
-    const exec::CompiledPlan* peek = peeked.peek_near(key);
+    const exec::CompiledPlan* peek = nullptr;
+    tally(peeked_total, [&] { peek = peeked.peek_near(key); });
     switch (pick(3)) {
       case 0:
-        key_of_peeked[&peeked.insert(key, {})] = key;
-        key_of_plain[&plain.insert(key, {})] = key;
+        tally(peeked_total, [&] { key_of_peeked[&peeked.insert(key, {})] = key; });
+        tally(plain_total, [&] { key_of_plain[&plain.insert(key, {})] = key; });
         keys.push_back(key);
         break;
-      case 1:
-        EXPECT_EQ(peeked.find(key) != nullptr, plain.find(key) != nullptr);
+      case 1: {
+        bool in_peeked = false;
+        bool in_plain = false;
+        tally(peeked_total, [&] { in_peeked = peeked.find(key) != nullptr; });
+        tally(plain_total, [&] { in_plain = plain.find(key) != nullptr; });
+        EXPECT_EQ(in_peeked, in_plain);
         break;
+      }
       default: {
-        const exec::CompiledPlan* a = peeked.find_near(key);
-        const exec::CompiledPlan* b = plain.find_near(key);
+        const exec::CompiledPlan* a = nullptr;
+        const exec::CompiledPlan* b = nullptr;
+        tally(peeked_total, [&] { a = peeked.find_near(key); });
+        tally(plain_total, [&] { b = plain.find_near(key); });
         ASSERT_EQ(a, peek) << "step " << step;
         ASSERT_EQ(a != nullptr, b != nullptr) << "step " << step;
         if (a != nullptr) {
@@ -449,14 +518,15 @@ TEST(PlanCachePeek, PeekNearAgreesWithFindNearAndMutatesNothing) {
         break;
       }
     }
-    (void)peeked.peek_near(random_key());
-    EXPECT_EQ(peeked.stats().hits, plain.stats().hits);
-    EXPECT_EQ(peeked.stats().misses, plain.stats().misses);
-    EXPECT_EQ(peeked.stats().warm_hits, plain.stats().warm_hits);
-    EXPECT_EQ(peeked.stats().evictions, plain.stats().evictions);
+    const std::string extra = random_key();
+    tally(peeked_total, [&] { (void)peeked.peek_near(extra); });
+    EXPECT_EQ(peeked_total[0], plain_total[0]);
+    EXPECT_EQ(peeked_total[1], plain_total[1]);
+    EXPECT_EQ(peeked_total[2], plain_total[2]);
+    EXPECT_EQ(peeked_total[3], plain_total[3]);
   }
   EXPECT_GT(near_found, 10u);
-  EXPECT_GT(plain.stats().evictions, 10u);
+  EXPECT_GT(plain_total[3], 10u);
   for (const std::string& key : keys) {
     EXPECT_EQ(peeked.peek(key) != nullptr, plain.peek(key) != nullptr);
   }

@@ -110,7 +110,6 @@ TEST_P(PlannerDeterminism, InstrumentationDoesNotPerturbPlans) {
 
   expect_identical(off, on);
   obs::Registry& reg = obs::Registry::global();
-  EXPECT_GE(reg.counter("planner.cold_plans").value(), 1u);
   // Scoring counters: every branch ran a DES-scored tail sweep, whose score
   // calls are its initial score plus one per unpruned candidate, and the
   // branch comparison reused the sweeps' carried scores.
@@ -126,16 +125,16 @@ TEST_P(PlannerDeterminism, InstrumentationDoesNotPerturbPlans) {
   const std::uint64_t blocks = 7 * soc.num_processors();
   EXPECT_EQ(reg.counter("profile_store.misses").value(), blocks);
   EXPECT_EQ(reg.counter("profile_store.hits").value(), soc.num_processors());
-  bool saw_cold_span = false;
+  std::size_t cold_spans = 0;
   double span_misses = -1.0;
   for (const obs::TraceEvent& e : obs::Tracer::global().events()) {
-    if (e.name == "planner.plan_cold") saw_cold_span = true;
+    if (e.name == "planner.plan_cold") ++cold_spans;
     if (e.name != "planner.cost_tables") continue;
     for (const obs::TraceArg& a : e.args) {
       if (a.key == "misses") span_misses = a.number;
     }
   }
-  EXPECT_TRUE(saw_cold_span);
+  EXPECT_GE(cold_spans, 1u);
   EXPECT_EQ(span_misses, static_cast<double>(blocks));
   obs::Tracer::global().clear();
 }

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <cstddef>
 #include <memory>
 #include <ostream>
 #include <vector>
@@ -36,6 +37,23 @@ struct Fixture {
     eval = std::make_unique<StaticEvaluator>(soc, models);
   }
 };
+
+/// A hand-built task with implicit (same-model chain) dependencies and no
+/// fallback rows.
+inline SimTask sim_task(std::size_t model_idx, std::size_t seq_in_model,
+                        std::size_t proc_idx, double solo_ms,
+                        double sensitivity, double intensity,
+                        double arrival_ms) {
+  SimTask t;
+  t.model_idx = model_idx;
+  t.seq_in_model = seq_in_model;
+  t.proc_idx = proc_idx;
+  t.solo_ms = solo_ms;
+  t.sensitivity = sensitivity;
+  t.intensity = intensity;
+  t.arrival_ms = arrival_ms;
+  return t;
+}
 
 /// `tasks` with every aggressor intensity zeroed, fallback rows included:
 /// Eq. 2's extra term is then an exact 0, so the DES runs them as on an

@@ -771,9 +771,9 @@ int cmd_online(int argc, char** argv) {
   }
   out["windows"] = std::move(windows);
 
-  // Plan-cache counters come straight from the metrics registry — the same
-  // counters the cache increments — so this block cannot drift from the
-  // cache implementation (a test asserts they match OnlineResult).
+  // Plan-cache counters come straight from the registry: the cache counts
+  // its misses and evictions nowhere else, and counters count while spans
+  // time (a test checks hits and warm hits against OnlineResult).
   {
     obs::Registry& reg = obs::Registry::global();
     Json pc = Json::object();
