@@ -32,6 +32,8 @@ struct PlannerOptions {
     o.tail_optimization = false;
     return o;
   }
+
+  bool operator==(const PlannerOptions&) const = default;
 };
 
 /// Planner output plus the intermediate artifacts the benches report.

@@ -171,26 +171,6 @@ GraphDecomposition GraphModel::decompose() const {
   return d;
 }
 
-double GraphModel::nodes_flops(std::span<const std::size_t> ids) const {
-  double total = 0.0;
-  for (std::size_t id : ids) total += nodes_[id].layer.flops;
-  return total;
-}
-
-double GraphModel::critical_path_flops() const {
-  std::vector<double> longest(nodes_.size(), 0.0);
-  double best = 0.0;
-  for (std::size_t id = 0; id < nodes_.size(); ++id) {
-    double in_best = 0.0;
-    for (std::size_t dep : nodes_[id].inputs) {
-      in_best = std::max(in_best, longest[dep]);
-    }
-    longest[id] = in_best + nodes_[id].layer.flops;
-    best = std::max(best, longest[id]);
-  }
-  return best;
-}
-
 double GraphModel::total_flops() const {
   double total = 0.0;
   for (const Node& node : nodes_) total += node.layer.flops;

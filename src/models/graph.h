@@ -2,7 +2,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -80,13 +79,6 @@ class GraphModel {
   /// Full fork/join decomposition (topological order, articulation flags,
   /// segments with their branches).
   [[nodiscard]] GraphDecomposition decompose() const;
-
-  /// Sum of the FLOPs of an arbitrary node set.
-  [[nodiscard]] double nodes_flops(std::span<const std::size_t> ids) const;
-
-  /// Critical-path FLOPs: the heaviest dependency chain — a lower bound on
-  /// intra-model parallel speedup arguments.
-  [[nodiscard]] double critical_path_flops() const;
 
   /// Sum of all node FLOPs.
   [[nodiscard]] double total_flops() const;

@@ -81,25 +81,6 @@ double Model::peak_activation_bytes(std::size_t i, std::size_t j) const {
   return std::max(level[i], level[j + 1 - (std::size_t{1} << l)]);
 }
 
-double Model::range_locality(std::size_t i, std::size_t j) const {
-  double traffic = 0.0, weighted = 0.0;
-  for (std::size_t k = i; k <= j && k < layers_.size(); ++k) {
-    const double t = layers_[k].naive_traffic_bytes();
-    traffic += t;
-    weighted += t * layers_[k].locality;
-  }
-  if (traffic <= 0.0) return 1.0;
-  return weighted / traffic;
-}
-
-double Model::max_working_set_bytes(std::size_t i, std::size_t j) const {
-  double peak = 0.0;
-  for (std::size_t k = i; k <= j && k < layers_.size(); ++k) {
-    peak = std::max(peak, layers_[k].working_set_bytes);
-  }
-  return peak;
-}
-
 std::size_t Model::first_npu_unsupported(std::size_t i, std::size_t j) const {
   for (std::size_t k = i; k <= j && k < layers_.size(); ++k) {
     if (!npu_supports(layers_[k].kind)) return k;

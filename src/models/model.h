@@ -50,13 +50,6 @@ class Model {
   /// and order-free, so it equals a linear scan bit for bit.
   [[nodiscard]] double peak_activation_bytes(std::size_t i, std::size_t j) const;
 
-  /// Traffic-weighted mean locality of [i, j]; drives the cost model's
-  /// DRAM-vs-cache split for a slice.
-  [[nodiscard]] double range_locality(std::size_t i, std::size_t j) const;
-
-  /// Largest layer working set in [i, j] (cache-fit test).
-  [[nodiscard]] double max_working_set_bytes(std::size_t i, std::size_t j) const;
-
   /// First layer index in [i, j] whose operator the NPU cannot run, or
   /// j + 1 when the whole range is supported.
   [[nodiscard]] std::size_t first_npu_unsupported(std::size_t i, std::size_t j) const;

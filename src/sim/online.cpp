@@ -61,6 +61,17 @@ struct Prefetch {
   std::future<exec::CompiledPlan> plan;
 };
 
+/// A prefetch's models by name, in its order ("M,S,M,S"): how the log
+/// records name the prefetch.
+std::string model_names(const std::vector<const Model*>& models) {
+  std::string names;
+  for (const Model* m : models) {
+    if (!names.empty()) names += ',';
+    names += m->name();
+  }
+  return names;
+}
+
 /// `bus_centi` is the observed shared-bus bandwidth fraction in percent
 /// (100 = healthy): the view's bus term is scaled by it, so the planner's
 /// cost tables — and the Soc fingerprint inside the plan-cache key — see
@@ -212,16 +223,15 @@ OnlineResult run_online(const Soc& soc, const std::vector<OnlineRequest>& stream
   // The key of `models` planned on the healthy SoC (full mask, clean bus)
   // in the current bucket: the seed a degraded window replans from.
   const auto healthy_key = [&](const std::vector<const Model*>& models) {
-    return exec::PlanCache::make_key(view_for(full_mask, bucket, 100).soc,
-                                     models, options.planner,
-                                     exec::PlanCache::PlanEnv{full_mask, bucket});
+    return exec::make_key(view_for(full_mask, bucket, 100).soc, models,
+                          options.planner, exec::PlanEnv{full_mask, bucket});
   };
   // Whether step 4 of the loop below, run now, would plan the window cold:
   // this mirrors its ladder (exact hit, warm start from a near miss,
   // degraded replan from the healthy plan) with non-mutating peeks, and
   // must change with it.  Optimistic where the ladder can still fall
   // through (a warm or degraded replan the planner rejects plans cold).
-  const auto plans_cold = [&](const std::string& key,
+  const auto plans_cold = [&](const exec::PlanKey& key,
                               const std::vector<const Model*>& models,
                               std::uint64_t mask, int bus_centi) {
     if (!caching) return true;
@@ -243,7 +253,7 @@ OnlineResult run_online(const Soc& soc, const std::vector<OnlineRequest>& stream
   // from cache state identical to a serial run's.  One whose key matches
   // but whose model order does not (a deferral moved a request to the
   // front of a same-multiset window) is left unconsumed.
-  std::unordered_map<std::string, Prefetch> inflight;
+  std::unordered_map<exec::PlanKey, Prefetch, exec::PlanKeyHash> inflight;
   std::uint64_t believed_mask = full_mask;
   // Shared-bus factor observed at the last probe, quantized to centi.
   int believed_bus_centi = 100;
@@ -257,7 +267,7 @@ OnlineResult run_online(const Soc& soc, const std::vector<OnlineRequest>& stream
     // discarded; keying on the mask alone used to let a bucket change
     // consume a plan laid out for the wrong thermal state.
     const SocView& view = view_for(believed_mask, bucket, believed_bus_centi);
-    const exec::PlanCache::PlanEnv env{believed_mask, bucket};
+    const exec::PlanEnv env{believed_mask, bucket};
     std::size_t offset = 0;
     for (std::size_t ahead = 0; ahead <= options.prefetch_depth; ++ahead) {
       if (offset >= pending.size()) break;
@@ -268,8 +278,8 @@ OnlineResult run_online(const Soc& soc, const std::vector<OnlineRequest>& stream
         models.push_back(stream[pending[offset + k]].model);
       }
       offset += take;
-      std::string key =
-          exec::PlanCache::make_key(view.soc, models, options.planner, env);
+      exec::PlanKey key =
+          exec::make_key(view.soc, models, options.planner, env);
       if (inflight.count(key) != 0) continue;
       if (!plans_cold(key, models, believed_mask, believed_bus_centi)) continue;
       std::future<exec::CompiledPlan> plan =
@@ -492,9 +502,8 @@ OnlineResult run_online(const Soc& soc, const std::vector<OnlineRequest>& stream
     for (const std::size_t i : admitted) models.push_back(stream[i].model);
 
     const SocView& view = view_for(mask, bucket, bus_centi);
-    const exec::PlanCache::PlanEnv env{mask, bucket};
-    const std::string key =
-        exec::PlanCache::make_key(view.soc, models, options.planner, env);
+    const exec::PlanKey key = exec::make_key(view.soc, models, options.planner,
+                                             exec::PlanEnv{mask, bucket});
 
     WindowStats ws;
     ws.arrival_ms = win_arrival;
@@ -578,9 +587,9 @@ OnlineResult run_online(const Soc& soc, const std::vector<OnlineRequest>& stream
           resolved = true;
         } catch (const std::exception& e) {
           log.warn("online.prefetch_failed",
-                   {{"key", key}, {"what", e.what()}});
+                   {{"models", model_names(models)}, {"what", e.what()}});
         } catch (...) {
-          log.warn("online.prefetch_failed", {{"key", key}});
+          log.warn("online.prefetch_failed", {{"models", model_names(models)}});
         }
         inflight.erase(it);
       }
@@ -731,13 +740,14 @@ OnlineResult run_online(const Soc& soc, const std::vector<OnlineRequest>& stream
   // dying prefetch was previously invisible).
   for (auto& [key, prefetch] : inflight) {
     c_discarded.inc();
-    log.debug("online.prefetch_discarded", {{"key", key}});
+    const std::string names = model_names(prefetch.models);
+    log.debug("online.prefetch_discarded", {{"models", names}});
     try {
       (void)options.pool->wait_and_help(prefetch.plan);
     } catch (const std::exception& e) {
-      log.warn("online.prefetch_failed", {{"key", key}, {"what", e.what()}});
+      log.warn("online.prefetch_failed", {{"models", names}, {"what", e.what()}});
     } catch (...) {
-      log.warn("online.prefetch_failed", {{"key", key}});
+      log.warn("online.prefetch_failed", {{"models", names}});
     }
   }
 

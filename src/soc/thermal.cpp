@@ -96,14 +96,6 @@ std::size_t coarse_thermal_bucket(double worst_throttle_factor) {
   return static_cast<std::size_t>((derate - 1e-12) / 0.1) + 1;
 }
 
-std::size_t coarse_thermal_bucket(const Soc& soc, double utilization) {
-  double worst = 1.0;
-  for (const Processor& p : soc.processors()) {
-    worst = std::min(worst, ThermalModel(p).steady_state_throttle(utilization));
-  }
-  return coarse_thermal_bucket(worst);
-}
-
 Soc thermally_derated_bucket(const Soc& soc, std::size_t bucket) {
   if (bucket == 0) return soc;
   const double worst = std::max(1.0 - 0.1 * static_cast<double>(bucket), 0.0);

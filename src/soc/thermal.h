@@ -65,10 +65,6 @@ Soc thermally_derated(const Soc& soc, double utilization = 1.0);
 /// on a fine-grained reading would make every window a cold miss.
 std::size_t coarse_thermal_bucket(double worst_throttle_factor);
 
-/// Convenience: the bucket the whole SoC is in at a sustained utilization —
-/// the worst (lowest) steady-state throttle factor across processors.
-std::size_t coarse_thermal_bucket(const Soc& soc, double utilization);
-
 /// The SoC a given coarse bucket stands for: every processor's peak
 /// throughput derated by the bucket's worst-case factor (1 - 0.1 * bucket),
 /// floored at that processor kind's own derating floor (the NPU never

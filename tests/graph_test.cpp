@@ -69,13 +69,6 @@ TEST(Graph, BranchesStayContiguous) {
   EXPECT_EQ(position[2], position[1] + 1);
 }
 
-TEST(Graph, CriticalPath) {
-  const GraphModel g = inception_cell();
-  // stem(10) -> a1(20) -> a2(30) -> concat(5) -> head(15) = 80.
-  EXPECT_DOUBLE_EQ(g.critical_path_flops(), 80.0);
-  EXPECT_DOUBLE_EQ(g.total_flops(), 120.0);
-}
-
 TEST(Graph, LinearizePreservesEverything) {
   const GraphModel g = inception_cell();
   const Model m = g.linearize();
@@ -94,7 +87,6 @@ TEST(Graph, EmptyGraph) {
   GraphModel g("empty");
   EXPECT_TRUE(g.is_valid_dag());
   EXPECT_TRUE(g.topological_order().empty());
-  EXPECT_DOUBLE_EQ(g.critical_path_flops(), 0.0);
   EXPECT_EQ(g.linearize().num_layers(), 0u);
 }
 
@@ -109,7 +101,6 @@ TEST(Graph, DiamondWideGraph) {
   const auto order = g.topological_order();
   EXPECT_EQ(order.front(), s);
   EXPECT_EQ(order.back(), g.num_nodes() - 1);
-  EXPECT_DOUBLE_EQ(g.critical_path_flops(), 12.0);
   EXPECT_DOUBLE_EQ(g.total_flops(), 82.0);
 }
 

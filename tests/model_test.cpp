@@ -110,15 +110,6 @@ TEST(Model, PeakActivationFloorsLikeTheScan) {
   expect_peak_matches_scan(Model("odd", std::move(layers)));
 }
 
-TEST(Model, RangeLocalityIsTrafficWeighted) {
-  const Model m = tiny_model();
-  const double loc = m.range_locality(0, m.num_layers() - 1);
-  EXPECT_GT(loc, 0.0);
-  EXPECT_LE(loc, 1.0);
-  // Single-layer range equals the layer's own locality.
-  EXPECT_DOUBLE_EQ(m.range_locality(3, 3), m.layer(3).locality);
-}
-
 TEST(Model, FirstNpuUnsupportedFindsAttention) {
   const Model m = tiny_model();
   EXPECT_EQ(m.first_npu_unsupported(0, 3), 2u);  // attention at index 2
@@ -141,13 +132,6 @@ TEST(Model, EmptyModel) {
   EXPECT_DOUBLE_EQ(m.total_flops(), 0.0);
   EXPECT_DOUBLE_EQ(m.boundary_bytes(0), 0.0);
   EXPECT_TRUE(m.fully_npu_supported());
-}
-
-TEST(Model, MaxWorkingSet) {
-  const Model m = tiny_model();
-  double expected = 0.0;
-  for (const Layer& l : m.layers()) expected = std::max(expected, l.working_set_bytes);
-  EXPECT_DOUBLE_EQ(m.max_working_set_bytes(0, m.num_layers() - 1), expected);
 }
 
 }  // namespace

@@ -348,17 +348,17 @@ TEST(OnlineFault, WarmStartStaysWithinEnvironment) {
   // The near miss (AlexNet -> SqueezeNet), planned healthy.
   const std::vector<const Model*> near =
       models_of({ModelId::kResNet50, ModelId::kBERT, ModelId::kSqueezeNet});
-  const std::string healthy_key =
-      exec::PlanCache::make_key(soc, near, knobs, {full, 0});
+  const exec::PlanKey healthy_key =
+      exec::make_key(soc, near, knobs, {full, 0});
   exec::PlanCache cache(8);
   const StaticEvaluator eval(soc, near);
   cache.insert(healthy_key,
                exec::compile(Hetero2PipePlanner(eval).plan().plan, eval));
 
   // Control: the same window in the healthy environment is a near miss.
-  const std::string healthy_window =
-      exec::PlanCache::make_key(soc, window, knobs, {full, 0});
-  ASSERT_TRUE(exec::PlanCache::near_miss(healthy_key, healthy_window));
+  const exec::PlanKey healthy_window =
+      exec::make_key(soc, window, knobs, {full, 0});
+  ASSERT_TRUE(healthy_key.near(healthy_window));
   ASSERT_NE(cache.peek_near(healthy_window), nullptr);
 
   // The NPU down: the serving loop keys the window on the surviving
@@ -369,10 +369,10 @@ TEST(OnlineFault, WarmStartStaysWithinEnvironment) {
   const Soc view(soc.name(), std::move(survivors), soc.bus_bw_gbps(),
                  soc.mem_capacity_bytes(), soc.available_bytes(),
                  soc.mem_states());
-  for (const std::string& degraded :
-       {exec::PlanCache::make_key(soc, window, knobs, {full & ~1ull, 0}),
-        exec::PlanCache::make_key(view, window, knobs, {full & ~1ull, 0})}) {
-    EXPECT_FALSE(exec::PlanCache::near_miss(healthy_key, degraded));
+  for (const exec::PlanKey& degraded :
+       {exec::make_key(soc, window, knobs, {full & ~1ull, 0}),
+        exec::make_key(view, window, knobs, {full & ~1ull, 0})}) {
+    EXPECT_FALSE(healthy_key.near(degraded));
     EXPECT_EQ(cache.find_near(degraded), nullptr);
   }
 

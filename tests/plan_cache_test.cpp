@@ -6,9 +6,10 @@
 #include <array>
 #include <cmath>
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <random>
-#include <string>
+#include <stdexcept>
 #include <vector>
 
 #include "core/planner.h"
@@ -30,6 +31,13 @@ std::vector<const Model*> window_of(std::vector<ModelId> ids) {
   std::vector<const Model*> models;
   for (ModelId id : ids) models.push_back(&zoo_model(id));
   return models;
+}
+
+/// Distinct keys for the LRU tests: one window at thermal bucket `bucket`.
+/// Their environments differ, so none is near another.
+exec::PlanKey bucket_key(std::size_t bucket) {
+  return exec::make_key(Soc::kirin990(), window_of({ModelId::kSqueezeNet}), {},
+                        exec::PlanEnv{~0ull, bucket});
 }
 
 /// A PlanCache counts its hits, misses, warm hits and evictions into the
@@ -64,8 +72,8 @@ TEST(PlanCacheKey, IdenticalWindowsShareAKey) {
   const Soc soc = Soc::kirin990();
   const auto a = window_of({ModelId::kResNet50, ModelId::kBERT});
   const auto b = window_of({ModelId::kResNet50, ModelId::kBERT});
-  EXPECT_EQ(exec::PlanCache::make_key(soc, a, {}),
-            exec::PlanCache::make_key(soc, b, {}));
+  EXPECT_EQ(exec::make_key(soc, a, {}),
+            exec::make_key(soc, b, {}));
 }
 
 TEST(PlanCacheKey, PermutedWindowsShareAKey) {
@@ -75,24 +83,24 @@ TEST(PlanCacheKey, PermutedWindowsShareAKey) {
                             ModelId::kSqueezeNet, ModelId::kSqueezeNet});
   const auto b = window_of({ModelId::kSqueezeNet, ModelId::kSqueezeNet,
                             ModelId::kBERT, ModelId::kResNet50});
-  EXPECT_EQ(exec::PlanCache::make_key(soc, a, {}),
-            exec::PlanCache::make_key(soc, b, {}));
+  EXPECT_EQ(exec::make_key(soc, a, {}),
+            exec::make_key(soc, b, {}));
 }
 
 TEST(PlanCacheKey, DifferentMultiplicityDiffersEvenWithSameSupport) {
   const Soc soc = Soc::kirin990();
   const auto a = window_of({ModelId::kResNet50, ModelId::kResNet50, ModelId::kBERT});
   const auto b = window_of({ModelId::kResNet50, ModelId::kBERT, ModelId::kBERT});
-  EXPECT_NE(exec::PlanCache::make_key(soc, a, {}),
-            exec::PlanCache::make_key(soc, b, {}));
+  EXPECT_NE(exec::make_key(soc, a, {}),
+            exec::make_key(soc, b, {}));
 }
 
 TEST(PlanCacheKey, SocAndPlannerOptionsArePartOfTheKey) {
   const auto models = window_of({ModelId::kResNet50, ModelId::kBERT});
-  const std::string base =
-      exec::PlanCache::make_key(Soc::kirin990(), models, {});
-  EXPECT_NE(base, exec::PlanCache::make_key(Soc::snapdragon870(), models, {}));
-  EXPECT_NE(base, exec::PlanCache::make_key(Soc::kirin990(), models,
+  const exec::PlanKey base =
+      exec::make_key(Soc::kirin990(), models, {});
+  EXPECT_NE(base, exec::make_key(Soc::snapdragon870(), models, {}));
+  EXPECT_NE(base, exec::make_key(Soc::kirin990(), models,
                                             PlannerOptions::no_ct()));
 }
 
@@ -102,17 +110,17 @@ TEST(PlanCacheKey, ExecutionEnvironmentIsPartOfTheKey) {
   // separate entries.
   const Soc soc = Soc::kirin990();
   const auto models = window_of({ModelId::kResNet50, ModelId::kBERT});
-  const std::string base = exec::PlanCache::make_key(soc, models, {});
+  const exec::PlanKey base = exec::make_key(soc, models, {});
 
-  exec::PlanCache::PlanEnv degraded;
+  exec::PlanEnv degraded;
   degraded.avail_mask = ((1ull << soc.num_processors()) - 1) & ~1ull;  // no NPU
-  EXPECT_NE(base, exec::PlanCache::make_key(soc, models, {}, degraded));
+  EXPECT_NE(base, exec::make_key(soc, models, {}, degraded));
 
-  exec::PlanCache::PlanEnv hot;
+  exec::PlanEnv hot;
   hot.thermal_bucket = 2;
-  EXPECT_NE(base, exec::PlanCache::make_key(soc, models, {}, hot));
-  EXPECT_NE(exec::PlanCache::make_key(soc, models, {}, degraded),
-            exec::PlanCache::make_key(soc, models, {}, hot));
+  EXPECT_NE(base, exec::make_key(soc, models, {}, hot));
+  EXPECT_NE(exec::make_key(soc, models, {}, degraded),
+            exec::make_key(soc, models, {}, hot));
 }
 
 TEST(PlanCacheKey, DefaultEnvEqualsExplicitlyHealthy) {
@@ -121,20 +129,20 @@ TEST(PlanCacheKey, DefaultEnvEqualsExplicitlyHealthy) {
   // are the same entry.
   const Soc soc = Soc::kirin990();
   const auto models = window_of({ModelId::kResNet50, ModelId::kBERT});
-  exec::PlanCache::PlanEnv healthy;
+  exec::PlanEnv healthy;
   healthy.avail_mask = (1ull << soc.num_processors()) - 1;
   healthy.thermal_bucket = 0;
-  EXPECT_EQ(exec::PlanCache::make_key(soc, models, {}),
-            exec::PlanCache::make_key(soc, models, {}, healthy));
-  exec::PlanCache::PlanEnv defaulted;  // mask ~0ull
-  EXPECT_EQ(exec::PlanCache::make_key(soc, models, {}),
-            exec::PlanCache::make_key(soc, models, {}, defaulted));
+  EXPECT_EQ(exec::make_key(soc, models, {}),
+            exec::make_key(soc, models, {}, healthy));
+  exec::PlanEnv defaulted;  // mask ~0ull
+  EXPECT_EQ(exec::make_key(soc, models, {}),
+            exec::make_key(soc, models, {}, defaulted));
 }
 
 TEST(PlanCacheKey, OneUlpChangeIsADifferentSocAndKey) {
   // The fingerprint prints every double exactly: two SoCs that differ past
   // the 6th significant digit must not share a cache entry (or a memoized
-  // slicing), and the longer keys must still parse for near-miss lookup.
+  // slicing), nor seed each other's warm starts.
   const Soc soc = Soc::kirin990();
   std::vector<Processor> procs = soc.processors();
   procs[1].peak_gflops = std::nextafter(procs[1].peak_gflops, 1e9);
@@ -145,27 +153,56 @@ TEST(PlanCacheKey, OneUlpChangeIsADifferentSocAndKey) {
   const auto pair = window_of({ModelId::kResNet50, ModelId::kBERT});
   const auto triple =
       window_of({ModelId::kResNet50, ModelId::kBERT, ModelId::kSqueezeNet});
-  const std::string key = exec::PlanCache::make_key(soc, pair, {});
-  const std::string nudged_key = exec::PlanCache::make_key(nudged, pair, {});
+  const exec::PlanKey key = exec::make_key(soc, pair, {});
+  const exec::PlanKey nudged_key = exec::make_key(nudged, pair, {});
   EXPECT_NE(key, nudged_key);
-  EXPECT_TRUE(exec::PlanCache::near_miss(key, exec::PlanCache::make_key(soc, triple, {})));
-  EXPECT_TRUE(exec::PlanCache::near_miss(
-      nudged_key, exec::PlanCache::make_key(nudged, triple, {})));
-  EXPECT_FALSE(exec::PlanCache::near_miss(
-      key, exec::PlanCache::make_key(nudged, triple, {})));
+  EXPECT_TRUE(key.near(exec::make_key(soc, triple, {})));
+  EXPECT_TRUE(nudged_key.near(exec::make_key(nudged, triple, {})));
+  EXPECT_FALSE(key.near(exec::make_key(nudged, triple, {})));
 
-  // The classifier percentile is printed exactly too (as %.17g would).
-  EXPECT_EQ(key.substr(key.rfind("||")),
-            "||ct=1,ws=1,tail=1,pct=0.69999999999999996,K=0,av=f,tb=0");
+  // The classifier percentile keys exactly too.
   PlannerOptions pct;
   pct.classifier_percentile = std::nextafter(pct.classifier_percentile, 1.0);
-  EXPECT_NE(key, exec::PlanCache::make_key(soc, pair, pct));
+  EXPECT_NE(key, exec::make_key(soc, pair, pct));
+}
+
+TEST(PlanCacheKey, EveryPlannerOptionIsPartOfTheKey) {
+  // PlanKey compares the whole PlannerOptions: changing any one knob keys
+  // a separate entry, and no warm start crosses knobs.
+  const Soc soc = Soc::kirin990();
+  const auto models = window_of({ModelId::kResNet50, ModelId::kBERT});
+  const auto near = window_of({ModelId::kResNet50, ModelId::kAlexNet});
+  const exec::PlanKey base = exec::make_key(soc, models, {});
+  const std::vector<std::function<void(PlannerOptions&)>> nudges = {
+      [](PlannerOptions& o) { o.contention_mitigation = false; },
+      [](PlannerOptions& o) { o.work_stealing = false; },
+      [](PlannerOptions& o) { o.tail_optimization = false; },
+      [](PlannerOptions& o) { o.classifier_percentile = 0.5; },
+      [](PlannerOptions& o) { o.num_stages = 2; },
+  };
+  for (std::size_t i = 0; i < nudges.size(); ++i) {
+    PlannerOptions options;
+    nudges[i](options);
+    EXPECT_NE(base, exec::make_key(soc, models, options)) << "field " << i;
+    EXPECT_FALSE(base.near(exec::make_key(soc, near, options))) << "field " << i;
+  }
+  EXPECT_TRUE(base.near(exec::make_key(soc, near, {})));
+}
+
+TEST(PlanCacheKey, NullModelOrNanPercentileThrows) {
+  const Soc soc = Soc::kirin990();
+  EXPECT_THROW((void)exec::make_key(soc, {&zoo_model(ModelId::kBERT), nullptr}, {}),
+               std::invalid_argument);
+  PlannerOptions nan;
+  nan.classifier_percentile = std::nan("");
+  EXPECT_THROW((void)exec::make_key(soc, window_of({ModelId::kBERT}), nan),
+               std::invalid_argument);
 }
 
 TEST(PlanCache, MissThenHit) {
   const Soc soc = Soc::kirin990();
   Fixture fx({ModelId::kResNet50, ModelId::kBERT}, soc);
-  const std::string key = exec::PlanCache::make_key(soc, fx.models, {});
+  const exec::PlanKey key = exec::make_key(soc, fx.models, {});
 
   const CacheCounters counts;
   exec::PlanCache cache(4);
@@ -187,11 +224,11 @@ TEST(PlanCache, PermutedWindowHitsTheSameEntry) {
 
   const CacheCounters counts;
   exec::PlanCache cache(4);
-  cache.insert(exec::PlanCache::make_key(soc, fx.models, {}), compile_window(fx));
+  cache.insert(exec::make_key(soc, fx.models, {}), compile_window(fx));
 
   const auto permuted = window_of(
       {ModelId::kSqueezeNet, ModelId::kResNet50, ModelId::kBERT});
-  EXPECT_NE(cache.find(exec::PlanCache::make_key(soc, permuted, {})), nullptr);
+  EXPECT_NE(cache.find(exec::make_key(soc, permuted, {})), nullptr);
   EXPECT_EQ(counts.hits(), 1u);
 }
 
@@ -200,18 +237,21 @@ TEST(PlanCache, EvictsLeastRecentlyUsedAtCapacity) {
   Fixture fx({ModelId::kSqueezeNet}, soc);
   exec::CompiledPlan plan = compile_window(fx);
 
+  const exec::PlanKey a = bucket_key(0);
+  const exec::PlanKey b = bucket_key(1);
+  const exec::PlanKey c = bucket_key(2);
   const CacheCounters counts;
   exec::PlanCache cache(2);
-  cache.insert("a", plan);
-  cache.insert("b", plan);
-  ASSERT_NE(cache.find("a"), nullptr);  // bump "a" to MRU: "b" is now LRU
-  cache.insert("c", plan);              // evicts "b"
+  cache.insert(a, plan);
+  cache.insert(b, plan);
+  ASSERT_NE(cache.find(a), nullptr);  // bump a to MRU: b is now LRU
+  cache.insert(c, plan);              // evicts b
 
   EXPECT_EQ(cache.size(), 2u);
   EXPECT_EQ(counts.evictions(), 1u);
-  EXPECT_NE(cache.find("a"), nullptr);
-  EXPECT_EQ(cache.find("b"), nullptr);
-  EXPECT_NE(cache.find("c"), nullptr);
+  EXPECT_NE(cache.find(a), nullptr);
+  EXPECT_EQ(cache.find(b), nullptr);
+  EXPECT_NE(cache.find(c), nullptr);
 }
 
 TEST(PlanCache, PointerStableUntilEviction) {
@@ -220,10 +260,10 @@ TEST(PlanCache, PointerStableUntilEviction) {
   exec::CompiledPlan plan = compile_window(fx);
 
   exec::PlanCache cache(3);
-  const exec::CompiledPlan* a = &cache.insert("a", plan);
-  cache.insert("b", plan);
-  cache.insert("c", plan);
-  EXPECT_EQ(cache.find("a"), a);  // inserts and lookups did not move it
+  const exec::CompiledPlan* a = &cache.insert(bucket_key(0), plan);
+  cache.insert(bucket_key(1), plan);
+  cache.insert(bucket_key(2), plan);
+  EXPECT_EQ(cache.find(bucket_key(0)), a);  // inserts and lookups did not move it
 }
 
 TEST(PlanCache, InsertOverwritesExistingKey) {
@@ -232,9 +272,9 @@ TEST(PlanCache, InsertOverwritesExistingKey) {
   Fixture two({ModelId::kSqueezeNet, ModelId::kResNet50}, soc);
 
   exec::PlanCache cache(4);
-  cache.insert("k", compile_window(one));
-  cache.insert("k", compile_window(two));
-  const exec::CompiledPlan* found = cache.find("k");
+  cache.insert(bucket_key(0), compile_window(one));
+  cache.insert(bucket_key(0), compile_window(two));
+  const exec::CompiledPlan* found = cache.find(bucket_key(0));
   ASSERT_NE(found, nullptr);
   EXPECT_EQ(found->num_models, 2u);
   EXPECT_EQ(cache.size(), 1u);
@@ -246,11 +286,11 @@ TEST(PlanCache, ClearDropsEntriesButKeepsStats) {
 
   const CacheCounters counts;
   exec::PlanCache cache(4);
-  cache.insert("a", compile_window(fx));
-  ASSERT_NE(cache.find("a"), nullptr);
+  cache.insert(bucket_key(0), compile_window(fx));
+  ASSERT_NE(cache.find(bucket_key(0)), nullptr);
   cache.clear();
   EXPECT_EQ(cache.size(), 0u);
-  EXPECT_EQ(cache.find("a"), nullptr);
+  EXPECT_EQ(cache.find(bucket_key(0)), nullptr);
   EXPECT_EQ(counts.hits(), 1u);
   EXPECT_EQ(counts.misses(), 1u);
 }
@@ -263,12 +303,12 @@ TEST(PlanCacheNear, OneModelSubstitutionIsServedAndCounted) {
   const CacheCounters counts;
   exec::PlanCache cache(4);
   const exec::CompiledPlan& stored =
-      cache.insert(exec::PlanCache::make_key(soc, fx.models, {}), compile_window(fx));
+      cache.insert(exec::make_key(soc, fx.models, {}), compile_window(fx));
 
   const auto probe = window_of(
       {ModelId::kResNet50, ModelId::kBERT, ModelId::kAlexNet});
   const exec::CompiledPlan* near =
-      cache.find_near(exec::PlanCache::make_key(soc, probe, {}));
+      cache.find_near(exec::make_key(soc, probe, {}));
   ASSERT_NE(near, nullptr);
   EXPECT_EQ(near, &stored);
   EXPECT_EQ(counts.warm_hits(), 1u);
@@ -280,13 +320,13 @@ TEST(PlanCacheNear, AdditionAndRemovalAreServed) {
   Fixture fx({ModelId::kResNet50, ModelId::kBERT}, soc);
   const CacheCounters counts;
   exec::PlanCache cache(4);
-  cache.insert(exec::PlanCache::make_key(soc, fx.models, {}), compile_window(fx));
+  cache.insert(exec::make_key(soc, fx.models, {}), compile_window(fx));
 
   const auto added = window_of(
       {ModelId::kResNet50, ModelId::kBERT, ModelId::kSqueezeNet});
-  EXPECT_NE(cache.find_near(exec::PlanCache::make_key(soc, added, {})), nullptr);
+  EXPECT_NE(cache.find_near(exec::make_key(soc, added, {})), nullptr);
   const auto removed = window_of({ModelId::kResNet50});
-  EXPECT_NE(cache.find_near(exec::PlanCache::make_key(soc, removed, {})), nullptr);
+  EXPECT_NE(cache.find_near(exec::make_key(soc, removed, {})), nullptr);
   EXPECT_EQ(counts.warm_hits(), 2u);
 }
 
@@ -295,7 +335,7 @@ TEST(PlanCacheNear, ExactMatchIsNeverServed) {
   Fixture fx({ModelId::kResNet50, ModelId::kBERT}, soc);
   const CacheCounters counts;
   exec::PlanCache cache(4);
-  const std::string key = exec::PlanCache::make_key(soc, fx.models, {});
+  const exec::PlanKey key = exec::make_key(soc, fx.models, {});
   cache.insert(key, compile_window(fx));
   EXPECT_EQ(cache.find_near(key), nullptr);
   EXPECT_EQ(counts.warm_hits(), 0u);
@@ -305,9 +345,9 @@ TEST(PlanCacheNear, TwoEditsRejected) {
   const Soc soc = Soc::kirin990();
   Fixture fx({ModelId::kResNet50, ModelId::kBERT}, soc);
   exec::PlanCache cache(4);
-  cache.insert(exec::PlanCache::make_key(soc, fx.models, {}), compile_window(fx));
+  cache.insert(exec::make_key(soc, fx.models, {}), compile_window(fx));
   const auto probe = window_of({ModelId::kAlexNet, ModelId::kSqueezeNet});
-  EXPECT_EQ(cache.find_near(exec::PlanCache::make_key(soc, probe, {})), nullptr);
+  EXPECT_EQ(cache.find_near(exec::make_key(soc, probe, {})), nullptr);
 }
 
 TEST(PlanCacheNear, SocOrKnobMismatchRejected) {
@@ -315,13 +355,13 @@ TEST(PlanCacheNear, SocOrKnobMismatchRejected) {
   Fixture fx({ModelId::kResNet50, ModelId::kBERT}, soc);
   const CacheCounters counts;
   exec::PlanCache cache(4);
-  cache.insert(exec::PlanCache::make_key(soc, fx.models, {}), compile_window(fx));
+  cache.insert(exec::make_key(soc, fx.models, {}), compile_window(fx));
 
   const auto probe = window_of({ModelId::kResNet50, ModelId::kAlexNet});
-  EXPECT_EQ(cache.find_near(exec::PlanCache::make_key(Soc::snapdragon870(),
+  EXPECT_EQ(cache.find_near(exec::make_key(Soc::snapdragon870(),
                                                       probe, {})),
             nullptr);
-  EXPECT_EQ(cache.find_near(exec::PlanCache::make_key(
+  EXPECT_EQ(cache.find_near(exec::make_key(
                 soc, probe, PlannerOptions::no_ct())),
             nullptr);
   EXPECT_EQ(counts.warm_hits(), 0u);
@@ -335,32 +375,31 @@ TEST(PlanCacheNear, EnvironmentMismatchRejected) {
   Fixture fx({ModelId::kResNet50, ModelId::kBERT}, soc);
   const CacheCounters counts;
   exec::PlanCache cache(4);
-  cache.insert(exec::PlanCache::make_key(soc, fx.models, {}), compile_window(fx));
+  cache.insert(exec::make_key(soc, fx.models, {}), compile_window(fx));
 
   const auto probe = window_of({ModelId::kResNet50, ModelId::kAlexNet});
-  exec::PlanCache::PlanEnv degraded;
+  exec::PlanEnv degraded;
   degraded.avail_mask = ((1ull << soc.num_processors()) - 1) & ~1ull;
   EXPECT_EQ(
-      cache.find_near(exec::PlanCache::make_key(soc, probe, {}, degraded)),
+      cache.find_near(exec::make_key(soc, probe, {}, degraded)),
       nullptr);
-  exec::PlanCache::PlanEnv hot;
+  exec::PlanEnv hot;
   hot.thermal_bucket = 3;
-  EXPECT_EQ(cache.find_near(exec::PlanCache::make_key(soc, probe, {}, hot)),
+  EXPECT_EQ(cache.find_near(exec::make_key(soc, probe, {}, hot)),
             nullptr);
   EXPECT_EQ(counts.warm_hits(), 0u);
 }
 
 TEST(PlanCacheNear, EmptyWindowIsOneEditFromSingleton) {
-  // Edge: a zero-model key parses and is exactly one removal away from any
+  // Edge: a zero-model key is exactly one removal away from any
   // single-model window under the same SoC and knobs.
   const Soc soc = Soc::kirin990();
   Fixture fx({ModelId::kSqueezeNet}, soc);
   exec::PlanCache cache(4);
-  cache.insert(exec::PlanCache::make_key(soc, fx.models, {}), compile_window(fx));
-  const std::string empty_key = exec::PlanCache::make_key(soc, {}, {});
+  cache.insert(exec::make_key(soc, fx.models, {}), compile_window(fx));
+  const exec::PlanKey empty_key = exec::make_key(soc, {}, {});
   EXPECT_NE(cache.find_near(empty_key), nullptr);
-  EXPECT_TRUE(exec::PlanCache::near_miss(
-      empty_key, exec::PlanCache::make_key(soc, fx.models, {})));
+  EXPECT_TRUE(empty_key.near(exec::make_key(soc, fx.models, {})));
 }
 
 TEST(PlanCacheNear, DuplicateModelsCountMultiplicity) {
@@ -369,43 +408,29 @@ TEST(PlanCacheNear, DuplicateModelsCountMultiplicity) {
   const Soc soc = Soc::kirin990();
   Fixture fx({ModelId::kResNet50, ModelId::kResNet50, ModelId::kBERT}, soc);
   exec::PlanCache cache(4);
-  cache.insert(exec::PlanCache::make_key(soc, fx.models, {}), compile_window(fx));
+  cache.insert(exec::make_key(soc, fx.models, {}), compile_window(fx));
 
   const auto swapped = window_of(
       {ModelId::kResNet50, ModelId::kBERT, ModelId::kBERT});
-  EXPECT_NE(cache.find_near(exec::PlanCache::make_key(soc, swapped, {})), nullptr);
+  EXPECT_NE(cache.find_near(exec::make_key(soc, swapped, {})), nullptr);
   const auto shrunk = window_of({ModelId::kBERT});
-  EXPECT_EQ(cache.find_near(exec::PlanCache::make_key(soc, shrunk, {})), nullptr);
-}
-
-TEST(PlanCacheNear, MalformedKeysNeverMatch) {
-  // Hand-made keys (no make_key structure) must neither match nor be
-  // matched — near-miss parsing rejects them instead of guessing.
-  const Soc soc = Soc::kirin990();
-  Fixture fx({ModelId::kSqueezeNet}, soc);
-  const CacheCounters counts;
-  exec::PlanCache cache(4);
-  cache.insert("a", compile_window(fx));
-  EXPECT_EQ(cache.find_near("b"), nullptr);
-  EXPECT_EQ(cache.find_near(exec::PlanCache::make_key(soc, fx.models, {})),
-            nullptr);
-  EXPECT_FALSE(exec::PlanCache::near_miss("a", "b"));
-  EXPECT_EQ(counts.warm_hits(), 0u);
+  EXPECT_EQ(cache.find_near(exec::make_key(soc, shrunk, {})), nullptr);
 }
 
 TEST(PlanCacheNear, BumpsSourceEntryToMru) {
   const Soc soc = Soc::kirin990();
   Fixture fx({ModelId::kResNet50, ModelId::kBERT}, soc);
   exec::PlanCache cache(2);
-  const std::string seed_key = exec::PlanCache::make_key(soc, fx.models, {});
+  const exec::PlanKey seed_key = exec::make_key(soc, fx.models, {});
+  const exec::PlanKey filler = bucket_key(1);
   cache.insert(seed_key, compile_window(fx));
-  cache.insert("filler-but-newer", compile_window(fx));  // seed is now LRU
+  cache.insert(filler, compile_window(fx));  // seed is now LRU
 
   const auto probe = window_of({ModelId::kResNet50, ModelId::kAlexNet});
-  ASSERT_NE(cache.find_near(exec::PlanCache::make_key(soc, probe, {})), nullptr);
-  cache.insert("third", compile_window(fx));  // evicts the filler, not the seed
+  ASSERT_NE(cache.find_near(exec::make_key(soc, probe, {})), nullptr);
+  cache.insert(bucket_key(2), compile_window(fx));  // evicts the filler, not the seed
   EXPECT_NE(cache.peek(seed_key), nullptr);
-  EXPECT_EQ(cache.peek("filler-but-newer"), nullptr);
+  EXPECT_EQ(cache.peek(filler), nullptr);
 }
 
 TEST(PlanCacheNear, CapacityOneEvictionDropsSeed) {
@@ -414,11 +439,11 @@ TEST(PlanCacheNear, CapacityOneEvictionDropsSeed) {
   const CacheCounters counts;
   exec::PlanCache cache(1);
   EXPECT_EQ(cache.capacity(), 1u);
-  cache.insert(exec::PlanCache::make_key(soc, fx.models, {}), compile_window(fx));
-  cache.insert("unrelated", compile_window(fx));  // evicts the only seed
+  cache.insert(exec::make_key(soc, fx.models, {}), compile_window(fx));
+  cache.insert(bucket_key(1), compile_window(fx));  // evicts the only seed
 
   const auto probe = window_of({ModelId::kResNet50, ModelId::kAlexNet});
-  EXPECT_EQ(cache.find_near(exec::PlanCache::make_key(soc, probe, {})), nullptr);
+  EXPECT_EQ(cache.find_near(exec::make_key(soc, probe, {})), nullptr);
   EXPECT_EQ(counts.evictions(), 1u);
   EXPECT_EQ(counts.warm_hits(), 0u);
 }
@@ -427,13 +452,14 @@ TEST(PlanCachePeek, DoesNotBumpLruOrTouchStats) {
   const Soc soc = Soc::kirin990();
   Fixture fx({ModelId::kSqueezeNet}, soc);
   const CacheCounters counts;
+  const exec::PlanKey a = bucket_key(0);
   exec::PlanCache cache(2);
-  cache.insert("a", compile_window(fx));
-  cache.insert("b", compile_window(fx));  // "a" is LRU
-  ASSERT_NE(cache.peek("a"), nullptr);    // peek must NOT bump "a"
-  EXPECT_EQ(cache.peek("missing"), nullptr);
-  cache.insert("c", compile_window(fx));  // evicts "a" (still LRU)
-  EXPECT_EQ(cache.peek("a"), nullptr);
+  cache.insert(a, compile_window(fx));
+  cache.insert(bucket_key(1), compile_window(fx));  // a is LRU
+  ASSERT_NE(cache.peek(a), nullptr);                // peek must NOT bump a
+  EXPECT_EQ(cache.peek(bucket_key(3)), nullptr);
+  cache.insert(bucket_key(2), compile_window(fx));  // evicts a (still LRU)
+  EXPECT_EQ(cache.peek(a), nullptr);
   EXPECT_EQ(counts.hits(), 0u);
   EXPECT_EQ(counts.misses(), 0u);
 }
@@ -457,9 +483,9 @@ TEST(PlanCachePeek, PeekNearAgreesWithFindNearAndMutatesNothing) {
   const auto random_key = [&] {
     std::vector<ModelId> ids(1 + pick(3));
     for (ModelId& id : ids) id = pool[pick(pool.size())];
-    exec::PlanCache::PlanEnv env;
+    exec::PlanEnv env;
     if (pick(4) == 0) env.avail_mask = no_npu;
-    return exec::PlanCache::make_key(socs[pick(socs.size())], window_of(ids),
+    return exec::make_key(socs[pick(socs.size())], window_of(ids),
                                      {}, env);
   };
 
@@ -482,12 +508,12 @@ TEST(PlanCachePeek, PeekNearAgreesWithFindNearAndMutatesNothing) {
 
   exec::PlanCache peeked(6);
   exec::PlanCache plain(6);
-  std::map<const exec::CompiledPlan*, std::string> key_of_peeked;
-  std::map<const exec::CompiledPlan*, std::string> key_of_plain;
-  std::vector<std::string> keys;
+  std::map<const exec::CompiledPlan*, exec::PlanKey> key_of_peeked;
+  std::map<const exec::CompiledPlan*, exec::PlanKey> key_of_plain;
+  std::vector<exec::PlanKey> keys;
   std::size_t near_found = 0;
   for (int step = 0; step < 400; ++step) {
-    const std::string key = random_key();
+    const exec::PlanKey key = random_key();
     const exec::CompiledPlan* peek = nullptr;
     tally(peeked_total, [&] { peek = peeked.peek_near(key); });
     switch (pick(3)) {
@@ -518,7 +544,7 @@ TEST(PlanCachePeek, PeekNearAgreesWithFindNearAndMutatesNothing) {
         break;
       }
     }
-    const std::string extra = random_key();
+    const exec::PlanKey extra = random_key();
     tally(peeked_total, [&] { (void)peeked.peek_near(extra); });
     EXPECT_EQ(peeked_total[0], plain_total[0]);
     EXPECT_EQ(peeked_total[1], plain_total[1]);
@@ -527,7 +553,7 @@ TEST(PlanCachePeek, PeekNearAgreesWithFindNearAndMutatesNothing) {
   }
   EXPECT_GT(near_found, 10u);
   EXPECT_GT(plain_total[3], 10u);
-  for (const std::string& key : keys) {
+  for (const exec::PlanKey& key : keys) {
     EXPECT_EQ(peeked.peek(key) != nullptr, plain.peek(key) != nullptr);
   }
 }
@@ -538,10 +564,10 @@ TEST(PlanCache, CapacityClampedToAtLeastOne) {
 
   exec::PlanCache cache(0);
   EXPECT_EQ(cache.capacity(), 1u);
-  cache.insert("a", compile_window(fx));
-  cache.insert("b", compile_window(fx));
+  cache.insert(bucket_key(0), compile_window(fx));
+  cache.insert(bucket_key(1), compile_window(fx));
   EXPECT_EQ(cache.size(), 1u);
-  EXPECT_NE(cache.find("b"), nullptr);
+  EXPECT_NE(cache.find(bucket_key(1)), nullptr);
 }
 
 }  // namespace

@@ -240,16 +240,16 @@ TEST(ThermalLoop, StaticBucketKeysPlanCacheApart) {
                                             &zoo_model(ModelId::kAlexNet)};
   const std::uint64_t full = (1ull << soc.num_processors()) - 1;
   const PlannerOptions knobs;
-  const std::string cool =
-      exec::PlanCache::make_key(soc, window, knobs, {full, 0});
+  const exec::PlanKey cool =
+      exec::make_key(soc, window, knobs, {full, 0});
   exec::PlanCache cache(8);
   const StaticEvaluator eval(soc, window);
   cache.insert(cool, exec::compile(Hetero2PipePlanner(eval).plan().plan, eval));
   const Soc derated = thermally_derated_bucket(soc, 2);
-  for (const std::string& hot :
-       {exec::PlanCache::make_key(derated, window, knobs, {full, 2}),
-        exec::PlanCache::make_key(soc, window, knobs, {full, 2}),
-        exec::PlanCache::make_key(derated, window, knobs, {full, 0})}) {
+  for (const exec::PlanKey& hot :
+       {exec::make_key(derated, window, knobs, {full, 2}),
+        exec::make_key(soc, window, knobs, {full, 2}),
+        exec::make_key(derated, window, knobs, {full, 0})}) {
     EXPECT_NE(hot, cool);
     EXPECT_EQ(cache.find(hot), nullptr);
     EXPECT_EQ(cache.peek_near(hot), nullptr);

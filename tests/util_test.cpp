@@ -4,8 +4,12 @@
 #include <filesystem>
 #include <fstream>
 #include <random>
+#include <string>
+#include <type_traits>
+#include <vector>
 
 #include "util/csv.h"
+#include "util/lru_map.h"
 #include "util/rng.h"
 #include "util/stats.h"
 #include "util/table.h"
@@ -194,6 +198,105 @@ TEST(Csv, WritesEscapedRows) {
 
 TEST(Csv, ThrowsOnBadPath) {
   EXPECT_THROW(CsvWriter("/nonexistent_dir_xyz/file.csv", {"a"}), std::runtime_error);
+}
+
+// A copy's recency list would point at the source map's keys.
+static_assert(!std::is_copy_constructible_v<LruMap<int, int>>);
+static_assert(!std::is_copy_assignable_v<LruMap<int, int>>);
+static_assert(std::is_move_constructible_v<LruMap<int, int>>);
+static_assert(std::is_move_assignable_v<LruMap<int, int>>);
+
+/// The keys of `map`, most recently used first.
+std::vector<int> recency(const LruMap<int, std::string>& map) {
+  std::vector<int> keys;
+  (void)map.find_key_if([&keys](int key) {
+    keys.push_back(key);
+    return false;
+  });
+  return keys;
+}
+
+TEST(LruMap, EvictsLeastRecentlyUsedFirst) {
+  LruMap<int, std::string> map(3);
+  EXPECT_FALSE(map.insert(1, "one"));
+  EXPECT_FALSE(map.insert(2, "two"));
+  EXPECT_FALSE(map.insert(3, "three"));
+  EXPECT_TRUE(map.insert(4, "four"));  // evicts 1
+  EXPECT_TRUE(map.insert(5, "five"));  // evicts 2
+  EXPECT_EQ(map.size(), 3u);
+  EXPECT_EQ(map.peek(1), nullptr);
+  EXPECT_EQ(map.peek(2), nullptr);
+  EXPECT_EQ(recency(map), (std::vector<int>{5, 4, 3}));
+}
+
+TEST(LruMap, FindBumpsAndPeekDoesNot) {
+  LruMap<int, std::string> map(2);
+  map.insert(1, "one");
+  map.insert(2, "two");
+  ASSERT_NE(map.peek(1), nullptr);
+  EXPECT_EQ(*map.peek(1), "one");
+  EXPECT_EQ(recency(map), (std::vector<int>{2, 1}));
+  map.insert(3, "three");  // 1 is still least recent
+  EXPECT_EQ(map.peek(1), nullptr);
+
+  ASSERT_NE(map.find(2), nullptr);  // bumps 2 over 3
+  EXPECT_EQ(recency(map), (std::vector<int>{2, 3}));
+  map.insert(4, "four");  // evicts 3
+  EXPECT_NE(map.peek(2), nullptr);
+  EXPECT_EQ(map.peek(3), nullptr);
+  EXPECT_EQ(map.find(3), nullptr);
+}
+
+TEST(LruMap, WalkIsMostRecentlyUsedFirstAndStopsAtTheMatch) {
+  LruMap<int, std::string> map(4);
+  for (int k = 1; k <= 4; ++k) map.insert(k, std::to_string(k));
+  (void)map.find(2);
+  map.insert(3, "three");  // an overwrite bumps too
+  EXPECT_EQ(recency(map), (std::vector<int>{3, 2, 4, 1}));
+
+  std::vector<int> visited;
+  const int* even = map.find_key_if([&visited](int key) {
+    visited.push_back(key);
+    return key % 2 == 0;
+  });
+  ASSERT_NE(even, nullptr);
+  EXPECT_EQ(*even, 2);
+  EXPECT_EQ(visited, (std::vector<int>{3, 2}));
+  EXPECT_EQ(map.find_key_if([](int key) { return key > 4; }), nullptr);
+  EXPECT_EQ(recency(map), (std::vector<int>{3, 2, 4, 1}));  // walking bumps nothing
+}
+
+TEST(LruMap, OverwriteKeepsTheValueAddress) {
+  LruMap<int, std::string> map(2);
+  map.insert(1, "one");
+  const std::string* before = map.peek(1);
+  EXPECT_FALSE(map.insert(1, "uno"));
+  EXPECT_EQ(map.size(), 1u);
+  EXPECT_EQ(map.peek(1), before);
+  EXPECT_EQ(*before, "uno");
+}
+
+TEST(LruMap, CapacityClampsToOne) {
+  LruMap<int, std::string> map(0);
+  EXPECT_EQ(map.capacity(), 1u);
+  map.insert(1, "one");
+  EXPECT_TRUE(map.insert(2, "two"));
+  EXPECT_EQ(map.size(), 1u);
+  EXPECT_EQ(map.peek(1), nullptr);
+  EXPECT_NE(map.peek(2), nullptr);
+}
+
+TEST(LruMap, MoveCarriesEntriesAndOrder) {
+  LruMap<int, std::string> source(2);
+  source.insert(1, "one");
+  source.insert(2, "two");
+  const std::string* one = source.peek(1);
+  LruMap<int, std::string> moved(std::move(source));
+  EXPECT_EQ(moved.peek(1), one);
+  EXPECT_EQ(recency(moved), (std::vector<int>{2, 1}));
+  moved.insert(3, "three");  // evicts 1 through the moved recency list
+  EXPECT_EQ(moved.peek(1), nullptr);
+  EXPECT_EQ(recency(moved), (std::vector<int>{3, 2}));
 }
 
 }  // namespace

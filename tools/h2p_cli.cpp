@@ -394,6 +394,54 @@ int cmd_plan(int argc, char** argv) {
   const PlannerOptions opts =
       has_flag(argc, argv, "--no-ct") ? PlannerOptions::no_ct() : PlannerOptions{};
 
+  // Both paths end here: the plan, its gantt and summary lines, then every
+  // requested output.  `dag` is the DAG path's report, null on the chain path.
+  const auto report_plan = [&](const PipelinePlan& plan,
+                               const exec::CompiledPlan& compiled,
+                               const Timeline& timeline,
+                               const GraphPlannerReport* dag) {
+    std::printf("%s\n", plan.to_string().c_str());
+    std::vector<std::string> names;
+    for (const Processor& p : soc.processors()) names.push_back(p.name);
+    std::printf("%s\n", timeline.gantt(names).c_str());
+    if (dag != nullptr) {
+      std::printf(
+          "dag: %s | offloaded branches %zu | DES chain %.2f ms -> final "
+          "%.2f ms\n",
+          dag->dag_accepted ? "accepted" : "chain fallback",
+          dag->offloaded_branches, dag->chain_des_ms, dag->final_des_ms);
+    }
+    std::printf("makespan %.2f ms | throughput %.2f inf/s | bubbles %.2f ms\n",
+                timeline.makespan_ms(), timeline.throughput_per_s(),
+                timeline.total_bubble_ms());
+    double peak_resident = 0.0;
+    for (double b : compiled.resident_bytes) peak_resident += b;
+    std::printf("compiled: %zu slices | %.2f ms total solo | %.0f MB resident\n",
+                compiled.slices.size(), compiled.total_solo_ms(),
+                peak_resident / 1048576.0);
+
+    if (const auto out = arg_value(argc, argv, "--out")) {
+      write_output("--out", *out, plan_to_json(plan).dump());
+      std::printf("%s written to %s\n", dag ? "chain plan" : "plan",
+                  out->c_str());
+    }
+    if (const auto trace = arg_value(argc, argv, "--trace")) {
+      write_output("--trace", *trace, to_chrome_trace_json(timeline, soc, compiled));
+      std::printf("chrome trace written to %s\n", trace->c_str());
+    }
+    if (obs_flags.trace_out) {
+      write_output("--trace-out", *obs_flags.trace_out,
+                   to_merged_chrome_trace_json(timeline, soc, obs::Tracer::global()));
+      std::printf("merged trace written to %s\n", obs_flags.trace_out->c_str());
+    }
+    if (obs_flags.metrics_out) {
+      write_output("--metrics-out", *obs_flags.metrics_out,
+                   obs::Registry::global().snapshot().dump());
+      std::printf("metrics written to %s\n", obs_flags.metrics_out->c_str());
+    }
+    return 0;
+  };
+
   if (graphs_csv) {
     // DAG path: zoo models (if any) ride along as chain graphs.
     auto parsed = parse_graphs(*graphs_csv);
@@ -408,47 +456,8 @@ int cmd_plan(int argc, char** argv) {
 
     const GraphPlanner planner(soc, gptrs, opts);
     const GraphPlannerReport rep = planner.plan();
-    const Timeline timeline = simulate(planner.evaluator().soc(), rep.compiled);
-
-    std::printf("%s\n", rep.chain_report.plan.to_string().c_str());
-    std::vector<std::string> names;
-    for (const Processor& p : soc.processors()) names.push_back(p.name);
-    std::printf("%s", timeline.gantt(names).c_str());
-    std::printf(
-        "\ndag: %s | offloaded branches %zu | DES chain %.2f ms -> final "
-        "%.2f ms\n",
-        rep.dag_accepted ? "accepted" : "chain fallback",
-        rep.offloaded_branches, rep.chain_des_ms, rep.final_des_ms);
-    std::printf("makespan %.2f ms | throughput %.2f inf/s | bubbles %.2f ms\n",
-                timeline.makespan_ms(), timeline.throughput_per_s(),
-                timeline.total_bubble_ms());
-    double peak_resident = 0.0;
-    for (double b : rep.compiled.resident_bytes) peak_resident += b;
-    std::printf("compiled: %zu slices | %.2f ms total solo | %.0f MB resident\n",
-                rep.compiled.slices.size(), rep.compiled.total_solo_ms(),
-                peak_resident / 1048576.0);
-
-    if (const auto out = arg_value(argc, argv, "--out")) {
-      write_output("--out", *out, plan_to_json(rep.chain_report.plan).dump());
-      std::printf("chain plan written to %s\n", out->c_str());
-    }
-    if (const auto trace = arg_value(argc, argv, "--trace")) {
-      write_output("--trace", *trace,
-                   to_chrome_trace_json(timeline, soc, rep.compiled));
-      std::printf("chrome trace written to %s\n", trace->c_str());
-    }
-    if (obs_flags.trace_out) {
-      write_output("--trace-out", *obs_flags.trace_out,
-                   to_merged_chrome_trace_json(timeline, soc,
-                                               obs::Tracer::global()));
-      std::printf("merged trace written to %s\n", obs_flags.trace_out->c_str());
-    }
-    if (obs_flags.metrics_out) {
-      write_output("--metrics-out", *obs_flags.metrics_out,
-                   obs::Registry::global().snapshot().dump());
-      std::printf("metrics written to %s\n", obs_flags.metrics_out->c_str());
-    }
-    return 0;
+    return report_plan(rep.chain_report.plan, rep.compiled,
+                       simulate(planner.evaluator().soc(), rep.compiled), &rep);
   }
 
   std::vector<const Model*> models;
@@ -456,40 +465,8 @@ int cmd_plan(int argc, char** argv) {
   const StaticEvaluator eval(soc, models);
   const PlannerReport report = Hetero2PipePlanner(eval, opts).plan();
   const exec::CompiledPlan compiled = exec::compile(report.plan, eval);
-  const Timeline timeline = simulate(eval.soc(), compiled);
-
-  std::printf("%s\n", report.plan.to_string().c_str());
-  std::vector<std::string> names;
-  for (const Processor& p : soc.processors()) names.push_back(p.name);
-  std::printf("%s", timeline.gantt(names).c_str());
-  std::printf("\nmakespan %.2f ms | throughput %.2f inf/s | bubbles %.2f ms\n",
-              timeline.makespan_ms(), timeline.throughput_per_s(),
-              timeline.total_bubble_ms());
-  double peak_resident = 0.0;
-  for (double b : compiled.resident_bytes) peak_resident += b;
-  std::printf("compiled: %zu slices | %.2f ms total solo | %.0f MB resident\n",
-              compiled.slices.size(), compiled.total_solo_ms(),
-              peak_resident / 1048576.0);
-
-  if (const auto out = arg_value(argc, argv, "--out")) {
-    write_output("--out", *out, plan_to_json(report.plan).dump());
-    std::printf("plan written to %s\n", out->c_str());
-  }
-  if (const auto trace = arg_value(argc, argv, "--trace")) {
-    write_output("--trace", *trace, to_chrome_trace_json(timeline, soc, compiled));
-    std::printf("chrome trace written to %s\n", trace->c_str());
-  }
-  if (obs_flags.trace_out) {
-    write_output("--trace-out", *obs_flags.trace_out,
-                 to_merged_chrome_trace_json(timeline, soc, obs::Tracer::global()));
-    std::printf("merged trace written to %s\n", obs_flags.trace_out->c_str());
-  }
-  if (obs_flags.metrics_out) {
-    write_output("--metrics-out", *obs_flags.metrics_out,
-                 obs::Registry::global().snapshot().dump());
-    std::printf("metrics written to %s\n", obs_flags.metrics_out->c_str());
-  }
-  return 0;
+  return report_plan(report.plan, compiled, simulate(eval.soc(), compiled),
+                     nullptr);
 }
 
 int cmd_simulate(int argc, char** argv) {
