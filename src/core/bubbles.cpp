@@ -4,7 +4,6 @@
 #include <atomic>
 #include <cassert>
 #include <cstdint>
-#include <mutex>
 #include <string>
 
 #include "core/partition.h"
@@ -255,17 +254,16 @@ struct ModelKeyHash {
 
 using SocSlicings = LruMap<ModelKey, std::vector<Slice>, ModelKeyHash>;
 
-std::mutex g_mutex;
-// Keyed by the exact SoC fingerprint first, so each view stores its (long)
-// fingerprint once however many models it slices.
-LruMap<std::string, SocSlicings> g_slicings(kSocCapacity);
+/// This thread's memo, keyed by the exact SoC fingerprint first, so each
+/// view stores its (long) fingerprint once however many models it slices.
+LruMap<std::string, SocSlicings>& slicings() {
+  thread_local LruMap<std::string, SocSlicings> memo(kSocCapacity);
+  return memo;
+}
 
 }  // namespace
 
-void clear() {
-  const std::lock_guard<std::mutex> lock(g_mutex);
-  g_slicings.clear();
-}
+void clear() { slicings().clear(); }
 
 }  // namespace slicing_memo
 
@@ -274,19 +272,15 @@ std::vector<Slice> horizontal_slices(const StaticEvaluator& eval, std::size_t id
   using namespace slicing_memo;
   const std::string& fingerprint = eval.soc().fingerprint();
   const ModelKey key{eval.model(idx).content_hash(), num_stages};
-  {
-    const std::lock_guard<std::mutex> lock(g_mutex);
-    if (SocSlicings* soc = g_slicings.find(fingerprint)) {
-      if (const std::vector<Slice>* hit = soc->find(key)) return *hit;
-    }
+  LruMap<std::string, SocSlicings>& memo = slicings();
+  SocSlicings* soc = memo.find(fingerprint);
+  if (soc != nullptr) {
+    if (const std::vector<Slice>* hit = soc->find(key)) return *hit;
+  } else {
+    memo.insert(fingerprint, SocSlicings(kModelsPerSoc));
+    soc = memo.find(fingerprint);
   }
   std::vector<Slice> slices = partition_model(eval.table(idx), num_stages).slices;
-  const std::lock_guard<std::mutex> lock(g_mutex);
-  SocSlicings* soc = g_slicings.find(fingerprint);
-  if (soc == nullptr) {
-    g_slicings.insert(fingerprint, SocSlicings(kModelsPerSoc));
-    soc = g_slicings.find(fingerprint);
-  }
   soc->insert(key, slices);
   return slices;
 }

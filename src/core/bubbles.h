@@ -22,7 +22,7 @@ namespace h2p {
 /// Static (planning-time) evaluation of a pipeline plan.
 ///
 /// Holds one CostTable per model (their per-processor blocks come from the
-/// process-wide profile store, soc/cost_model.h) and the contention model
+/// per-thread profile store, soc/cost_model.h) and the contention model
 /// for one request sequence on one Soc, and evaluates plans under the
 /// synchronous-wavefront abstraction the paper's Def. 3 uses: in column j,
 /// the slices { M_k^i : i + k = j } execute concurrently; the column takes
@@ -112,19 +112,20 @@ class StaticEvaluator {
 };
 
 /// Algorithm 1 on model `idx` of `eval` over `num_stages` stages: the
-/// slices of `partition_model(eval.table(idx), num_stages)`, memoized
-/// process-wide by (exact SoC fingerprint, model content hash, K).  The
-/// slicing is a pure function of those three, so a memo hit is the slicing
-/// a fresh run would compute.  Mutex-guarded; bounded at
-/// `slicing_memo::kSocCapacity` SoC views of `kModelsPerSoc` slicings each,
-/// both with LRU eviction.
+/// slices of `partition_model(eval.table(idx), num_stages)`, memoized per
+/// thread by (exact SoC fingerprint, model content hash, K).  The slicing is
+/// a pure function of those three, so a memo hit is the slicing a fresh run
+/// would compute.  Each thread owns its memo (`thread_local`, no mutex);
+/// bounded at `slicing_memo::kSocCapacity` SoC views of `kModelsPerSoc`
+/// slicings each, both with LRU eviction.
 std::vector<Slice> horizontal_slices(const StaticEvaluator& eval, std::size_t idx,
                                      std::size_t num_stages);
 
 namespace slicing_memo {
 inline constexpr std::size_t kSocCapacity = 128;
 inline constexpr std::size_t kModelsPerSoc = 64;
-/// Drops every memoized slicing.
+/// Drops every slicing the calling thread's memo holds; other threads'
+/// memos keep theirs.
 void clear();
 }  // namespace slicing_memo
 

@@ -10,10 +10,8 @@
 // relabel, settle and report — two DES evaluations and one DES-scored tail
 // sweep, against the hundreds of DES scorings a cold plan spends.
 #include <algorithm>
-#include <deque>
+#include <limits>
 #include <optional>
-#include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "core/incremental.h"
@@ -50,25 +48,26 @@ struct SlotMatch {
 SlotMatch match_slots(const exec::CompiledPlan& seed,
                       const StaticEvaluator& eval) {
   const std::size_t m = eval.num_models();
-  std::unordered_map<std::string, std::deque<std::size_t>> free_by_name;
-  for (std::size_t i = 0; i < m; ++i) {
-    free_by_name[eval.model(i).name()].push_back(i);
-  }
+  // Each slot takes the first unmatched model of its name, linear over a
+  // window's few models.
+  std::vector<bool> matched(m, false);
   SlotMatch match;
   match.model_of_slot.assign(seed.num_models, m);
   for (std::size_t slot = 0; slot < seed.num_models; ++slot) {
-    auto& queue = free_by_name[seed.model_names[slot]];
-    if (queue.empty()) {
+    std::size_t i = 0;
+    while (i < m && (matched[i] || eval.model(i).name() != seed.model_names[slot])) {
+      ++i;
+    }
+    if (i == m) {
       ++match.removed;
       continue;
     }
-    match.model_of_slot[slot] = queue.front();
-    queue.pop_front();
+    matched[i] = true;
+    match.model_of_slot[slot] = i;
   }
-  for (const auto& [name, queue] : free_by_name) {
-    for (const std::size_t idx : queue) match.added.push_back(idx);
+  for (std::size_t i = 0; i < m; ++i) {
+    if (!matched[i]) match.added.push_back(i);
   }
-  std::sort(match.added.begin(), match.added.end());
   return match;
 }
 
@@ -113,20 +112,26 @@ PlannerReport Hetero2PipePlanner::settle(PipelinePlan plan,
   // (the wavefront objective undervalues whole-model parallelism), so two
   // DES evaluations arbitrate it.  One DES-scored tail sweep then polishes
   // the winner: ≤ m·K candidates, most pruned by the solo-work bound.
+  // The arbitration's DES score of the plan it keeps seeds the sweep, which
+  // would otherwise score that plan again.
   int layers_stolen = 0;
   const PlanScorer des = des_scorer();
+  double score = std::numeric_limits<double>::quiet_NaN();
   if (opts_.work_stealing && !plan.models.empty()) {
     PipelinePlan aligned = plan;
     WorkStealingOptions ws;
     ws.tail_optimization = opts_.tail_optimization;
     const int moves = vertical_align(aligned, *eval_, ws);
-    if (des(aligned) + 1e-9 < des(plan)) {
+    const double aligned_score = des(aligned);
+    score = des(plan);
+    if (aligned_score + 1e-9 < score) {
       plan = std::move(aligned);
+      score = aligned_score;
       layers_stolen = moves;
     }
   }
   if (opts_.tail_optimization && !plan.models.empty()) {
-    optimize_tail(plan, *eval_, des);
+    optimize_tail(plan, *eval_, des, nullptr, score);
   }
 
   // The seeded order keeps the seed's mitigation; report it as is.

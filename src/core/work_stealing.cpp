@@ -176,7 +176,8 @@ void CollapseBound::apply(std::size_t slot, std::size_t s, double collapse_ms) {
 }
 
 bool optimize_tail(PipelinePlan& plan, const StaticEvaluator& eval,
-                   const PlanScorer& scorer, double* score_out) {
+                   const PlanScorer& scorer, double* score_out,
+                   double known_score) {
   const std::size_t K = plan.num_stages;
   const std::size_t m = plan.models.size();
   if (K < 2 || m == 0) return false;
@@ -196,10 +197,13 @@ bool optimize_tail(PipelinePlan& plan, const StaticEvaluator& eval,
   // Score of the *current* plan, carried across the sweep — both scorers
   // are deterministic and the plan only changes on an accepted candidate,
   // so this equals re-scoring the plan from scratch every iteration.
-  double plan_score = use_static ? inc->base_score() : scorer(plan);
+  const bool rescore = !use_static && std::isnan(known_score);
+  double plan_score = use_static ? inc->base_score()
+                      : rescore  ? scorer(plan)
+                                 : known_score;
   std::uint64_t candidates = 0;
   std::uint64_t pruned = 0;
-  std::uint64_t score_calls = use_static ? 0 : 1;
+  std::uint64_t score_calls = rescore ? 1 : 0;
 
   // §V-C phase 2: local search re-allocating workloads, tail-first (the
   // drain columns benefit most), then over the rest of the sequence — each

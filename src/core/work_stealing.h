@@ -2,6 +2,7 @@
 
 #include <cstddef>
 #include <functional>
+#include <limits>
 #include <span>
 #include <vector>
 
@@ -84,7 +85,9 @@ class CollapseBound {
 /// if the plan changed.  When the sweep runs (K >= 2, m >= 1) and
 /// `score_out` is non-null, it receives the sweep's final plan score —
 /// bit-equal to scoring the returned plan again; otherwise it is left
-/// untouched.
+/// untouched.  A caller that already holds `scorer(plan)` passes it as
+/// `known_score`, and the sweep starts from it instead of scoring the plan
+/// again; NaN (the default) means unknown.  The static scorer ignores it.
 ///
 /// Scoring is incremental: with the default (static) scorer each candidate
 /// re-evaluates only its affected wavefront columns (IncrementalStaticScorer);
@@ -99,6 +102,7 @@ class CollapseBound {
 /// ones the lower bound skipped) and `planner.score_calls.tail` (custom
 /// scorer calls), each added once per sweep.
 bool optimize_tail(PipelinePlan& plan, const StaticEvaluator& eval,
-                   const PlanScorer& scorer = {}, double* score_out = nullptr);
+                   const PlanScorer& scorer = {}, double* score_out = nullptr,
+                   double known_score = std::numeric_limits<double>::quiet_NaN());
 
 }  // namespace h2p

@@ -102,24 +102,28 @@ struct OnlineOptions {
   /// use it, so without `async_planning` it is ignored.
   ThreadPool* pool = nullptr;
 
-  /// Pipeline the serving loop itself: while window w is being resolved on
-  /// the calling thread, cold plans for upcoming windows are speculatively
+  /// Pipeline the serving loop itself: once window w is resolved on the
+  /// calling thread, cold plans for the windows after it are speculatively
   /// computed on `pool` and consumed as futures.  Every cache decision
   /// (exact hit, near-miss warm start, insert, eviction) still happens on
   /// the calling thread in stream order, and cold plans are deterministic
   /// functions of (Soc view, window, knobs), so an async run produces a
   /// bit-identical Timeline, plans and stats to a serial run — only host
-  /// wall-clock changes.  Only windows the believed environment (last
-  /// observed mask, bus factor and thermal bucket) would plan cold are
-  /// prefetched: one the cache would serve exactly, warm-start from a near
-  /// miss or replan degraded from its healthy plan gets no speculative job.
-  /// A prefetched plan whose predicted cache key no longer matches at
-  /// consume time (a fault changed the availability mask, a deferral
-  /// reshaped the window) is simply discarded.  Requires a non-null `pool`
-  /// and `prefetch_depth` >= 1 (validated at entry).
+  /// wall-clock changes.  Only windows the believed environment (the mask
+  /// and bus factor window w observed, the thermal bucket window w + 1
+  /// plans in) would plan cold are prefetched: one the cache would serve
+  /// exactly, warm-start from a near miss or replan degraded from its
+  /// healthy plan gets no speculative job.  The calling thread never waits
+  /// on, or runs, a prefetch job: a window consumes its prefetched plan
+  /// only when the job has finished, and otherwise cancels it and plans
+  /// inline (the same plan).  A prefetched plan whose predicted cache key
+  /// no longer matches at consume time (a fault changed the availability
+  /// mask, a deferral reshaped the window) is discarded.  At the end of the
+  /// run every unconsumed job is cancelled and waited for.  Requires a
+  /// non-null `pool` and `prefetch_depth` >= 1 (validated at entry).
   bool async_planning = false;
-  /// How far the async loop predicts: the window about to be served plus
-  /// `prefetch_depth` more.
+  /// How far the async loop predicts: the `prefetch_depth` windows after
+  /// the one just served.  The first window is always planned inline.
   std::size_t prefetch_depth = 2;
 
   /// Cross-window warm-start replanning: when a window misses the cache
@@ -170,10 +174,13 @@ struct OnlineOptions {
   bool thermal_loop = false;
   ThermalLoopOptions thermal;
 
-  /// Test-only: invoked inside every speculative prefetch job, on the pool
-  /// thread, before it plans.  A throwing hook exercises the loop's
-  /// exception hardening: the future's exception is swallowed at consume
-  /// time and the window falls back to a serial cold replan.
+  /// Test-only: invoked inside a speculative prefetch job, on the pool
+  /// thread, before it plans — unless the job was cancelled before it
+  /// started, so how often it runs depends on timing.  A throwing hook
+  /// exercises the loop's exception hardening: the future's exception is
+  /// swallowed at consume time and the window falls back to a serial cold
+  /// replan.  The run waits for every job before it returns, so the hook
+  /// may capture the caller's state by reference.
   std::function<void()> prefetch_job_hook;
 
   /// Prediction capture: record, per executed slice, the start/finish

@@ -5,7 +5,6 @@
 #include <cmath>
 #include <cstdint>
 #include <cstring>
-#include <mutex>
 
 #include "obs/metrics.h"
 #include "util/lru_map.h"
@@ -118,8 +117,13 @@ std::shared_ptr<const ProcProfile> build(const Model& model, const Processor& pr
   return pp;
 }
 
-std::mutex g_mutex;
-LruMap<Key, std::shared_ptr<const ProcProfile>, KeyHash> g_blocks(kCapacity);
+/// This thread's store: planning threads never share a block, so a lookup
+/// takes no lock and a hit's LRU bump touches only this thread's list.
+LruMap<Key, std::shared_ptr<const ProcProfile>, KeyHash>& blocks() {
+  thread_local LruMap<Key, std::shared_ptr<const ProcProfile>, KeyHash> store(
+      kCapacity);
+  return store;
+}
 
 }  // namespace
 
@@ -134,8 +138,8 @@ std::shared_ptr<const ProcProfile> fetch(const Model& model, const Processor& pr
                 static_cast<std::uint64_t>(proc.kind), bits(proc.peak_gflops),
                 bits(proc.mem_bw_gbps),     bits(proc.l2_bytes),
                 bits(proc.launch_overhead_ms)};
-  const std::lock_guard<std::mutex> lock(g_mutex);
-  if (const auto* found = g_blocks.find(key)) {
+  auto& store = blocks();
+  if (const auto* found = store.find(key)) {
     missed = false;
     hits.inc();
     return *found;
@@ -143,19 +147,13 @@ std::shared_ptr<const ProcProfile> fetch(const Model& model, const Processor& pr
   missed = true;
   misses.inc();
   std::shared_ptr<const ProcProfile> block = build(model, proc, cost);
-  if (g_blocks.insert(key, block)) evictions.inc();
+  if (store.insert(key, block)) evictions.inc();
   return block;
 }
 
-std::size_t size() {
-  const std::lock_guard<std::mutex> lock(g_mutex);
-  return g_blocks.size();
-}
+std::size_t size() { return blocks().size(); }
 
-void clear() {
-  const std::lock_guard<std::mutex> lock(g_mutex);
-  g_blocks.clear();
-}
+void clear() { blocks().clear(); }
 
 }  // namespace profile_store
 

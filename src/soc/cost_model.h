@@ -93,10 +93,11 @@ struct ProcProfile {
   std::vector<double> prefix_bytes;  // DRAM bytes
 };
 
-/// Process-wide, mutex-guarded memo of ProcProfile blocks: the stand-in for
-/// the paper's offline per-layer profiling, done once per (model, processor)
-/// and shared by every CostTable built afterwards, in every planner and on
-/// every thread.
+/// Per-thread memo of ProcProfile blocks: the stand-in for the paper's
+/// offline per-layer profiling, done once per (model, processor) and shared
+/// by every CostTable the same thread builds afterwards.  Each thread owns
+/// its store (`thread_local`, no mutex), so planning threads never contend
+/// on a lookup; a block two threads both need is computed once on each.
 ///
 /// Keyed by the model's content hash and layer count plus the exact bits of
 /// the five processor fields a block reads, so masked, bus-degraded and
@@ -114,9 +115,11 @@ inline constexpr std::size_t kCapacity = 1024;
 std::shared_ptr<const ProcProfile> fetch(const Model& model, const Processor& proc,
                                          const CostModel& cost, bool& missed);
 
+/// Blocks held by the calling thread's store.
 [[nodiscard]] std::size_t size();
 
-/// Drops every block the store holds; tables already built keep theirs.
+/// Drops every block the calling thread's store holds; other threads'
+/// stores, and tables already built, keep theirs.
 void clear();
 
 }  // namespace profile_store

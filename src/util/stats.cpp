@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <numeric>
+#include <stdexcept>
 
 namespace h2p {
 
@@ -30,6 +31,7 @@ double maximum(std::span<const double> xs) {
 }
 
 double percentile(std::span<const double> xs, double q) {
+  if (std::isnan(q)) throw std::invalid_argument("percentile: q is NaN");
   if (xs.empty()) return 0.0;
   std::vector<double> sorted(xs.begin(), xs.end());
   std::sort(sorted.begin(), sorted.end());

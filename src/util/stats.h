@@ -24,7 +24,8 @@ double stddev(std::span<const double> xs);
 double minimum(std::span<const double> xs);
 double maximum(std::span<const double> xs);
 
-/// Percentile with linear interpolation; q in [0, 1].
+/// Percentile with linear interpolation; q is clamped to [0, 1].  Throws
+/// std::invalid_argument for a NaN q, which no clamp can place.
 double percentile(std::span<const double> xs, double q);
 
 Summary summarize(std::span<const double> xs);

@@ -53,20 +53,4 @@ void ThreadPool::worker_loop() {
   }
 }
 
-bool ThreadPool::help_one() {
-  std::function<void()> task;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (queue_.empty()) return false;
-    task = std::move(queue_.front());
-    queue_.pop_front();
-  }
-  static obs::Counter& help_runs =
-      obs::Registry::global().counter("pool.help_runs");
-  help_runs.inc();
-  const obs::Span span("pool.job");
-  task();
-  return true;
-}
-
 }  // namespace h2p

@@ -1,6 +1,5 @@
 #pragma once
 
-#include <chrono>
 #include <condition_variable>
 #include <cstddef>
 #include <deque>
@@ -21,8 +20,9 @@ namespace h2p {
 /// overlaps independent windows with the serving loop.
 ///
 ///  - Exception propagation: a job's exception lands in its future.
-///  - No deadlock: a thread waiting on a future runs queued jobs itself
-///    (`wait_and_help`), so even a one-worker pool always makes progress.
+///  - No deadlock: only the workers run jobs, and a job must never wait on
+///    another job's future.  Under that rule every queued job finishes on
+///    some worker, so a thread outside the pool may block on any future.
 ///  - Shutdown: the destructor finishes everything already queued (futures
 ///    from `submit` never dangle), then joins the workers.
 class ThreadPool {
@@ -41,22 +41,6 @@ class ThreadPool {
     std::future<R> fut = task->get_future();
     enqueue([task] { (*task)(); });
     return fut;
-  }
-
-  /// Pop one queued job and run it on the calling thread; false when the
-  /// queue was empty.
-  bool help_one();
-
-  /// Block until `fut` is ready, running queued jobs on the calling thread
-  /// while waiting, then return the future's value (rethrowing its
-  /// exception, if any).
-  template <typename R>
-  R wait_and_help(std::future<R>& fut) {
-    while (fut.wait_for(std::chrono::seconds(0)) !=
-           std::future_status::ready) {
-      if (!help_one()) fut.wait_for(std::chrono::milliseconds(1));
-    }
-    return fut.get();
   }
 
  private:

@@ -5,7 +5,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <atomic>
 #include <cstdint>
 #include <limits>
 #include <memory>
@@ -350,12 +349,34 @@ std::vector<OnlineRequest> recurring_scene_stream() {
   return stream;
 }
 
+/// Pool jobs and discarded prefetches of one async run.  Both count what the
+/// pump submits and which keys windows match, not when jobs finish: a job
+/// cancelled before it starts still counts as a pool job.
+struct PrefetchCounts {
+  std::uint64_t jobs = 0;
+  std::uint64_t discarded = 0;
+};
+
+PrefetchCounts counted_run(const Soc& soc, const std::vector<OnlineRequest>& stream,
+                           const OnlineOptions& async, OnlineResult& out) {
+  obs::Registry& reg = obs::Registry::global();
+  obs::Counter& jobs = reg.counter("pool.jobs");
+  obs::Counter& discarded = reg.counter("online.prefetch_discarded");
+  const std::uint64_t jobs_before = jobs.value();
+  const std::uint64_t discarded_before = discarded.value();
+  reg.set_enabled(true);
+  out = run_online(soc, stream, async);
+  reg.set_enabled(false);
+  return {jobs.value() - jobs_before, discarded.value() - discarded_before};
+}
+
 TEST(OnlineAsync, PrefetchSubmitsOnlyWindowsPlannedCold) {
   // A window the cache serves exactly or warm-starts gains nothing from a
   // speculative cold plan.  A prefetcher that submits only windows the
-  // believed environment plans cold runs one job per cold window here, and
-  // every job is consumed; one that submits every exact miss runs one per
-  // substituted scene too (12 jobs, 9 discarded).
+  // believed environment plans cold runs one job per cold window after the
+  // first (which is planned inline) here, and no job is discarded; one
+  // that submits every exact miss runs one per substituted scene too (11
+  // jobs, 9 discarded).
   const Soc soc = Soc::kirin990();
   const auto stream = recurring_scene_stream();
   OnlineOptions serial;
@@ -371,26 +392,20 @@ TEST(OnlineAsync, PrefetchSubmitsOnlyWindowsPlannedCold) {
   OnlineOptions async = serial;
   async.pool = &pool;
   async.async_planning = true;
-  std::atomic<int> jobs{0};
-  async.prefetch_job_hook = [&jobs] { ++jobs; };
-  obs::Registry& reg = obs::Registry::global();
-  obs::Counter& discarded = reg.counter("online.prefetch_discarded");
-  const std::uint64_t discarded_before = discarded.value();
-  reg.set_enabled(true);
-  const OnlineResult r = run_online(soc, stream, async);
-  reg.set_enabled(false);
+  OnlineResult r;
+  const PrefetchCounts counts = counted_run(soc, stream, async, r);
   expect_identical(expected, r);
-  EXPECT_EQ(discarded.value(), discarded_before);
-  EXPECT_EQ(jobs.load(), cold);
+  EXPECT_EQ(counts.discarded, 0u);
+  EXPECT_EQ(counts.jobs, static_cast<std::uint64_t>(cold - 1));
 }
 
 TEST(OnlineAsync, PrefetchPlansDegradedWindowsWithoutHealthySeed) {
   // The NPU is down for good from t = 0, so every window is planned on the
   // degraded view and no healthy plan ever exists to seed a degraded
   // replan: the prefetcher must treat a degraded window with no healthy
-  // seed as cold.  Its first pump runs before any probe and predicts
-  // windows 0-2 under the healthy mask; those three guesses are discarded.
-  // Every later cold window then plans from exactly one prefetch.
+  // seed as cold.  Its first pump runs after window 0's probe, so it
+  // predicts under the degraded mask and guesses nothing wrong: every cold
+  // window after the first plans from exactly one prefetch.
   const Soc soc = Soc::kirin990();
   const auto stream = recurring_scene_stream();
   const FaultScript faults({FaultEvent{FaultKind::kDropout, 0, 0.0,
@@ -412,28 +427,22 @@ TEST(OnlineAsync, PrefetchPlansDegradedWindowsWithoutHealthySeed) {
   OnlineOptions async = serial;
   async.pool = &pool;
   async.async_planning = true;
-  std::atomic<int> jobs{0};
-  async.prefetch_job_hook = [&jobs] { ++jobs; };
-  obs::Registry& reg = obs::Registry::global();
-  obs::Counter& discarded = reg.counter("online.prefetch_discarded");
-  const std::uint64_t discarded_before = discarded.value();
-  reg.set_enabled(true);
-  const OnlineResult r = run_online(soc, stream, async);
-  reg.set_enabled(false);
+  OnlineResult r;
+  const PrefetchCounts counts = counted_run(soc, stream, async, r);
   expect_identical(expected, r);
-  const int guesses = static_cast<int>(discarded.value() - discarded_before);
-  EXPECT_EQ(guesses, 3);
-  EXPECT_EQ(jobs.load() - guesses, cold - 1);
+  EXPECT_EQ(counts.discarded, 0u);
+  EXPECT_EQ(counts.jobs, static_cast<std::uint64_t>(cold - 1));
 }
 
 TEST(OnlineAsync, DeferralReorderedWindowPlansItsOwnOrder) {
-  // The NPU is out over [0, 5): window 1 is planned degraded, and its last
-  // request S (deadline meetable only on the healthy SoC) is deferred to the
-  // front of the queue.  The prefetcher predicted window 2 as [M,S,M,S]
-  // under the healthy environment; it is served as [S,M,S,M] — same
-  // multiset, same plan-cache key — once the NPU is back.  The cold plan
-  // depends on the order, so consuming the prefetched plan would serve a
-  // plan a serial run never makes.
+  // Window 0 is served on the healthy SoC, and the pump after it predicts
+  // window 2 as [M,S,M,S] under that environment.  The NPU is out over
+  // [2, 5): window 1 is planned degraded, and its last request S (deadline
+  // meetable only on the healthy SoC) is deferred to the front of the
+  // queue.  Window 2 is then served as [S,M,S,M] — same multiset, same
+  // healthy environment, same plan-cache key — once the NPU is back.  The
+  // cold plan depends on the order, so consuming the prefetched plan would
+  // serve a plan a serial run never makes.
   const Soc soc = Soc::kirin990();
   const Model& s_model = zoo_model(ModelId::kResNet50);
   const Model& m_model = zoo_model(ModelId::kBERT);
@@ -445,15 +454,19 @@ TEST(OnlineAsync, DeferralReorderedWindowPlansItsOwnOrder) {
               simulate_plan_makespan(Hetero2PipePlanner(smsm).plan().plan, smsm));
   }
 
-  const FaultScript faults({FaultEvent{FaultKind::kDropout, 0, 0.0, 5.0, 1.0}});
+  const FaultScript faults({FaultEvent{FaultKind::kDropout, 0, 2.0, 5.0, 1.0}});
   std::vector<OnlineRequest> stream;
   for (ModelId id : {ModelId::kSqueezeNet, ModelId::kMobileNetV2,
-                     ModelId::kAlexNet}) {
+                     ModelId::kAlexNet, ModelId::kGoogLeNet}) {
     stream.push_back({&zoo_model(id), 0.0});
   }
+  for (ModelId id : {ModelId::kSqueezeNet, ModelId::kMobileNetV2,
+                     ModelId::kAlexNet}) {
+    stream.push_back({&zoo_model(id), 2.0});
+  }
   // Its deadline holds from the recovery at t = 5 on the healthy SoC, but
-  // not from t = 1.5 on the degraded one.
-  OnlineRequest deferred{&s_model, 0.0};
+  // not from t = 3.5 (after the backoff ladder) on the degraded one.
+  OnlineRequest deferred{&s_model, 2.0};
   const CostModel cost(soc);
   double healthy_lb = 0.0;  // the admission bound: best solo time per layer
   for (const Layer& layer : s_model.layers()) {
@@ -481,11 +494,12 @@ TEST(OnlineAsync, DeferralReorderedWindowPlansItsOwnOrder) {
   opts.fault_tolerance.max_retries = 2;
   const OnlineResult serial = run_online(soc, stream, opts);
   ASSERT_EQ(serial.deferred_requests, 1u);
-  ASSERT_EQ(serial.windows.size(), 3u);
+  ASSERT_EQ(serial.windows.size(), 4u);
   const std::uint64_t full = (1ull << soc.num_processors()) - 1;
-  EXPECT_NE(serial.windows[0].avail_mask, full);
-  EXPECT_EQ(serial.windows[1].avail_mask, full);
-  EXPECT_EQ(serial.windows[1].source, WindowSource::kColdReplan);
+  EXPECT_EQ(serial.windows[0].avail_mask, full);
+  EXPECT_NE(serial.windows[1].avail_mask, full);
+  EXPECT_EQ(serial.windows[2].avail_mask, full);
+  EXPECT_EQ(serial.windows[2].source, WindowSource::kColdReplan);
 
   ThreadPool pool(2);
   OnlineOptions async = opts;
@@ -498,9 +512,9 @@ TEST(OnlineAsync, DeferralReorderedWindowPlansItsOwnOrder) {
   obs::Log::global().set_level(obs::LogLevel::kWarn);
   obs::Log::global().set_sink_stream(nullptr);
   expect_identical(serial, r);
-  // The [M,S,M,S] prefetch was made and left unconsumed: the window it
-  // predicted plans cold in a serial run too, so the prefetcher submits it.
-  // The discard record names the prefetch's models in its own order.
+  // The [M,S,M,S] prefetch matched window 2's key but not its order, so no
+  // window consumed it and the run discarded it.  The discard record names
+  // the prefetch's models in its own order.
   const std::string& m = m_model.name();
   const std::string& s = s_model.name();
   const std::string predicted =

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <stdexcept>
 
 #include "core/planner.h"
 #include "sim/pipeline_sim.h"
@@ -20,6 +22,15 @@ TEST(Planner, ProducesValidPlan) {
   for (const ModelPlan& mp : report.plan.models) {
     EXPECT_TRUE(mp.covers(fx.eval->model(mp.model_index).num_layers()));
   }
+}
+
+TEST(Planner, NanClassifierPercentileThrows) {
+  // No clamp can place a NaN quantile; the classifier's percentile must
+  // reject it instead of indexing the sorted intensities with it.
+  Fixture fx(testing_util::mixed_six());
+  PlannerOptions opts;
+  opts.classifier_percentile = std::nan("");
+  EXPECT_THROW(Hetero2PipePlanner(*fx.eval, opts).plan(), std::invalid_argument);
 }
 
 TEST(Planner, OrderIsPermutation) {

@@ -1,8 +1,9 @@
-// Tests for the process-wide profile store (soc/cost_model.h) and the
+// Tests for the per-thread profile store (soc/cost_model.h) and the
 // Algorithm-1 slicing memo (core/bubbles.h): every table, slicing and plan
 // is bit-identical whether the memos are cold or warm, blocks are keyed on
 // exactly the processor fields they read, eviction never invalidates a live
-// table, and concurrent builders agree with a serial one.
+// table, each thread's memos are its own, and concurrent builders agree
+// with a serial one.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -276,6 +277,39 @@ TEST(ProfileStore, ConcurrentEvaluatorsAgreeWithSerial) {
     EXPECT_EQ(a, serial);
     EXPECT_EQ(b, serial);
   }
+}
+
+TEST(ProfileStore, EachThreadOwnsItsStore) {
+  const testing_util::Fixture fx(testing_util::mixed_six());
+  clear_memos();
+  const auto here = compiled_chain_plan(fx.soc, fx.models);
+  const std::size_t blocks = profile_store::size();
+  ASSERT_GT(blocks, 0u);
+
+  std::vector<exec::ScheduledSlice> there;
+  std::size_t there_before = 1;
+  std::size_t there_planned = 0;
+  std::size_t there_cleared = 1;
+  std::thread other([&] {
+    there_before = profile_store::size();
+    there = compiled_chain_plan(fx.soc, fx.models);
+    there_planned = profile_store::size();
+    clear_memos();
+    there_cleared = profile_store::size();
+  });
+  other.join();
+  // The other thread started cold, filled a store of its own and cleared
+  // only that one.
+  EXPECT_EQ(there_before, 0u);
+  EXPECT_EQ(there_planned, blocks);
+  EXPECT_EQ(there_cleared, 0u);
+  EXPECT_EQ(profile_store::size(), blocks);
+  const StaticEvaluator warm(fx.soc, fx.models);
+  for (std::size_t i = 0; i < fx.models.size(); ++i) {
+    EXPECT_EQ(warm.table(i).profile_misses(), 0u) << i;
+  }
+  EXPECT_EQ(there, here);
+  EXPECT_EQ(compiled_chain_plan(fx.soc, fx.models), here);
 }
 
 /// The documented record stream of Model::content_hash, recomputed from

@@ -1,6 +1,5 @@
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <chrono>
 #include <future>
 #include <stdexcept>
@@ -38,24 +37,6 @@ TEST(ThreadPool, ShutdownDrainsPendingWork) {
               std::future_status::ready);
     EXPECT_EQ(futures[static_cast<std::size_t>(i)].get(), i);
   }
-}
-
-TEST(ThreadPool, NestedFanOutDoesNotDeadlock) {
-  // One worker, jobs that submit jobs and wait on them: only running queued
-  // jobs while waiting (wait_and_help) can make progress here — a blocking
-  // wait would deadlock.
-  ThreadPool pool(1);
-  std::atomic<int> leaves{0};
-  std::vector<std::future<void>> outer;
-  for (int i = 0; i < 4; ++i) {
-    outer.push_back(pool.submit([&] {
-      std::vector<std::future<void>> inner;
-      for (int j = 0; j < 4; ++j) inner.push_back(pool.submit([&] { ++leaves; }));
-      for (std::future<void>& f : inner) pool.wait_and_help(f);
-    }));
-  }
-  for (std::future<void>& f : outer) pool.wait_and_help(f);
-  EXPECT_EQ(leaves.load(), 16);
 }
 
 TEST(ThreadPool, RejectsZeroWorkers) {

@@ -5,12 +5,16 @@
 // OnlineOptions::warm_start.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <optional>
 #include <vector>
 
+#include "core/bubbles.h"
 #include "core/planner.h"
+#include "core/work_stealing.h"
 #include "exec/compiled_plan.h"
 #include "models/model_zoo.h"
+#include "obs/metrics.h"
 #include "sim/online.h"
 #include "sim/pipeline_sim.h"
 
@@ -164,6 +168,49 @@ TEST(WarmStart, NoCtKnobsProduceValidWarmPlan) {
   const double warm_ms = simulate_plan(warm->plan, eval).makespan_ms();
   const double cold_ms = simulate_plan(planner.plan().plan, eval).makespan_ms();
   EXPECT_LE(warm_ms, 1.10 * cold_ms);
+}
+
+TEST(WarmStart, SettleSweepStartsFromTheArbitrationScore) {
+  // settle's arbitration already DES-scored the plan it keeps, so its tail
+  // sweep spends DES calls only on unpruned candidates: 5 on this window,
+  // one fewer than the 6 of a sweep that rescores the plan it starts from.
+  const Soc soc = Soc::kirin990();
+  const exec::CompiledPlan seed = compile_seed(
+      soc, models_of({ModelId::kResNet50, ModelId::kBERT, ModelId::kSqueezeNet}));
+  const StaticEvaluator eval(
+      soc, models_of({ModelId::kResNet50, ModelId::kBERT, ModelId::kAlexNet}));
+  obs::Registry& reg = obs::Registry::global();
+  reg.reset();
+  reg.set_enabled(true);
+  const std::optional<PlannerReport> warm = Hetero2PipePlanner(eval).plan_warm(seed);
+  reg.set_enabled(false);
+  ASSERT_TRUE(warm.has_value());
+  EXPECT_EQ(reg.counter("planner.score_calls.tail").value(), 5u);
+
+  // The known score changes nothing but the call count.
+  const PlanScorer des = [&eval](const PipelinePlan& p) {
+    return simulate_plan_makespan(p, eval);
+  };
+  const PipelinePlan start = horizontal_plan(eval, soc.num_processors());
+  PipelinePlan rescored = start;
+  PipelinePlan seeded = start;
+  double rescored_score = 0.0;
+  double seeded_score = 0.0;
+  reg.reset();
+  reg.set_enabled(true);
+  optimize_tail(rescored, eval, des, &rescored_score);
+  const std::uint64_t rescored_calls = reg.counter("planner.score_calls.tail").value();
+  reg.reset();
+  optimize_tail(seeded, eval, des, &seeded_score, des(start));
+  const std::uint64_t seeded_calls = reg.counter("planner.score_calls.tail").value();
+  reg.set_enabled(false);
+  EXPECT_EQ(seeded_calls + 1, rescored_calls);
+  EXPECT_EQ(seeded_score, rescored_score);
+  ASSERT_EQ(seeded.models.size(), rescored.models.size());
+  for (std::size_t i = 0; i < seeded.models.size(); ++i) {
+    EXPECT_EQ(seeded.models[i].model_index, rescored.models[i].model_index);
+    EXPECT_EQ(seeded.models[i].slices, rescored.models[i].slices);
+  }
 }
 
 TEST(WarmStart, OnlineLoopTakesWarmPath) {
